@@ -13,7 +13,6 @@ import os
 import random
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -22,7 +21,7 @@ from .baseline import SampledLocate
 from .errors import FormatError, IndexFileError
 from .measures import check_entropy_bounds, entropy_hk, gamma_r, quotient, verify_attractor
 from .rindex import build_index
-from .rlxbwt import build_rl_xbwt, reconstruct_trie, reconstruct_trie_from_outsets
+from .rlxbwt import build_rl_xbwt
 from .trie import colex_sort, oracle_locate, parse_edges_file, parse_strings_file
 
 
@@ -36,25 +35,23 @@ def _read_trie(path, fmt):
     raise FormatError(f"unknown format {fmt!r}")
 
 
+def _from_hex(text):
+    try:
+        return bytes.fromhex(text.decode("ascii") if isinstance(text, bytes) else text)
+    except ValueError:  # also covers a non-ASCII byte in a pattern-file line
+        raise FormatError(f"pattern is not hex: {text!r}") from None
+
+
 def _patterns_from_args(args):
     pats = []
     for p in args.patterns:
-        pats.append(bytes.fromhex(p) if args.hex else p.encode("utf-8"))
+        pats.append(_from_hex(p) if args.hex else os.fsencode(p))  # argv's own bytes
     if getattr(args, "pattern_file", None):
         with open(args.pattern_file, "rb") as fh:
             for line in fh.read().split(b"\n"):
                 if line or args.keep_empty:
-                    pats.append(bytes.fromhex(line.decode()) if args.hex else line)
+                    pats.append(_from_hex(line) if args.hex else line)
     return pats
-
-
-def _trie_of_index(engine, obj):
-    if engine == storage.ENGINE_RINDEX:
-        return reconstruct_trie(obj.rlx, obj.alphabet.byte_of_code)
-    nav = obj.nav
-    out_sets = [tuple(nav.out_labels(i)) for i in range(1, nav.n + 1)]
-    return reconstruct_trie_from_outsets(nav.n, nav.sigma, out_sets, nav.c_array,
-                                         obj.alphabet.byte_of_code)
 
 
 def cmd_build(args):
@@ -75,36 +72,26 @@ def cmd_build(args):
     return 0
 
 
-def _run_queries(obj, pats, worker):
-    threads = int(os.environ.get("TRIE_RINDEX_THREADS", "1") or "1")
-    if threads > 1 and len(pats) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            return list(ex.map(worker, pats))
-    return [worker(p) for p in pats]
-
-
 def cmd_locate(args):
     _, obj, _, _ = storage.load(args.index)
-    pats = _patterns_from_args(args)
-    if args.count_only:
-        for occ in _run_queries(obj, pats, obj.count):
-            print(occ)
-    else:
-        for ids in _run_queries(obj, pats, obj.locate):
+    for p in _patterns_from_args(args):
+        if args.count_only:
+            print(obj.count(p))
+        else:
+            ids = obj.locate(p)
             print(" ".join([str(len(ids))] + [str(u) for u in ids]))
     return 0
 
 
 def cmd_count(args):
     _, obj, _, _ = storage.load(args.index)
-    for occ in _run_queries(obj, _patterns_from_args(args), obj.count):
-        print(occ)
+    for p in _patterns_from_args(args):
+        print(obj.count(p))
     return 0
 
 
 def _stats_payload(engine, obj, sections, meta):
-    trie = _trie_of_index(engine, obj)
-    order = colex_sort(trie)
+    trie, order = storage.trie_of(engine, obj)
     rlx, _ = build_rl_xbwt(trie, order)
     r, r_c, r_prime = rlx.run_stats()
     q_out = quotient(trie, order, "out-set")

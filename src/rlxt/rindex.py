@@ -80,9 +80,6 @@ class PhiSamples:
         k = self._slot(u)
         return k >= 0 and bool(self.flags[k] & TYPE2)
 
-    def has_sample(self, u):
-        return self._slot(u) >= 0
-
     def arrows(self):
         return {int(k): int(v) for k, v in zip(self.keys, self.values)}
 
@@ -133,8 +130,12 @@ class IscTables:
 class RIndex:
     """Assembled locate structure.
 
-    Keeps pre_to_colex but not colex_to_pre: every locate answer is produced
-    by the toehold + climb machinery alone.
+    Every locate answer is produced by the toehold + climb machinery alone;
+    neither direction of the co-lex permutation is kept. The one fact of it
+    a query reads is which node is co-lex-last (``phi`` has no successor to
+    give there): ``pre_to_colex`` holds just that entry of the pre-order to
+    co-lex map, ``{last: n}``. It keeps the map's name because measuring
+    tools look the component up under that name.
     """
 
     __slots__ = (
@@ -142,10 +143,10 @@ class RIndex:
         "samples", "isc_tables", "case_counters",
     )
 
-    def __init__(self, n, alphabet, pre_to_colex, topo, rlx, spi, colors, samples, isc_tables):
+    def __init__(self, n, alphabet, last, topo, rlx, spi, colors, samples, isc_tables):
         self.n = n
         self.alphabet = alphabet
-        self.pre_to_colex = pre_to_colex
+        self.pre_to_colex = {last: n}
         self.topo = topo
         self.rlx = rlx
         self.spi = spi
@@ -153,6 +154,11 @@ class RIndex:
         self.samples = samples
         self.isc_tables = isc_tables
         self.case_counters = {"1": 0, "2.1": 0, "2.2.1": 0, "2.2.2": 0}
+
+    @property
+    def last(self):
+        """Pre-order id of the co-lex-last node."""
+        return next(iter(self.pre_to_colex))
 
     def reset_counters(self):
         for k in self.case_counters:
@@ -201,7 +207,7 @@ class RIndex:
 
     def phi(self, u):
         """Pre-order id of u's co-lex successor (climb, Cases 1..2.2.2)."""
-        if self.pre_to_colex[u] == self.n:
+        if self.pre_to_colex.get(u) == self.n:
             raise NoSuccessorError(f"node {u} is last in co-lex order")
         if self.colors.is_colored(u):
             self.case_counters["1"] += 1
@@ -244,7 +250,8 @@ class RIndex:
 
 
 def build_index(trie, colex=None):
-    """Build the full locate structure; the colex permutation is dropped."""
+    """Build the full locate structure; of the colex permutation only the
+    co-lex-last node is kept."""
     if colex is None:
         colex = colex_sort(trie)
     n = trie.n
@@ -291,5 +298,5 @@ def build_index(trie, colex=None):
         starts,
     )
 
-    return RIndex(n, trie.alphabet, colex.pre_to_colex.copy(), topo, rlx, spi,
+    return RIndex(n, trie.alphabet, int(c2p[n]), topo, rlx, spi,
                   colors, phi_samples, isc_tables)

@@ -62,9 +62,6 @@ class RlXbwt:
             sets.append(tuple(sorted(cur)))
         return sets
 
-    def out_set_at(self, i):
-        return self.block_out_sets()[self.block_of(i) - 1]
-
 
 class SPrimeIndex:
     """Wavelet sequence over S' plus the partial rank samples.

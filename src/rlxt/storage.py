@@ -4,7 +4,7 @@ Layout: magic ``RLXT1``, version byte, engine byte (0 = run-length index,
 1 = sampled baseline), reserved byte, little-endian section table
 (count, then 8-byte tag / u64 offset / u64 length per section), payloads.
 Files round-trip bit-exactly: serializing a loaded index reproduces the
-original bytes.
+original bytes. Loading only decodes: nothing is rebuilt from the transform.
 """
 
 from __future__ import annotations
@@ -18,12 +18,12 @@ from .baseline import SampledLocate, XbwtNav
 from .bits import BitVec, SparseBitVec, WaveletSeq
 from .errors import IndexFileError
 from .rindex import ColorMarks, IscTables, PhiSamples, RIndex
-from .rlxbwt import RlXbwt, SPrimeIndex, reconstruct_trie
+from .rlxbwt import RlXbwt, SPrimeIndex, reconstruct_trie, reconstruct_trie_from_outsets
 from .topology import BpsTopology
 from .trie import Alphabet, colex_sort
 
 MAGIC = b"RLXT1"
-VERSION = 1
+VERSION = 2
 ENGINE_RINDEX = 0
 ENGINE_SAMPLED = 1
 
@@ -150,13 +150,14 @@ def _enc_colors(colors):
     return bytes(out)
 
 
-def _enc_samples(samples):
+def _enc_samples(samples, last):
     out = bytearray()
     out += struct.pack("<I", len(samples.keys))
     _w_deltas(out, samples.keys)
     for v, f in zip(samples.values, samples.flags):
         _w_varint(out, v)
         out.append(int(f))
+    _w_varint(out, last)  # the co-lex-last node, where phi has no value
     return bytes(out)
 
 
@@ -202,7 +203,7 @@ def machinery_sections(index):
         "rlxbwt": _enc_rlxbwt(index.rlx),
         "sprime": _enc_sprime(index.spi),
         "colors": _enc_colors(index.colors),
-        "samples": _enc_samples(index.samples),
+        "samples": _enc_samples(index.samples, index.last),
         "isc": _enc_isc(index.isc_tables),
         "runheads": _enc_runheads(index.rlx),
     }
@@ -283,11 +284,6 @@ def load_rindex(sections):
         run_heads[c] = list(zip((int(x) for x in cols), pres))
     rlx = RlXbwt(int(n), alphabet.sigma, triples, block_starts, c_array, run_heads)
 
-    # the permutation is not stored: rebuild the trie from the transform and
-    # re-derive pre_to_colex (colex_to_pre is dropped again right away)
-    trie = reconstruct_trie(rlx, alphabet.byte_of_code)
-    pre_to_colex = colex_sort(trie).pre_to_colex.copy()
-
     data = sections["sprime"]
     (cnt,) = struct.unpack_from("<I", data, 0)
     off = 4
@@ -313,6 +309,9 @@ def load_rindex(sections):
         off += 1
         mapping[int(keys[k])] = (v, f)
     samples = PhiSamples(mapping)
+    last, off = _r_varint(data, off)
+    if not 1 <= last <= n:
+        raise IndexFileError(f"co-lex-last node {last} outside 1..{n}")
 
     data = sections["isc"]
     (slen,) = struct.unpack_from("<Q", data, 0)
@@ -327,7 +326,7 @@ def load_rindex(sections):
         s_bits[zeros - 1] = 0
     isc = IscTables(s_bits, SparseBitVec(int(n), [int(x) for x in b1pos]), sts)
 
-    idx = RIndex(int(n), alphabet, pre_to_colex, topo, rlx, spi, colors, samples, isc)
+    idx = RIndex(int(n), alphabet, last, topo, rlx, spi, colors, samples, isc)
     return idx, meta
 
 
@@ -409,3 +408,16 @@ def load_bytes(data):
 def load(path):
     with open(path, "rb") as fh:
         return load_bytes(fh.read())
+
+
+def trie_of(engine, obj):
+    """The trie a loaded index was built from, rebuilt from its transform,
+    with its co-lex order. Queries never need it; statistics do."""
+    if engine == ENGINE_RINDEX:
+        trie = reconstruct_trie(obj.rlx, obj.alphabet.byte_of_code)
+    else:
+        nav = obj.nav
+        out_sets = [tuple(nav.out_labels(i)) for i in range(1, nav.n + 1)]
+        trie = reconstruct_trie_from_outsets(nav.n, nav.sigma, out_sets, nav.c_array,
+                                             obj.alphabet.byte_of_code)
+    return trie, colex_sort(trie)

@@ -132,10 +132,6 @@ class BpsTopology:
         self._check(u)
         return int(self.open_pos[u - 1]), int(self.close_pos[u])
 
-    def subtree_size(self, u):
-        o, c = self.subtree_range(u)
-        return (c - o + 1) // 2
-
     def cbr(self, u, k):
         """k-th child of u in pre-order (= label order), 1-based."""
         self._check(u)
@@ -268,18 +264,13 @@ class BpsTopology:
 class MarkSet:
     """A node subset exposed as marked open-parenthesis positions."""
 
-    __slots__ = ("nodes", "_pos")
+    __slots__ = ("_pos",)
 
     def __init__(self, topo, node_ids):
         ids = sorted(set(int(u) for u in node_ids))
         if ids and (ids[0] < 1 or ids[-1] > topo.n):
             raise IndexError("marked node out of range")
-        self.nodes = np.asarray(ids, dtype=np.int64)
         self._pos = SparseBitVec(2 * topo.n, [int(topo.open_pos[u - 1]) for u in ids])
-
-    def contains_node(self, u):
-        k = np.searchsorted(self.nodes, u)
-        return bool(k < len(self.nodes) and self.nodes[k] == u)
 
     def positions_succ(self, pos):
         if pos > self._pos.universe:

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -42,16 +43,43 @@ def test_hex_patterns(ex26_index, capsys):
     assert capsys.readouterr().out.strip() == "3 18 7 13"
 
 
-def test_pattern_file_with_threads(ex26_index, tmp_path, capsys, monkeypatch):
+def test_non_utf8_argument_is_matched_as_bytes(tmp_path, capsys):
+    src = tmp_path / "latin1.txt"
+    src.write_bytes(b"\xffa\nb\n")
+    out = tmp_path / "latin1.rlxt"
+    assert main(["build", str(src), "-o", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["count", str(out), os.fsdecode(b"\xff"), os.fsdecode(b"\xffa")]) == 0
+    assert capsys.readouterr().out.split() == ["1", "1"]
+
+
+def test_pattern_file_with_threads(ex26_index, tmp_path, capsys):
     pf = tmp_path / "pats.txt"
     pf.write_bytes(b"ac\nb\nca\n")
-    monkeypatch.setenv("TRIE_RINDEX_THREADS", "4")
     capsys.readouterr()
     assert main(["locate", str(ex26_index), "--pattern-file", str(pf)]) == 0
     lines = capsys.readouterr().out.strip().split("\n")
     assert lines[0] == "3 18 7 13"
     assert lines[1].startswith("9 ")
     assert lines[2].startswith("2 ")
+
+
+def test_bad_hex_pattern_is_input_error(ex26_index, capsys):
+    capsys.readouterr()
+    assert main(["locate", str(ex26_index), "zz", "--hex"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+
+
+def test_bad_hex_line_in_pattern_file_is_input_error(ex26_index, tmp_path, capsys):
+    pf = tmp_path / "pats.hex"
+    pf.write_bytes(b"6163\nnot hex\n")
+    capsys.readouterr()
+    assert main(["count", str(ex26_index), "--pattern-file", str(pf), "--hex"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
 
 
 def test_build_empty_and_nul(tmp_path, capsys):
@@ -85,6 +113,17 @@ def test_bad_index_file(tmp_path):
     p = tmp_path / "junk.rlxt"
     p.write_bytes(b"NOTANINDEX")
     assert main(["locate", str(p), "a"]) == 3
+
+
+def test_version_1_index_file(ex26_index, tmp_path, capsys):
+    blob = ex26_index.read_bytes()
+    old = tmp_path / "v1.rlxt"
+    old.write_bytes(blob[:5] + bytes([1]) + blob[6:])
+    capsys.readouterr()
+    assert main(["locate", str(old), "a"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().splitlines() == ["index error: unsupported version 1"]
 
 
 def test_stats_ex26(ex26_index, capsys):

@@ -1,11 +1,13 @@
+import importlib.util
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from rlxt import storage
 from rlxt.baseline import build_sampled
-from rlxt.errors import IndexFileError
+from rlxt.errors import IndexFileError, NoSuccessorError
 from rlxt.rindex import build_index
 from rlxt.trie import build_from_strings, colex_sort, oracle_locate
 
@@ -52,6 +54,32 @@ def test_bad_magic_and_version():
         storage.load_bytes(b"XXXXX" + blob[5:])
     with pytest.raises(IndexFileError):
         storage.load_bytes(blob[:5] + bytes([99]) + blob[6:])
+    with pytest.raises(IndexFileError, match="unsupported version 1"):
+        storage.load_bytes(blob[:5] + bytes([1]) + blob[6:])
+
+
+def _check_loaded_phi(trie):
+    order = colex_sort(trie)
+    _, idx, _, _ = storage.load_bytes(storage.save_rindex(build_index(trie, order)))
+    for i in range(1, trie.n):
+        assert idx.phi(int(order.colex_to_pre[i])) == int(order.colex_to_pre[i + 1])
+    with pytest.raises(NoSuccessorError):
+        idx.phi(int(order.colex_to_pre[trie.n]))
+
+
+def test_loaded_phi_is_colex_successor(ex26):
+    _check_loaded_phi(ex26)
+    _check_loaded_phi(make_random_trie(random.Random(29), 120, 3))
+
+
+@pytest.mark.parametrize("stored", [0, 27])
+def test_last_node_out_of_range(ex26, stored):
+    engine, sections = storage._unpack(storage.save_rindex(build_index(ex26)))
+    samples = sections["samples"]
+    assert samples[-1] == EX26_COLEX_TO_PRE[-1]  # the trailing one-byte varint
+    sections["samples"] = samples[:-1] + bytes([stored])
+    with pytest.raises(IndexFileError, match="co-lex-last node"):
+        storage.load_bytes(storage._pack(engine, sections))
 
 
 def test_machinery_bits_are_sane(ex26):
@@ -82,3 +110,24 @@ def test_reconstruct_trie_from_loaded_index(ex26):
     t2 = reconstruct_trie(idx2.rlx, idx2.alphabet.byte_of_code)
     assert np.array_equal(t2.parent, ex26.parent)
     assert np.array_equal(t2.label, ex26.label)
+
+
+def test_traced_benchmark_hooks_resolve(ex26):
+    # the traced benchmark patches library names from outside and reads
+    # components of a loaded index; a rename must fail here, not there
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    tracer = spans.Tracer()
+    with tracer.installed(True):
+        blob = storage.save_rindex(build_index(ex26))
+        tracer.reset()
+        metrics = spans.storage_metrics(blob)  # loads the index
+        loading = {tracer.names[k] for k in tracer.name}
+        _, idx, _, _ = storage.load_bytes(blob)
+        trie, _ = storage.trie_of(storage.ENGINE_RINDEX, idx)
+    assert "storage.load_bytes" in loading
+    assert not loading & {"trie.colex_sort", "rlxbwt.reconstruct_trie"}
+    assert np.array_equal(trie.parent, ex26.parent)
+    assert metrics["storage.resident_bytes.pre_to_colex"][0] < 1024
