@@ -4,7 +4,8 @@ child tables, toehold search, and the four-case climb.
 ``phi`` maps a node to its co-lex successor using only the sampled anchors
 and topology jumps; the co-lex-to-pre-order permutation is never consulted.
 Locate = toehold (backward search that also tracks the pre-order id of the
-range's first node) + occ-1 applications of ``phi``.
+range's first node) + occ-1 applications of ``phi``. Count is the backward
+search alone.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from .rlxbwt import (
     backward_extend,
     build_rl_xbwt,
     cr,
+    reconstruct_out_sets,
     run_head_preorder,
     xbwt_successor,
 )
@@ -188,11 +190,17 @@ class RIndex:
         return rng, node
 
     def count(self, pattern):
-        got = self.toehold_search(pattern)
-        if got is None:
+        """Number of nodes reached by ``pattern``: backward search over the
+        range alone, without the toehold's first node."""
+        codes = self.alphabet.encode(pattern)
+        if codes is None:
             return 0
-        (lo, hi), _ = got
-        return hi - lo + 1
+        rng = (1, self.n)
+        for c in codes:
+            rng = backward_extend(self.rlx, self.spi, rng, c)
+            if rng is None:
+                return 0
+        return rng[1] - rng[0] + 1
 
     def locate(self, pattern):
         got = self.toehold_search(pattern)
@@ -259,7 +267,7 @@ def build_index(trie, colex=None):
     topo = BpsTopology.from_trie(trie)
 
     c2p = colex.colex_to_pre
-    out_sets = [tuple(int(c) for c in trie.out_labels(int(c2p[i]))) for i in range(1, n + 1)]
+    out_sets = reconstruct_out_sets(rlx)
     red_colex = [i for i in range(1, n) if out_sets[i - 1] != out_sets[i]]
     blue_colex = [i for i in range(1, n)
                   if trie.label[c2p[i]] != trie.label[c2p[i + 1]]]

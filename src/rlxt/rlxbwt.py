@@ -5,15 +5,19 @@ rank, backward range extension).
 The XBWT is the sequence of outgoing-label sets in co-lex node order. Blocks
 are maximal runs of equal sets, each encoded as (ADD, DEL, length) against
 its predecessor. S' flattens the deltas as c+/c- symbols with '/' block
-separators; a wavelet sequence over S' plus O(r) sampled partial ranks
-answers rank/successor/child-rank without touching the full transform.
+separators. Queries read S' regrouped by label: per label, the blocks where
+it enters and leaves the out-set and the count of its nodes before each
+entry, plus the block starts; every lookup is a binary search over O(r)
+words.
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left, bisect_right
+
 import numpy as np
 
-from .bits import SparseBitVec, WaveletSeq
 from .errors import DomainError
 
 
@@ -27,13 +31,12 @@ class RlXbwt:
     pairs for every position starting a c-run.
     """
 
-    __slots__ = ("n", "sigma", "triples", "block_starts", "c_array", "run_heads")
+    __slots__ = ("n", "sigma", "triples", "c_array", "run_heads")
 
-    def __init__(self, n, sigma, triples, block_starts, c_array, run_heads):
+    def __init__(self, n, sigma, triples, c_array, run_heads):
         self.n = n
         self.sigma = sigma
         self.triples = triples
-        self.block_starts = block_starts
         self.c_array = c_array
         self.run_heads = run_heads
 
@@ -46,13 +49,6 @@ class RlXbwt:
         r_c = {c: len(heads) for c, heads in self.run_heads.items() if len(heads)}
         return sum(r_c.values()), r_c, self.r_prime
 
-    def block_of(self, i):
-        """1-based block number containing colex position i."""
-        return self.block_starts.rank1(i)
-
-    def block_start(self, q):
-        return self.block_starts.select1(q)
-
     def block_out_sets(self):
         """Unroll the triples into the per-block out-label sets."""
         sets = []
@@ -64,43 +60,73 @@ class RlXbwt:
 
 
 class SPrimeIndex:
-    """Wavelet sequence over S' plus the partial rank samples.
+    """S' regrouped by label, answering rank, successor and child rank.
 
-    Symbol codes over an edge alphabet of m = sigma-1 labels:
-    ``c- -> c-1``, ``c+ -> m + c - 1``, ``/ -> 2m``; this realizes the
-    required order (all minus, then all plus, then the separator).
-    ``partials[k]`` stores, for the k-th plus-symbol occurrence in S', the
-    number of c-nodes strictly before that occurrence's block.
+    Blocks are numbered from 0 and ``starts[q]`` is the co-lex position where
+    block q begins. For each label c, ``adds[c]`` lists the blocks where c
+    enters the out-set (the c+ symbols of S'), ``dels[c]`` the blocks where
+    it leaves (the c- symbols), and ``base[c][k]`` the number of c-nodes
+    before block ``adds[c][k]``. Entries and exits alternate, starting with
+    an entry, so c is present in block q iff its last entry at or before q
+    is not followed by an exit at or before q. All tables together hold
+    |S'| = r' + sum|ADD| + sum|DEL| words.
     """
 
-    __slots__ = ("m", "wavelet", "partials")
+    __slots__ = ("starts", "adds", "dels", "base")
 
-    def __init__(self, m, wavelet, partials):
-        self.m = m
-        self.wavelet = wavelet
-        self.partials = partials
+    def __init__(self, sigma, triples, partials):
+        """``partials`` holds the c-node counts of the c+ symbols in S' order."""
+        self.starts = array("q")
+        self.adds = [array("q") for _ in range(sigma)]
+        self.dels = [array("q") for _ in range(sigma)]
+        self.base = [array("q") for _ in range(sigma)]
+        counts = iter(partials)
+        s = 1
+        for q, (add, dele, ln) in enumerate(triples):
+            self.starts.append(s)
+            s += ln
+            for c in add:
+                self.adds[c].append(q)
+                self.base[c].append(next(counts))
+            for c in dele:
+                self.dels[c].append(q)
 
-    def minus(self, c):
-        return c - 1
-
-    def plus(self, c):
-        return self.m + c - 1
+    def _by_block(self):
+        """Per block, its (label, base) entries and its exiting labels,
+        each in ascending label order as in S'."""
+        adds = [[] for _ in self.starts]
+        dels = [[] for _ in self.starts]
+        for c in range(len(self.adds)):
+            for q, b in zip(self.adds[c], self.base[c]):
+                adds[q].append((c, b))
+            for q in self.dels[c]:
+                dels[q].append(c)
+        return adds, dels
 
     @property
-    def slash(self):
-        return 2 * self.m
+    def partials(self):
+        """The c-node counts of the c+ symbols, in S' order (as stored)."""
+        adds, _ = self._by_block()
+        return [b for entries in adds for _, b in entries]
+
+    def block_of(self, i):
+        """0-based block containing co-lex position i."""
+        return bisect_right(self.starts, i) - 1
+
+    def entry(self, c, q):
+        """Index into ``adds[c]`` of c's entry whose run covers block q, or -1."""
+        k = bisect_right(self.adds[c], q) - 1
+        if k < 0:
+            return -1
+        dels = self.dels[c]
+        return -1 if k < len(dels) and dels[k] <= q else k
 
     def symbols(self):
         """Decode S' back to (kind, label) pairs; kind in {'+','-','/'}."""
         out = []
-        for p in range(1, len(self.wavelet) + 1):
-            s = self.wavelet.access(p)
-            if s == self.slash:
-                out.append(("/", None))
-            elif s >= self.m:
-                out.append(("+", s - self.m + 1))
-            else:
-                out.append(("-", s + 1))
+        for entries, exits in zip(*self._by_block()):
+            out += [("+", c) for c, _ in entries] + [("-", c) for c in exits]
+            out.append(("/", None))
         return out
 
 
@@ -108,8 +134,10 @@ def build_rl_xbwt(trie, colex):
     """Build the block triples and the S' index from a trie and its order."""
     n = trie.n
     sigma = trie.alphabet.sigma
-    out_sets = [tuple(int(c) for c in trie.out_labels(int(colex.colex_to_pre[i])))
-                for i in range(1, n + 1)]
+    labels = trie.label[trie.child_ids].tolist()  # grouped by parent, ascending
+    child_start = trie.child_start.tolist()
+    out_sets = [tuple(labels[child_start[u] : child_start[u + 1]])
+                for u in colex.colex_to_pre[1 : n + 1].tolist()]
     triples = []
     starts = []
     prev = ()
@@ -125,11 +153,8 @@ def build_rl_xbwt(trie, colex):
         starts.append(i)
         prev = cur
         i = j + 1
-    block_starts = SparseBitVec(n, starts)
 
-    counts = np.zeros(sigma + 1, dtype=np.int64)
-    for u in range(1, n + 1):
-        counts[trie.label[u] + 1] += 1
+    counts = np.bincount(trie.label[1 : n + 1] + 1, minlength=sigma + 1)
     c_array = np.cumsum(counts)  # c_array[c] = nodes with incoming label < c
 
     run_heads = {c: [] for c in range(1, sigma)}
@@ -138,33 +163,15 @@ def build_rl_xbwt(trie, colex):
         for c in add:
             run_heads[c].append((s, int(colex.colex_to_pre[s])))
 
-    m = sigma - 1
-    symbols = []
     partials = []
-    cum = np.zeros(sigma, dtype=np.int64)  # nodes with label c in the processed prefix
-    for q, (add, dele, ln) in enumerate(triples):
-        s = starts[q]
-        for c in add:
-            symbols.append(m + c - 1)
-            partials.append(int(cum[c]))
-        for c in dele:
-            symbols.append(c - 1)
-        symbols.append(2 * m)
-        for c in out_sets[s - 1]:
+    cum = [0] * sigma  # nodes with label c in the processed prefix
+    for q, (add, _dele, ln) in enumerate(triples):
+        partials.extend(cum[c] for c in add)
+        for c in out_sets[starts[q] - 1]:
             cum[c] += ln
-    wavelet = WaveletSeq(symbols, 2 * m + 1 if m else 1)
-    spi = SPrimeIndex(m, wavelet, np.asarray(partials, dtype=np.int64))
-    rlx = RlXbwt(n, sigma, triples, block_starts, c_array,
-                 {c: heads for c, heads in run_heads.items()})
+    spi = SPrimeIndex(sigma, triples, partials)
+    rlx = RlXbwt(n, sigma, triples, c_array, run_heads)
     return rlx, spi
-
-
-def _last_sym_before(spi, sym, j):
-    """Position of the last occurrence of sym at position <= j, or 0."""
-    k = spi.wavelet.rank(sym, j)
-    if k == 0:
-        return 0
-    return spi.wavelet.select(sym, k)
 
 
 def xbwt_rank(spi, rlx, c, i):
@@ -175,22 +182,15 @@ def xbwt_rank(spi, rlx, c, i):
         raise IndexError(f"colex position {i} out of range 1..{rlx.n}")
     if not 1 <= c < rlx.sigma:
         raise IndexError(f"label {c} out of alphabet")
-    b = rlx.block_of(i)
-    j = spi.wavelet.select(spi.slash, b)
-    pos_plus = _last_sym_before(spi, spi.plus(c), j)
-    if pos_plus == 0:
+    adds = spi.adds[c]
+    q = spi.block_of(i)
+    k = bisect_right(adds, q) - 1
+    if k < 0:
         return 0
-    pos_minus = _last_sym_before(spi, spi.minus(c), j)
-    if pos_plus > pos_minus:
-        i_eff = i
-    else:
-        # c is absent from the blocks after that minus; clamp to just before them
-        b_minus = spi.wavelet.rank(spi.slash, pos_minus) + 1
-        i_eff = rlx.block_start(b_minus) - 1
-    b_plus = spi.wavelet.rank(spi.slash, pos_plus) + 1
-    s = rlx.block_start(b_plus)
-    k = spi.wavelet.range_rank(spi.plus(1), spi.plus(rlx.sigma - 1), pos_plus)
-    return int(spi.partials[k - 1]) + (i_eff - s) + 1
+    dels = spi.dels[c]
+    if k < len(dels) and dels[k] <= q:
+        i = spi.starts[dels[k]] - 1  # c left before block q; count up to its exit
+    return spi.base[c][k] + i - spi.starts[adds[k]] + 1
 
 
 def xbwt_successor(spi, rlx, c, i):
@@ -199,19 +199,12 @@ def xbwt_successor(spi, rlx, c, i):
         raise IndexError(f"colex position {i} out of range 1..{rlx.n}")
     if not 1 <= c < rlx.sigma:
         return None
-    b = rlx.block_of(i)
-    j = spi.wavelet.select(spi.slash, b)
-    pos_plus = _last_sym_before(spi, spi.plus(c), j)
-    pos_minus = _last_sym_before(spi, spi.minus(c), j)
-    if pos_plus > pos_minus:
+    q = spi.block_of(i)
+    if spi.entry(c, q) >= 0:
         return i  # the block containing i already carries c
-    k = spi.wavelet.rank(spi.plus(c), j)
-    try:
-        nxt = spi.wavelet.select(spi.plus(c), k + 1)
-    except IndexError:
-        return None
-    b_next = spi.wavelet.rank(spi.slash, nxt) + 1
-    return rlx.block_start(b_next)
+    adds = spi.adds[c]
+    k = bisect_right(adds, q)
+    return spi.starts[adds[k]] if k < len(adds) else None
 
 
 def cr(spi, rlx, i, c):
@@ -220,15 +213,10 @@ def cr(spi, rlx, i, c):
         raise IndexError(f"colex position {i} out of range 1..{rlx.n}")
     if not 1 <= c < rlx.sigma:
         raise DomainError(f"label {c} not in alphabet")
-    b = rlx.block_of(i)
-    j = spi.wavelet.select(spi.slash, b)
-    pos_plus = _last_sym_before(spi, spi.plus(c), j)
-    pos_minus = _last_sym_before(spi, spi.minus(c), j)
-    if pos_plus <= pos_minus or pos_plus == 0:
+    q = spi.block_of(i)
+    if spi.entry(c, q) < 0:
         raise DomainError(f"label {c} not outgoing at colex position {i}")
-    plus_cnt = spi.wavelet.range_rank(spi.plus(1), spi.plus(c), j)
-    minus_cnt = spi.wavelet.range_rank(spi.minus(1), spi.minus(c), j)
-    return plus_cnt - minus_cnt
+    return sum(1 for d in range(1, c + 1) if spi.entry(d, q) >= 0)
 
 
 def backward_extend(rlx, spi, rng, c):
@@ -251,9 +239,7 @@ def run_head_preorder(rlx, c, i):
     heads = rlx.run_heads.get(c)
     if not heads:
         raise DomainError(f"no runs for label {c}")
-    import bisect
-
-    k = bisect.bisect_left(heads, (i, -1))
+    k = bisect_left(heads, (i, -1))
     if k == len(heads) or heads[k][0] != i:
         raise DomainError(f"colex position {i} is not a {c}-run head")
     return heads[k][1]

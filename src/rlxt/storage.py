@@ -15,7 +15,7 @@ import struct
 import numpy as np
 
 from .baseline import SampledLocate, XbwtNav
-from .bits import BitVec, SparseBitVec, WaveletSeq
+from .bits import SparseBitVec, WaveletSeq
 from .errors import IndexFileError
 from .rindex import ColorMarks, IscTables, PhiSamples, RIndex
 from .rlxbwt import RlXbwt, SPrimeIndex, reconstruct_trie, reconstruct_trie_from_outsets
@@ -186,17 +186,6 @@ def _enc_runheads(rlx):
     return bytes(out)
 
 
-def _build_sprime_wavelet(triples, sigma):
-    """S' is fully determined by the triples; rebuild it deterministically."""
-    m = sigma - 1
-    symbols = []
-    for add, dele, _ln in triples:
-        symbols.extend(m + c - 1 for c in add)
-        symbols.extend(c - 1 for c in dele)
-        symbols.append(2 * m)
-    return WaveletSeq(symbols, 2 * m + 1 if m else 1)
-
-
 def machinery_sections(index):
     """Serialized payloads of the locate-machinery components."""
     return {
@@ -241,6 +230,8 @@ def _unpack(data):
     for _ in range(count):
         tag = data[off : off + 8].rstrip(b"\0").decode()
         start, length = struct.unpack_from("<QQ", data, off + 8)
+        if start + length > len(data):
+            raise IndexFileError(f"section {tag!r} runs past the end of the file")
         sections[tag] = data[start : start + length]
         off += 24
     return engine, sections
@@ -261,13 +252,9 @@ def load_rindex(sections):
     topo, _ = BpsTopology.from_bytes(sections["topology"])
     alphabet, n, c_array = _dec_labels(sections["labels"])
     triples = _dec_rlxbwt_triples(sections["rlxbwt"])
-
-    starts = []
-    s = 1
-    for _, _, ln in triples:
-        starts.append(s)
-        s += ln
-    block_starts = SparseBitVec(n, starts)
+    sigma = alphabet.sigma
+    if any(not 1 <= c < sigma for add, dele, _ in triples for c in add + dele):
+        raise IndexFileError(f"triple label outside 1..{sigma - 1}")
 
     data = sections["runheads"]
     (m,) = struct.unpack_from("<H", data, 0)
@@ -282,15 +269,19 @@ def load_rindex(sections):
             v, off = _r_varint(data, off)
             pres.append(v)
         run_heads[c] = list(zip((int(x) for x in cols), pres))
-    rlx = RlXbwt(int(n), alphabet.sigma, triples, block_starts, c_array, run_heads)
+    rlx = RlXbwt(int(n), sigma, triples, c_array, run_heads)
 
     data = sections["sprime"]
     (cnt,) = struct.unpack_from("<I", data, 0)
+    entries = sum(len(add) for add, _, _ in triples)
+    if cnt != entries:
+        raise IndexFileError(f"sprime holds {cnt} counts for {entries} label entries")
     off = 4
-    partials = np.zeros(cnt, dtype=np.int64)
-    for k in range(cnt):
-        partials[k], off = _r_varint(data, off)
-    spi = SPrimeIndex(alphabet.sigma - 1, _build_sprime_wavelet(triples, alphabet.sigma), partials)
+    partials = []
+    for _ in range(cnt):
+        v, off = _r_varint(data, off)
+        partials.append(v)
+    spi = SPrimeIndex(sigma, triples, partials)
 
     data = sections["colors"]
     (nred,) = struct.unpack_from("<I", data, 0)
@@ -395,13 +386,20 @@ def save(obj, path, meta=None):
 
 
 def load_bytes(data):
-    engine, sections = _unpack(data)
-    if engine == ENGINE_RINDEX:
-        obj, meta = load_rindex(sections)
-    elif engine == ENGINE_SAMPLED:
-        obj, meta = load_sampled(sections)
-    else:
-        raise IndexFileError(f"unknown engine {engine}")
+    try:
+        engine, sections = _unpack(data)
+        if engine == ENGINE_RINDEX:
+            obj, meta = load_rindex(sections)
+        elif engine == ENGINE_SAMPLED:
+            obj, meta = load_sampled(sections)
+        else:
+            raise IndexFileError(f"unknown engine {engine}")
+    except IndexFileError:
+        raise
+    except (struct.error, IndexError, KeyError, ValueError) as exc:
+        # a short or garbled section fails inside a decoder; ValueError also
+        # covers JSON and Unicode decode errors
+        raise IndexFileError(f"damaged index file ({type(exc).__name__}: {exc})") from None
     return engine, obj, meta, sections
 
 

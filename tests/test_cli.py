@@ -53,7 +53,7 @@ def test_non_utf8_argument_is_matched_as_bytes(tmp_path, capsys):
     assert capsys.readouterr().out.split() == ["1", "1"]
 
 
-def test_pattern_file_with_threads(ex26_index, tmp_path, capsys):
+def test_pattern_file(ex26_index, tmp_path, capsys):
     pf = tmp_path / "pats.txt"
     pf.write_bytes(b"ac\nb\nca\n")
     capsys.readouterr()
@@ -113,6 +113,21 @@ def test_bad_index_file(tmp_path):
     p = tmp_path / "junk.rlxt"
     p.write_bytes(b"NOTANINDEX")
     assert main(["locate", str(p), "a"]) == 3
+
+
+def test_truncated_index_file(tmp_path, capsys):
+    src = tmp_path / "small.txt"
+    src.write_bytes(b"abc\nabd\nbcd\nxyz\n")
+    full = tmp_path / "small.rlxt"
+    assert main(["build", str(src), "-o", str(full)]) == 0
+    cut = tmp_path / "cut.rlxt"
+    cut.write_bytes(full.read_bytes()[:-1])
+    capsys.readouterr()
+    assert main(["locate", str(cut), "a"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+    assert captured.err.startswith("index error: ")
 
 
 def test_version_1_index_file(ex26_index, tmp_path, capsys):

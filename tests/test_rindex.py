@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from rlxt import rindex
 from rlxt.errors import DomainError, NoSuccessorError
 from rlxt.rindex import TYPE1, TYPE2, build_index
 from rlxt.trie import build_from_strings, colex_sort, oracle_locate
@@ -108,6 +109,24 @@ def test_count_examples(idx26):
     assert idx26.count(b"") == 26
     assert idx26.count(b"ca") == 2
     assert idx26.count(b"zzz") == 0
+
+
+def test_count_skips_the_toehold(monkeypatch):
+    # count is a range-only backward search: the toehold's successor and
+    # child-rank steps belong to locate
+    rng = random.Random(43)
+    t = make_random_trie(rng, 180, 4)
+    idx = build_index(t)
+    pats = _pattern_suite(t, rng) + [b""]
+    want = [len(idx.locate(pat)) for pat in pats]
+
+    def forbidden(*args):
+        raise AssertionError("count reached a toehold step")
+
+    monkeypatch.setattr(rindex, "xbwt_successor", forbidden)
+    monkeypatch.setattr(rindex, "cr", forbidden)
+    assert [idx.count(pat) for pat in pats] == want
+    assert any(want)
 
 
 def _pattern_suite(trie, rng):

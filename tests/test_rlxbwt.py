@@ -3,7 +3,9 @@ import random
 import numpy as np
 import pytest
 
+from rlxt import storage
 from rlxt.errors import DomainError
+from rlxt.rindex import build_index
 from rlxt.rlxbwt import (
     backward_extend,
     build_rl_xbwt,
@@ -149,11 +151,19 @@ def test_reconstruction_and_bounds_random():
 
 
 def test_queries_match_naive_scans():
+    # a small and a larger alphabet; tables built fresh and rebuilt by a load
     rng = random.Random(32)
-    for _ in range(25):
-        t = make_random_trie(rng, 150, 3)
+    cases = [(sigma, loaded) for sigma in (3, 27) for loaded in (False, True)
+             for _ in range(25)]
+    for sigma, loaded in cases:
+        t = make_random_trie(rng, 150, sigma)
         order = colex_sort(t)
-        rlx, spi = build_rl_xbwt(t, order)
+        if loaded:
+            blob = storage.save_rindex(build_index(t, order))
+            _, idx, _, _ = storage.load_bytes(blob)
+            rlx, spi = idx.rlx, idx.spi
+        else:
+            rlx, spi = build_rl_xbwt(t, order)
         outs = _naive_out_sets(t, order)
         for _ in range(60):
             c = rng.randint(1, t.alphabet.sigma - 1)

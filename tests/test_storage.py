@@ -1,5 +1,8 @@
+import gc
 import importlib.util
 import random
+import struct
+import types
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +10,7 @@ import pytest
 
 from rlxt import storage
 from rlxt.baseline import build_sampled
+from rlxt.bits import WaveletSeq
 from rlxt.errors import IndexFileError, NoSuccessorError
 from rlxt.rindex import build_index
 from rlxt.trie import build_from_strings, colex_sort, oracle_locate
@@ -80,6 +84,46 @@ def test_last_node_out_of_range(ex26, stored):
     sections["samples"] = samples[:-1] + bytes([stored])
     with pytest.raises(IndexFileError, match="co-lex-last node"):
         storage.load_bytes(storage._pack(engine, sections))
+
+
+@pytest.mark.parametrize("label", [0, 4])
+def test_triple_label_outside_alphabet(ex26, label):
+    engine, sections = storage._unpack(storage.save_rindex(build_index(ex26)))
+    rlxbwt = sections["rlxbwt"]
+    assert rlxbwt[6:9] == bytes([1, 2, 3])  # the first block's ADD labels
+    sections["rlxbwt"] = rlxbwt[:6] + bytes([label]) + rlxbwt[7:]
+    with pytest.raises(IndexFileError, match="triple label"):
+        storage.load_bytes(storage._pack(engine, sections))
+
+
+@pytest.mark.parametrize("delta", [-1, 1])
+def test_sprime_count_differs_from_label_entries(ex26, delta):
+    engine, sections = storage._unpack(storage.save_rindex(build_index(ex26)))
+    sprime = sections["sprime"]
+    (cnt,) = struct.unpack_from("<I", sprime, 0)
+    sections["sprime"] = struct.pack("<I", cnt + delta) + sprime[4:]
+    with pytest.raises(IndexFileError, match="sprime"):
+        storage.load_bytes(storage._pack(engine, sections))
+
+
+def test_every_truncation_is_an_index_file_error():
+    blob = storage.save_rindex(build_index(build_from_strings([b"abc", b"abd", b"bcd", b"xyz"])))
+    for k in range(len(blob)):
+        with pytest.raises(IndexFileError):
+            storage.load_bytes(blob[:k])
+
+
+def test_loaded_index_holds_no_wavelet(ex26):
+    _, idx, _, _ = storage.load_bytes(storage.save_rindex(build_index(ex26)))
+    seen, stack = set(), [idx]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType, types.FunctionType)):
+            continue
+        seen.add(id(obj))
+        assert not isinstance(obj, WaveletSeq)
+        stack.extend(gc.get_referents(obj))
+    assert len(seen) > 100  # the walk reached the components
 
 
 def test_machinery_bits_are_sane(ex26):
