@@ -1,13 +1,29 @@
 """Bit-level primitives: rank/select bitvectors and a small-alphabet wavelet sequence.
 
 All public positions are 1-based. ``rank1(i)`` counts set bits in positions
-``1..i``; ``select1(j)`` returns the position of the j-th set bit. Internally
-everything is 0-based numpy.
+``1..i``; ``select1(j)`` returns the position of the j-th set bit. The dense
+vector and the wavelet sequence keep 0-based numpy arrays; the sparse vector
+keeps an ``array('q')`` searched with ``bisect``, because a query makes one
+scalar lookup at a time and a scalar numpy call costs several times more.
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left, bisect_right
+
 import numpy as np
+
+
+def int64_array(values):
+    """``values`` (a sequence or an integer numpy array) as an ``array('q')``
+    of exactly that length. Building one from bytes or by appending
+    over-allocates, and one built from a list of Python ints first holds the
+    list: 36 B per entry beside the array's 8."""
+    values = np.asarray(values, dtype=np.int64)
+    out = array("q", [0]) * len(values)
+    np.frombuffer(out, dtype=np.int64)[:] = values
+    return out
 
 
 class BitVec:
@@ -82,11 +98,17 @@ class BitVec:
 
     @classmethod
     def from_bytes(cls, data, offset=0):
-        n = int.from_bytes(data[offset : offset + 8], "little")
-        nbytes = (n + 7) // 8
-        raw = np.frombuffer(data[offset + 8 : offset + 8 + nbytes], dtype=np.uint8)
-        bits = np.unpackbits(raw)[:n]
-        return cls(bits), offset + 8 + nbytes
+        bits, offset = unpack_bits(data, offset)
+        return cls(bits), offset
+
+
+def unpack_bits(data, offset=0):
+    """The raw bits of a :meth:`BitVec.to_bytes` payload, as a uint8 array,
+    and the offset after it; builds no rank or select directory."""
+    n = int.from_bytes(data[offset : offset + 8], "little")
+    nbytes = (n + 7) // 8
+    raw = np.frombuffer(data[offset + 8 : offset + 8 + nbytes], dtype=np.uint8)
+    return np.unpackbits(raw)[:n], offset + 8 + nbytes
 
 
 class SparseBitVec:
@@ -94,16 +116,18 @@ class SparseBitVec:
 
     Same rank/select algebra as :class:`BitVec`; space is proportional to the
     number of set bits, which is what the O(r log n) components rely on.
+    ``positions`` is an ``array('q')``: every query is one ``bisect`` or one
+    item read on it.
     """
 
     __slots__ = ("universe", "positions")
 
     def __init__(self, universe, positions):
         self.universe = int(universe)
-        pos = np.asarray(sorted(set(int(p) for p in positions)), dtype=np.int64)
+        pos = np.unique(np.asarray(positions, dtype=np.int64))
         if len(pos) and (pos[0] < 1 or pos[-1] > self.universe):
             raise ValueError("positions out of universe range")
-        self.positions = pos
+        self.positions = int64_array(pos)
 
     def __len__(self):
         return self.universe
@@ -115,17 +139,19 @@ class SparseBitVec:
     def get(self, i):
         if not 1 <= i <= self.universe:
             raise IndexError(f"bit position {i} out of range 1..{self.universe}")
-        k = np.searchsorted(self.positions, i)
-        return int(k < len(self.positions) and self.positions[k] == i)
+        pos = self.positions
+        k = bisect_left(pos, i)
+        return int(k < len(pos) and pos[k] == i)
 
     def contains(self, i):
-        k = np.searchsorted(self.positions, i)
-        return bool(k < len(self.positions) and self.positions[k] == i)
+        pos = self.positions
+        k = bisect_left(pos, i)
+        return k < len(pos) and pos[k] == i
 
     def rank1(self, i):
         if not 0 <= i <= self.universe:
             raise IndexError(f"rank prefix {i} out of range 0..{self.universe}")
-        return int(np.searchsorted(self.positions, i, side="right"))
+        return bisect_right(self.positions, i)
 
     def rank0(self, i):
         return i - self.rank1(i)
@@ -133,21 +159,18 @@ class SparseBitVec:
     def select1(self, j):
         if not 1 <= j <= len(self.positions):
             raise IndexError(f"select1({j}): vector has {len(self.positions)} set bits")
-        return int(self.positions[j - 1])
+        return self.positions[j - 1]
 
     def succ1(self, i):
         if not 1 <= i <= self.universe + 1:
             raise IndexError(f"succ1 position {i} out of range")
-        k = np.searchsorted(self.positions, i, side="left")
-        if k == len(self.positions):
-            return None
-        return int(self.positions[k])
+        pos = self.positions
+        k = bisect_left(pos, i)
+        return pos[k] if k < len(pos) else None
 
     def pred1(self, i):
-        k = np.searchsorted(self.positions, i, side="right")
-        if k == 0:
-            return None
-        return int(self.positions[k - 1])
+        k = bisect_right(self.positions, i)
+        return self.positions[k - 1] if k else None
 
     def to_bytes(self):
         out = [self.universe.to_bytes(8, "little"), len(self.positions).to_bytes(8, "little")]
@@ -161,7 +184,7 @@ class SparseBitVec:
         deltas = np.frombuffer(data[offset + 16 : offset + 16 + 8 * count], dtype=np.int64)
         sv = cls.__new__(cls)
         sv.universe = universe
-        sv.positions = np.cumsum(deltas).astype(np.int64) if count else np.zeros(0, dtype=np.int64)
+        sv.positions = int64_array(np.cumsum(deltas))
         return sv, offset + 16 + 8 * count
 
 

@@ -10,9 +10,11 @@ search alone.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 import numpy as np
 
-from .bits import BitVec, SparseBitVec
+from .bits import BitVec, SparseBitVec, int64_array
 from .errors import DomainError, NoSuccessorError
 from .rlxbwt import (
     backward_extend,
@@ -28,14 +30,15 @@ from .trie import colex_sort
 
 class ColorMarks:
     """Red = outgoing labels differ from the co-lex successor's; blue =
-    incoming label differs. The union feeds the topology's marked queries."""
+    incoming label differs. The union feeds the topology's marked queries
+    and answers "is u colored?" in one lookup."""
 
     __slots__ = ("red", "blue", "colored")
 
     def __init__(self, topo, red_ids, blue_ids):
         self.red = SparseBitVec(topo.n, red_ids)
         self.blue = SparseBitVec(topo.n, blue_ids)
-        self.colored = MarkSet(topo, sorted(set(red_ids) | set(blue_ids)))
+        self.colored = MarkSet(topo, np.union1d(self.red.positions, self.blue.positions))
 
     def is_red(self, u):
         return self.red.contains(u)
@@ -44,7 +47,7 @@ class ColorMarks:
         return self.blue.contains(u)
 
     def is_colored(self, u):
-        return self.red.contains(u) or self.blue.contains(u)
+        return self.colored.contains_node(u)
 
 
 TYPE1 = 1
@@ -56,37 +59,37 @@ class PhiSamples:
 
     Type 1 lives on colored nodes; type 2 on the child reached by a label
     that breaks its run. A node may carry both flags; the value is the same.
+    ``keys``, ``values`` and ``flags`` are parallel ``array('q')`` tables
+    sorted by key.
     """
 
     __slots__ = ("keys", "values", "flags")
 
-    def __init__(self, mapping):
-        items = sorted(mapping.items())
-        self.keys = np.array([k for k, _ in items], dtype=np.int64)
-        self.values = np.array([v for _, (v, _) in items], dtype=np.int64)
-        self.flags = np.array([f for _, (_, f) in items], dtype=np.int64)
+    def __init__(self, keys, values, flags):
+        self.keys = int64_array(keys)
+        self.values = int64_array(values)
+        self.flags = int64_array(flags)
 
     def _slot(self, u):
-        k = np.searchsorted(self.keys, u)
-        if k < len(self.keys) and self.keys[k] == u:
-            return int(k)
-        return -1
+        keys = self.keys
+        k = bisect_left(keys, u)
+        return k if k < len(keys) and keys[k] == u else -1
 
     def value(self, u):
         k = self._slot(u)
         if k < 0:
             raise DomainError(f"node {u} carries no phi sample")
-        return int(self.values[k])
+        return self.values[k]
 
     def has_type2(self, u):
         k = self._slot(u)
         return k >= 0 and bool(self.flags[k] & TYPE2)
 
     def arrows(self):
-        return {int(k): int(v) for k, v in zip(self.keys, self.values)}
+        return dict(zip(self.keys, self.values))
 
     def typed(self, which):
-        return {int(k) for k, f in zip(self.keys, self.flags) if f & which}
+        return {k for k, f in zip(self.keys, self.flags) if f & which}
 
 
 class IscTables:
@@ -106,16 +109,15 @@ class IscTables:
         self.b1 = b1
         # segment boundaries; offsets may repeat because a run-break node can
         # have an empty out-set (its first segment is empty)
-        self.starts = np.asarray(starts, dtype=np.int64)
+        self.starts = int64_array(starts)
 
     def segments(self, u):
         """(seg1, seg2) position ranges [start, end) in S for red node u, 1-based."""
         if not self.b1.contains(u):
             raise DomainError(f"node {u} is not a run-break node")
         q = self.b1.rank1(u)
-        s1 = int(self.starts[2 * (q - 1)])
-        s2 = int(self.starts[2 * (q - 1) + 1])
-        e2 = int(self.starts[2 * q])
+        starts = self.starts
+        s1, s2, e2 = starts[2 * q - 2], starts[2 * q - 1], starts[2 * q]
         return (s1, s2), (s2, e2)
 
     def isc(self, u, k):
@@ -287,7 +289,9 @@ def build_index(trie, colex=None):
             if j < n:
                 prev = samples.get(v, (0, 0))[1]
                 samples[v] = (int(c2p[j + 1]), prev | TYPE2)
-    phi_samples = PhiSamples(samples)
+    items = sorted(samples.items())
+    phi_samples = PhiSamples([u for u, _ in items], [v for _, (v, _) in items],
+                             [f for _, (_, f) in items])
 
     s_bits = []
     starts = []

@@ -18,6 +18,7 @@ from bisect import bisect_left, bisect_right
 
 import numpy as np
 
+from .bits import int64_array
 from .errors import DomainError
 
 
@@ -27,26 +28,36 @@ class RlXbwt:
     ``triples[q] = (add, dele, length)`` with label-code tuples sorted
     ascending. ``c_array[c]`` counts nodes whose incoming label precedes c,
     so the co-lex positions with incoming label c are
-    ``c_array[c]+1 .. c_array[c+1]``. ``run_heads[c]`` holds (colex, preorder)
-    pairs for every position starting a c-run.
+    ``c_array[c]+1 .. c_array[c+1]``. For every co-lex position starting a
+    c-run, ``head_colex[c]`` holds the position and ``head_pre[c]`` the
+    pre-order id of its node: two parallel ``array('q')`` per label, sorted
+    by position (label 0, the root's, has none).
     """
 
-    __slots__ = ("n", "sigma", "triples", "c_array", "run_heads")
+    __slots__ = ("n", "sigma", "triples", "c_array", "head_colex", "head_pre")
 
-    def __init__(self, n, sigma, triples, c_array, run_heads):
+    def __init__(self, n, sigma, triples, c_array, head_colex, head_pre):
         self.n = n
         self.sigma = sigma
         self.triples = triples
         self.c_array = c_array
-        self.run_heads = run_heads
+        self.head_colex = head_colex
+        self.head_pre = head_pre
 
     @property
     def r_prime(self):
         return len(self.triples)
 
+    @property
+    def run_heads(self):
+        """``{c: [(colex, preorder), ...]}`` for labels 1..sigma-1, derived
+        from the per-label tables."""
+        return {c: list(zip(self.head_colex[c], self.head_pre[c]))
+                for c in range(1, self.sigma)}
+
     def run_stats(self):
         """(r, per-label run counts, r')."""
-        r_c = {c: len(heads) for c, heads in self.run_heads.items() if len(heads)}
+        r_c = {c: len(cols) for c, cols in enumerate(self.head_colex) if len(cols)}
         return sum(r_c.values()), r_c, self.r_prime
 
     def block_out_sets(self):
@@ -157,11 +168,13 @@ def build_rl_xbwt(trie, colex):
     counts = np.bincount(trie.label[1 : n + 1] + 1, minlength=sigma + 1)
     c_array = np.cumsum(counts)  # c_array[c] = nodes with incoming label < c
 
-    run_heads = {c: [] for c in range(1, sigma)}
+    head_colex = [[] for _ in range(sigma)]
+    head_pre = [[] for _ in range(sigma)]
     for q, (add, _dele, _ln) in enumerate(triples):
         s = starts[q]
         for c in add:
-            run_heads[c].append((s, int(colex.colex_to_pre[s])))
+            head_colex[c].append(s)
+            head_pre[c].append(int(colex.colex_to_pre[s]))
 
     partials = []
     cum = [0] * sigma  # nodes with label c in the processed prefix
@@ -170,7 +183,8 @@ def build_rl_xbwt(trie, colex):
         for c in out_sets[starts[q] - 1]:
             cum[c] += ln
     spi = SPrimeIndex(sigma, triples, partials)
-    rlx = RlXbwt(n, sigma, triples, c_array, run_heads)
+    rlx = RlXbwt(n, sigma, triples, c_array, [int64_array(h) for h in head_colex],
+                 [int64_array(h) for h in head_pre])
     return rlx, spi
 
 
@@ -236,13 +250,13 @@ def backward_extend(rlx, spi, rng, c):
 
 def run_head_preorder(rlx, c, i):
     """Pre-order id of the c-run head at colex position i (stored table)."""
-    heads = rlx.run_heads.get(c)
-    if not heads:
+    cols = rlx.head_colex[c] if 1 <= c < rlx.sigma else None
+    if not cols:
         raise DomainError(f"no runs for label {c}")
-    k = bisect_left(heads, (i, -1))
-    if k == len(heads) or heads[k][0] != i:
+    k = bisect_left(cols, i)
+    if k == len(cols) or cols[k] != i:
         raise DomainError(f"colex position {i} is not a {c}-run head")
-    return heads[k][1]
+    return rlx.head_pre[c][k]
 
 
 def reconstruct_out_sets(rlx):

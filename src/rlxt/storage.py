@@ -15,7 +15,7 @@ import struct
 import numpy as np
 
 from .baseline import SampledLocate, XbwtNav
-from .bits import SparseBitVec, WaveletSeq
+from .bits import SparseBitVec, WaveletSeq, int64_array
 from .errors import IndexFileError
 from .rindex import ColorMarks, IscTables, PhiSamples, RIndex
 from .rlxbwt import RlXbwt, SPrimeIndex, reconstruct_trie, reconstruct_trie_from_outsets
@@ -68,14 +68,16 @@ def _w_deltas(out, values):
         prev = int(v)
 
 
-def _r_deltas(data, off, count):
+def _r_varints(data, off, count):
     vals = np.zeros(count, dtype=np.int64)
-    prev = 0
     for k in range(count):
-        d, off = _r_varint(data, off)
-        prev += d
-        vals[k] = prev
+        vals[k], off = _r_varint(data, off)
     return vals, off
+
+
+def _r_deltas(data, off, count):
+    vals, off = _r_varints(data, off, count)
+    return np.cumsum(vals), off
 
 
 # -- per-section encoders ----------------------------------------------------
@@ -96,9 +98,7 @@ def _dec_labels(data):
     off = 12
     byte_of = [0] + list(data[off : off + sigma - 1])
     off += sigma - 1
-    c_array = np.zeros(sigma + 1, dtype=np.int64)
-    for k in range(sigma + 1):
-        c_array[k], off = _r_varint(data, off)
+    c_array, off = _r_varints(data, off, sigma + 1)
     alphabet = Alphabet.__new__(Alphabet)
     alphabet.byte_of_code = np.asarray(byte_of, dtype=np.int64)
     alphabet.code_of_byte = {int(b): k for k, b in enumerate(byte_of) if k > 0}
@@ -178,10 +178,9 @@ def _enc_runheads(rlx):
     out = bytearray()
     out += struct.pack("<H", rlx.sigma - 1)
     for c in range(1, rlx.sigma):
-        heads = rlx.run_heads.get(c, [])
-        out += struct.pack("<I", len(heads))
-        _w_deltas(out, [i for i, _ in heads])
-        for _, pre in heads:
+        out += struct.pack("<I", len(rlx.head_colex[c]))
+        _w_deltas(out, rlx.head_colex[c])
+        for pre in rlx.head_pre[c]:
             _w_varint(out, pre)
     return bytes(out)
 
@@ -258,18 +257,18 @@ def load_rindex(sections):
 
     data = sections["runheads"]
     (m,) = struct.unpack_from("<H", data, 0)
+    if m != sigma - 1:
+        raise IndexFileError(f"run heads for {m} labels, alphabet has {sigma - 1}")
     off = 2
-    run_heads = {}
-    for c in range(1, m + 1):
+    head_colex = [int64_array(())]
+    head_pre = [int64_array(())]
+    for _ in range(m):
         (cnt,) = struct.unpack_from("<I", data, off)
-        off += 4
-        cols, off = _r_deltas(data, off, cnt)
-        pres = []
-        for _ in range(cnt):
-            v, off = _r_varint(data, off)
-            pres.append(v)
-        run_heads[c] = list(zip((int(x) for x in cols), pres))
-    rlx = RlXbwt(int(n), sigma, triples, c_array, run_heads)
+        cols, off = _r_deltas(data, off + 4, cnt)
+        pres, off = _r_varints(data, off, cnt)
+        head_colex.append(int64_array(cols))
+        head_pre.append(int64_array(pres))
+    rlx = RlXbwt(int(n), sigma, triples, c_array, head_colex, head_pre)
 
     data = sections["sprime"]
     (cnt,) = struct.unpack_from("<I", data, 0)
@@ -288,18 +287,18 @@ def load_rindex(sections):
     reds, off = _r_deltas(data, 4, nred)
     (nblue,) = struct.unpack_from("<I", data, off)
     blues, off = _r_deltas(data, off + 4, nblue)
-    colors = ColorMarks(topo, [int(x) for x in reds], [int(x) for x in blues])
+    colors = ColorMarks(topo, reds, blues)
 
     data = sections["samples"]
     (cnt,) = struct.unpack_from("<I", data, 0)
     keys, off = _r_deltas(data, 4, cnt)
-    mapping = {}
+    values = np.zeros(cnt, dtype=np.int64)
+    flags = np.zeros(cnt, dtype=np.int64)
     for k in range(cnt):
-        v, off = _r_varint(data, off)
-        f = data[off]
+        values[k], off = _r_varint(data, off)
+        flags[k] = data[off]
         off += 1
-        mapping[int(keys[k])] = (v, f)
-    samples = PhiSamples(mapping)
+    samples = PhiSamples(keys, values, flags)
     last, off = _r_varint(data, off)
     if not 1 <= last <= n:
         raise IndexFileError(f"co-lex-last node {last} outside 1..{n}")
@@ -315,7 +314,7 @@ def load_rindex(sections):
     s_bits = np.ones(slen, dtype=np.uint8)
     if len(zeros):
         s_bits[zeros - 1] = 0
-    isc = IscTables(s_bits, SparseBitVec(int(n), [int(x) for x in b1pos]), sts)
+    isc = IscTables(s_bits, SparseBitVec(int(n), b1pos), sts)
 
     idx = RIndex(int(n), alphabet, last, topo, rlx, spi, colors, samples, isc)
     return idx, meta
@@ -359,16 +358,12 @@ def load_sampled(sections):
     data = sections["cover"]
     (cnt,) = struct.unpack_from("<I", data, 0)
     marked_pos, off = _r_deltas(data, 4, cnt)
-    samples = np.zeros(cnt, dtype=np.int64)
-    for k in range(cnt):
-        samples[k], off = _r_varint(data, off)
-    sizes = np.zeros(cnt, dtype=np.int64)
-    for k in range(cnt):
-        sizes[k], off = _r_varint(data, off)
+    samples, off = _r_varints(data, off, cnt)
+    sizes, off = _r_varints(data, off, cnt)
     t, off = _r_varint(data, off)
     psums = np.zeros(cnt + 1, dtype=np.int64)
     np.cumsum(sizes, out=psums[1:])
-    marked = SparseBitVec(int(n2), [int(x) for x in marked_pos])
+    marked = SparseBitVec(int(n2), marked_pos)
     sl = SampledLocate(nav, marked, samples, psums, alphabet, int(t))
     return sl, meta
 
@@ -396,9 +391,10 @@ def load_bytes(data):
             raise IndexFileError(f"unknown engine {engine}")
     except IndexFileError:
         raise
-    except (struct.error, IndexError, KeyError, ValueError) as exc:
+    except (struct.error, IndexError, KeyError, ValueError, OverflowError) as exc:
         # a short or garbled section fails inside a decoder; ValueError also
-        # covers JSON and Unicode decode errors
+        # covers JSON and Unicode decode errors, OverflowError a varint too
+        # wide for a 64-bit table
         raise IndexFileError(f"damaged index file ({type(exc).__name__}: {exc})") from None
     return engine, obj, meta, sections
 

@@ -8,9 +8,11 @@ run over a blocked min/max directory of the prefix-excess array.
 
 from __future__ import annotations
 
+from array import array
+
 import numpy as np
 
-from .bits import BitVec, SparseBitVec
+from .bits import BitVec, SparseBitVec, unpack_bits
 from .errors import DomainError
 
 _BLOCK = 512
@@ -26,29 +28,31 @@ class BpsTopology:
         bits = np.asarray(parens, dtype=np.uint8)
         if len(bits) % 2 != 0:
             raise ValueError("parenthesis sequence must have even length")
-        self.n = len(bits) // 2
+        self.n = n = len(bits) // 2
         self.parens = bits
-        self._open_cum = np.zeros(len(bits) + 1, dtype=np.int64)
-        np.cumsum(bits, out=self._open_cum[1:])
-        steps = np.where(bits == 1, 1, -1).astype(np.int64)
         self._excess = np.zeros(len(bits) + 1, dtype=np.int64)
-        np.cumsum(steps, out=self._excess[1:])
+        np.cumsum(bits.astype(np.int8) * 2 - 1, out=self._excess[1:])  # +1 open, -1 close
         if self._excess[-1] != 0 or self._excess.min() < 0:
             raise ValueError("parenthesis sequence is not balanced")
-        self.open_pos = np.flatnonzero(bits == 1).astype(np.int64) + 1
-        self.close_pos = np.zeros(self.n + 1, dtype=np.int64)
-        self.parent_node = np.zeros(self.n + 1, dtype=np.int64)
-        self.node_depth = np.zeros(self.n + 1, dtype=np.int64)
+        # the per-node tables are array('q'): the climb reads them one item
+        # at a time, and an item read costs a quarter of int(numpy_array[i])
+        self.open_pos = open_pos = array("q", [0]) * n
+        self.close_pos = close_pos = array("q", [0]) * (n + 1)
+        self.parent_node = parent_node = array("q", [0]) * (n + 1)
+        self.node_depth = node_depth = array("q", [0]) * (n + 1)
+        self._open_cum = open_cum = array("q", [0]) * (len(bits) + 1)
         stack = []
         node = 0
-        for pos in range(1, len(bits) + 1):
-            if bits[pos - 1]:
+        for pos, bit in enumerate(bits.tobytes(), 1):
+            if bit:
+                open_pos[node] = pos
                 node += 1
-                self.parent_node[node] = stack[-1] if stack else 0
-                self.node_depth[node] = len(stack)
+                parent_node[node] = stack[-1] if stack else 0
+                node_depth[node] = len(stack)
                 stack.append(node)
             else:
-                self.close_pos[stack.pop()] = pos
+                close_pos[stack.pop()] = pos
+            open_cum[pos] = node
         # blocked min/max over the excess array, plus a sparse table on block minima
         nb = (len(self._excess) + _BLOCK - 1) // _BLOCK
         starts = np.arange(0, len(self._excess), _BLOCK)
@@ -83,7 +87,7 @@ class BpsTopology:
     # -- primitives ---------------------------------------------------------
 
     def _node_at_open(self, pos):
-        return int(self._open_cum[pos])
+        return self._open_cum[pos]
 
     def _range_min(self, lo, hi):
         """Min of excess[lo..hi] inclusive (0-based prefix indices)."""
@@ -122,56 +126,56 @@ class BpsTopology:
 
     def depth(self, u):
         self._check(u)
-        return int(self.node_depth[u])
+        return self.node_depth[u]
 
     def parent(self, u):
         self._check(u)
-        return int(self.parent_node[u])
+        return self.parent_node[u]
 
     def subtree_range(self, u):
         self._check(u)
-        return int(self.open_pos[u - 1]), int(self.close_pos[u])
+        return self.open_pos[u - 1], self.close_pos[u]
 
     def cbr(self, u, k):
         """k-th child of u in pre-order (= label order), 1-based."""
         self._check(u)
         if k < 1:
             raise IndexError("child rank must be >= 1")
-        pos = int(self.open_pos[u - 1]) + 1
-        close = int(self.close_pos[u])
+        pos = self.open_pos[u - 1] + 1
+        close = self.close_pos[u]
         seen = 0
         while pos < close:
             child = self._node_at_open(pos)
             seen += 1
             if seen == k:
                 return child
-            pos = int(self.close_pos[child]) + 1
+            pos = self.close_pos[child] + 1
         raise IndexError(f"node {u} has only {seen} children, asked for {k}")
 
     def child_count(self, u):
         self._check(u)
-        pos = int(self.open_pos[u - 1]) + 1
-        close = int(self.close_pos[u])
+        pos = self.open_pos[u - 1] + 1
+        close = self.close_pos[u]
         cnt = 0
         while pos < close:
             cnt += 1
-            pos = int(self.close_pos[self._node_at_open(pos)]) + 1
+            pos = self.close_pos[self._node_at_open(pos)] + 1
         return cnt
 
     def sr(self, u):
         """1-based rank of u among its parent's children."""
         self._check(u)
-        p = int(self.parent_node[u])
+        p = self.parent_node[u]
         if p == 0:
             raise DomainError("root has no sibling rank")
-        pos = int(self.open_pos[p - 1]) + 1
+        pos = self.open_pos[p - 1] + 1
         rank = 0
         while True:
             child = self._node_at_open(pos)
             rank += 1
             if child == u:
                 return rank
-            pos = int(self.close_pos[child]) + 1
+            pos = self.close_pos[child] + 1
 
     def laq(self, u, ell):
         """Ancestor of u exactly ell levels up; laq(u, 0) = u."""
@@ -183,10 +187,10 @@ class BpsTopology:
         if ell <= 8:
             v = u
             for _ in range(ell):
-                v = int(self.parent_node[v])
+                v = self.parent_node[v]
             return v
-        target = int(self.node_depth[u]) - ell  # excess value just before the ancestor opens
-        q = self._bwd_search_eq(int(self.open_pos[u - 1]) - 1, target)
+        target = self.node_depth[u] - ell  # excess value just before the ancestor opens
+        q = self._bwd_search_eq(self.open_pos[u - 1] - 1, target)
         return self._node_at_open(q + 1)
 
     def lca(self, u, v):
@@ -194,14 +198,14 @@ class BpsTopology:
         self._check(v)
         if u == v:
             return u
-        pu, pv = int(self.open_pos[u - 1]), int(self.open_pos[v - 1])
+        pu, pv = self.open_pos[u - 1], self.open_pos[v - 1]
         if pu > pv:
             u, v = v, u
             pu, pv = pv, pu
-        if pv <= int(self.close_pos[u]):
+        if pv <= self.close_pos[u]:
             return u
         d = self._range_min(pu + 1, pv) - 1  # depth of the lca
-        return self.laq(u, int(self.node_depth[u]) - d)
+        return self.laq(u, self.node_depth[u] - d)
 
     def isd(self, u, v, u2):
         """Image of descendant v under the subtree translation u -> u2.
@@ -213,10 +217,10 @@ class BpsTopology:
         self._check(v)
         self._check(u2)
         pu, cu = self.subtree_range(u)
-        pv = int(self.open_pos[v - 1])
+        pv = self.open_pos[v - 1]
         if not pu < pv <= cu:
             raise DomainError(f"node {v} is not a proper descendant of {u}")
-        pos = pv - pu + int(self.open_pos[u2 - 1])
+        pos = pv - pu + self.open_pos[u2 - 1]
         return self._node_at_open(pos)
 
     def next_marked_in_subtree(self, marks, u):
@@ -253,8 +257,8 @@ class BpsTopology:
 
     @classmethod
     def from_bytes(cls, data, offset=0):
-        bv, offset = BitVec.from_bytes(data, offset)
-        return cls(bv.bits), offset
+        bits, offset = unpack_bits(data, offset)
+        return cls(bits), offset
 
     def _check(self, u):
         if not 1 <= u <= self.n:
@@ -264,13 +268,19 @@ class BpsTopology:
 class MarkSet:
     """A node subset exposed as marked open-parenthesis positions."""
 
-    __slots__ = ("_pos",)
+    __slots__ = ("_pos", "_open")
 
     def __init__(self, topo, node_ids):
-        ids = sorted(set(int(u) for u in node_ids))
-        if ids and (ids[0] < 1 or ids[-1] > topo.n):
+        ids = np.unique(np.asarray(node_ids, dtype=np.int64))
+        if len(ids) and (ids[0] < 1 or ids[-1] > topo.n):
             raise IndexError("marked node out of range")
-        self._pos = SparseBitVec(2 * topo.n, [int(topo.open_pos[u - 1]) for u in ids])
+        self._open = topo.open_pos
+        self._pos = SparseBitVec(2 * topo.n, np.asarray(topo.open_pos)[ids - 1])
+
+    def contains_node(self, u):
+        """Whether node u is marked; False for any u outside 1..n."""
+        opens = self._open
+        return 0 < u <= len(opens) and self._pos.contains(opens[u - 1])
 
     def positions_succ(self, pos):
         if pos > self._pos.universe:

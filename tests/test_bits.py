@@ -1,9 +1,11 @@
 import random
+import sys
+from array import array
 
 import numpy as np
 import pytest
 
-from rlxt.bits import BitVec, SparseBitVec, WaveletSeq
+from rlxt.bits import BitVec, SparseBitVec, WaveletSeq, int64_array
 
 # S' of the running example, encoded over the order a- < b- < c- < a+ < b+ < c+ < /
 # with a,b,c = label codes 1,2,3: minus(c) = c-1, plus(c) = 2+c, slash = 6.
@@ -82,6 +84,45 @@ def test_bitvec_serialization_roundtrip():
     sv = SparseBitVec(10_000, [3, 17, 9999])
     sv2, _ = SparseBitVec.from_bytes(sv.to_bytes())
     assert sv2.universe == 10_000 and list(sv2.positions) == [3, 17, 9999]
+
+
+def test_sparse_round_trip_and_ends():
+    rng = random.Random(10)
+    for positions in ([], [1], [5], [1, 5], sorted(rng.sample(range(1, 301), 40))):
+        n = 5 if positions in ([5], [1, 5]) else 300
+        sv = SparseBitVec(n, positions)
+        data = sv.to_bytes()
+        sv2, used = SparseBitVec.from_bytes(data + b"tail")
+        assert used == len(data)
+        assert sv2.to_bytes() == data
+        assert sv2.universe == n and list(sv2.positions) == positions
+        bits = [0] * n
+        for p in positions:
+            bits[p - 1] = 1
+        bv = BitVec(bits)
+        # both ends of the universe, and one past the last position
+        for i in (1, 2, n - 1, n, n + 1):
+            assert sv2.succ1(i) == bv.succ1(i)
+        for i in (0, 1, 2, n - 1, n):
+            assert sv2.pred1(i) == bv.pred1(i)
+            assert sv2.rank1(i) == bv.rank1(i)
+        for i in range(1, n + 1):
+            assert sv2.contains(i) == bool(bits[i - 1]) == sv2.get(i)
+        with pytest.raises(IndexError):
+            sv2.succ1(n + 2)
+        with pytest.raises(IndexError):
+            sv2.get(0)
+        with pytest.raises(IndexError):
+            sv2.select1(len(positions) + 1)
+        with pytest.raises(IndexError):
+            sv2.select1(0)  # not a wrap to the last position
+
+
+def test_int64_array_is_exact():
+    for values in ([], [7], list(range(-3, 997)), np.arange(46_612, dtype=np.int64)):
+        out = int64_array(values)
+        assert out.typecode == "q" and list(out) == list(values)
+        assert sys.getsizeof(out) == sys.getsizeof(array("q")) + 8 * len(values)
 
 
 def test_wavelet_sprime_examples():

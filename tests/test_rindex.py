@@ -1,8 +1,9 @@
 import random
 
+import numpy as np
 import pytest
 
-from rlxt import rindex
+from rlxt import rindex, storage
 from rlxt.errors import DomainError, NoSuccessorError
 from rlxt.rindex import TYPE1, TYPE2, build_index
 from rlxt.trie import build_from_strings, colex_sort, oracle_locate
@@ -159,6 +160,41 @@ def test_locate_matches_oracle_random_corpus():
             want = oracle_locate(t, pat, order)
             assert idx.locate(pat) == want
             assert idx.count(pat) == len(want)
+
+
+def test_locate_makes_no_searchsorted_call(ex26, monkeypatch):
+    # the climb and the toehold read array('q') tables with bisect; a scalar
+    # numpy search on the query path would cost several times more
+    rng = random.Random(44)
+    tries = [ex26, make_random_trie(rng, 200, 4)]
+    indexes = []
+    for t in tries:
+        order = colex_sort(t)
+        fresh = build_index(t, order)
+        _, loaded, _, _ = storage.load_bytes(storage.save_rindex(fresh))
+        pats = _pattern_suite(t, rng) + [b""]
+        indexes.append((fresh, loaded, pats, [oracle_locate(t, p, order) for p in pats]))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("numpy.searchsorted called on the query path")
+
+    monkeypatch.setattr(np, "searchsorted", forbidden)
+    for fresh, loaded, pats, want in indexes:
+        assert [fresh.locate(p) for p in pats] == want
+        assert [loaded.locate(p) for p in pats] == want
+        assert max(map(len, want)) > 1  # the climb ran
+
+
+def test_out_of_range_nodes(idx26):
+    # array('q') wraps a negative index, so node 0 must not read entry -1
+    n = idx26.n
+    assert not idx26.colors.is_colored(0)
+    assert not idx26.colors.is_colored(n + 1)
+    assert [u for u in range(1, n + 1) if idx26.colors.is_colored(u)] == sorted(
+        EX26_RED | EX26_BLUE)
+    for u in (0, n + 1, -1):
+        with pytest.raises(IndexError):
+            idx26.phi(u)
 
 
 def test_phi_matches_permutation_random_corpus():

@@ -106,6 +106,25 @@ def test_sprime_count_differs_from_label_entries(ex26, delta):
         storage.load_bytes(storage._pack(engine, sections))
 
 
+@pytest.mark.parametrize("delta", [-1, 1])
+def test_run_head_labels_differ_from_alphabet(ex26, delta):
+    engine, sections = storage._unpack(storage.save_rindex(build_index(ex26)))
+    runheads = sections["runheads"]
+    (m,) = struct.unpack_from("<H", runheads, 0)
+    sections["runheads"] = struct.pack("<H", m + delta) + runheads[2:]
+    with pytest.raises(IndexFileError, match="run heads"):
+        storage.load_bytes(storage._pack(engine, sections))
+
+
+def test_varint_wider_than_a_table_word(ex26):
+    # the section ends with the last run head's pre-order id; make it 2**64
+    engine, sections = storage._unpack(storage.save_rindex(build_index(ex26)))
+    assert sections["runheads"][-1] < 0x80
+    sections["runheads"] = sections["runheads"][:-1] + b"\x80" * 9 + b"\x02"
+    with pytest.raises(IndexFileError, match="OverflowError"):
+        storage.load_bytes(storage._pack(engine, sections))
+
+
 def test_every_truncation_is_an_index_file_error():
     blob = storage.save_rindex(build_index(build_from_strings([b"abc", b"abd", b"bcd", b"xyz"])))
     for k in range(len(blob)):
@@ -123,7 +142,11 @@ def test_loaded_index_holds_no_wavelet(ex26):
         seen.add(id(obj))
         assert not isinstance(obj, WaveletSeq)
         stack.extend(gc.get_referents(obj))
-    assert len(seen) > 100  # the walk reached the components
+    # the walk reached every component and every table it holds
+    for comp in (getattr(idx, name) for name in idx.__slots__):
+        assert id(comp) in seen
+        for name in getattr(type(comp), "__slots__", ()):
+            assert id(getattr(comp, name)) in seen
 
 
 def test_machinery_bits_are_sane(ex26):

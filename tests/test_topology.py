@@ -156,6 +156,7 @@ def test_marked_queries_against_brute_force():
         marked = set(u for u in range(2, t.n + 1) if rng.random() < 0.15)
         marked.add(1)
         marks = MarkSet(topo, sorted(marked))
+        assert [u for u in range(-1, t.n + 3) if marks.contains_node(u)] == sorted(marked)
         for u in range(1, t.n + 1):
             inside = [v for v in range(u + 1, u + int(size[u])) if v in marked]
             assert topo.next_marked_in_subtree(marks, u) == (min(inside) if inside else None)
