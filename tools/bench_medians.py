@@ -1,18 +1,17 @@
-"""Medians and quartiles of the benchmark's end-to-end metrics over seeds.
+"""Medians and quartiles of the benchmark's end-to-end metrics, parent vs change.
 
-Runs ``python3 bench/run.py --workload W --seed S --trace 0`` for every
-workload and seed, reads the JSON object on the last line of each run, and
-writes per-workload medians and quartiles of every end-to-end metric. Given
-two checkouts (``--side NAME=PATH``, for example a parent commit and a
-change), it runs them one after the other on each seed, alternating which
-goes first, and also counts for each metric the seeds on which the second
-side read better than the first.
+Runs ``python3 bench/run.py --workload W --seed S --trace 0`` in two
+checkouts, a parent commit and a change, for every workload and seeds
+1..10. The two run one after the other on each seed, alternating which goes
+first. It reads the JSON object on the last line of each run and writes, per
+side and workload, the median and quartiles of every end-to-end metric, and
+per metric the number of seeds on which the change read better than the
+parent.
 
-    python3 tools/bench_medians.py --side parent=../parent --side change=. \\
-        --out BENCH_7.json
+    python3 tools/bench_medians.py ../parent . --out BENCH_7.json
 
 Each run is its own process, one at a time, as long as ``run_seconds`` of
-the first side's BENCHMARK.json.
+the parent's BENCHMARK.json.
 """
 
 from __future__ import annotations
@@ -23,6 +22,8 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+SEEDS = range(1, 11)
 
 
 def run_once(checkout, workload, seed, seconds):
@@ -55,33 +56,24 @@ def summarize(runs, better):
     return out
 
 
-def parse_seeds(text):
-    lo, _, hi = text.partition("-")
-    return list(range(int(lo), int(hi or lo) + 1))
-
-
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--side", action="append", metavar="NAME=PATH",
-                    help="a checkout to benchmark (at most two; default: this one)")
-    ap.add_argument("--seeds", default="1-10", help="seed range, e.g. 1-10")
+    ap.add_argument("parent", help="checkout of the parent commit")
+    ap.add_argument("change", help="checkout of the change")
     ap.add_argument("--out", required=True, help="JSON file to write")
     args = ap.parse_args(argv)
 
-    sides = [s.split("=", 1) for s in (args.side or ["this=."])]
-    if len(sides) > 2 or any(len(s) != 2 for s in sides):
-        ap.error("give one or two --side NAME=PATH")
-    spec = json.loads((Path(sides[0][1]) / "BENCHMARK.json").read_text())
+    sides = [("parent", args.parent), ("change", args.change)]
+    spec = json.loads((Path(args.parent) / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
     workloads = [w["name"] for w in spec["workloads"]]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    seeds = parse_seeds(args.seeds)
 
     runs = {name: {w: [] for w in workloads} for name, _ in sides}
     order = []
     k = 0
     for w in workloads:
-        for seed in seeds:
+        for seed in SEEDS:
             pair = sides if k % 2 == 0 else sides[::-1]
             k += 1
             for name, path in pair:
@@ -89,27 +81,25 @@ def main(argv=None):
                 runs[name][w].append(run_once(path, w, seed, seconds))
                 order.append(f"{w}/{seed}/{name}")
 
+    summary = {name: {w: summarize(runs[name][w], better) for w in workloads}
+               for name, _ in sides}
+    wins = {}
+    for w in workloads:
+        wins[w] = {}
+        for metric, m in summary["change"][w].items():
+            sign = 1 if m["better"] == "lower" else -1
+            pairs = zip(summary["parent"][w][metric]["runs"], m["runs"])
+            wins[w][metric] = sum(1 for a, b in pairs if sign * (b - a) < 0)
     report = {
         "command": "python3 bench/run.py --workload W --seed S --seconds "
                    f"{seconds:g} --trace 0",
-        "seeds": seeds,
+        "seeds": list(SEEDS),
         "run_order": order,
-        "sides": {name: {w: summarize(runs[name][w], better) for w in workloads}
-                  for name, _ in sides},
+        "sides": summary,
+        "seeds_where_change_is_better": wins,
     }
-    if len(sides) == 2:
-        first, second = (name for name, _ in sides)
-        wins = {}
-        for w in workloads:
-            wins[w] = {}
-            for metric, m in report["sides"][second][w].items():
-                sign = 1 if m["better"] == "lower" else -1
-                pairs = zip(report["sides"][first][w][metric]["runs"], m["runs"])
-                wins[w][metric] = sum(1 for a, b in pairs if sign * (b - a) < 0)
-        report[f"seeds_where_{second}_is_better"] = wins
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
     return 0
-
 
 if __name__ == "__main__":
     sys.exit(main())
