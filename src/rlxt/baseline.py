@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bits import SparseBitVec, WaveletSeq
+from .bits import SparseBitVec, WaveletSeq, concat_ranges
 from .errors import DomainError
 from .trie import colex_sort
 
@@ -34,17 +34,13 @@ class XbwtNav:
     @classmethod
     def from_trie(cls, trie, colex):
         n = trie.n
-        flat = []
+        nodes = colex.colex_to_pre[1:]
+        first = trie.child_start[nodes]
+        deg = trie.child_start[nodes + 1] - first
         node_end = np.zeros(n + 1, dtype=np.int64)
-        for i in range(1, n + 1):
-            labs = trie.out_labels(int(colex.colex_to_pre[i]))
-            flat.extend(int(c) for c in labs)
-            node_end[i] = node_end[i - 1] + len(labs)
-        counts = np.zeros(trie.alphabet.sigma + 1, dtype=np.int64)
-        for u in range(1, n + 1):
-            counts[trie.label[u] + 1] += 1
-        c_array = np.cumsum(counts)
-        flat = np.asarray(flat, dtype=np.int64)
+        np.cumsum(deg, out=node_end[1:])
+        flat = trie.label[trie.child_ids[concat_ranges(first, deg)]]
+        c_array = np.cumsum(np.bincount(trie.label[1:] + 1, minlength=trie.alphabet.sigma + 1))
         wavelet = WaveletSeq(flat, trie.alphabet.sigma)
         return cls(n, trie.alphabet.sigma, wavelet, flat, node_end, c_array)
 

@@ -26,6 +26,15 @@ def int64_array(values):
     return out
 
 
+def concat_ranges(starts, lengths):
+    """The ranges ``starts[k] .. starts[k] + lengths[k] - 1`` end to end, as
+    one int64 array: the gather index of variable-length rows."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    offsets = np.cumsum(lengths) - lengths
+    return np.repeat(np.asarray(starts, dtype=np.int64) - offsets, lengths) + np.arange(
+        int(lengths.sum()))
+
+
 class BitVec:
     """Dense bitvector with O(1) rank and O(log n) select.
 
@@ -41,7 +50,8 @@ class BitVec:
             raise ValueError("bits must be one-dimensional")
         self._cum = np.zeros(len(self.bits) + 1, dtype=np.int64)
         np.cumsum(self.bits, out=self._cum[1:])
-        self._ones = np.flatnonzero(self.bits).astype(np.int64) + 1
+        self._ones = np.flatnonzero(self.bits)
+        self._ones += 1  # in place: no second n-word temporary
         self._zeros = None  # built lazily; only the wavelet select path needs it
 
     def __len__(self):

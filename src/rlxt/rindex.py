@@ -14,13 +14,13 @@ from bisect import bisect_left
 
 import numpy as np
 
-from .bits import BitVec, SparseBitVec, int64_array
+from .bits import BitVec, SparseBitVec, concat_ranges, int64_array
 from .errors import DomainError, NoSuccessorError
 from .rlxbwt import (
+    OutSets,
     backward_extend,
     build_rl_xbwt,
     cr,
-    reconstruct_out_sets,
     run_head_preorder,
     xbwt_successor,
 )
@@ -261,54 +261,43 @@ class RIndex:
 
 def build_index(trie, colex=None):
     """Build the full locate structure; of the colex permutation only the
-    co-lex-last node is kept."""
+    co-lex-last node is kept. Every table comes from one pass of array
+    operations over the co-lex out-sets (:class:`OutSets`)."""
     if colex is None:
         colex = colex_sort(trie)
     n = trie.n
-    rlx, spi = build_rl_xbwt(trie, colex)
+    out = OutSets(trie, colex)
+    rlx, spi = build_rl_xbwt(trie, colex, out)
     topo = BpsTopology.from_trie(trie)
 
-    c2p = colex.colex_to_pre
-    out_sets = reconstruct_out_sets(rlx)
-    red_colex = [i for i in range(1, n) if out_sets[i - 1] != out_sets[i]]
-    blue_colex = [i for i in range(1, n)
-                  if trie.label[c2p[i]] != trie.label[c2p[i + 1]]]
-    red_ids = [int(c2p[i]) for i in red_colex]
-    blue_ids = [int(c2p[i]) for i in blue_colex]
+    c2p, p2c = colex.colex_to_pre, colex.pre_to_colex
+    red_ids = c2p[np.flatnonzero(out.change) + 1]
+    lam = trie.label[c2p[1:]]
+    blue_ids = c2p[np.flatnonzero(lam[:-1] != lam[1:]) + 1]
     colors = ColorMarks(topo, red_ids, blue_ids)
 
-    samples = {}
-    for i in red_colex + blue_colex:
-        u = int(c2p[i])
-        samples[u] = (int(c2p[i + 1]), samples.get(u, (0, 0))[1] | TYPE1)
-    for i in range(1, n):
-        gone = set(out_sets[i - 1]) - set(out_sets[i])
-        for c in gone:
-            v = trie.child_by_label(int(c2p[i]), c)
-            j = int(colex.pre_to_colex[v])
-            if j < n:
-                prev = samples.get(v, (0, 0))[1]
-                samples[v] = (int(c2p[j + 1]), prev | TYPE2)
-    items = sorted(samples.items())
-    phi_samples = PhiSamples([u for u, _ in items], [v for _, (v, _) in items],
-                             [f for _, (_, f) in items])
+    # type 1 on colored nodes; type 2 on the child along a label that leaves
+    # the out-set between co-lex neighbours, unless that child is last
+    type1 = np.union1d(red_ids, blue_ids)
+    gone = out.kids[~out.in_next & (out.row < n - 1)]
+    type2 = gone[p2c[gone] < n]
+    keys = np.union1d(type1, type2)
+    flags = (np.where(np.isin(keys, type1), TYPE1, 0)
+             | np.where(np.isin(keys, type2), TYPE2, 0))
+    phi_samples = PhiSamples(keys, c2p[p2c[keys] + 1], flags)
 
-    s_bits = []
-    starts = []
-    red_sorted = sorted(red_ids)
-    for u in red_sorted:
-        i = int(colex.pre_to_colex[u])
-        cur, nxt = out_sets[i - 1], out_sets[i]
-        starts.append(len(s_bits) + 1)
-        s_bits.extend(1 if c in nxt else 0 for c in cur)
-        starts.append(len(s_bits) + 1)
-        s_bits.extend(1 if c in cur else 0 for c in nxt)
-    starts.append(len(s_bits) + 1)
-    isc_tables = IscTables(
-        np.asarray(s_bits, dtype=np.uint8),
-        SparseBitVec(n, red_sorted),
-        starts,
-    )
+    # per red node in pre-order: which of its labels the successor holds,
+    # then which of the successor's labels it holds
+    red_sorted = np.sort(red_ids)
+    rows = p2c[red_sorted] - 1
+    seg_rows = np.stack([rows, rows + 1], axis=1).ravel()
+    seg_first = out.offsets[seg_rows]
+    seg_len = out.offsets[seg_rows + 1] - seg_first
+    at = concat_ranges(seg_first, seg_len)
+    second = np.repeat(np.arange(len(seg_len)) % 2 == 1, seg_len)
+    s_bits = np.where(second, out.in_prev[at], out.in_next[at]).astype(np.uint8)
+    starts = np.concatenate(([0], np.cumsum(seg_len))) + 1
+    isc_tables = IscTables(s_bits, SparseBitVec(n, red_sorted), starts)
 
     return RIndex(n, trie.alphabet, int(c2p[n]), topo, rlx, spi,
                   colors, phi_samples, isc_tables)

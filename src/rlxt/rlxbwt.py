@@ -18,7 +18,7 @@ from bisect import bisect_left, bisect_right
 
 import numpy as np
 
-from .bits import int64_array
+from .bits import concat_ranges, int64_array
 from .errors import DomainError
 
 
@@ -116,9 +116,13 @@ class SPrimeIndex:
 
     @property
     def partials(self):
-        """The c-node counts of the c+ symbols, in S' order (as stored)."""
-        adds, _ = self._by_block()
-        return [b for entries in adds for _, b in entries]
+        """The c-node counts of the c+ symbols, in S' order (as stored): by
+        block, then by label."""
+        per_label = [len(a) for a in self.adds]
+        labels = np.repeat(np.arange(len(per_label)), per_label)
+        blocks = np.concatenate([np.asarray(a, dtype=np.int64) for a in self.adds])
+        base = np.concatenate([np.asarray(b, dtype=np.int64) for b in self.base])
+        return base[np.lexsort((labels, blocks))].tolist()
 
     def block_of(self, i):
         """0-based block containing co-lex position i."""
@@ -141,50 +145,84 @@ class SPrimeIndex:
         return out
 
 
-def build_rl_xbwt(trie, colex):
-    """Build the block triples and the S' index from a trie and its order."""
+class OutSets:
+    """The out-label sets in co-lex order, as compressed rows.
+
+    Row r is co-lex position r + 1: its entries ``offsets[r]:offsets[r+1]``
+    hold the node's outgoing labels in ascending order (``labels``) and the
+    children they lead to (``kids``); ``row`` gives each entry's row.
+    ``in_prev``/``in_next`` flag the entries whose label the row before /
+    after also holds, and ``change[r]`` says rows r and r + 1 differ.
+    """
+
+    __slots__ = ("offsets", "labels", "kids", "row", "in_prev", "in_next", "change")
+
+    def __init__(self, trie, colex):
+        n = trie.n
+        nodes = colex.colex_to_pre[1:]
+        first = trie.child_start[nodes]
+        deg = trie.child_start[nodes + 1] - first
+        self.offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(deg, out=self.offsets[1:])
+        self.row = np.repeat(np.arange(n), deg)
+        self.kids = trie.child_ids[concat_ranges(first, deg)]
+        self.labels = trie.label[self.kids]
+        width = trie.alphabet.sigma
+        key = self.row * width + self.labels  # strictly increasing
+        self.in_prev = _member(key - width, key)
+        self.in_next = _member(key + width, key)
+        missing = np.bincount(self.row[~self.in_next], minlength=n)
+        self.change = (deg[:-1] != deg[1:]) | (missing[:-1] > 0)
+
+
+def _member(queries, keys):
+    """Which queries occur in the sorted array ``keys``."""
+    if not len(keys):
+        return np.zeros(len(queries), dtype=bool)
+    pos = np.minimum(np.searchsorted(keys, queries), len(keys) - 1)
+    return keys[pos] == queries
+
+
+def build_rl_xbwt(trie, colex, out=None):
+    """Build the block triples and the S' index from a trie and its order;
+    ``out`` is the trie's :class:`OutSets`, built here if not given."""
+    if out is None:
+        out = OutSets(trie, colex)
     n = trie.n
     sigma = trie.alphabet.sigma
-    labels = trie.label[trie.child_ids].tolist()  # grouped by parent, ascending
-    child_start = trie.child_start.tolist()
-    out_sets = [tuple(labels[child_start[u] : child_start[u + 1]])
-                for u in colex.colex_to_pre[1 : n + 1].tolist()]
-    triples = []
-    starts = []
-    prev = ()
-    i = 1
-    while i <= n:
-        cur = out_sets[i - 1]
-        j = i
-        while j < n and out_sets[j] == cur:
-            j += 1
-        add = tuple(sorted(set(cur) - set(prev)))
-        dele = tuple(sorted(set(prev) - set(cur)))
-        triples.append((add, dele, j - i + 1))
-        starts.append(i)
-        prev = cur
-        i = j + 1
+    starts = np.flatnonzero(np.concatenate(([True], out.change)))  # first row of each block
+    lengths = np.diff(starts, append=n)
+    is_start = np.zeros(n + 1, dtype=bool)
+    is_start[starts] = True
+    add = ~out.in_prev & is_start[out.row]  # labels a block gains
+    dele = ~out.in_next & is_start[out.row + 1]  # labels the row before a block loses
+    add_end = np.cumsum(np.bincount(out.row[add], minlength=n)[starts]).tolist()
+    del_end = np.cumsum(np.bincount(out.row[dele] + 1, minlength=n + 1)[starts]).tolist()
+    add_labels = out.labels[add]
+    adds, dels = add_labels.tolist(), out.labels[dele].tolist()
+    triples = [(tuple(adds[a0:a1]), tuple(dels[d0:d1]), ln) for a0, a1, d0, d1, ln
+               in zip([0] + add_end[:-1], add_end, [0] + del_end[:-1], del_end,
+                      lengths.tolist())]
 
     counts = np.bincount(trie.label[1 : n + 1] + 1, minlength=sigma + 1)
     c_array = np.cumsum(counts)  # c_array[c] = nodes with incoming label < c
 
-    head_colex = [[] for _ in range(sigma)]
-    head_pre = [[] for _ in range(sigma)]
-    for q, (add, _dele, _ln) in enumerate(triples):
-        s = starts[q]
-        for c in add:
-            head_colex[c].append(s)
-            head_pre[c].append(int(colex.colex_to_pre[s]))
+    # a block's entering labels are the run heads; group them by label
+    by_label = np.argsort(add_labels, kind="stable")
+    bounds = np.searchsorted(add_labels[by_label], np.arange(sigma + 1)).tolist()
+    heads = out.row[add][by_label] + 1
+    head_nodes = colex.colex_to_pre[heads]
+    head_colex = [int64_array(heads[a:b]) for a, b in zip(bounds, bounds[1:])]
+    head_pre = [int64_array(head_nodes[a:b]) for a, b in zip(bounds, bounds[1:])]
 
-    partials = []
-    cum = [0] * sigma  # nodes with label c in the processed prefix
-    for q, (add, _dele, ln) in enumerate(triples):
-        partials.extend(cum[c] for c in add)
-        for c in out_sets[starts[q] - 1]:
-            cum[c] += ln
-    spi = SPrimeIndex(sigma, triples, partials)
-    rlx = RlXbwt(n, sigma, triples, c_array, [int64_array(h) for h in head_colex],
-                 [int64_array(h) for h in head_pre])
+    # c-nodes before an entry's row = its rank among the entries labeled c
+    by_label = np.argsort(out.labels, kind="stable")
+    per_label = np.bincount(out.labels, minlength=sigma)
+    before = np.empty(len(by_label), dtype=np.int64)
+    before[by_label] = np.arange(len(by_label)) - np.repeat(np.cumsum(per_label) - per_label,
+                                                             per_label)
+    spi = SPrimeIndex(sigma, triples, before[add].tolist())
+    rlx = RlXbwt(n, sigma, triples, c_array, head_colex, head_pre)
     return rlx, spi
 
 

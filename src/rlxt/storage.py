@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import json
 import struct
+from itertools import chain
 
 import numpy as np
 
 from .baseline import SampledLocate, XbwtNav
-from .bits import SparseBitVec, WaveletSeq, int64_array
+from .bits import SparseBitVec, WaveletSeq, concat_ranges, int64_array
 from .errors import IndexFileError
 from .rindex import ColorMarks, IscTables, PhiSamples, RIndex
 from .rlxbwt import RlXbwt, SPrimeIndex, reconstruct_trie, reconstruct_trie_from_outsets
@@ -61,11 +62,51 @@ def _r_varint(data, off):
         shift += 7
 
 
+def _leb128(values):
+    """LEB128 encoding of a run of unsigned values, all at once: the bytes
+    (uint8) and each value's byte count. The counts come from the
+    magnitudes, then every 7-bit group is scattered to its place."""
+    v = np.asarray(values, dtype=np.int64).ravel()
+    if len(v) and v.min() < 0:
+        raise ValueError("varints are unsigned here")
+    v = v.astype(np.uint64)
+    size = np.ones(len(v), dtype=np.int64)
+    for k in range(1, 10):  # 63 bits need 9 groups
+        size += (v >> np.uint64(7 * k)) != 0
+    first = np.cumsum(size) - size
+    out = np.zeros(int(size.sum()), dtype=np.uint8)
+    for k in range(int(size.max()) if len(v) else 0):
+        more = size > k
+        group = (v[more] >> np.uint64(7 * k)) & np.uint64(0x7F)
+        out[first[more] + k] = group | np.where(size[more] > k + 1, 0x80, 0).astype(np.uint64)
+    return out, size
+
+
+def _varints(values):
+    """The concatenated ``_w_varint`` bytes of ``values``, encoded in bulk."""
+    return _leb128(values)[0].tobytes()
+
+
 def _w_deltas(out, values):
-    prev = 0
-    for v in values:
-        _w_varint(out, int(v) - prev)
-        prev = int(v)
+    out += _varints(np.diff(np.asarray(values, dtype=np.int64), prepend=0))
+
+
+def _records(*fields):
+    """Records laid end to end, record k being field 0's k-th piece, then
+    field 1's, and so on. A field is (bytes as uint8, piece size per record),
+    its pieces stored back to back."""
+    sizes = np.stack([size for _, size in fields], axis=1)  # record x field
+    ends = np.cumsum(sizes.ravel()).reshape(sizes.shape)
+    out = np.zeros(int(ends[-1, -1]) if sizes.size else 0, dtype=np.uint8)
+    for f, (data, size) in enumerate(fields):
+        out[concat_ranges(ends[:, f] - size, size)] = data
+    return out.tobytes()
+
+
+def _u16(values):
+    """Little-endian uint16 bytes of each value, and a size of 2 for each."""
+    v = np.asarray(values, dtype=np.int64)
+    return v.astype("<u2").view(np.uint8), np.full(len(v), 2, dtype=np.int64)
 
 
 def _r_varints(data, off, count):
@@ -77,7 +118,7 @@ def _r_varints(data, off, count):
 
 def _r_deltas(data, off, count):
     vals, off = _r_varints(data, off, count)
-    return np.cumsum(vals), off
+    return np.cumsum(vals, out=vals), off
 
 
 # -- per-section encoders ----------------------------------------------------
@@ -87,9 +128,8 @@ def _enc_labels(alphabet, n, c_array):
     out = bytearray()
     sigma = alphabet.sigma
     out += struct.pack("<IQ", sigma, n)
-    out += bytes(int(b) for b in alphabet.byte_of_code[1:])
-    for v in c_array:
-        _w_varint(out, v)
+    out += alphabet.byte_of_code[1:].astype(np.uint8).tobytes()
+    out += _varints(c_array)
     return bytes(out)
 
 
@@ -106,13 +146,16 @@ def _dec_labels(data):
 
 
 def _enc_rlxbwt(rlx):
-    out = bytearray()
-    out += struct.pack("<I", rlx.r_prime)
-    for add, dele, ln in rlx.triples:
-        out += struct.pack("<H", len(add)) + bytes(add)
-        out += struct.pack("<H", len(dele)) + bytes(dele)
-        _w_varint(out, ln)
-    return bytes(out)
+    triples = rlx.triples
+    add = [a for a, _, _ in triples]
+    dele = [d for _, d, _ in triples]
+    n_add = np.fromiter(map(len, add), dtype=np.int64, count=len(add))
+    n_del = np.fromiter(map(len, dele), dtype=np.int64, count=len(dele))
+    add_bytes = np.fromiter(chain.from_iterable(add), dtype=np.uint8, count=int(n_add.sum()))
+    del_bytes = np.fromiter(chain.from_iterable(dele), dtype=np.uint8, count=int(n_del.sum()))
+    body = _records(_u16(n_add), (add_bytes, n_add), _u16(n_del), (del_bytes, n_del),
+                    _leb128([ln for _, _, ln in triples]))
+    return struct.pack("<I", rlx.r_prime) + body
 
 
 def _dec_rlxbwt_triples(data):
@@ -134,11 +177,8 @@ def _dec_rlxbwt_triples(data):
 
 
 def _enc_sprime(spi):
-    out = bytearray()
-    out += struct.pack("<I", len(spi.partials))
-    for v in spi.partials:
-        _w_varint(out, v)
-    return bytes(out)
+    partials = spi.partials
+    return struct.pack("<I", len(partials)) + _varints(partials)
 
 
 def _enc_colors(colors):
@@ -154,9 +194,8 @@ def _enc_samples(samples, last):
     out = bytearray()
     out += struct.pack("<I", len(samples.keys))
     _w_deltas(out, samples.keys)
-    for v, f in zip(samples.values, samples.flags):
-        _w_varint(out, v)
-        out.append(int(f))
+    # a flag (< 128) is its own one-byte varint, so values and flags are one stream
+    out += _varints(np.column_stack((samples.values, samples.flags)))
     _w_varint(out, last)  # the co-lex-last node, where phi has no value
     return bytes(out)
 
@@ -175,14 +214,22 @@ def _enc_isc(isc):
 
 
 def _enc_runheads(rlx):
-    out = bytearray()
-    out += struct.pack("<H", rlx.sigma - 1)
-    for c in range(1, rlx.sigma):
-        out += struct.pack("<I", len(rlx.head_colex[c]))
-        _w_deltas(out, rlx.head_colex[c])
-        for pre in rlx.head_pre[c]:
-            _w_varint(out, pre)
-    return bytes(out)
+    # per label 1..sigma-1: its head count, the gaps between its heads'
+    # co-lex positions, then the heads' pre-order ids
+    counts = np.array([len(h) for h in rlx.head_colex[1:]], dtype=np.int64)
+    label = np.repeat(np.arange(len(counts)), counts)
+    cols = np.fromiter(chain.from_iterable(rlx.head_colex[1:]), dtype=np.int64)
+    gaps = np.diff(cols, prepend=0)
+    first = (np.cumsum(counts) - counts)[counts > 0]
+    gaps[first] = cols[first]
+    pres = np.fromiter(chain.from_iterable(rlx.head_pre[1:]), dtype=np.int64)
+    gap_bytes, gap_size = _leb128(gaps)
+    pre_bytes, pre_size = _leb128(pres)
+    m = len(counts)
+    body = _records((counts.astype("<u4").view(np.uint8), np.full(m, 4, dtype=np.int64)),
+                    (gap_bytes, np.bincount(label, weights=gap_size, minlength=m).astype(np.int64)),
+                    (pre_bytes, np.bincount(label, weights=pre_size, minlength=m).astype(np.int64)))
+    return struct.pack("<H", rlx.sigma - 1) + body
 
 
 def machinery_sections(index):
@@ -246,16 +293,7 @@ def save_rindex(index, meta=None):
     return _pack(ENGINE_RINDEX, {k: sections[k] for k in RINDEX_SECTIONS})
 
 
-def load_rindex(sections):
-    meta = json.loads(sections["meta"].decode() or "{}")
-    topo, _ = BpsTopology.from_bytes(sections["topology"])
-    alphabet, n, c_array = _dec_labels(sections["labels"])
-    triples = _dec_rlxbwt_triples(sections["rlxbwt"])
-    sigma = alphabet.sigma
-    if any(not 1 <= c < sigma for add, dele, _ in triples for c in add + dele):
-        raise IndexFileError(f"triple label outside 1..{sigma - 1}")
-
-    data = sections["runheads"]
+def _dec_runheads(data, sigma):
     (m,) = struct.unpack_from("<H", data, 0)
     if m != sigma - 1:
         raise IndexFileError(f"run heads for {m} labels, alphabet has {sigma - 1}")
@@ -268,9 +306,10 @@ def load_rindex(sections):
         pres, off = _r_varints(data, off, cnt)
         head_colex.append(int64_array(cols))
         head_pre.append(int64_array(pres))
-    rlx = RlXbwt(int(n), sigma, triples, c_array, head_colex, head_pre)
+    return head_colex, head_pre
 
-    data = sections["sprime"]
+
+def _dec_sprime(data, sigma, triples):
     (cnt,) = struct.unpack_from("<I", data, 0)
     entries = sum(len(add) for add, _, _ in triples)
     if cnt != entries:
@@ -280,16 +319,19 @@ def load_rindex(sections):
     for _ in range(cnt):
         v, off = _r_varint(data, off)
         partials.append(v)
-    spi = SPrimeIndex(sigma, triples, partials)
+    return SPrimeIndex(sigma, triples, partials)
 
-    data = sections["colors"]
+
+def _dec_colors(data, topo):
     (nred,) = struct.unpack_from("<I", data, 0)
     reds, off = _r_deltas(data, 4, nred)
     (nblue,) = struct.unpack_from("<I", data, off)
     blues, off = _r_deltas(data, off + 4, nblue)
-    colors = ColorMarks(topo, reds, blues)
+    return ColorMarks(topo, reds, blues)
 
-    data = sections["samples"]
+
+def _dec_samples(data, n):
+    """The phi samples and the co-lex-last node."""
     (cnt,) = struct.unpack_from("<I", data, 0)
     keys, off = _r_deltas(data, 4, cnt)
     values = np.zeros(cnt, dtype=np.int64)
@@ -302,21 +344,44 @@ def load_rindex(sections):
     last, off = _r_varint(data, off)
     if not 1 <= last <= n:
         raise IndexFileError(f"co-lex-last node {last} outside 1..{n}")
+    return samples, last
 
-    data = sections["isc"]
+
+def _dec_isc(data, n):
     (slen,) = struct.unpack_from("<Q", data, 0)
     (nz,) = struct.unpack_from("<I", data, 8)
     zeros, off = _r_deltas(data, 12, nz)
-    (nb1,) = struct.unpack_from("<I", data, off)
-    b1pos, off = _r_deltas(data, off + 4, nb1)
-    (nst,) = struct.unpack_from("<I", data, off)
-    sts, off = _r_deltas(data, off + 4, nst)
     s_bits = np.ones(slen, dtype=np.uint8)
     if len(zeros):
         s_bits[zeros - 1] = 0
-    isc = IscTables(s_bits, SparseBitVec(int(n), b1pos), sts)
+    del zeros  # each table is freed once the next structure holds its content
+    (nb1,) = struct.unpack_from("<I", data, off)
+    b1pos, off = _r_deltas(data, off + 4, nb1)
+    b1 = SparseBitVec(n, b1pos)
+    del b1pos
+    (nst,) = struct.unpack_from("<I", data, off)
+    sts, off = _r_deltas(data, off + 4, nst)
+    return IscTables(s_bits, b1, sts)
 
-    idx = RIndex(int(n), alphabet, last, topo, rlx, spi, colors, samples, isc)
+
+def load_rindex(sections):
+    """Decode every section in turn; each decoder returns only what the
+    index keeps, so its temporaries are freed before the next one runs."""
+    meta = json.loads(sections["meta"].decode() or "{}")
+    topo, _ = BpsTopology.from_bytes(sections["topology"])
+    alphabet, n, c_array = _dec_labels(sections["labels"])
+    n = int(n)
+    triples = _dec_rlxbwt_triples(sections["rlxbwt"])
+    sigma = alphabet.sigma
+    if any(not 1 <= c < sigma for add, dele, _ in triples for c in add + dele):
+        raise IndexFileError(f"triple label outside 1..{sigma - 1}")
+    head_colex, head_pre = _dec_runheads(sections["runheads"], sigma)
+    rlx = RlXbwt(n, sigma, triples, c_array, head_colex, head_pre)
+    spi = _dec_sprime(sections["sprime"], sigma, triples)
+    colors = _dec_colors(sections["colors"], topo)
+    samples, last = _dec_samples(sections["samples"], n)
+    isc = _dec_isc(sections["isc"], n)
+    idx = RIndex(n, alphabet, last, topo, rlx, spi, colors, samples, isc)
     return idx, meta
 
 
@@ -325,15 +390,13 @@ def save_sampled(sl, meta=None):
     out = bytearray()
     out += struct.pack("<Q", nav.n)
     degs = np.diff(nav.node_end)
-    out += bytes(int(d) for d in degs)
-    out += bytes(int(c) for c in nav.flat)
+    out += degs.astype(np.uint8).tobytes()
+    out += np.asarray(nav.flat).astype(np.uint8).tobytes()
     cover = bytearray()
     cover += struct.pack("<I", sl.marked.num_ones)
     _w_deltas(cover, sl.marked.positions)
-    for v in sl.samples:
-        _w_varint(cover, v)
-    for v in np.diff(sl.psums):
-        _w_varint(cover, v)
+    cover += _varints(sl.samples)
+    cover += _varints(np.diff(sl.psums))
     _w_varint(cover, sl.t)
     sections = {
         "meta": json.dumps(meta or {}, sort_keys=True).encode(),

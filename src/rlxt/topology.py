@@ -3,7 +3,8 @@
 The i-th open parenthesis corresponds to pre-order node i. Subtrees occupy
 contiguous parenthesis ranges, which is what the isomorphic-descendant jump
 and the marked-node queries exploit. Excess searches (level ancestor, LCA)
-run over a blocked min/max directory of the prefix-excess array.
+run over the blocked minima of the prefix-excess array and a sparse table
+over them.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ _BLOCK = 512
 class BpsTopology:
     __slots__ = (
         "n", "parens", "open_pos", "close_pos", "node_depth", "parent_node",
-        "_excess", "_open_cum", "_blk_min", "_blk_max", "_st",
+        "_excess", "_open_cum", "_blk_min", "_st",
     )
 
     def __init__(self, parens):
@@ -41,23 +42,26 @@ class BpsTopology:
         self.parent_node = parent_node = array("q", [0]) * (n + 1)
         self.node_depth = node_depth = array("q", [0]) * (n + 1)
         self._open_cum = open_cum = array("q", [0]) * (len(bits) + 1)
-        stack = []
+        # path[1..top] holds the open nodes; path[0] = 0 is the root's parent
+        path = [0] * (int(self._excess.max()) + 1)
+        top = 0
         node = 0
         for pos, bit in enumerate(bits.tobytes(), 1):
             if bit:
                 open_pos[node] = pos
                 node += 1
-                parent_node[node] = stack[-1] if stack else 0
-                node_depth[node] = len(stack)
-                stack.append(node)
+                parent_node[node] = path[top]
+                node_depth[node] = top
+                top += 1
+                path[top] = node
             else:
-                close_pos[stack.pop()] = pos
+                close_pos[path[top]] = pos
+                top -= 1
             open_cum[pos] = node
-        # blocked min/max over the excess array, plus a sparse table on block minima
+        # blocked minima of the excess array, plus a sparse table over them
         nb = (len(self._excess) + _BLOCK - 1) // _BLOCK
         starts = np.arange(0, len(self._excess), _BLOCK)
         self._blk_min = np.minimum.reduceat(self._excess, starts)
-        self._blk_max = np.maximum.reduceat(self._excess, starts)
         levels = [self._blk_min]
         k = 1
         while (1 << k) <= nb:
@@ -68,20 +72,13 @@ class BpsTopology:
 
     @classmethod
     def from_trie(cls, trie):
-        bits = np.zeros(2 * trie.n, dtype=np.uint8)
-        pos = 0
-        stack = [(1, False)]
-        while stack:
-            u, closing = stack.pop()
-            if closing:
-                pos += 1
-                continue
-            bits[pos] = 1
-            pos += 1
-            stack.append((u, True))
-            kids = trie.children(u)
-            for k in kids[::-1]:
-                stack.append((int(k), False))
+        """Parentheses from the pre-order depths alone: before node u opens,
+        ``depth[u-1] - depth[u] + 1`` parentheses close."""
+        n, depth = trie.n, trie.depth
+        closes = np.zeros(n + 1, dtype=np.int64)
+        closes[2:] = depth[1:-1] - depth[2:] + 1
+        bits = np.zeros(2 * n, dtype=np.uint8)
+        bits[np.arange(n) + np.cumsum(closes[1:])] = 1
         return cls(bits)
 
     # -- primitives ---------------------------------------------------------
@@ -106,7 +103,15 @@ class BpsTopology:
         return best
 
     def _bwd_search_eq(self, pos, target):
-        """Largest q <= pos with excess[q] == target, or -1."""
+        """Largest q <= pos with excess[q] == target, or -1, given
+        excess[pos] >= target.
+
+        The excess moves by +-1, so going back from pos it meets target at
+        the first position holding at most target. Outside pos's own block,
+        that position lies in the nearest earlier block whose minimum is at
+        most target, found by descending the sparse table over block minima:
+        O(log n) steps.
+        """
         if pos < 0:
             return -1
         blk = pos // _BLOCK
@@ -114,13 +119,15 @@ class BpsTopology:
         hits = np.flatnonzero(seg == target)
         if len(hits):
             return blk * _BLOCK + int(hits[-1])
-        cand = np.flatnonzero((self._blk_min[:blk] <= target) & (self._blk_max[:blk] >= target))
-        if not len(cand):
+        b = blk  # blocks b..blk-1 all have minima above target
+        for k in range(len(self._st) - 1, -1, -1):
+            if b >= 1 << k and self._st[k][b - (1 << k)] > target:
+                b -= 1 << k
+        if b == 0:
             return -1
-        b = int(cand[-1])
+        b -= 1
         seg = self._excess[b * _BLOCK : (b + 1) * _BLOCK]
-        hits = np.flatnonzero(seg == target)
-        return b * _BLOCK + int(hits[-1])
+        return b * _BLOCK + int(np.flatnonzero(seg <= target)[-1])
 
     # -- operations ---------------------------------------------------------
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .bits import concat_ranges
 from .errors import DeterminismError, FormatError, PreorderError
 
 SENTINEL = 0  # incoming label of the root; smaller than every edge label
@@ -68,54 +69,64 @@ class LabeledTrie:
     def __init__(self, parent, label, alphabet):
         self.parent = np.asarray(parent, dtype=np.int64)
         self.label = np.asarray(label, dtype=np.int64)
-        self.n = len(self.parent) - 1
+        self.n = n = len(self.parent) - 1
         self.alphabet = alphabet
-        if self.n < 1:
+        if n < 1:
             raise FormatError("trie must contain at least the root")
-        self._build_children()
-        self._validate()
-        d = np.zeros(self.n + 1, dtype=np.int64)
-        for u in range(2, self.n + 1):
-            d[u] = d[self.parent[u]] + 1
-        self.depth = d
+        if self.label[1] != SENTINEL:
+            raise FormatError("root must carry the sentinel label")
+        self.depth = self._check_preorder()
+        kids = self.parent[2:]
+        self.child_ids = np.argsort(kids, kind="stable") + 2
+        self.child_start = np.zeros(n + 2, dtype=np.int64)
+        np.cumsum(np.bincount(kids, minlength=n + 1), out=self.child_start[1:])
+        self._check_child_labels()
         self._iso_sig = None
         self._path_bytes = None
 
-    def _build_children(self):
-        counts = np.zeros(self.n + 2, dtype=np.int64)
-        for u in range(2, self.n + 1):
-            counts[self.parent[u] + 1] += 1
-        self.child_start = np.cumsum(counts)
-        fill = self.child_start[:-1].copy()
-        self.child_ids = np.zeros(self.n - 1, dtype=np.int64)
-        for u in range(2, self.n + 1):
-            p = self.parent[u]
-            self.child_ids[fill[p]] = u
-            fill[p] += 1
+    def _check_preorder(self):
+        """Depth of every node, once the arrays are known to be a pre-order
+        trie; otherwise the error for the smallest offending node.
 
-    def _validate(self):
-        if self.label[1] != SENTINEL:
-            raise FormatError("root must carry the sentinel label")
-        stack = [1]
-        for u in range(2, self.n + 1):
-            p = self.parent[u]
-            if not 1 <= p < u:
-                raise PreorderError(f"node {u} has parent {p} >= itself")
-            while stack and stack[-1] != p:
-                stack.pop()
-            if not stack:
-                raise PreorderError(f"node {u}: parent {p} not on the current DFS path")
-            stack.append(u)
-            if self.label[u] == SENTINEL:
-                raise FormatError(f"node {u}: sentinel label on an edge")
-        for u in range(1, self.n + 1):
-            labs = self.out_labels(u)
-            if len(labs) > 1:
-                diffs = np.diff(labs)
-                if (diffs == 0).any():
-                    raise DeterminismError(f"node {u} has duplicate outgoing labels")
-                if (diffs < 0).any():
-                    raise PreorderError(f"node {u}: children not in label order")
+        Node u >= 2 is in pre-order iff (a) ``1 <= parent[u] < u``,
+        (b) ``depth[u] <= depth[u-1] + 1`` and (c) ``parent[u]`` is the last
+        node before u at depth ``depth[u] - 1``: (b) and (c) together say the
+        parent lies on the root-to-(u-1) path. Depths are computed over the
+        nodes before the first (a) failure, whose parents all point back.
+        """
+        n, parent = self.n, self.parent
+        bad = np.flatnonzero((parent[2:] < 1) | (parent[2:] >= np.arange(2, n + 1)))
+        m = int(bad[0]) + 1 if len(bad) else n  # nodes 1..m have parents before them
+        first = m + 1  # smallest node failing (a), (b) or (c); n + 1 if none
+        depth = _depths(parent[: m + 1])
+        bad = np.flatnonzero((depth[2:] > depth[1:-1] + 1)
+                             | (_last_one_level_up(depth)[2:] != parent[2 : m + 1]))
+        if len(bad):
+            first = int(bad[0]) + 2
+        sentinel = np.flatnonzero(self.label[2:] == SENTINEL)
+        if len(sentinel) and int(sentinel[0]) + 2 < first:
+            raise FormatError(f"node {int(sentinel[0]) + 2}: sentinel label on an edge")
+        if first <= m:
+            raise PreorderError(f"node {first}: parent {int(parent[first])} "
+                                "not on the current DFS path")
+        if first <= n:
+            raise PreorderError(f"node {first} has parent {int(parent[first])} >= itself")
+        return depth
+
+    def _check_child_labels(self):
+        """Siblings carry distinct labels in ascending order; otherwise the
+        error for the smallest offending parent (duplicates before order)."""
+        kids = self.child_ids
+        same = self.parent[kids[1:]] == self.parent[kids[:-1]]
+        step = np.diff(self.label[kids])
+        dup = self.parent[kids[1:][same & (step == 0)]]
+        order = self.parent[kids[1:][same & (step < 0)]]
+        u_dup = int(dup.min()) if len(dup) else self.n + 1
+        u_order = int(order.min()) if len(order) else self.n + 1
+        if u_dup <= u_order and u_dup <= self.n:
+            raise DeterminismError(f"node {u_dup} has duplicate outgoing labels")
+        if u_order <= self.n:
+            raise PreorderError(f"node {u_order}: children not in label order")
 
     def children(self, u):
         return self.child_ids[self.child_start[u] : self.child_start[u + 1]]
@@ -191,34 +202,70 @@ class LabeledTrie:
         return "\n".join(lines) + "\n"
 
 
+def _depths(parent):
+    """Depth of every node of a parent array in which each node's parent
+    precedes it (``parent[1] == 0`` for the root), by pointer jumping:
+    ceil(log2 depth) + 1 rounds over the whole array."""
+    jump = parent.copy()
+    jump[:2] = (0, 1)  # the root chains to itself
+    dist = np.ones(len(parent), dtype=np.int64)  # dist[u]: levels from u up to jump[u]
+    dist[:2] = 0
+    while (jump[1:] != 1).any():
+        dist += dist[jump]
+        jump = jump[jump]
+    return dist
+
+
+def _last_one_level_up(depth):
+    """For every node u >= 2, the last node before u at depth ``depth[u] - 1``
+    (0 if there is none): u's parent when the depths are a pre-order's.
+    Sorts the (depth, id) keys once and searches each node's target."""
+    n = len(depth) - 1
+    key = depth[1:] * (n + 1) + np.arange(1, n + 1)
+    keys = np.sort(key)
+    target = key[1:] - (n + 1)  # (depth[u] - 1, u): no node has this key
+    found = keys[np.searchsorted(keys, target) - 1]  # the root's key precedes it
+    out = np.zeros(n + 1, dtype=np.int64)
+    out[2:] = np.where(found // (n + 1) == depth[2:] - 1, found % (n + 1), 0)
+    return out
+
+
+def _lcp(a, b):
+    """Length of the longest common prefix of two byte strings."""
+    m = min(len(a), len(b))
+    x = int.from_bytes(a[:m], "big") ^ int.from_bytes(b[:m], "big")
+    return m - (x.bit_length() + 7) // 8
+
+
 def build_from_strings(lines):
     """Trie of all prefixes of the given byte strings (deduplicated).
 
     Empty input yields the single-node trie. A NUL byte anywhere is a
     format error (byte 0 is the reserved sentinel).
+
+    Nodes are the distinct prefixes in byte order, which is pre-order with
+    children in label order. Over the distinct lines sorted, line i adds its
+    prefixes longer than its longest common prefix with line i-1, in order
+    of length; so depths, labels and parents follow from the sorted lines'
+    lengths and LCPs with array operations.
     """
-    used = set()
-    for line in lines:
-        if 0 in line:
-            raise FormatError("input contains NUL byte")
-        used.update(line)
-    alphabet = Alphabet(used)
-    root = {}
-    for line in lines:
-        cur = root
-        for b in line:
-            cur = cur.setdefault(alphabet.code_of_byte[b], {})
-    parent = [0, 0]
-    label = [0, SENTINEL]
-    stack = [(1, c, root[c]) for c in sorted(root, reverse=True)]
-    while stack:
-        pid, c, node = stack.pop()
-        uid = len(parent)
-        parent.append(pid)
-        label.append(c)
-        for cc in sorted(node, reverse=True):
-            stack.append((uid, cc, node[cc]))
-    return LabeledTrie(parent, label, alphabet)
+    lines = sorted(set(lines))
+    joined = b"".join(lines)
+    if 0 in joined:
+        raise FormatError("input contains NUL byte")
+    data = np.frombuffer(joined, dtype=np.uint8)
+    alphabet = Alphabet(np.unique(data).tolist())
+    code = np.zeros(256, dtype=np.int64)
+    code[alphabet.byte_of_code[1:]] = np.arange(1, alphabet.sigma)
+    lens = np.array([len(line) for line in lines], dtype=np.int64)
+    lcps = np.zeros(len(lines), dtype=np.int64)
+    lcps[1:] = [_lcp(a, b) for a, b in zip(lines, lines[1:])]
+    new = lens - lcps  # line i adds the prefixes of lengths lcp+1 .. len
+    depth = np.zeros(int(new.sum()) + 2, dtype=np.int64)
+    depth[2:] = concat_ranges(lcps + 1, new)
+    label = np.zeros_like(depth)
+    label[2:] = code[data[concat_ranges(np.cumsum(lens) - lens + lcps, new)]]
+    return LabeledTrie(_last_one_level_up(depth), label, alphabet)
 
 
 def build_from_edges(n, edges):
@@ -284,30 +331,29 @@ class ColexOrder:
 
 
 def colex_sort(trie):
-    """Co-lexicographic node order via iterative bucket refinement.
+    """Co-lexicographic node order by prefix doubling over ancestor pointers.
 
-    Buckets start as incoming labels and are refined by the parent's bucket
-    until stable; this mirrors the two sorting axioms directly. At most
-    depth+1 rounds are needed.
+    A node's key is its reversed root path followed by the root's sentinel
+    repeated forever. Ranks start as incoming labels; each round re-ranks by
+    (rank[u], rank[anc[u]]), which doubles the key length ranked, and then
+    squares the pointers (``anc = anc[anc]``; the root chains to itself).
+    Ranks are distinct after at most ceil(log2(depth + 1)) rounds (Manber &
+    Myers 1993; the path sort of the XBWT).
     """
     n = trie.n
-    par = trie.parent.copy()
-    par[1] = 1  # root chains to itself so its key stays minimal
-    rank = trie.label.astype(np.int64).copy()
-    for _ in range(int(trie.depth.max()) + 2):
-        m = np.int64(int(rank.max()) + 1)
-        key = rank[1:] * m + rank[par[1:]]
+    anc = trie.parent.copy()
+    anc[1] = 1
+    rank = trie.label.copy()
+    width = np.int64(max(n, int(rank.max())) + 1)  # exceeds every rank
+    while True:
+        key = rank[1:] * width + rank[anc[1:]]
         uniq, inv = np.unique(key, return_inverse=True)
-        new_rank = np.zeros(n + 1, dtype=np.int64)
-        new_rank[1:] = inv
+        rank[1:] = inv
         if len(uniq) == n:
-            rank = new_rank
             break
-        if np.array_equal(new_rank, rank):
-            break
-        rank = new_rank
-    if len(np.unique(rank[1:])) != n:
-        raise AssertionError("colex refinement failed to converge to a permutation")
+        if (anc[1:] == 1).all():
+            raise AssertionError("co-lex keys of two nodes coincide")
+        anc = anc[anc]
     colex_to_pre = np.zeros(n + 1, dtype=np.int64)
     colex_to_pre[rank[1:] + 1] = np.arange(1, n + 1)
     return ColexOrder(colex_to_pre)

@@ -198,3 +198,19 @@ def test_traced_benchmark_hooks_resolve(ex26):
     assert not loading & {"trie.colex_sort", "rlxbwt.reconstruct_trie"}
     assert np.array_equal(trie.parent, ex26.parent)
     assert metrics["storage.resident_bytes.pre_to_colex"][0] < 1024
+
+
+def test_bulk_varints_equal_one_at_a_time():
+    rng = random.Random(5)
+    runs = [[0, 127, 128, 2**14, 2**63 - 1], [], [2**14 - 1, 2**21, 2**56, 2**56 - 1],
+            [rng.getrandbits(rng.randint(0, 63)) for _ in range(500)]]
+    for values in runs:
+        want = bytearray()
+        for v in values:
+            storage._w_varint(want, v)
+        assert storage._varints(values) == bytes(want)
+        assert storage._varints(np.asarray(values, dtype=np.int64)) == bytes(want)
+    with pytest.raises(ValueError):
+        storage._varints([3, -1])
+    with pytest.raises(ValueError):
+        storage._w_varint(bytearray(), -1)

@@ -5,7 +5,7 @@ import pytest
 
 from rlxt.errors import DomainError
 from rlxt.topology import BpsTopology, MarkSet
-from rlxt.trie import is_isomorphic
+from rlxt.trie import Alphabet, LabeledTrie, is_isomorphic
 
 from conftest import EX26_BLUE, EX26_RED, make_random_trie
 
@@ -176,3 +176,68 @@ def test_bps_round_trip(ex26):
     assert np.array_equal(topo.close_pos, topo2.close_pos)
     assert np.array_equal(topo.parent_node[1:], ex26.parent[1:])
     assert np.array_equal(topo.node_depth[1:], ex26.depth[1:])
+
+
+def _caterpillar(m, spine_first):
+    """A spine of m nodes with one leaf on each. With ``spine_first`` the
+    spine label is the smaller, so pre-order runs down the whole spine before
+    any leaf; otherwise each leaf directly follows its spine node. Returns
+    the trie and, per node, (index k of the spine node s_k at or above it,
+    whether it is a leaf)."""
+    n = 2 * m
+    parent = np.zeros(n + 1, dtype=np.int64)
+    label = np.zeros(n + 1, dtype=np.int64)
+    k = np.arange(m)
+    if spine_first:
+        spine, leaf = k + 1, 2 * m - k  # s_0..s_{m-1}, then leaf_{m-1} .. leaf_0
+    else:
+        spine, leaf = 2 * k + 1, 2 * k + 2
+    parent[spine[1:]] = spine[:-1]
+    parent[leaf] = spine
+    label[spine[1:]] = 1 if spine_first else 2
+    label[leaf] = 2 if spine_first else 1
+    t = LabeledTrie(parent, label, Alphabet(b"ab"))
+    where = {}
+    for kk in range(m):
+        where[int(spine[kk])] = (kk, False)
+        where[int(leaf[kk])] = (kk, True)
+    # one parent walk from the deepest spine node gives every spine node
+    walk = [int(spine[-1])]
+    while walk[-1] != 1:
+        walk.append(int(t.parent[walk[-1]]))
+    assert walk[::-1] == spine.tolist()
+    return t, where, walk[::-1]
+
+
+@pytest.mark.parametrize("m", [10_000, 100_000])
+@pytest.mark.parametrize("spine_first", [False, True])
+def test_far_laq_and_lca_on_caterpillars(m, spine_first):
+    t, where, spine = _caterpillar(m, spine_first)
+    topo = BpsTopology.from_trie(t)
+    rng = random.Random(m + spine_first)
+
+    def ancestor(u, ell):
+        k, is_leaf = where[u]
+        if is_leaf:
+            return u if ell == 0 else spine[k - ell + 1]
+        return spine[k - ell]
+
+    for _ in range(150):
+        u = rng.randint(1, t.n)
+        d = topo.depth(u)
+        if d <= 8:
+            continue
+        ell = rng.choice([d, 9, rng.randint(9, d)])
+        assert topo.laq(u, ell) == ancestor(u, ell)
+        v = rng.randint(1, t.n)
+        want = u if u == v else spine[min(where[u][0], where[v][0])]
+        assert topo.lca(u, v) == want
+    # the backward excess search against a scan, and its no-hit answers
+    ex = topo._excess
+    for _ in range(100):
+        pos = rng.randrange(len(ex))
+        target = rng.randint(0, int(ex[pos]))
+        hits = np.flatnonzero(ex[: pos + 1] == target)
+        assert topo._bwd_search_eq(pos, target) == int(hits[-1])
+    assert topo._bwd_search_eq(len(ex) - 1, -1) == -1
+    assert topo._bwd_search_eq(-1, 0) == -1

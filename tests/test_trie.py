@@ -1,10 +1,15 @@
+import itertools
 import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rlxt.errors import DeterminismError, FormatError, PreorderError
 from rlxt.trie import (
+    Alphabet,
+    LabeledTrie,
     build_from_edges,
     build_from_strings,
     colex_sort,
@@ -128,3 +133,143 @@ def test_format_round_trip(ex26):
     t2 = parse_strings_file(raw)
     assert np.array_equal(t2.parent, ex26.parent)
     assert np.array_equal(t2.label, ex26.label)
+
+
+# -- the array-at-a-time builder against per-node references ----------------
+
+
+def dict_trie_arrays(lines):
+    """Reference trie of the prefixes of ``lines``, built node by node: a
+    dict trie walked depth-first. Returns (parent, label, depth, child_start,
+    child_ids) with labels as dense codes, as :class:`LabeledTrie` holds them."""
+    used = sorted(set(b for line in lines for b in line))
+    code = {b: k + 1 for k, b in enumerate(used)}
+    root = {}
+    for line in lines:
+        cur = root
+        for b in line:
+            cur = cur.setdefault(code[b], {})
+    parent, label, depth = [0, 0], [0, 0], [0, 0]
+    stack = [(1, c, root[c]) for c in sorted(root, reverse=True)]
+    while stack:
+        pid, c, node = stack.pop()
+        uid = len(parent)
+        parent.append(pid)
+        label.append(c)
+        depth.append(depth[pid] + 1)
+        stack.extend((uid, cc, node[cc]) for cc in sorted(node, reverse=True))
+    n = len(parent) - 1
+    kids = [[] for _ in range(n + 1)]
+    for u in range(2, n + 1):
+        kids[parent[u]].append(u)
+    child_start = [0, 0]
+    for u in range(1, n + 1):
+        child_start.append(child_start[-1] + len(kids[u]))
+    child_ids = [u for ks in kids for u in ks]
+    return parent, label, depth, child_start, child_ids
+
+
+def loop_preorder_error(parent, label):
+    """Reference check of a parent/label array pair, one node at a time with
+    a DFS stack: the error class and message for the first offending node,
+    or None if the pair is a pre-order trie with ordered, distinct sibling
+    labels."""
+    n = len(parent) - 1
+    stack = [1]
+    for u in range(2, n + 1):
+        p = parent[u]
+        if not 1 <= p < u:
+            return PreorderError, f"node {u} has parent {p} >= itself"
+        while stack and stack[-1] != p:
+            stack.pop()
+        if not stack:
+            return PreorderError, f"node {u}: parent {p} not on the current DFS path"
+        stack.append(u)
+        if label[u] == 0:
+            return FormatError, f"node {u}: sentinel label on an edge"
+    for u in range(1, n + 1):
+        labs = [label[v] for v in range(2, n + 1) if parent[v] == u]
+        for a, b in zip(labs, labs[1:]):
+            if a == b:
+                return DeterminismError, f"node {u} has duplicate outgoing labels"
+        for a, b in zip(labs, labs[1:]):
+            if b < a:
+                return PreorderError, f"node {u}: children not in label order"
+    return None
+
+
+def _vector_error(parent, label):
+    alphabet = Alphabet([b for b in set(label[2:]) if 0 < b < 256])
+    try:
+        LabeledTrie(parent, label, alphabet)
+    except (PreorderError, FormatError, DeterminismError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+LINES = st.lists(
+    st.one_of(
+        st.binary(max_size=12).map(lambda b: bytes(x or 1 for x in b)),
+        st.lists(st.sampled_from(b"ab\x01\xff"), max_size=12).map(bytes),
+    ),
+    max_size=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(LINES)
+@example([])
+@example([b""])
+@example([b"", b"", b"a"])
+@example([b"abc", b"ab", b"abc", b"a", b"abd"])
+@example([bytes(range(1, 256)), bytes(range(255, 0, -1))])
+def test_array_built_trie_matches_dict_trie(lines):
+    t = build_from_strings(lines)
+    parent, label, depth, child_start, child_ids = dict_trie_arrays(lines)
+    assert t.parent.tolist() == parent
+    assert t.label.tolist() == label
+    assert t.depth.tolist() == depth
+    assert t.child_start.tolist() == child_start
+    assert t.child_ids.tolist() == child_ids
+    assert bytes(t.alphabet.byte_of_code[1:].tolist()) == bytes(sorted(set(b"".join(lines))))
+
+
+def _all_recursive_parent_arrays(max_n):
+    """Every parent array with parent[u] in 1..u-1, for n = 1..max_n."""
+    for n in range(1, max_n + 1):
+        for choice in itertools.product(*[range(1, u) for u in range(2, n + 1)]):
+            yield [0, 0, *choice]
+
+
+def test_preorder_check_agrees_with_the_stack_loop_small():
+    seen = 0
+    for parent in _all_recursive_parent_arrays(7):
+        seen += 1
+        n = len(parent) - 1
+        for label in ([0, 0] + [1] * (n - 1), [0, 0] + list(range(1, n)),
+                      [0, 0] + list(range(n - 1, 0, -1))):
+            assert _vector_error(parent, label) == loop_preorder_error(parent, label), parent
+    assert seen == 874
+
+
+def test_preorder_check_agrees_with_the_stack_loop_random():
+    rng = random.Random(8)
+    for _ in range(5000):
+        n = rng.randint(1, 12)
+        parent = [0, 0] + [rng.randint(-1, n + 1) if rng.random() < 0.05
+                           else rng.randint(1, max(1, u - 1)) for u in range(2, n + 1)]
+        label = [0, 0] + [rng.randint(0, 3) if rng.random() < 0.05 else rng.randint(1, 3)
+                          for _ in range(2, n + 1)]
+        assert _vector_error(parent, label) == loop_preorder_error(parent, label), (parent, label)
+
+
+def test_colex_sort_by_doubling_matches_naive():
+    one = build_from_strings([])
+    assert colex_sort(one).colex_to_pre.tolist() == naive_colex_order(one).colex_to_pre.tolist()
+    rng = random.Random(9)
+    deep = [bytes(rng.choice(b"ab") for _ in range(320)) for _ in range(3)]
+    deep.append(deep[0][:150] + b"b" * 170)
+    for lines in ([b"a" * 310], [b"ab" * 160], deep):
+        t = build_from_strings(lines)
+        assert int(t.depth.max()) >= 300
+        assert np.array_equal(colex_sort(t).colex_to_pre, naive_colex_order(t).colex_to_pre)
