@@ -50,8 +50,7 @@ class BitVec:
             raise ValueError("bits must be one-dimensional")
         self._cum = np.zeros(len(self.bits) + 1, dtype=np.int64)
         np.cumsum(self.bits, out=self._cum[1:])
-        self._ones = np.flatnonzero(self.bits)
-        self._ones += 1  # in place: no second n-word temporary
+        self._ones = np.flatnonzero(self.bits).astype(np.int64) + 1
         self._zeros = None  # built lazily; only the wavelet select path needs it
 
     def __len__(self):

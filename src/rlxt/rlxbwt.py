@@ -168,19 +168,11 @@ class OutSets:
         self.kids = trie.child_ids[concat_ranges(first, deg)]
         self.labels = trie.label[self.kids]
         width = trie.alphabet.sigma
-        key = self.row * width + self.labels  # strictly increasing
-        self.in_prev = _member(key - width, key)
-        self.in_next = _member(key + width, key)
+        key = self.row * width + self.labels  # distinct: a label once per row
+        self.in_prev = np.isin(key - width, key, assume_unique=True)
+        self.in_next = np.isin(key + width, key, assume_unique=True)
         missing = np.bincount(self.row[~self.in_next], minlength=n)
         self.change = (deg[:-1] != deg[1:]) | (missing[:-1] > 0)
-
-
-def _member(queries, keys):
-    """Which queries occur in the sorted array ``keys``."""
-    if not len(keys):
-        return np.zeros(len(queries), dtype=bool)
-    pos = np.minimum(np.searchsorted(keys, queries), len(keys) - 1)
-    return keys[pos] == queries
 
 
 def build_rl_xbwt(trie, colex, out=None):

@@ -103,10 +103,11 @@ def _records(*fields):
     return out.tobytes()
 
 
-def _u16(values):
-    """Little-endian uint16 bytes of each value, and a size of 2 for each."""
-    v = np.asarray(values, dtype=np.int64)
-    return v.astype("<u2").view(np.uint8), np.full(len(v), 2, dtype=np.int64)
+def _fixed(values, dtype):
+    """Each value as a fixed-width little-endian integer (``"<u2"``,
+    ``"<u4"``): the bytes, and the width as each record's piece size."""
+    raw = np.asarray(values, dtype=np.int64).astype(dtype)
+    return raw.view(np.uint8), np.full(len(raw), raw.itemsize, dtype=np.int64)
 
 
 def _r_varints(data, off, count):
@@ -153,7 +154,8 @@ def _enc_rlxbwt(rlx):
     n_del = np.fromiter(map(len, dele), dtype=np.int64, count=len(dele))
     add_bytes = np.fromiter(chain.from_iterable(add), dtype=np.uint8, count=int(n_add.sum()))
     del_bytes = np.fromiter(chain.from_iterable(dele), dtype=np.uint8, count=int(n_del.sum()))
-    body = _records(_u16(n_add), (add_bytes, n_add), _u16(n_del), (del_bytes, n_del),
+    body = _records(_fixed(n_add, "<u2"), (add_bytes, n_add),
+                    _fixed(n_del, "<u2"), (del_bytes, n_del),
                     _leb128([ln for _, _, ln in triples]))
     return struct.pack("<I", rlx.r_prime) + body
 
@@ -226,7 +228,7 @@ def _enc_runheads(rlx):
     gap_bytes, gap_size = _leb128(gaps)
     pre_bytes, pre_size = _leb128(pres)
     m = len(counts)
-    body = _records((counts.astype("<u4").view(np.uint8), np.full(m, 4, dtype=np.int64)),
+    body = _records(_fixed(counts, "<u4"),
                     (gap_bytes, np.bincount(label, weights=gap_size, minlength=m).astype(np.int64)),
                     (pre_bytes, np.bincount(label, weights=pre_size, minlength=m).astype(np.int64)))
     return struct.pack("<H", rlx.sigma - 1) + body

@@ -249,7 +249,7 @@ def build_from_strings(lines):
     of length; so depths, labels and parents follow from the sorted lines'
     lengths and LCPs with array operations.
     """
-    lines = sorted(set(lines))
+    lines = sorted(set(map(bytes, lines)))
     joined = b"".join(lines)
     if 0 in joined:
         raise FormatError("input contains NUL byte")

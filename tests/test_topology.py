@@ -182,8 +182,8 @@ def _caterpillar(m, spine_first):
     """A spine of m nodes with one leaf on each. With ``spine_first`` the
     spine label is the smaller, so pre-order runs down the whole spine before
     any leaf; otherwise each leaf directly follows its spine node. Returns
-    the trie and, per node, (index k of the spine node s_k at or above it,
-    whether it is a leaf)."""
+    the trie; per node, (index k of the spine node s_k at or above it,
+    whether it is a leaf); and the spine nodes from the root down."""
     n = 2 * m
     parent = np.zeros(n + 1, dtype=np.int64)
     label = np.zeros(n + 1, dtype=np.int64)
