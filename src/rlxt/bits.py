@@ -26,6 +26,19 @@ def int64_array(values):
     return out
 
 
+def sorted_set(values):
+    """``values`` as a strictly increasing int64 array, as ``np.unique``
+    gives it. Input that already is one, as every table read from an index
+    file is, costs one vector comparison; otherwise a stable sort merges
+    presorted runs (such as two sorted tables laid end to end) in linear
+    time, and repeats are dropped."""
+    v = np.asarray(values, dtype=np.int64).ravel()
+    if len(v) < 2 or (v[1:] > v[:-1]).all():
+        return v
+    v = np.sort(v, kind="stable")
+    return v[np.concatenate(([True], v[1:] != v[:-1]))]
+
+
 def concat_ranges(starts, lengths):
     """The ranges ``starts[k] .. starts[k] + lengths[k] - 1`` end to end, as
     one int64 array: the gather index of variable-length rows."""
@@ -133,7 +146,7 @@ class SparseBitVec:
 
     def __init__(self, universe, positions):
         self.universe = int(universe)
-        pos = np.unique(np.asarray(positions, dtype=np.int64))
+        pos = sorted_set(positions)
         if len(pos) and (pos[0] < 1 or pos[-1] > self.universe):
             raise ValueError("positions out of universe range")
         self.positions = int64_array(pos)

@@ -178,8 +178,7 @@ def cmd_verify(args):
 
     def size_bounds():
         r, _, r_prime = idx.rlx.run_stats()
-        sum_del = sum(len(d) for _, d, _ in idx.rlx.triples)
-        sum_add = sum(len(a) for a, _, _ in idx.rlx.triples)
+        sum_add, sum_del = idx.spi.delta_counts()
         ok = sum_del <= r and sum_add <= 2 * r and r_prime <= max(3 * r, 1)
         return ok, f"r={r} r'={r_prime} |DEL|={sum_del} |ADD|={sum_add}"
 

@@ -14,7 +14,7 @@ from bisect import bisect_left
 
 import numpy as np
 
-from .bits import BitVec, SparseBitVec, concat_ranges, int64_array
+from .bits import SparseBitVec, concat_ranges, int64_array, sorted_set
 from .errors import DomainError, NoSuccessorError
 from .rlxbwt import (
     OutSets,
@@ -38,7 +38,8 @@ class ColorMarks:
     def __init__(self, topo, red_ids, blue_ids):
         self.red = SparseBitVec(topo.n, red_ids)
         self.blue = SparseBitVec(topo.n, blue_ids)
-        self.colored = MarkSet(topo, np.union1d(self.red.positions, self.blue.positions))
+        self.colored = MarkSet(topo, sorted_set(np.concatenate((self.red.positions,
+                                                                 self.blue.positions))))
 
     def is_red(self, u):
         return self.red.contains(u)
@@ -98,14 +99,16 @@ class IscTables:
     For each red node (in pre-order) two segments are appended to S: first a
     bit per outgoing label of the node (present in the successor's out-set?),
     then a bit per outgoing label of the successor (present in the node's
-    out-set?). B1 marks red pre-order ids; ``starts`` holds the segment
-    boundaries inside S (two per red node plus a final sentinel).
+    out-set?). S is kept as 0/1 ``bytes``, one byte per bit: a query only
+    counts and finds ones inside two segments of at most sigma bits, so it
+    needs no rank directory. B1 marks red pre-order ids; ``starts`` holds the
+    segment boundaries inside S (two per red node plus a final sentinel).
     """
 
     __slots__ = ("s", "b1", "starts")
 
     def __init__(self, s_bits, b1, starts):
-        self.s = BitVec(s_bits)
+        self.s = np.asarray(s_bits, dtype=np.uint8).tobytes()
         self.b1 = b1
         # segment boundaries; offsets may repeat because a run-break node can
         # have an empty out-set (its first segment is empty)
@@ -124,11 +127,14 @@ class IscTables:
         (s1, e1), (s2, e2) = self.segments(u)
         if not 1 <= k <= e1 - s1:
             raise IndexError(f"child rank {k} out of range for node {u}")
-        if not self.s.get(s1 + k - 1):
+        s = self.s  # 1-based position p of S is s[p - 1]
+        if not s[s1 + k - 2]:
             raise DomainError(f"label of child {k} missing from the successor's out-set")
-        j = self.s.rank1(s1 + k - 1) - self.s.rank1(s1 - 1)
-        pos = self.s.select1(self.s.rank1(s2 - 1) + j)
-        return pos - s2 + 1
+        # the child's label is the j-th common one; find the j-th one of seg2
+        pos = s2 - 2
+        for _ in range(s.count(1, s1 - 1, s1 + k - 1)):
+            pos = s.index(1, pos + 1, e2 - 1)
+        return pos - s2 + 2
 
 
 class RIndex:

@@ -8,12 +8,12 @@ its predecessor. S' flattens the deltas as c+/c- symbols with '/' block
 separators. Queries read S' regrouped by label: per label, the blocks where
 it enters and leaves the out-set and the count of its nodes before each
 entry, plus the block starts; every lookup is a binary search over O(r)
-words.
+words. The blocks are kept only in those tables: the triples are a view
+derived from them.
 """
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_left, bisect_right
 
 import numpy as np
@@ -23,30 +23,41 @@ from .errors import DomainError
 
 
 class RlXbwt:
-    """Block triples plus the supporting arrays.
+    """The run-length XBWT: its S' tables plus the supporting arrays.
 
-    ``triples[q] = (add, dele, length)`` with label-code tuples sorted
-    ascending. ``c_array[c]`` counts nodes whose incoming label precedes c,
-    so the co-lex positions with incoming label c are
-    ``c_array[c]+1 .. c_array[c+1]``. For every co-lex position starting a
-    c-run, ``head_colex[c]`` holds the position and ``head_pre[c]`` the
-    pre-order id of its node: two parallel ``array('q')`` per label, sorted
-    by position (label 0, the root's, has none).
+    The blocks live only in the S' tables (``spi``); ``triples``,
+    ``r_prime`` and ``block_out_sets`` are views derived from them.
+    ``c_array[c]`` counts nodes whose incoming label precedes c, so the
+    co-lex positions with incoming label c are ``c_array[c]+1 .. c_array[c+1]``.
+    For every co-lex position starting a c-run, ``head_colex[c]`` holds the
+    position and ``head_pre[c]`` the pre-order id of its node: two parallel
+    ``array('q')`` per label, sorted by position (label 0, the root's, has
+    none).
     """
 
-    __slots__ = ("n", "sigma", "triples", "c_array", "head_colex", "head_pre")
+    __slots__ = ("n", "sigma", "spi", "c_array", "head_colex", "head_pre")
 
-    def __init__(self, n, sigma, triples, c_array, head_colex, head_pre):
+    def __init__(self, n, sigma, spi, c_array, head_colex, head_pre):
         self.n = n
         self.sigma = sigma
-        self.triples = triples
+        self.spi = spi
         self.c_array = c_array
         self.head_colex = head_colex
         self.head_pre = head_pre
 
     @property
     def r_prime(self):
-        return len(self.triples)
+        return len(self.spi.starts)
+
+    def block_lengths(self):
+        """Positions per block, as an int64 array."""
+        return np.diff(np.asarray(self.spi.starts, dtype=np.int64), append=self.n + 1)
+
+    @property
+    def triples(self):
+        """``[(add, dele, length)]`` per block, the label tuples ascending."""
+        return [(add, dele, ln) for (add, dele), ln
+                in zip(self.spi.block_deltas(), self.block_lengths().tolist())]
 
     @property
     def run_heads(self):
@@ -61,13 +72,34 @@ class RlXbwt:
         return sum(r_c.values()), r_c, self.r_prime
 
     def block_out_sets(self):
-        """Unroll the triples into the per-block out-label sets."""
+        """Unroll the blocks into the per-block out-label sets."""
         sets = []
         cur = set()
         for add, dele, _ln in self.triples:
             cur = (cur - set(dele)) | set(add)
             sets.append(tuple(sorted(cur)))
         return sets
+
+
+def _by_label(sigma, labels, *columns):
+    """Each column split into one ``array('q')`` per label 0..sigma-1. The
+    sort by label is stable, so each label keeps its entries' order."""
+    order = np.argsort(labels, kind="stable")
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(labels, minlength=sigma)))).tolist()
+    tables = []
+    for col in columns:
+        col = np.asarray(col, dtype=np.int64)[order]
+        tables.append([int64_array(col[a:b]) for a, b in zip(bounds, bounds[1:sigma + 1])])
+    return tables
+
+
+def _in_block_order(tables):
+    """The entries of per-label block tables in S' order, by block and then
+    by label: (blocks, labels, where each sits in the concatenated tables)."""
+    labels = np.repeat(np.arange(len(tables)), [len(t) for t in tables])
+    blocks = np.concatenate(tables)
+    order = np.argsort(blocks, kind="stable")
+    return blocks[order], labels[order], order
 
 
 class SPrimeIndex:
@@ -85,44 +117,44 @@ class SPrimeIndex:
 
     __slots__ = ("starts", "adds", "dels", "base")
 
-    def __init__(self, sigma, triples, partials):
-        """``partials`` holds the c-node counts of the c+ symbols in S' order."""
-        self.starts = array("q")
-        self.adds = [array("q") for _ in range(sigma)]
-        self.dels = [array("q") for _ in range(sigma)]
-        self.base = [array("q") for _ in range(sigma)]
-        counts = iter(partials)
-        s = 1
-        for q, (add, dele, ln) in enumerate(triples):
-            self.starts.append(s)
-            s += ln
-            for c in add:
-                self.adds[c].append(q)
-                self.base[c].append(next(counts))
-            for c in dele:
-                self.dels[c].append(q)
+    def __init__(self, sigma, n_add, add_labels, n_del, del_labels, lengths, partials):
+        """Per block q: ``n_add[q]`` entering and ``n_del[q]`` leaving labels
+        and ``lengths[q]`` positions. ``add_labels``/``del_labels`` hold the
+        labels block after block, ascending within a block (S' order), and
+        ``partials`` the c-node count of each entering label, in that order."""
+        lengths = np.asarray(lengths, dtype=np.int64)
+        self.starts = int64_array(np.cumsum(lengths) - lengths + 1)
+        blocks = np.arange(len(lengths))
+        self.adds, self.base = _by_label(sigma, add_labels, np.repeat(blocks, n_add), partials)
+        (self.dels,) = _by_label(sigma, del_labels, np.repeat(blocks, n_del))
 
-    def _by_block(self):
-        """Per block, its (label, base) entries and its exiting labels,
-        each in ascending label order as in S'."""
-        adds = [[] for _ in self.starts]
-        dels = [[] for _ in self.starts]
-        for c in range(len(self.adds)):
-            for q, b in zip(self.adds[c], self.base[c]):
-                adds[q].append((c, b))
-            for q in self.dels[c]:
-                dels[q].append(c)
-        return adds, dels
+    def deltas(self):
+        """S' block by block: the ADD count per block, the ADD labels in S'
+        order, then the same for DEL."""
+        r = len(self.starts)
+        add_blocks, add_labels, _ = _in_block_order(self.adds)
+        del_blocks, del_labels, _ = _in_block_order(self.dels)
+        return (np.bincount(add_blocks, minlength=r), add_labels,
+                np.bincount(del_blocks, minlength=r), del_labels)
+
+    def block_deltas(self):
+        """``[(add, dele)]`` per block, the label tuples ascending."""
+        n_add, adds, n_del, dels = self.deltas()
+        adds, dels = adds.tolist(), dels.tolist()
+        add_end, del_end = np.cumsum(n_add).tolist(), np.cumsum(n_del).tolist()
+        return [(tuple(adds[a0:a1]), tuple(dels[d0:d1])) for a0, a1, d0, d1
+                in zip([0] + add_end[:-1], add_end, [0] + del_end[:-1], del_end)]
+
+    def delta_counts(self):
+        """(sum|ADD|, sum|DEL|) over all blocks."""
+        return sum(map(len, self.adds)), sum(map(len, self.dels))
 
     @property
     def partials(self):
         """The c-node counts of the c+ symbols, in S' order (as stored): by
         block, then by label."""
-        per_label = [len(a) for a in self.adds]
-        labels = np.repeat(np.arange(len(per_label)), per_label)
-        blocks = np.concatenate([np.asarray(a, dtype=np.int64) for a in self.adds])
-        base = np.concatenate([np.asarray(b, dtype=np.int64) for b in self.base])
-        return base[np.lexsort((labels, blocks))].tolist()
+        _, _, order = _in_block_order(self.adds)
+        return np.concatenate(self.base)[order]
 
     def block_of(self, i):
         """0-based block containing co-lex position i."""
@@ -139,8 +171,8 @@ class SPrimeIndex:
     def symbols(self):
         """Decode S' back to (kind, label) pairs; kind in {'+','-','/'}."""
         out = []
-        for entries, exits in zip(*self._by_block()):
-            out += [("+", c) for c, _ in entries] + [("-", c) for c in exits]
+        for add, dele in self.block_deltas():
+            out += [("+", c) for c in add] + [("-", c) for c in dele]
             out.append(("/", None))
         return out
 
@@ -176,36 +208,25 @@ class OutSets:
 
 
 def build_rl_xbwt(trie, colex, out=None):
-    """Build the block triples and the S' index from a trie and its order;
+    """Build the run-length XBWT and its S' index from a trie and its order;
     ``out`` is the trie's :class:`OutSets`, built here if not given."""
     if out is None:
         out = OutSets(trie, colex)
     n = trie.n
     sigma = trie.alphabet.sigma
     starts = np.flatnonzero(np.concatenate(([True], out.change)))  # first row of each block
-    lengths = np.diff(starts, append=n)
     is_start = np.zeros(n + 1, dtype=bool)
     is_start[starts] = True
     add = ~out.in_prev & is_start[out.row]  # labels a block gains
     dele = ~out.in_next & is_start[out.row + 1]  # labels the row before a block loses
-    add_end = np.cumsum(np.bincount(out.row[add], minlength=n)[starts]).tolist()
-    del_end = np.cumsum(np.bincount(out.row[dele] + 1, minlength=n + 1)[starts]).tolist()
     add_labels = out.labels[add]
-    adds, dels = add_labels.tolist(), out.labels[dele].tolist()
-    triples = [(tuple(adds[a0:a1]), tuple(dels[d0:d1]), ln) for a0, a1, d0, d1, ln
-               in zip([0] + add_end[:-1], add_end, [0] + del_end[:-1], del_end,
-                      lengths.tolist())]
 
     counts = np.bincount(trie.label[1 : n + 1] + 1, minlength=sigma + 1)
     c_array = np.cumsum(counts)  # c_array[c] = nodes with incoming label < c
 
     # a block's entering labels are the run heads; group them by label
-    by_label = np.argsort(add_labels, kind="stable")
-    bounds = np.searchsorted(add_labels[by_label], np.arange(sigma + 1)).tolist()
-    heads = out.row[add][by_label] + 1
-    head_nodes = colex.colex_to_pre[heads]
-    head_colex = [int64_array(heads[a:b]) for a, b in zip(bounds, bounds[1:])]
-    head_pre = [int64_array(head_nodes[a:b]) for a, b in zip(bounds, bounds[1:])]
+    heads = out.row[add] + 1
+    head_colex, head_pre = _by_label(sigma, add_labels, heads, colex.colex_to_pre[heads])
 
     # c-nodes before an entry's row = its rank among the entries labeled c
     by_label = np.argsort(out.labels, kind="stable")
@@ -213,9 +234,10 @@ def build_rl_xbwt(trie, colex, out=None):
     before = np.empty(len(by_label), dtype=np.int64)
     before[by_label] = np.arange(len(by_label)) - np.repeat(np.cumsum(per_label) - per_label,
                                                              per_label)
-    spi = SPrimeIndex(sigma, triples, before[add].tolist())
-    rlx = RlXbwt(n, sigma, triples, c_array, head_colex, head_pre)
-    return rlx, spi
+    spi = SPrimeIndex(sigma, np.bincount(out.row[add], minlength=n)[starts], add_labels,
+                      np.bincount(out.row[dele] + 1, minlength=n + 1)[starts],
+                      out.labels[dele], np.diff(starts, append=n), before[add])
+    return RlXbwt(n, sigma, spi, c_array, head_colex, head_pre), spi
 
 
 def xbwt_rank(spi, rlx, c, i):

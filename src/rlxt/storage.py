@@ -4,13 +4,16 @@ Layout: magic ``RLXT1``, version byte, engine byte (0 = run-length index,
 1 = sampled baseline), reserved byte, little-endian section table
 (count, then 8-byte tag / u64 offset / u64 length per section), payloads.
 Files round-trip bit-exactly: serializing a loaded index reproduces the
-original bytes. Loading only decodes: nothing is rebuilt from the transform.
+original bytes. Loading only decodes: nothing is rebuilt from the transform,
+and each varint stream is decoded in one numpy pass, with no Python call per
+value.
 """
 
 from __future__ import annotations
 
 import json
 import struct
+from array import array
 from itertools import chain
 
 import numpy as np
@@ -110,11 +113,54 @@ def _fixed(values, dtype):
     return raw.view(np.uint8), np.full(len(raw), raw.itemsize, dtype=np.int64)
 
 
+_SCAN = 4096  # bytes per block when counting varint ends
+
+# The varint decoder calls ndarray methods and ufuncs rather than numpy's
+# Python-level wrappers (np.diff, np.flatnonzero, ...), so decoding a stream
+# costs the same few Python calls whatever its length and value widths.
+
+
+def _varint_ends(raw, count):
+    """Indices in ``raw`` of the last bytes of its first ``count`` varints.
+    Ends are counted block by block first, so the index array holds about
+    ``count`` entries, not one per end of whatever follows the stream."""
+    window = raw[: 9 * count]  # a value below 2**63 takes at most 9 bytes
+    is_end = window < 0x80
+    full = len(is_end) // _SCAN
+    per_block = np.add.reduce(is_end[: full * _SCAN].reshape(full, _SCAN), axis=1)
+    b = int(per_block.cumsum().searchsorted(count))  # block holding the count-th end
+    ends = is_end[: (b + 1) * _SCAN].nonzero()[0][:count]
+    if len(ends) < count:
+        if len(window) < 9 * count:
+            raise IndexFileError(f"varint stream cut short: {len(ends)} of {count} values")
+        raise OverflowError("varint wider than 63 bits")
+    return ends
+
+
 def _r_varints(data, off, count):
-    vals = np.zeros(count, dtype=np.int64)
-    for k in range(count):
-        vals[k], off = _r_varint(data, off)
-    return vals, off
+    """The ``count`` LEB128 values from ``data[off]`` on, as int64, and the
+    offset after them, decoded in one pass. Its int64 temporaries hold one
+    entry per value, not per byte: when every value is one byte those bytes
+    are the values; otherwise the k-th 7-bit group is ORed into the values
+    that have one, for k up to the widest value's byte count."""
+    raw = np.frombuffer(data, dtype=np.uint8)[off:]
+    head = raw[:count]
+    if len(head) == count and (count == 0 or head.max() < 0x80):
+        return head.astype(np.int64), off + count
+    ends = _varint_ends(raw, count)
+    first = ends.copy()  # each value's first byte: one past the previous end
+    first[1:] = ends[:-1] + 1
+    first[0] = 0
+    size = ends - first + 1
+    del ends
+    width = int(size.max())
+    if width > 9:
+        raise OverflowError("varint wider than 63 bits")
+    vals = (raw[first] & 0x7F).astype(np.int64)
+    for k in range(1, width):
+        has = (size > k).nonzero()[0]
+        vals[has] |= (raw[first[has] + k] & 0x7F).astype(np.int64) << (7 * k)
+    return vals, off + int(first[-1] + size[-1])
 
 
 def _r_deltas(data, off, count):
@@ -147,35 +193,48 @@ def _dec_labels(data):
 
 
 def _enc_rlxbwt(rlx):
-    triples = rlx.triples
-    add = [a for a, _, _ in triples]
-    dele = [d for _, d, _ in triples]
-    n_add = np.fromiter(map(len, add), dtype=np.int64, count=len(add))
-    n_del = np.fromiter(map(len, dele), dtype=np.int64, count=len(dele))
-    add_bytes = np.fromiter(chain.from_iterable(add), dtype=np.uint8, count=int(n_add.sum()))
-    del_bytes = np.fromiter(chain.from_iterable(dele), dtype=np.uint8, count=int(n_del.sum()))
-    body = _records(_fixed(n_add, "<u2"), (add_bytes, n_add),
-                    _fixed(n_del, "<u2"), (del_bytes, n_del),
-                    _leb128([ln for _, _, ln in triples]))
+    n_add, add_labels, n_del, del_labels = rlx.spi.deltas()
+    body = _records(_fixed(n_add, "<u2"), (add_labels.astype(np.uint8), n_add),
+                    _fixed(n_del, "<u2"), (del_labels.astype(np.uint8), n_del),
+                    _leb128(rlx.block_lengths()))
     return struct.pack("<I", rlx.r_prime) + body
 
 
-def _dec_rlxbwt_triples(data):
+def _dec_rlxbwt(data, sigma):
+    """The block records as flat arrays: per block its ADD count, DEL count
+    and length, and the ADD and DEL labels block after block. One loop over
+    the records finds where each begins; numpy gathers the fields."""
     (rp,) = struct.unpack_from("<I", data, 0)
+    if 5 * rp > len(data) - 4:  # a record takes at least 5 bytes
+        raise IndexFileError(f"rlxbwt holds {rp} blocks in {len(data)} bytes")
+    at = array("q", [0]) * (rp + 1)
     off = 4
-    triples = []
-    for _ in range(rp):
-        (na,) = struct.unpack_from("<H", data, off)
-        off += 2
-        add = tuple(data[off : off + na])
-        off += na
-        (nd,) = struct.unpack_from("<H", data, off)
-        off += 2
-        dele = tuple(data[off : off + nd])
-        off += nd
-        ln, off = _r_varint(data, off)
-        triples.append((add, dele, ln))
-    return triples
+    for q in range(rp):
+        at[q] = off
+        off += 2 + (data[off] | data[off + 1] << 8)  # ADD count and labels
+        off += 2 + (data[off] | data[off + 1] << 8)  # DEL count and labels
+        while data[off] & 0x80:  # the length varint
+            off += 1
+        off += 1
+    at[rp] = off
+    raw = np.frombuffer(data, dtype=np.uint8)
+    rec = np.frombuffer(at, dtype=np.int64)
+    add_at, end = rec[:-1], rec[1:]
+
+    def u16(at):
+        return raw[at] | raw[at + 1].astype(np.int64) << 8
+
+    n_add = u16(add_at)
+    del_at = add_at + 2 + n_add
+    n_del = u16(del_at)
+    len_at = del_at + 2 + n_del
+    add_labels = raw[concat_ranges(add_at + 2, n_add)]
+    del_labels = raw[concat_ranges(del_at + 2, n_del)]
+    for labels in (add_labels, del_labels):
+        if len(labels) and (labels.min() < 1 or labels.max() >= sigma):
+            raise IndexFileError(f"triple label outside 1..{sigma - 1}")
+    lengths, _ = _r_varints(raw[concat_ranges(len_at, end - len_at)], 0, rp)
+    return n_add, add_labels, n_del, del_labels, lengths
 
 
 def _enc_sprime(spi):
@@ -205,7 +264,7 @@ def _enc_samples(samples, last):
 def _enc_isc(isc):
     out = bytearray()
     out += struct.pack("<Q", len(isc.s))
-    zeros = np.flatnonzero(isc.s.bits == 0) + 1
+    zeros = np.flatnonzero(np.frombuffer(isc.s, dtype=np.uint8) == 0) + 1
     out += struct.pack("<I", len(zeros))
     _w_deltas(out, zeros)
     out += struct.pack("<I", isc.b1.num_ones)
@@ -304,24 +363,21 @@ def _dec_runheads(data, sigma):
     head_pre = [int64_array(())]
     for _ in range(m):
         (cnt,) = struct.unpack_from("<I", data, off)
-        cols, off = _r_deltas(data, off + 4, cnt)
-        pres, off = _r_varints(data, off, cnt)
-        head_colex.append(int64_array(cols))
-        head_pre.append(int64_array(pres))
+        vals, off = _r_varints(data, off + 4, 2 * cnt)  # the gaps, then the pre-order ids
+        head_colex.append(int64_array(vals[:cnt].cumsum()))
+        head_pre.append(int64_array(vals[cnt:]))
     return head_colex, head_pre
 
 
-def _dec_sprime(data, sigma, triples):
+def _dec_spi(sections, sigma):
+    """The S' tables, from the block records and the stored partials."""
+    n_add, add_labels, n_del, del_labels, lengths = _dec_rlxbwt(sections["rlxbwt"], sigma)
+    data = sections["sprime"]
     (cnt,) = struct.unpack_from("<I", data, 0)
-    entries = sum(len(add) for add, _, _ in triples)
-    if cnt != entries:
-        raise IndexFileError(f"sprime holds {cnt} counts for {entries} label entries")
-    off = 4
-    partials = []
-    for _ in range(cnt):
-        v, off = _r_varint(data, off)
-        partials.append(v)
-    return SPrimeIndex(sigma, triples, partials)
+    if cnt != len(add_labels):
+        raise IndexFileError(f"sprime holds {cnt} counts for {len(add_labels)} label entries")
+    partials, _ = _r_varints(data, 4, cnt)
+    return SPrimeIndex(sigma, n_add, add_labels, n_del, del_labels, lengths, partials)
 
 
 def _dec_colors(data, topo):
@@ -336,13 +392,8 @@ def _dec_samples(data, n):
     """The phi samples and the co-lex-last node."""
     (cnt,) = struct.unpack_from("<I", data, 0)
     keys, off = _r_deltas(data, 4, cnt)
-    values = np.zeros(cnt, dtype=np.int64)
-    flags = np.zeros(cnt, dtype=np.int64)
-    for k in range(cnt):
-        values[k], off = _r_varint(data, off)
-        flags[k] = data[off]
-        off += 1
-    samples = PhiSamples(keys, values, flags)
+    pairs, off = _r_varints(data, off, 2 * cnt)  # value, flag, value, flag, ...
+    samples = PhiSamples(keys, pairs[0::2], pairs[1::2])
     last, off = _r_varint(data, off)
     if not 1 <= last <= n:
         raise IndexFileError(f"co-lex-last node {last} outside 1..{n}")
@@ -373,13 +424,10 @@ def load_rindex(sections):
     topo, _ = BpsTopology.from_bytes(sections["topology"])
     alphabet, n, c_array = _dec_labels(sections["labels"])
     n = int(n)
-    triples = _dec_rlxbwt_triples(sections["rlxbwt"])
     sigma = alphabet.sigma
-    if any(not 1 <= c < sigma for add, dele, _ in triples for c in add + dele):
-        raise IndexFileError(f"triple label outside 1..{sigma - 1}")
+    spi = _dec_spi(sections, sigma)
     head_colex, head_pre = _dec_runheads(sections["runheads"], sigma)
-    rlx = RlXbwt(n, sigma, triples, c_array, head_colex, head_pre)
-    spi = _dec_sprime(sections["sprime"], sigma, triples)
+    rlx = RlXbwt(n, sigma, spi, c_array, head_colex, head_pre)
     colors = _dec_colors(sections["colors"], topo)
     samples, last = _dec_samples(sections["samples"], n)
     isc = _dec_isc(sections["isc"], n)

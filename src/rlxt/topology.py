@@ -13,7 +13,7 @@ from array import array
 
 import numpy as np
 
-from .bits import BitVec, SparseBitVec, unpack_bits
+from .bits import BitVec, SparseBitVec, sorted_set, unpack_bits
 from .errors import DomainError
 
 _BLOCK = 512
@@ -278,7 +278,7 @@ class MarkSet:
     __slots__ = ("_pos", "_open")
 
     def __init__(self, topo, node_ids):
-        ids = np.unique(np.asarray(node_ids, dtype=np.int64))
+        ids = sorted_set(node_ids)
         if len(ids) and (ids[0] < 1 or ids[-1] > topo.n):
             raise IndexError("marked node out of range")
         self._open = topo.open_pos

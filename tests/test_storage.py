@@ -2,6 +2,7 @@ import gc
 import importlib.util
 import random
 import struct
+import sys
 import types
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from rlxt.errors import IndexFileError, NoSuccessorError
 from rlxt.rindex import build_index
 from rlxt.trie import build_from_strings, colex_sort, oracle_locate
 
-from conftest import EX26_COLEX_TO_PRE, make_random_trie, present_patterns
+from conftest import EX26_COLEX_TO_PRE, make_dictionary, make_random_trie, present_patterns
 
 
 def test_rindex_round_trip_bit_exact(ex26):
@@ -210,7 +211,78 @@ def test_bulk_varints_equal_one_at_a_time():
             storage._w_varint(want, v)
         assert storage._varints(values) == bytes(want)
         assert storage._varints(np.asarray(values, dtype=np.int64)) == bytes(want)
+        # decoding: the bulk pass against _r_varint, a trailing byte left alone
+        data = bytes(want) + b"\x05"
+        one, off = [], 0
+        for _ in values:
+            v, off = storage._r_varint(data, off)
+            one.append(v)
+        got, end = storage._r_varints(data, 0, len(values))
+        assert got.dtype == np.int64
+        assert got.tolist() == one == values and end == off == len(want)
+        for cut in range(1, min(len(want), 12) + 1):
+            with pytest.raises(IndexFileError, match="cut short"):
+                storage._r_varints(bytes(want)[:-cut], 0, len(values))
+    wide = bytearray([1])
+    storage._w_varint(wide, 2**63)
+    with pytest.raises(OverflowError):
+        storage._r_varints(bytes(wide), 0, 2)
     with pytest.raises(ValueError):
         storage._varints([3, -1])
     with pytest.raises(ValueError):
         storage._w_varint(bytearray(), -1)
+
+
+def _naive_triples(trie, order):
+    """The block triples from the co-lex out-sets one position at a time."""
+    triples, prev = [], None
+    for i in range(1, trie.n + 1):
+        cur = {int(c) for c in trie.out_labels(int(order.colex_to_pre[i]))}
+        if cur == prev:
+            add, dele, ln = triples[-1]
+            triples[-1] = (add, dele, ln + 1)
+        else:
+            prev = prev or set()
+            triples.append((tuple(sorted(cur - prev)), tuple(sorted(prev - cur)), 1))
+        prev = cur
+    return triples
+
+
+def test_loaded_sprime_tables_equal_built(ex26):
+    rng = random.Random(37)
+    tries = [ex26] + [make_random_trie(rng, 300, sigma) for sigma in (5, 27) for _ in range(6)]
+    for t in tries:
+        order = colex_sort(t)
+        idx = build_index(t, order)
+        blob = storage.save_rindex(idx)
+        _, idx2, _, _ = storage.load_bytes(blob)
+        for name in ("starts", "adds", "dels", "base"):
+            assert getattr(idx2.spi, name) == getattr(idx.spi, name), name
+        assert idx2.rlx.triples == idx.rlx.triples == _naive_triples(t, order)
+        assert storage.save_rindex(idx2) == blob
+
+
+def _python_calls(fn, *args):
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(count)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_load_makes_no_python_call_per_value():
+    # random words: r is close to n, so the machinery grows with the input
+    rng = random.Random(41)
+    calls = []
+    for nwords in (1000, 8000):
+        words = make_dictionary(rng, nwords, b"abcdefghijklmnopqrstuvwxyz")
+        blob = storage.save_rindex(build_index(build_from_strings(words)))
+        calls.append(_python_calls(storage.load_bytes, blob))
+    assert abs(calls[1] - calls[0]) < 0.1 * calls[0], calls
