@@ -114,19 +114,17 @@ class BitVec:
             return None
         return int(self._ones[k - 1])
 
-    def to_bytes(self):
-        payload = np.packbits(self.bits).tobytes()
-        return len(self.bits).to_bytes(8, "little") + payload
 
-    @classmethod
-    def from_bytes(cls, data, offset=0):
-        bits, offset = unpack_bits(data, offset)
-        return cls(bits), offset
+def pack_bits(bits):
+    """0/1 values as 8 little-endian bytes of count, then the bits packed
+    eight to a byte, first bit highest."""
+    bits = np.asarray(bits, dtype=np.uint8)
+    return len(bits).to_bytes(8, "little") + np.packbits(bits).tobytes()
 
 
 def unpack_bits(data, offset=0):
-    """The raw bits of a :meth:`BitVec.to_bytes` payload, as a uint8 array,
-    and the offset after it; builds no rank or select directory."""
+    """The bits of a :func:`pack_bits` payload, as a uint8 array, and the
+    offset after it."""
     n = int.from_bytes(data[offset : offset + 8], "little")
     nbytes = (n + 7) // 8
     raw = np.frombuffer(data[offset + 8 : offset + 8 + nbytes], dtype=np.uint8)
@@ -193,21 +191,6 @@ class SparseBitVec:
     def pred1(self, i):
         k = bisect_right(self.positions, i)
         return self.positions[k - 1] if k else None
-
-    def to_bytes(self):
-        out = [self.universe.to_bytes(8, "little"), len(self.positions).to_bytes(8, "little")]
-        out.append(np.diff(self.positions, prepend=0).astype(np.int64).tobytes())
-        return b"".join(out)
-
-    @classmethod
-    def from_bytes(cls, data, offset=0):
-        universe = int.from_bytes(data[offset : offset + 8], "little")
-        count = int.from_bytes(data[offset + 8 : offset + 16], "little")
-        deltas = np.frombuffer(data[offset + 16 : offset + 16 + 8 * count], dtype=np.int64)
-        sv = cls.__new__(cls)
-        sv.universe = universe
-        sv.positions = int64_array(np.cumsum(deltas))
-        return sv, offset + 16 + 8 * count
 
 
 class WaveletSeq:
@@ -351,24 +334,3 @@ class WaveletSeq:
             stack.append((lev + 1, s, s + zeros, lo, mid, zeros_p))
             stack.append((lev + 1, s + zeros, e, mid + 1, hi, p - zeros_p))
         return total
-
-    def to_bytes(self):
-        out = [self.sigma.to_bytes(4, "little"), self.length.to_bytes(8, "little")]
-        for bv in self.level_bits:
-            out.append(bv.to_bytes())
-        return b"".join(out)
-
-    @classmethod
-    def from_bytes(cls, data, offset=0):
-        sigma = int.from_bytes(data[offset : offset + 4], "little")
-        length = int.from_bytes(data[offset + 4 : offset + 12], "little")
-        ws = cls.__new__(cls)
-        ws.sigma = sigma
-        ws.length = length
-        ws.levels = max(1, int(np.ceil(np.log2(sigma))) if sigma > 1 else 1)
-        ws.level_bits = []
-        offset += 12
-        for _ in range(ws.levels):
-            bv, offset = BitVec.from_bytes(data, offset)
-            ws.level_bits.append(bv)
-        return ws, offset

@@ -404,16 +404,21 @@ def _dec_isc(data, n):
     (slen,) = struct.unpack_from("<Q", data, 0)
     (nz,) = struct.unpack_from("<I", data, 8)
     zeros, off = _r_deltas(data, 12, nz)
-    s_bits = np.ones(slen, dtype=np.uint8)
-    if len(zeros):
-        s_bits[zeros - 1] = 0
-    del zeros  # each table is freed once the next structure holds its content
     (nb1,) = struct.unpack_from("<I", data, off)
     b1pos, off = _r_deltas(data, off + 4, nb1)
     b1 = SparseBitVec(n, b1pos)
-    del b1pos
+    del b1pos  # each table is freed once the next structure holds its content
     (nst,) = struct.unpack_from("<I", data, off)
     sts, off = _r_deltas(data, off + 4, nst)
+    # S is allocated from its stored length only once the segment starts,
+    # which end one past S, and the zero positions agree with that length
+    if not len(sts) or slen != sts[-1] - 1:
+        raise IndexFileError(f"isc length {slen} does not match its segment starts")
+    if len(zeros) and (zeros[0] < 1 or zeros[-1] > slen):
+        raise IndexFileError(f"isc zero position outside 1..{slen}")
+    s_bits = np.ones(slen, dtype=np.uint8)
+    s_bits[zeros - 1] = 0
+    del zeros
     return IscTables(s_bits, b1, sts)
 
 
@@ -424,6 +429,8 @@ def load_rindex(sections):
     topo, _ = BpsTopology.from_bytes(sections["topology"])
     alphabet, n, c_array = _dec_labels(sections["labels"])
     n = int(n)
+    if topo.n != n:
+        raise IndexFileError(f"topology has {topo.n} nodes, labels {n}")
     sigma = alphabet.sigma
     spi = _dec_spi(sections, sigma)
     head_colex, head_pre = _dec_runheads(sections["runheads"], sigma)

@@ -4,7 +4,8 @@ The i-th open parenthesis corresponds to pre-order node i. Subtrees occupy
 contiguous parenthesis ranges, which is what the isomorphic-descendant jump
 and the marked-node queries exploit. Excess searches (level ancestor, LCA)
 run over the blocked minima of the prefix-excess array and a sparse table
-over them.
+over them. Beside the excess only open, close and parent tables are kept
+(40 bytes per node), all built by array operations.
 """
 
 from __future__ import annotations
@@ -13,55 +14,68 @@ from array import array
 
 import numpy as np
 
-from .bits import BitVec, SparseBitVec, sorted_set, unpack_bits
+from .bits import SparseBitVec, int64_array, pack_bits, sorted_set, unpack_bits
 from .errors import DomainError
 
 _BLOCK = 512
 
 
+def _depth_order(minuend, subtrahend, key_type):
+    """Stable argsort of the depths ``minuend - subtrahend``. The keys are
+    cast to ``key_type``, the smallest unsigned type that holds every depth:
+    numpy sorts 8- and 16-bit keys by radix, in linear time."""
+    key = np.empty(len(minuend), dtype=key_type)
+    np.subtract(minuend, subtrahend, out=key, casting="unsafe")
+    return np.argsort(key, kind="stable")
+
+
 class BpsTopology:
-    __slots__ = (
-        "n", "parens", "open_pos", "close_pos", "node_depth", "parent_node",
-        "_excess", "_open_cum", "_blk_min", "_st",
-    )
+    __slots__ = ("n", "open_pos", "close_pos", "parent_node", "_ex", "_excess",
+                 "_blk_min", "_st")
 
     def __init__(self, parens):
         bits = np.asarray(parens, dtype=np.uint8)
         if len(bits) % 2 != 0:
             raise ValueError("parenthesis sequence must have even length")
         self.n = n = len(bits) // 2
-        self.parens = bits
-        self._excess = np.zeros(len(bits) + 1, dtype=np.int64)
-        np.cumsum(bits.astype(np.int8) * 2 - 1, out=self._excess[1:])  # +1 open, -1 close
-        if self._excess[-1] != 0 or self._excess.min() < 0:
+        # excess[p]: opens minus closes among the first p parens. The node
+        # opening at p is (p + excess[p]) >> 1 and node u has depth
+        # 2u - open_pos[u-1] - 1, so neither needs a table of its own. The
+        # tables are array('q'), as the climb reads them one item at a time,
+        # at a quarter of the cost of int(numpy_array[i]); the excess also
+        # has a numpy view, for the block scans
+        self._ex = array("q", [0]) * (2 * n + 1)
+        self._excess = ex = np.frombuffer(self._ex, dtype=np.int64)
+        np.cumsum(bits.astype(np.int8) * 2 - 1, out=ex[1:])  # +1 open, -1 close
+        if ex[-1] != 0 or ex.min() < 0:
             raise ValueError("parenthesis sequence is not balanced")
-        # the per-node tables are array('q'): the climb reads them one item
-        # at a time, and an item read costs a quarter of int(numpy_array[i])
-        self.open_pos = open_pos = array("q", [0]) * n
-        self.close_pos = close_pos = array("q", [0]) * (n + 1)
-        self.parent_node = parent_node = array("q", [0]) * (n + 1)
-        self.node_depth = node_depth = array("q", [0]) * (n + 1)
-        self._open_cum = open_cum = array("q", [0]) * (len(bits) + 1)
-        # path[1..top] holds the open nodes; path[0] = 0 is the root's parent
-        path = [0] * (int(self._excess.max()) + 1)
-        top = 0
-        node = 0
-        for pos, bit in enumerate(bits.tobytes(), 1):
-            if bit:
-                open_pos[node] = pos
-                node += 1
-                parent_node[node] = path[top]
-                node_depth[node] = top
-                top += 1
-                path[top] = node
-            else:
-                close_pos[path[top]] = pos
-                top -= 1
-            open_cum[pos] = node
+        opens = np.flatnonzero(bits) + 1
+        key_type = np.min_scalar_type(int(ex.max()))
+        by_depth = _depth_order(np.arange(1, 2 * n, 2), opens, key_type)  # node u: 2u - 1 - open
+        # in (depth, id) order, each parent's children form one run that
+        # starts at its first child u, whose parent is u - 1 (the root, a run
+        # of its own, gets 0); a running maximum carries each run's start on
+        run = np.arange(n)
+        first = np.ones(n, dtype=bool)
+        first[1:] = opens[1:] == opens[:-1] + 1
+        run[~first[by_depth]] = 0
+        np.maximum.accumulate(run, out=run)
+        parent = np.zeros(n + 1, dtype=np.int64)
+        parent[1:][by_depth] = by_depth[run]
+        del first, run
+        # each depth's opens and closes alternate in position order, so the
+        # k-th open at a depth matches the k-th close there
+        closes = np.flatnonzero(bits == 0)
+        closes = closes[_depth_order(closes, np.arange(1, 2 * n, 2), key_type)]  # j-th close: q - 2j
+        close = np.zeros(n + 1, dtype=np.int64)
+        close[1:][by_depth] = closes + 1
+        del closes, by_depth
+        self.open_pos = int64_array(opens)
+        self.close_pos = int64_array(close)
+        self.parent_node = int64_array(parent)
         # blocked minima of the excess array, plus a sparse table over them
-        nb = (len(self._excess) + _BLOCK - 1) // _BLOCK
-        starts = np.arange(0, len(self._excess), _BLOCK)
-        self._blk_min = np.minimum.reduceat(self._excess, starts)
+        nb = (len(ex) + _BLOCK - 1) // _BLOCK
+        self._blk_min = np.minimum.reduceat(ex, np.arange(0, len(ex), _BLOCK))
         levels = [self._blk_min]
         k = 1
         while (1 << k) <= nb:
@@ -81,10 +95,15 @@ class BpsTopology:
         bits[np.arange(n) + np.cumsum(closes[1:])] = 1
         return cls(bits)
 
+    @property
+    def parens(self):
+        """The parentheses, 1 for open, as the steps of the excess."""
+        return (np.diff(self._excess) > 0).view(np.uint8)
+
     # -- primitives ---------------------------------------------------------
 
     def _node_at_open(self, pos):
-        return self._open_cum[pos]
+        return (pos + self._ex[pos]) >> 1
 
     def _range_min(self, lo, hi):
         """Min of excess[lo..hi] inclusive (0-based prefix indices)."""
@@ -133,7 +152,7 @@ class BpsTopology:
 
     def depth(self, u):
         self._check(u)
-        return self.node_depth[u]
+        return 2 * u - self.open_pos[u - 1] - 1
 
     def parent(self, u):
         self._check(u)
@@ -148,25 +167,24 @@ class BpsTopology:
         self._check(u)
         if k < 1:
             raise IndexError("child rank must be >= 1")
-        pos = self.open_pos[u - 1] + 1
-        close = self.close_pos[u]
-        seen = 0
-        while pos < close:
-            child = self._node_at_open(pos)
-            seen += 1
-            if seen == k:
-                return child
-            pos = self.close_pos[child] + 1
-        raise IndexError(f"node {u} has only {seen} children, asked for {k}")
+        # a node's next sibling comes its subtree size, (close - open + 1) / 2, ids on
+        open_pos, close_pos = self.open_pos, self.close_pos
+        v, end = u + 1, u + ((close_pos[u] - open_pos[u - 1] + 1) >> 1)
+        for _ in range(k - 1):
+            if v >= end:
+                break
+            v += (close_pos[v] - open_pos[v - 1] + 1) >> 1
+        if v >= end:
+            raise IndexError(f"node {u} has only {self.child_count(u)} children, asked for {k}")
+        return v
 
     def child_count(self, u):
         self._check(u)
-        pos = self.open_pos[u - 1] + 1
-        close = self.close_pos[u]
-        cnt = 0
-        while pos < close:
+        open_pos, close_pos = self.open_pos, self.close_pos
+        v, end, cnt = u + 1, u + ((close_pos[u] - open_pos[u - 1] + 1) >> 1), 0
+        while v < end:
+            v += (close_pos[v] - open_pos[v - 1] + 1) >> 1
             cnt += 1
-            pos = self.close_pos[self._node_at_open(pos)] + 1
         return cnt
 
     def sr(self, u):
@@ -175,19 +193,19 @@ class BpsTopology:
         p = self.parent_node[u]
         if p == 0:
             raise DomainError("root has no sibling rank")
-        pos = self.open_pos[p - 1] + 1
-        rank = 0
-        while True:
-            child = self._node_at_open(pos)
+        open_pos, close_pos = self.open_pos, self.close_pos
+        v, rank = p + 1, 1
+        while v != u:
+            v += (close_pos[v] - open_pos[v - 1] + 1) >> 1
             rank += 1
-            if child == u:
-                return rank
-            pos = self.close_pos[child] + 1
+        return rank
 
     def laq(self, u, ell):
         """Ancestor of u exactly ell levels up; laq(u, 0) = u."""
         self._check(u)
-        if ell < 0 or ell > self.node_depth[u]:
+        opened = self.open_pos[u - 1]
+        d = 2 * u - opened - 1
+        if ell < 0 or ell > d:
             raise IndexError(f"level {ell} exceeds depth of node {u}")
         if ell == 0:
             return u
@@ -196,8 +214,8 @@ class BpsTopology:
             for _ in range(ell):
                 v = self.parent_node[v]
             return v
-        target = self.node_depth[u] - ell  # excess value just before the ancestor opens
-        q = self._bwd_search_eq(self.open_pos[u - 1] - 1, target)
+        target = d - ell  # excess value just before the ancestor opens
+        q = self._bwd_search_eq(opened - 1, target)
         return self._node_at_open(q + 1)
 
     def lca(self, u, v):
@@ -212,7 +230,7 @@ class BpsTopology:
         if pv <= self.close_pos[u]:
             return u
         d = self._range_min(pu + 1, pv) - 1  # depth of the lca
-        return self.laq(u, self.node_depth[u] - d)
+        return self.laq(u, 2 * u - pu - 1 - d)  # u's depth less the lca's
 
     def isd(self, u, v, u2):
         """Image of descendant v under the subtree translation u -> u2.
@@ -255,12 +273,13 @@ class BpsTopology:
         s = marks.positions_succ(c + 1)
         if s is not None:
             cand = self.lca(u, self._node_at_open(s))
-            if best is None or self.node_depth[cand] > self.node_depth[best]:
+            # both are ancestors of u: the deeper has the larger pre-order id
+            if best is None or cand > best:
                 best = cand
         return best
 
     def to_bytes(self):
-        return BitVec(self.parens).to_bytes()
+        return pack_bits(self.parens)
 
     @classmethod
     def from_bytes(cls, data, offset=0):

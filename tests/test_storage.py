@@ -126,6 +126,42 @@ def test_varint_wider_than_a_table_word(ex26):
         storage.load_bytes(storage._pack(engine, sections))
 
 
+def _sections_of(strings):
+    return storage._unpack(storage.save_rindex(build_index(build_from_strings(strings))))
+
+
+@pytest.mark.parametrize("slen", [2**40, 18])
+def test_isc_length_disagrees_with_segment_starts(slen):
+    # S of this index is 17 bits long; a larger stored length must be
+    # rejected before S is allocated from it
+    engine, sections = _sections_of([b"abc", b"abd", b"bcd", b"xyz"])
+    isc = sections["isc"]
+    assert struct.unpack_from("<Q", isc, 0) == (17,)
+    sections["isc"] = struct.pack("<Q", slen) + isc[8:]
+    with pytest.raises(IndexFileError, match="isc length"):
+        storage.load_bytes(storage._pack(engine, sections))
+
+
+@pytest.mark.parametrize("at, delta", [(12, 0), (22, 2)])
+def test_isc_zero_position_outside_s(at, delta):
+    # the 11 zero positions of S are gaps at bytes 12..22, summing to 1 .. 17;
+    # make the first 0 or the last 18
+    engine, sections = _sections_of([b"abc", b"abd", b"bcd", b"xyz"])
+    isc = sections["isc"]
+    assert struct.unpack_from("<QI", isc, 0) == (17, 11) and isc[12] == isc[22] == 1
+    sections["isc"] = isc[:at] + bytes([delta]) + isc[at + 1 :]
+    with pytest.raises(IndexFileError, match="isc zero position"):
+        storage.load_bytes(storage._pack(engine, sections))
+
+
+def test_topology_of_another_index_is_rejected():
+    engine, sections = _sections_of([b"abc", b"abd", b"bcd", b"xyz"])
+    _, other = _sections_of([b"abc", b"abd", b"bcd", b"xyzw"])
+    sections["topology"] = other["topology"]
+    with pytest.raises(IndexFileError, match="topology has 12 nodes, labels 11"):
+        storage.load_bytes(storage._pack(engine, sections))
+
+
 def test_every_truncation_is_an_index_file_error():
     blob = storage.save_rindex(build_index(build_from_strings([b"abc", b"abd", b"bcd", b"xyz"])))
     for k in range(len(blob)):

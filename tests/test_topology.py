@@ -1,4 +1,6 @@
+import gc
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -175,7 +177,96 @@ def test_bps_round_trip(ex26):
     assert np.array_equal(topo.parens, topo2.parens)
     assert np.array_equal(topo.close_pos, topo2.close_pos)
     assert np.array_equal(topo.parent_node[1:], ex26.parent[1:])
-    assert np.array_equal(topo.node_depth[1:], ex26.depth[1:])
+    assert [topo.depth(u) for u in range(1, ex26.n + 1)] == ex26.depth[1:].tolist()
+
+
+def _stack_tables(parens):
+    """open_pos, close_pos, parent and depth of every node by one walk over
+    the parentheses with a stack of open nodes: the reference the
+    array-built tables must match."""
+    n = len(parens) // 2
+    open_pos, close_pos = [0] * n, [0] * (n + 1)
+    parent, depth = [0] * (n + 1), [0] * (n + 1)
+    path = [0]  # the open nodes, under the root's parent 0
+    node = 0
+    for pos, bit in enumerate(parens, 1):
+        if bit:
+            open_pos[node] = pos
+            node += 1
+            parent[node] = path[-1]
+            depth[node] = len(path) - 1
+            path.append(node)
+        else:
+            close_pos[path.pop()] = pos
+    return open_pos, close_pos, parent, depth
+
+
+def _path_parens(m):
+    return [1] * m + [0] * m
+
+
+def _star_parens(k):
+    return [1] + [1, 0] * k + [0]
+
+
+def _assert_tables_match_stack_walk(topo):
+    open_pos, close_pos, parent, depth = _stack_tables(topo.parens.tolist())
+    assert list(topo.open_pos) == open_pos
+    assert list(topo.close_pos) == close_pos
+    assert list(topo.parent_node) == parent
+    assert [topo.depth(u) for u in range(1, topo.n + 1)] == depth[1:]
+
+
+def test_tables_match_stack_walk():
+    rng = random.Random(24)
+    for _ in range(30):
+        t = make_random_trie(rng, rng.randint(1, 600), rng.choice([1, 2, 3, 6]))
+        _assert_tables_match_stack_walk(BpsTopology.from_trie(t))
+    # depth keys sort as uint8, uint16 (the 20,000-deep path) and uint32
+    for parens in ([1, 0], _path_parens(20_000), _path_parens(70_000), _star_parens(255)):
+        topo, _ = BpsTopology.from_bytes(BpsTopology(parens).to_bytes())
+        assert topo.parens.tolist() == parens
+        _assert_tables_match_stack_walk(topo)
+
+
+@pytest.mark.parametrize("parens", [[1], [1, 0, 1], [0, 1], [1, 0, 0, 1], [1, 1, 0, 1],
+                                    [1, 1], [1, 0, 0, 1, 1, 0]])
+def test_odd_or_unbalanced_parens_are_rejected(parens):
+    with pytest.raises(ValueError):
+        BpsTopology(parens)
+
+
+def test_star_children_step_by_subtree_size():
+    k = 255
+    topo = BpsTopology(_star_parens(k))
+    assert topo.child_count(1) == k
+    assert [topo.cbr(1, j) for j in range(1, k + 1)] == list(range(2, k + 2))
+    assert [topo.sr(u) for u in range(2, k + 2)] == list(range(1, k + 1))
+    assert all(topo.child_count(u) == 0 for u in range(2, k + 2))
+    with pytest.raises(IndexError):
+        topo.cbr(1, k + 1)
+    with pytest.raises(IndexError):
+        topo.cbr(2, 1)
+
+
+def _deep_size(obj):
+    """Bytes held by obj and everything it references, counted once."""
+    seen, total, stack = set(), 0, [obj]
+    while stack:
+        o = stack.pop()
+        if id(o) in seen or isinstance(o, type):
+            continue
+        seen.add(id(o))
+        total += sys.getsizeof(o)
+        stack.extend(gc.get_referents(o))
+    return total
+
+
+def test_loaded_topology_size_per_node():
+    rng = random.Random(25)
+    t = make_random_trie(rng, 20_000, 4)
+    topo, _ = BpsTopology.from_bytes(BpsTopology.from_trie(t).to_bytes())
+    assert _deep_size(topo) <= 42 * t.n
 
 
 def _caterpillar(m, spine_first):
