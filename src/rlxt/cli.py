@@ -1,7 +1,8 @@
 """Command-line front end: build/serialize indexes, run count/locate queries,
 emit statistics and verification reports, and benchmark engines.
 
-Exit codes: 0 ok, 1 failed verification, 2 malformed input, 3 bad index file.
+Exit codes: 0 ok, 1 failed verification, 2 malformed input, 3 bad index file
+(also a query that fails on an index that loaded).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import storage
 from .baseline import SampledLocate
-from .errors import FormatError, IndexFileError
+from .errors import DomainError, FormatError, IndexFileError, NoSuccessorError
 from .measures import check_entropy_bounds, entropy_hk, gamma_r, quotient, verify_attractor
 from .rindex import build_index
 from .rlxbwt import build_rl_xbwt
@@ -72,21 +73,28 @@ def cmd_build(args):
     return 0
 
 
+def _answers(query, patterns):
+    """``query`` of each pattern. A query that fails on an index that
+    loaded means the file holds a damage its checks do not see."""
+    try:
+        for p in patterns:
+            yield query(p)
+    except (DomainError, NoSuccessorError, IndexError) as exc:
+        raise IndexFileError(f"query failed ({type(exc).__name__}: {exc})") from None
+
+
 def cmd_locate(args):
     _, obj, _, _ = storage.load(args.index)
-    for p in _patterns_from_args(args):
-        if args.count_only:
-            print(obj.count(p))
-        else:
-            ids = obj.locate(p)
-            print(" ".join([str(len(ids))] + [str(u) for u in ids]))
+    query = obj.count if args.count_only else obj.locate
+    for got in _answers(query, _patterns_from_args(args)):
+        print(got if args.count_only else " ".join([str(len(got))] + [str(u) for u in got]))
     return 0
 
 
 def cmd_count(args):
     _, obj, _, _ = storage.load(args.index)
-    for p in _patterns_from_args(args):
-        print(obj.count(p))
+    for count in _answers(obj.count, _patterns_from_args(args)):
+        print(count)
     return 0
 
 
@@ -98,7 +106,6 @@ def _stats_payload(engine, obj, sections, meta):
     q_iso = quotient(trie, order, "isomorphic")
     q_eq = quotient(trie, order, "isomorphic+label")
     byte_of = trie.alphabet.byte_of_code
-    header_bits = 8 * (12 + 24 * len(sections))
     payload = {
         "n": trie.n,
         "sigma": trie.alphabet.sigma,
@@ -113,7 +120,7 @@ def _stats_payload(engine, obj, sections, meta):
         "omega": q_eq.omega,
         "gamma_r_size": len(gamma_r(trie, order, rlx)),
         "sizes_bits": {name: 8 * len(blob) for name, blob in sections.items()},
-        "header_bits": header_bits,
+        "header_bits": 8 * storage.header_bytes(len(sections)),
         "build_seconds": meta.get("build_seconds"),
     }
     payload["machinery_bits"] = sum(

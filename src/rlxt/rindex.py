@@ -101,8 +101,9 @@ class IscTables:
     then a bit per outgoing label of the successor (present in the node's
     out-set?). S is kept as 0/1 ``bytes``, one byte per bit: a query only
     counts and finds ones inside two segments of at most sigma bits, so it
-    needs no rank directory. B1 marks red pre-order ids; ``starts`` holds the
-    segment boundaries inside S (two per red node plus a final sentinel).
+    needs no rank directory. B1 marks red pre-order ids: it is the red set of
+    :class:`ColorMarks` itself, not a copy. ``starts`` holds the segment
+    boundaries inside S (two per red node plus a final sentinel).
     """
 
     __slots__ = ("s", "b1", "starts")
@@ -303,7 +304,7 @@ def build_index(trie, colex=None):
     second = np.repeat(np.arange(len(seg_len)) % 2 == 1, seg_len)
     s_bits = np.where(second, out.in_prev[at], out.in_next[at]).astype(np.uint8)
     starts = np.concatenate(([0], np.cumsum(seg_len))) + 1
-    isc_tables = IscTables(s_bits, SparseBitVec(n, red_sorted), starts)
+    isc_tables = IscTables(s_bits, colors.red, starts)
 
     return RIndex(n, trie.alphabet, int(c2p[n]), topo, rlx, spi,
                   colors, phi_samples, isc_tables)

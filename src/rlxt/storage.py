@@ -2,10 +2,12 @@
 
 Layout: magic ``RLXT1``, version byte, engine byte (0 = run-length index,
 1 = sampled baseline), reserved byte, little-endian section table
-(count, then 8-byte tag / u64 offset / u64 length per section), payloads.
-Files round-trip bit-exactly: serializing a loaded index reproduces the
-original bytes. Loading only decodes: nothing is rebuilt from the transform,
-and each varint stream is decoded in one numpy pass, with no Python call per
+(count, then 8-byte tag / u64 offset / u64 length / CRC-32 per section),
+payloads. A section whose payload fails its CRC is rejected before any
+decoder reads it. Files round-trip bit-exactly: serializing a loaded index
+reproduces the original bytes. Loading only decodes: nothing is rebuilt from
+the transform, and every section is laid out in columns (fixed-width or
+varint streams), each decoded in one numpy pass with no Python call per
 value.
 """
 
@@ -13,13 +15,13 @@ from __future__ import annotations
 
 import json
 import struct
-from array import array
+import zlib
 from itertools import chain
 
 import numpy as np
 
 from .baseline import SampledLocate, XbwtNav
-from .bits import SparseBitVec, WaveletSeq, concat_ranges, int64_array
+from .bits import SparseBitVec, WaveletSeq, int64_array
 from .errors import IndexFileError
 from .rindex import ColorMarks, IscTables, PhiSamples, RIndex
 from .rlxbwt import RlXbwt, SPrimeIndex, reconstruct_trie, reconstruct_trie_from_outsets
@@ -27,9 +29,10 @@ from .topology import BpsTopology
 from .trie import Alphabet, colex_sort
 
 MAGIC = b"RLXT1"
-VERSION = 2
+VERSION = 3
 ENGINE_RINDEX = 0
 ENGINE_SAMPLED = 1
+_ENTRY = struct.Struct("<8sQQI")  # tag, offset, length, CRC-32 of the payload
 
 RINDEX_SECTIONS = ("meta", "topology", "labels", "rlxbwt", "sprime",
                    "colors", "samples", "isc", "runheads")
@@ -65,10 +68,10 @@ def _r_varint(data, off):
         shift += 7
 
 
-def _leb128(values):
-    """LEB128 encoding of a run of unsigned values, all at once: the bytes
-    (uint8) and each value's byte count. The counts come from the
-    magnitudes, then every 7-bit group is scattered to its place."""
+def _varints(values):
+    """The concatenated ``_w_varint`` (LEB128) bytes of ``values``, encoded
+    in bulk: each value's byte count comes from its magnitude, then every
+    7-bit group is scattered to its place."""
     v = np.asarray(values, dtype=np.int64).ravel()
     if len(v) and v.min() < 0:
         raise ValueError("varints are unsigned here")
@@ -82,35 +85,11 @@ def _leb128(values):
         more = size > k
         group = (v[more] >> np.uint64(7 * k)) & np.uint64(0x7F)
         out[first[more] + k] = group | np.where(size[more] > k + 1, 0x80, 0).astype(np.uint64)
-    return out, size
-
-
-def _varints(values):
-    """The concatenated ``_w_varint`` bytes of ``values``, encoded in bulk."""
-    return _leb128(values)[0].tobytes()
+    return out.tobytes()
 
 
 def _w_deltas(out, values):
     out += _varints(np.diff(np.asarray(values, dtype=np.int64), prepend=0))
-
-
-def _records(*fields):
-    """Records laid end to end, record k being field 0's k-th piece, then
-    field 1's, and so on. A field is (bytes as uint8, piece size per record),
-    its pieces stored back to back."""
-    sizes = np.stack([size for _, size in fields], axis=1)  # record x field
-    ends = np.cumsum(sizes.ravel()).reshape(sizes.shape)
-    out = np.zeros(int(ends[-1, -1]) if sizes.size else 0, dtype=np.uint8)
-    for f, (data, size) in enumerate(fields):
-        out[concat_ranges(ends[:, f] - size, size)] = data
-    return out.tobytes()
-
-
-def _fixed(values, dtype):
-    """Each value as a fixed-width little-endian integer (``"<u2"``,
-    ``"<u4"``): the bytes, and the width as each record's piece size."""
-    raw = np.asarray(values, dtype=np.int64).astype(dtype)
-    return raw.view(np.uint8), np.full(len(raw), raw.itemsize, dtype=np.int64)
 
 
 _SCAN = 4096  # bytes per block when counting varint ends
@@ -193,48 +172,31 @@ def _dec_labels(data):
 
 
 def _enc_rlxbwt(rlx):
+    # a block's labels are distinct codes below sigma <= 256, so each count fits a byte
     n_add, add_labels, n_del, del_labels = rlx.spi.deltas()
-    body = _records(_fixed(n_add, "<u2"), (add_labels.astype(np.uint8), n_add),
-                    _fixed(n_del, "<u2"), (del_labels.astype(np.uint8), n_del),
-                    _leb128(rlx.block_lengths()))
-    return struct.pack("<I", rlx.r_prime) + body
+    columns = np.concatenate((n_add, n_del, add_labels, del_labels)).astype(np.uint8)
+    return struct.pack("<I", rlx.r_prime) + columns.tobytes() + _varints(rlx.block_lengths())
 
 
 def _dec_rlxbwt(data, sigma):
-    """The block records as flat arrays: per block its ADD count, DEL count
-    and length, and the ADD and DEL labels block after block. One loop over
-    the records finds where each begins; numpy gathers the fields."""
+    """The block columns as flat arrays: per block its ADD count, DEL count
+    and length, and the ADD and DEL labels block after block."""
     (rp,) = struct.unpack_from("<I", data, 0)
-    if 5 * rp > len(data) - 4:  # a record takes at least 5 bytes
-        raise IndexFileError(f"rlxbwt holds {rp} blocks in {len(data)} bytes")
-    at = array("q", [0]) * (rp + 1)
-    off = 4
-    for q in range(rp):
-        at[q] = off
-        off += 2 + (data[off] | data[off + 1] << 8)  # ADD count and labels
-        off += 2 + (data[off] | data[off + 1] << 8)  # DEL count and labels
-        while data[off] & 0x80:  # the length varint
-            off += 1
-        off += 1
-    at[rp] = off
     raw = np.frombuffer(data, dtype=np.uint8)
-    rec = np.frombuffer(at, dtype=np.int64)
-    add_at, end = rec[:-1], rec[1:]
-
-    def u16(at):
-        return raw[at] | raw[at + 1].astype(np.int64) << 8
-
-    n_add = u16(add_at)
-    del_at = add_at + 2 + n_add
-    n_del = u16(del_at)
-    len_at = del_at + 2 + n_del
-    add_labels = raw[concat_ranges(add_at + 2, n_add)]
-    del_labels = raw[concat_ranges(del_at + 2, n_del)]
-    for labels in (add_labels, del_labels):
-        if len(labels) and (labels.min() < 1 or labels.max() >= sigma):
-            raise IndexFileError(f"triple label outside 1..{sigma - 1}")
-    lengths, _ = _r_varints(raw[concat_ranges(len_at, end - len_at)], 0, rp)
-    return n_add, add_labels, n_del, del_labels, lengths
+    if 4 + 2 * rp > len(raw):
+        raise IndexFileError(f"rlxbwt holds {rp} blocks in {len(data)} bytes")
+    n_add = raw[4 : 4 + rp].astype(np.int64)
+    n_del = raw[4 + rp : 4 + 2 * rp].astype(np.int64)
+    add_at = 4 + 2 * rp
+    del_at = add_at + int(n_add.sum())
+    len_at = del_at + int(n_del.sum())
+    if len_at > len(raw):
+        raise IndexFileError("rlxbwt labels run past the end of the section")
+    labels = raw[add_at:len_at]
+    if len(labels) and (labels.min() < 1 or labels.max() >= sigma):
+        raise IndexFileError(f"triple label outside 1..{sigma - 1}")
+    lengths, _ = _r_varints(data, len_at, rp)
+    return n_add, labels[: del_at - add_at], n_del, labels[del_at - add_at :], lengths
 
 
 def _enc_sprime(spi):
@@ -267,30 +229,22 @@ def _enc_isc(isc):
     zeros = np.flatnonzero(np.frombuffer(isc.s, dtype=np.uint8) == 0) + 1
     out += struct.pack("<I", len(zeros))
     _w_deltas(out, zeros)
-    out += struct.pack("<I", isc.b1.num_ones)
-    _w_deltas(out, isc.b1.positions)
     out += struct.pack("<I", len(isc.starts))
     _w_deltas(out, isc.starts)
     return bytes(out)
 
 
 def _enc_runheads(rlx):
-    # per label 1..sigma-1: its head count, the gaps between its heads'
-    # co-lex positions, then the heads' pre-order ids
+    # three streams over labels 1..sigma-1: the head count of each label,
+    # then every label's gaps between its heads' co-lex positions, then
+    # every label's pre-order ids
     counts = np.array([len(h) for h in rlx.head_colex[1:]], dtype=np.int64)
-    label = np.repeat(np.arange(len(counts)), counts)
     cols = np.fromiter(chain.from_iterable(rlx.head_colex[1:]), dtype=np.int64)
     gaps = np.diff(cols, prepend=0)
     first = (np.cumsum(counts) - counts)[counts > 0]
     gaps[first] = cols[first]
     pres = np.fromiter(chain.from_iterable(rlx.head_pre[1:]), dtype=np.int64)
-    gap_bytes, gap_size = _leb128(gaps)
-    pre_bytes, pre_size = _leb128(pres)
-    m = len(counts)
-    body = _records(_fixed(counts, "<u4"),
-                    (gap_bytes, np.bincount(label, weights=gap_size, minlength=m).astype(np.int64)),
-                    (pre_bytes, np.bincount(label, weights=pre_size, minlength=m).astype(np.int64)))
-    return struct.pack("<H", rlx.sigma - 1) + body
+    return struct.pack("<H", rlx.sigma - 1) + _varints(np.concatenate((counts, gaps, pres)))
 
 
 def machinery_sections(index):
@@ -309,20 +263,19 @@ def machinery_bits(index):
     return 8 * sum(len(b) for b in machinery_sections(index).values())
 
 
+def header_bytes(count):
+    """Bytes before the first payload of a file with ``count`` sections:
+    magic, version, engine, reserved byte, count, then the section table."""
+    return 12 + _ENTRY.size * count
+
+
 def _pack(engine, sections):
-    names = list(sections)
-    head = MAGIC + bytes([VERSION, engine, 0])
-    table_len = 4 + len(names) * 24
-    off = len(head) + table_len
-    table = struct.pack("<I", len(names))
-    body = b""
-    for name in names:
-        payload = sections[name]
-        tag = name.encode().ljust(8, b"\0")
-        table += tag + struct.pack("<QQ", off, len(payload))
-        body += payload
+    off = header_bytes(len(sections))
+    table = [MAGIC + bytes([VERSION, engine, 0]), struct.pack("<I", len(sections))]
+    for name, payload in sections.items():
+        table.append(_ENTRY.pack(name.encode(), off, len(payload), zlib.crc32(payload)))
         off += len(payload)
-    return head + table + body
+    return b"".join(table + list(sections.values()))
 
 
 def _unpack(data):
@@ -332,15 +285,17 @@ def _unpack(data):
         raise IndexFileError(f"unsupported version {data[5]}")
     engine = data[6]
     (count,) = struct.unpack_from("<I", data, 8)
+    end = header_bytes(count)
+    if end > len(data):
+        raise IndexFileError(f"section table of {count} entries runs past the end of the file")
     sections = {}
-    off = 12
-    for _ in range(count):
-        tag = data[off : off + 8].rstrip(b"\0").decode()
-        start, length = struct.unpack_from("<QQ", data, off + 8)
+    for tag, start, length, crc in _ENTRY.iter_unpack(data[12:end]):
+        tag = tag.rstrip(b"\0").decode()
         if start + length > len(data):
             raise IndexFileError(f"section {tag!r} runs past the end of the file")
         sections[tag] = data[start : start + length]
-        off += 24
+        if zlib.crc32(sections[tag]) != crc:
+            raise IndexFileError(f"section {tag!r} fails its checksum")
     return engine, sections
 
 
@@ -358,14 +313,16 @@ def _dec_runheads(data, sigma):
     (m,) = struct.unpack_from("<H", data, 0)
     if m != sigma - 1:
         raise IndexFileError(f"run heads for {m} labels, alphabet has {sigma - 1}")
-    off = 2
-    head_colex = [int64_array(())]
-    head_pre = [int64_array(())]
-    for _ in range(m):
-        (cnt,) = struct.unpack_from("<I", data, off)
-        vals, off = _r_varints(data, off + 4, 2 * cnt)  # the gaps, then the pre-order ids
-        head_colex.append(int64_array(vals[:cnt].cumsum()))
-        head_pre.append(int64_array(vals[cnt:]))
+    counts, off = _r_varints(data, 2, m)
+    if len(counts) and counts.max() > len(data):  # keeps the sum from overflowing
+        raise IndexFileError(f"run heads count {counts.max()} in {len(data)} bytes")
+    total = int(counts.sum())
+    gaps, off = _r_varints(data, off, total)
+    pres, _ = _r_varints(data, off, total)
+    bounds = np.concatenate(([0], np.cumsum(counts))).tolist()
+    head_colex = [int64_array(())] + [int64_array(gaps[a:b].cumsum())
+                                      for a, b in zip(bounds, bounds[1:])]
+    head_pre = [int64_array(())] + [int64_array(pres[a:b]) for a, b in zip(bounds, bounds[1:])]
     return head_colex, head_pre
 
 
@@ -393,6 +350,9 @@ def _dec_samples(data, n):
     (cnt,) = struct.unpack_from("<I", data, 0)
     keys, off = _r_deltas(data, 4, cnt)
     pairs, off = _r_varints(data, off, 2 * cnt)  # value, flag, value, flag, ...
+    nodes = np.concatenate((keys, pairs[0::2]))
+    if cnt and (nodes.min() < 1 or nodes.max() > n):
+        raise IndexFileError(f"phi sample node outside 1..{n}")
     samples = PhiSamples(keys, pairs[0::2], pairs[1::2])
     last, off = _r_varint(data, off)
     if not 1 <= last <= n:
@@ -400,26 +360,25 @@ def _dec_samples(data, n):
     return samples, last
 
 
-def _dec_isc(data, n):
+def _dec_isc(data, red):
+    """The isc tables over the red nodes ``red``, which B1 shares."""
     (slen,) = struct.unpack_from("<Q", data, 0)
     (nz,) = struct.unpack_from("<I", data, 8)
     zeros, off = _r_deltas(data, 12, nz)
-    (nb1,) = struct.unpack_from("<I", data, off)
-    b1pos, off = _r_deltas(data, off + 4, nb1)
-    b1 = SparseBitVec(n, b1pos)
-    del b1pos  # each table is freed once the next structure holds its content
     (nst,) = struct.unpack_from("<I", data, off)
     sts, off = _r_deltas(data, off + 4, nst)
+    if len(sts) != 2 * red.num_ones + 1:
+        raise IndexFileError(f"isc holds {len(sts)} segment starts for {red.num_ones} red nodes")
     # S is allocated from its stored length only once the segment starts,
     # which end one past S, and the zero positions agree with that length
-    if not len(sts) or slen != sts[-1] - 1:
+    if slen != sts[-1] - 1:
         raise IndexFileError(f"isc length {slen} does not match its segment starts")
     if len(zeros) and (zeros[0] < 1 or zeros[-1] > slen):
         raise IndexFileError(f"isc zero position outside 1..{slen}")
     s_bits = np.ones(slen, dtype=np.uint8)
     s_bits[zeros - 1] = 0
     del zeros
-    return IscTables(s_bits, b1, sts)
+    return IscTables(s_bits, red, sts)
 
 
 def load_rindex(sections):
@@ -437,7 +396,7 @@ def load_rindex(sections):
     rlx = RlXbwt(n, sigma, spi, c_array, head_colex, head_pre)
     colors = _dec_colors(sections["colors"], topo)
     samples, last = _dec_samples(sections["samples"], n)
-    isc = _dec_isc(sections["isc"], n)
+    isc = _dec_isc(sections["isc"], colors.red)
     idx = RIndex(n, alphabet, last, topo, rlx, spi, colors, samples, isc)
     return idx, meta
 

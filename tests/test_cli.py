@@ -3,7 +3,11 @@ import os
 
 import pytest
 
+from rlxt import storage
 from rlxt.cli import main
+from rlxt.errors import DomainError, NoSuccessorError
+from rlxt.rindex import RIndex, build_index
+from rlxt.trie import build_from_strings
 
 from conftest import EX26_COLEX_TO_PRE, ex26_lines
 
@@ -139,6 +143,38 @@ def test_version_1_index_file(ex26_index, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.strip().splitlines() == ["index error: unsupported version 1"]
+
+
+def _one_line_index_error(capsys):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("index error: ")
+    return lines[0]
+
+
+def test_sample_outside_trie_is_index_error(tmp_path, capsys):
+    # a sample value of n + 1 under a valid checksum is caught at load
+    idx = build_index(build_from_strings([b"abc", b"abd", b"bcd", b"xyz"]))
+    idx.samples.values[0] = idx.n + 1
+    path = tmp_path / "bad-sample.rlxt"
+    storage.save(idx, path)
+    assert main(["locate", str(path), ""]) == 3
+    assert _one_line_index_error(capsys) == "index error: phi sample node outside 1..11"
+
+
+@pytest.mark.parametrize("error", [DomainError, NoSuccessorError, IndexError])
+@pytest.mark.parametrize("cmd", [["locate"], ["count"], ["locate", "--count-only"]])
+def test_query_failure_on_loaded_index(ex26_index, capsys, monkeypatch, error, cmd):
+    def fail(self, pattern):
+        raise error("node 27 out of range")
+
+    monkeypatch.setattr(RIndex, "locate", fail)
+    monkeypatch.setattr(RIndex, "count", fail)
+    capsys.readouterr()
+    assert main([cmd[0], str(ex26_index), "a", *cmd[1:]]) == 3
+    line = _one_line_index_error(capsys)
+    assert line == f"index error: query failed ({error.__name__}: node 27 out of range)"
 
 
 def test_stats_ex26(ex26_index, capsys):

@@ -59,8 +59,9 @@ def test_bad_magic_and_version():
         storage.load_bytes(b"XXXXX" + blob[5:])
     with pytest.raises(IndexFileError):
         storage.load_bytes(blob[:5] + bytes([99]) + blob[6:])
-    with pytest.raises(IndexFileError, match="unsupported version 1"):
-        storage.load_bytes(blob[:5] + bytes([1]) + blob[6:])
+    for old in (1, 2):
+        with pytest.raises(IndexFileError, match=f"unsupported version {old}"):
+            storage.load_bytes(blob[:5] + bytes([old]) + blob[6:])
 
 
 def _check_loaded_phi(trie):
@@ -91,9 +92,20 @@ def test_last_node_out_of_range(ex26, stored):
 def test_triple_label_outside_alphabet(ex26, label):
     engine, sections = storage._unpack(storage.save_rindex(build_index(ex26)))
     rlxbwt = sections["rlxbwt"]
-    assert rlxbwt[6:9] == bytes([1, 2, 3])  # the first block's ADD labels
-    sections["rlxbwt"] = rlxbwt[:6] + bytes([label]) + rlxbwt[7:]
+    (rp,) = struct.unpack_from("<I", rlxbwt, 0)
+    at = 4 + 2 * rp  # past the ADD and DEL count columns
+    assert rlxbwt[at : at + 3] == bytes([1, 2, 3])  # the first block's ADD labels
+    sections["rlxbwt"] = rlxbwt[:at] + bytes([label]) + rlxbwt[at + 1 :]
     with pytest.raises(IndexFileError, match="triple label"):
+        storage.load_bytes(storage._pack(engine, sections))
+
+
+def test_add_count_runs_past_rlxbwt(ex26):
+    engine, sections = storage._unpack(storage.save_rindex(build_index(ex26)))
+    rlxbwt = sections["rlxbwt"]
+    assert rlxbwt[4] == 3 and len(rlxbwt) < 255  # the first block's ADD count
+    sections["rlxbwt"] = rlxbwt[:4] + bytes([255]) + rlxbwt[5:]
+    with pytest.raises(IndexFileError, match="rlxbwt labels run past the end"):
         storage.load_bytes(storage._pack(engine, sections))
 
 
@@ -152,6 +164,67 @@ def test_isc_zero_position_outside_s(at, delta):
     sections["isc"] = isc[:at] + bytes([delta]) + isc[at + 1 :]
     with pytest.raises(IndexFileError, match="isc zero position"):
         storage.load_bytes(storage._pack(engine, sections))
+
+
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_isc_starts_differ_from_red_nodes(extra):
+    # the segment starts follow the 11 zero gaps: a count at byte 23, then
+    # one start per segment, two per red node and a sentinel
+    engine, sections = _sections_of([b"abc", b"abd", b"bcd", b"xyz"])
+    isc = sections["isc"]
+    (nst,) = struct.unpack_from("<I", isc, 23)
+    assert nst == 2 * storage.load_bytes(storage._pack(engine, sections))[1].colors.red.num_ones + 1
+    tail = isc[27:] if extra < 0 else isc[27:] + b"\x01"
+    sections["isc"] = isc[:23] + struct.pack("<I", nst + extra) + tail
+    with pytest.raises(IndexFileError, match="segment starts for"):
+        storage.load_bytes(storage._pack(engine, sections))
+
+
+def test_isc_shares_the_red_set():
+    idx = build_index(build_from_strings([b"abc", b"abd", b"bcd", b"xyz"]))
+    _, loaded, _, _ = storage.load_bytes(storage.save_rindex(idx))
+    for index in (idx, loaded):
+        assert index.isc_tables.b1 is index.colors.red
+
+
+@pytest.mark.parametrize("table, at", [("keys", -1), ("values", 0)])
+def test_sample_node_outside_trie(table, at):
+    idx = build_index(build_from_strings([b"abc", b"abd", b"bcd", b"xyz"]))
+    getattr(idx.samples, table)[at] = idx.n + 1
+    with pytest.raises(IndexFileError, match="phi sample node outside 1..11"):
+        storage.load_bytes(storage.save_rindex(idx))
+
+
+def test_payload_fails_its_checksum(ex26):
+    blob = bytearray(storage.save_rindex(build_index(ex26)))
+    blob[-1] ^= 1  # the last byte of the last section, runheads
+    with pytest.raises(IndexFileError, match="section 'runheads' fails its checksum"):
+        storage.load_bytes(bytes(blob))
+
+
+def test_damaged_file_loads_right_or_is_rejected():
+    # every truncation and 300 single-bit flips: each damaged file either
+    # raises IndexFileError or loads and answers like the original
+    idx = build_index(build_from_strings([b"abc", b"abd", b"bcd", b"xyz"]))
+    blob = storage.save_rindex(idx)
+    pats = [b"", b"a", b"b", b"c", b"d", b"x", b"bc", b"cd", b"ab", b"abd", b"yz", b"q", b"ca"]
+    want = [(idx.count(p), idx.locate(p)) for p in pats]
+    rng = random.Random(11)
+    cases = [blob[:k] for k in range(len(blob))]
+    for _ in range(300):
+        bit = rng.randrange(8 * len(blob))
+        flipped = bytearray(blob)
+        flipped[bit // 8] ^= 1 << bit % 8
+        cases.append(bytes(flipped))
+    loaded = 0
+    for data in cases:
+        try:
+            _, got, _, _ = storage.load_bytes(data)
+        except IndexFileError:
+            continue
+        loaded += 1
+        assert [(got.count(p), got.locate(p)) for p in pats] == want
+    assert loaded < 10
 
 
 def test_topology_of_another_index_is_rejected():
