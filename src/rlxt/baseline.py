@@ -23,13 +23,14 @@ class XbwtNav:
 
     __slots__ = ("n", "sigma", "wavelet", "flat", "node_end", "c_array")
 
-    def __init__(self, n, sigma, wavelet, flat, node_end, c_array):
+    def __init__(self, n, sigma, wavelet, flat, node_end):
         self.n = n
         self.sigma = sigma
         self.wavelet = wavelet
         self.flat = flat  # raw label sequence; the wavelet is the query structure
         self.node_end = node_end  # node_end[i] = total out-degree of colex 1..i
-        self.c_array = c_array
+        # c_array[c] = nodes with incoming label < c: the root plus flat's labels below c
+        self.c_array = np.concatenate(([0], 1 + np.cumsum(np.bincount(flat, minlength=sigma))))
 
     @classmethod
     def from_trie(cls, trie, colex):
@@ -40,9 +41,8 @@ class XbwtNav:
         node_end = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(deg, out=node_end[1:])
         flat = trie.label[trie.child_ids[concat_ranges(first, deg)]]
-        c_array = np.cumsum(np.bincount(trie.label[1:] + 1, minlength=trie.alphabet.sigma + 1))
         wavelet = WaveletSeq(flat, trie.alphabet.sigma)
-        return cls(n, trie.alphabet.sigma, wavelet, flat, node_end, c_array)
+        return cls(n, trie.alphabet.sigma, wavelet, flat, node_end)
 
     def label_of(self, i):
         """Incoming label of colex node i (the Lambda sequence is sorted)."""

@@ -8,8 +8,8 @@ its predecessor. S' flattens the deltas as c+/c- symbols with '/' block
 separators. Queries read S' regrouped by label: per label, the blocks where
 it enters and leaves the out-set and the count of its nodes before each
 entry, plus the block starts; every lookup is a binary search over O(r)
-words. The blocks are kept only in those tables: the triples are a view
-derived from them.
+words. The blocks are kept only in those tables: the node counts, the C
+array and the triples are derived from them.
 """
 
 from __future__ import annotations
@@ -23,31 +23,33 @@ from .errors import DomainError
 
 
 class RlXbwt:
-    """The run-length XBWT: its S' tables plus the supporting arrays.
+    """The run-length XBWT: its S' tables plus the run heads' pre-order ids.
 
     The blocks live only in the S' tables (``spi``); ``triples``,
-    ``r_prime`` and ``block_out_sets`` are views derived from them.
-    ``c_array[c]`` counts nodes whose incoming label precedes c, so the
-    co-lex positions with incoming label c are ``c_array[c]+1 .. c_array[c+1]``.
-    For every co-lex position starting a c-run, ``head_colex[c]`` holds the
-    position and ``head_pre[c]`` the pre-order id of its node: two parallel
-    ``array('q')`` per label, sorted by position (label 0, the root's, has
-    none).
+    ``r_prime``, ``c_array`` and ``block_out_sets`` are views derived from
+    them. The c-run heads are the nodes at the starts of the blocks in
+    ``spi.adds[c]``: ``head_pre[c][k]`` is the pre-order id of the head of
+    the run entering at block ``spi.adds[c][k]``, one ``array('q')`` per
+    label (label 0, the root's, has none).
     """
 
-    __slots__ = ("n", "sigma", "spi", "c_array", "head_colex", "head_pre")
+    __slots__ = ("n", "sigma", "spi", "head_pre")
 
-    def __init__(self, n, sigma, spi, c_array, head_colex, head_pre):
+    def __init__(self, n, sigma, spi, head_pre):
         self.n = n
         self.sigma = sigma
         self.spi = spi
-        self.c_array = c_array
-        self.head_colex = head_colex
         self.head_pre = head_pre
 
     @property
     def r_prime(self):
         return len(self.spi.starts)
+
+    @property
+    def c_array(self):
+        """``c_array[c]`` counts nodes whose incoming label precedes c, so the
+        co-lex positions with incoming label c are ``c_array[c]+1 .. c_array[c+1]``."""
+        return self.spi.c_array
 
     def block_lengths(self):
         """Positions per block, as an int64 array."""
@@ -63,12 +65,13 @@ class RlXbwt:
     def run_heads(self):
         """``{c: [(colex, preorder), ...]}`` for labels 1..sigma-1, derived
         from the per-label tables."""
-        return {c: list(zip(self.head_colex[c], self.head_pre[c]))
+        starts = self.spi.starts
+        return {c: [(starts[q], u) for q, u in zip(self.spi.adds[c], self.head_pre[c])]
                 for c in range(1, self.sigma)}
 
     def run_stats(self):
         """(r, per-label run counts, r')."""
-        r_c = {c: len(cols) for c, cols in enumerate(self.head_colex) if len(cols)}
+        r_c = {c: len(adds) for c, adds in enumerate(self.spi.adds) if len(adds)}
         return sum(r_c.values()), r_c, self.r_prime
 
     def block_out_sets(self):
@@ -81,25 +84,27 @@ class RlXbwt:
         return sets
 
 
-def _by_label(sigma, labels, *columns):
-    """Each column split into one ``array('q')`` per label 0..sigma-1. The
-    sort by label is stable, so each label keeps its entries' order."""
+def by_label(sigma, labels, values):
+    """``values`` sorted by their labels, stably, so each label keeps its
+    entries' order, and the number of values per label 0..sigma-1."""
+    labels = np.asarray(labels, dtype=np.uint8)  # codes below sigma <= 256: a radix sort
     order = np.argsort(labels, kind="stable")
-    bounds = np.concatenate(([0], np.cumsum(np.bincount(labels, minlength=sigma)))).tolist()
-    tables = []
-    for col in columns:
-        col = np.asarray(col, dtype=np.int64)[order]
-        tables.append([int64_array(col[a:b]) for a, b in zip(bounds, bounds[1:sigma + 1])])
-    return tables
+    return np.asarray(values, dtype=np.int64)[order], np.bincount(labels, minlength=sigma)
+
+
+def per_label(values, counts):
+    """Label-sorted ``values`` cut into one ``array('q')`` per label."""
+    bounds = np.concatenate(([0], np.cumsum(counts))).tolist()
+    return [int64_array(values[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
 def _in_block_order(tables):
     """The entries of per-label block tables in S' order, by block and then
-    by label: (blocks, labels, where each sits in the concatenated tables)."""
+    by label: (blocks, labels)."""
     labels = np.repeat(np.arange(len(tables)), [len(t) for t in tables])
     blocks = np.concatenate(tables)
     order = np.argsort(blocks, kind="stable")
-    return blocks[order], labels[order], order
+    return blocks[order], labels[order]
 
 
 class SPrimeIndex:
@@ -107,33 +112,60 @@ class SPrimeIndex:
 
     Blocks are numbered from 0 and ``starts[q]`` is the co-lex position where
     block q begins. For each label c, ``adds[c]`` lists the blocks where c
-    enters the out-set (the c+ symbols of S'), ``dels[c]`` the blocks where
-    it leaves (the c- symbols), and ``base[c][k]`` the number of c-nodes
-    before block ``adds[c][k]``. Entries and exits alternate, starting with
-    an entry, so c is present in block q iff its last entry at or before q
-    is not followed by an exit at or before q. All tables together hold
+    enters the out-set (the c+ symbols of S') and ``dels[c]`` the blocks
+    where it leaves (the c- symbols). Entries and exits alternate, starting
+    with an entry, so c is present in block q iff its last entry at or before
+    q is not followed by an exit at or before q. All tables together hold
     |S'| = r' + sum|ADD| + sum|DEL| words.
+
+    The rest follows from the blocks. c's k-th run spans the positions from
+    its entry's block start to its exit's, or through n when it has no exit,
+    and each of them has one c-child: ``base[c][k]``, the number of c-nodes
+    before block ``adds[c][k]``, sums c's earlier runs, and ``c_array``
+    sums every label's runs.
     """
 
-    __slots__ = ("starts", "adds", "dels", "base")
+    __slots__ = ("starts", "adds", "dels", "base", "c_array")
 
-    def __init__(self, sigma, n_add, add_labels, n_del, del_labels, lengths, partials):
+    def __init__(self, sigma, n_add, add_labels, n_del, del_labels, lengths):
         """Per block q: ``n_add[q]`` entering and ``n_del[q]`` leaving labels
         and ``lengths[q]`` positions. ``add_labels``/``del_labels`` hold the
-        labels block after block, ascending within a block (S' order), and
-        ``partials`` the c-node count of each entering label, in that order."""
+        labels block after block, ascending within a block (S' order). A
+        ValueError says that some label's entries and exits do not alternate."""
         lengths = np.asarray(lengths, dtype=np.int64)
-        self.starts = int64_array(np.cumsum(lengths) - lengths + 1)
+        ends = np.cumsum(lengths) + 1  # one past each block, n + 1 for the last
+        starts = ends - lengths
+        self.starts = int64_array(starts)
         blocks = np.arange(len(lengths))
-        self.adds, self.base = _by_label(sigma, add_labels, np.repeat(blocks, n_add), partials)
-        (self.dels,) = _by_label(sigma, del_labels, np.repeat(blocks, n_del))
+        entries, n_entries = by_label(sigma, add_labels, np.repeat(blocks, n_add))
+        exits, n_exits = by_label(sigma, del_labels, np.repeat(blocks, n_del))
+        bad = np.flatnonzero((n_exits > n_entries) | (n_exits < n_entries - 1))
+        if len(bad):
+            c = int(bad[0])
+            raise ValueError(f"label {c} enters the out-set {n_entries[c]} times, "
+                             f"leaves {n_exits[c]}")
+        # each run ends where its exit's block starts; a label still present
+        # in the last block gets an exit past it
+        heads = starts[entries]
+        stops = np.insert(starts[exits], np.cumsum(n_exits)[n_entries > n_exits], ends[-1])
+        # entries and exits alternate in distinct blocks iff, label after
+        # label, every run's head and stop come in strictly increasing order
+        shift = np.repeat(np.arange(sigma) * ends[-1], n_entries)
+        if (np.diff(np.column_stack((heads + shift, stops + shift)).ravel()) <= 0).any():
+            raise ValueError("a label's entries and exits do not alternate")
+        before = np.concatenate(([0], np.cumsum(stops - heads)))
+        first = np.cumsum(n_entries) - n_entries
+        self.base = per_label(before[:-1] - np.repeat(before[first], n_entries), n_entries)
+        self.c_array = int64_array(np.concatenate(([0], before[first + n_entries] + 1)))
+        self.adds = per_label(entries, n_entries)
+        self.dels = per_label(exits, n_exits)
 
     def deltas(self):
         """S' block by block: the ADD count per block, the ADD labels in S'
         order, then the same for DEL."""
         r = len(self.starts)
-        add_blocks, add_labels, _ = _in_block_order(self.adds)
-        del_blocks, del_labels, _ = _in_block_order(self.dels)
+        add_blocks, add_labels = _in_block_order(self.adds)
+        del_blocks, del_labels = _in_block_order(self.dels)
         return (np.bincount(add_blocks, minlength=r), add_labels,
                 np.bincount(del_blocks, minlength=r), del_labels)
 
@@ -148,13 +180,6 @@ class SPrimeIndex:
     def delta_counts(self):
         """(sum|ADD|, sum|DEL|) over all blocks."""
         return sum(map(len, self.adds)), sum(map(len, self.dels))
-
-    @property
-    def partials(self):
-        """The c-node counts of the c+ symbols, in S' order (as stored): by
-        block, then by label."""
-        _, _, order = _in_block_order(self.adds)
-        return np.concatenate(self.base)[order]
 
     def block_of(self, i):
         """0-based block containing co-lex position i."""
@@ -220,24 +245,12 @@ def build_rl_xbwt(trie, colex, out=None):
     add = ~out.in_prev & is_start[out.row]  # labels a block gains
     dele = ~out.in_next & is_start[out.row + 1]  # labels the row before a block loses
     add_labels = out.labels[add]
-
-    counts = np.bincount(trie.label[1 : n + 1] + 1, minlength=sigma + 1)
-    c_array = np.cumsum(counts)  # c_array[c] = nodes with incoming label < c
-
     # a block's entering labels are the run heads; group them by label
-    heads = out.row[add] + 1
-    head_colex, head_pre = _by_label(sigma, add_labels, heads, colex.colex_to_pre[heads])
-
-    # c-nodes before an entry's row = its rank among the entries labeled c
-    by_label = np.argsort(out.labels, kind="stable")
-    per_label = np.bincount(out.labels, minlength=sigma)
-    before = np.empty(len(by_label), dtype=np.int64)
-    before[by_label] = np.arange(len(by_label)) - np.repeat(np.cumsum(per_label) - per_label,
-                                                             per_label)
+    head_pre = per_label(*by_label(sigma, add_labels, colex.colex_to_pre[out.row[add] + 1]))
     spi = SPrimeIndex(sigma, np.bincount(out.row[add], minlength=n)[starts], add_labels,
                       np.bincount(out.row[dele] + 1, minlength=n + 1)[starts],
-                      out.labels[dele], np.diff(starts, append=n), before[add])
-    return RlXbwt(n, sigma, spi, c_array, head_colex, head_pre), spi
+                      out.labels[dele], np.diff(starts, append=n))
+    return RlXbwt(n, sigma, spi, head_pre), spi
 
 
 def xbwt_rank(spi, rlx, c, i):
@@ -292,7 +305,7 @@ def backward_extend(rlx, spi, rng, c):
         raise IndexError(f"range {rng} invalid for n={rlx.n}")
     if c is None or not 1 <= c < rlx.sigma:
         return None
-    base = int(rlx.c_array[c])
+    base = spi.c_array[c]
     lo2 = base + xbwt_rank(spi, rlx, c, lo - 1) + 1
     hi2 = base + xbwt_rank(spi, rlx, c, hi)
     if lo2 > hi2:
@@ -301,12 +314,13 @@ def backward_extend(rlx, spi, rng, c):
 
 
 def run_head_preorder(rlx, c, i):
-    """Pre-order id of the c-run head at colex position i (stored table)."""
-    cols = rlx.head_colex[c] if 1 <= c < rlx.sigma else None
-    if not cols:
-        raise DomainError(f"no runs for label {c}")
-    k = bisect_left(cols, i)
-    if k == len(cols) or cols[k] != i:
+    """Pre-order id of the c-run head at colex position i: the run that
+    enters at the block starting at i."""
+    spi = rlx.spi
+    adds = spi.adds[c] if 1 <= c < rlx.sigma else ()
+    q = spi.block_of(i)
+    k = bisect_left(adds, q)
+    if k == len(adds) or adds[k] != q or spi.starts[q] != i:
         raise DomainError(f"colex position {i} is not a {c}-run head")
     return rlx.head_pre[c][k]
 
@@ -331,9 +345,6 @@ def reconstruct_trie_from_outsets(n, sigma, out_sets, c_array, byte_of_code):
     """Shared reconstruction: colex out-sets + C array -> LabeledTrie."""
     from .trie import LabeledTrie, Alphabet
 
-    lam = np.zeros(n + 1, dtype=np.int64)
-    for c in range(1, sigma):
-        lam[c_array[c] + 1 : c_array[c + 1] + 1] = c
     children_of = [[] for _ in range(n + 1)]
     seen = np.zeros(sigma, dtype=np.int64)
     for i in range(1, n + 1):
@@ -350,7 +361,4 @@ def reconstruct_trie_from_outsets(n, sigma, out_sets, c_array, byte_of_code):
         labels.append(c)
         for cc, child in reversed(children_of[i]):
             stack.append((child, uid, cc))
-    alphabet = Alphabet.__new__(Alphabet)
-    alphabet.byte_of_code = np.asarray(byte_of_code, dtype=np.int64)
-    alphabet.code_of_byte = {int(b): k for k, b in enumerate(byte_of_code) if k > 0}
-    return LabeledTrie(parent, labels, alphabet)
+    return LabeledTrie(parent, labels, Alphabet.of_codes(byte_of_code))

@@ -5,10 +5,10 @@ Layout: magic ``RLXT1``, version byte, engine byte (0 = run-length index,
 (count, then 8-byte tag / u64 offset / u64 length / CRC-32 per section),
 payloads. A section whose payload fails its CRC is rejected before any
 decoder reads it. Files round-trip bit-exactly: serializing a loaded index
-reproduces the original bytes. Loading only decodes: nothing is rebuilt from
-the transform, and every section is laid out in columns (fixed-width or
-varint streams), each decoded in one numpy pass with no Python call per
-value.
+reproduces the original bytes. Each fact of the transform is stored once:
+loading derives the S' node counts and the C array from the blocks, and does
+not rebuild the trie. Every section is laid out in columns (fixed-width or
+varint streams), each decoded in one numpy pass with no Python call per value.
 """
 
 from __future__ import annotations
@@ -16,20 +16,20 @@ from __future__ import annotations
 import json
 import struct
 import zlib
-from itertools import chain
 
 import numpy as np
 
 from .baseline import SampledLocate, XbwtNav
-from .bits import SparseBitVec, WaveletSeq, int64_array
-from .errors import IndexFileError
+from .bits import SparseBitVec, WaveletSeq
+from .errors import FormatError, IndexFileError
 from .rindex import ColorMarks, IscTables, PhiSamples, RIndex
-from .rlxbwt import RlXbwt, SPrimeIndex, reconstruct_trie, reconstruct_trie_from_outsets
+from .rlxbwt import (RlXbwt, SPrimeIndex, per_label, reconstruct_trie,
+                     reconstruct_trie_from_outsets)
 from .topology import BpsTopology
 from .trie import Alphabet, colex_sort
 
 MAGIC = b"RLXT1"
-VERSION = 3
+VERSION = 4
 ENGINE_RINDEX = 0
 ENGINE_SAMPLED = 1
 _ENTRY = struct.Struct("<8sQQI")  # tag, offset, length, CRC-32 of the payload
@@ -150,58 +150,57 @@ def _r_deltas(data, off, count):
 # -- per-section encoders ----------------------------------------------------
 
 
-def _enc_labels(alphabet, n, c_array):
-    out = bytearray()
-    sigma = alphabet.sigma
-    out += struct.pack("<IQ", sigma, n)
-    out += alphabet.byte_of_code[1:].astype(np.uint8).tobytes()
-    out += _varints(c_array)
-    return bytes(out)
+def _enc_labels(alphabet, n):
+    return struct.pack("<IQ", alphabet.sigma, n) + bytes(alphabet.byte_of_code[1:].tolist())
 
 
 def _dec_labels(data):
     sigma, n = struct.unpack_from("<IQ", data, 0)
-    off = 12
-    byte_of = [0] + list(data[off : off + sigma - 1])
-    off += sigma - 1
-    c_array, off = _r_varints(data, off, sigma + 1)
-    alphabet = Alphabet.__new__(Alphabet)
-    alphabet.byte_of_code = np.asarray(byte_of, dtype=np.int64)
-    alphabet.code_of_byte = {int(b): k for k, b in enumerate(byte_of) if k > 0}
-    return alphabet, n, c_array
+    if len(data) != 12 + sigma - 1:
+        raise IndexFileError(f"labels hold {len(data) - 12} bytes for an alphabet of {sigma}")
+    try:
+        alphabet = Alphabet.of_codes([0, *data[12:]])
+    except FormatError as exc:
+        raise IndexFileError(f"bad byte map: {exc}") from None
+    return alphabet, n
 
 
 def _enc_rlxbwt(rlx):
-    # a block's labels are distinct codes below sigma <= 256, so each count fits a byte
-    n_add, add_labels, n_del, del_labels = rlx.spi.deltas()
-    columns = np.concatenate((n_add, n_del, add_labels, del_labels)).astype(np.uint8)
-    return struct.pack("<I", rlx.r_prime) + columns.tobytes() + _varints(rlx.block_lengths())
-
-
-def _dec_rlxbwt(data, sigma):
-    """The block columns as flat arrays: per block its ADD count, DEL count
-    and length, and the ADD and DEL labels block after block."""
-    (rp,) = struct.unpack_from("<I", data, 0)
-    raw = np.frombuffer(data, dtype=np.uint8)
-    if 4 + 2 * rp > len(raw):
-        raise IndexFileError(f"rlxbwt holds {rp} blocks in {len(data)} bytes")
-    n_add = raw[4 : 4 + rp].astype(np.int64)
-    n_del = raw[4 + rp : 4 + 2 * rp].astype(np.int64)
-    add_at = 4 + 2 * rp
-    del_at = add_at + int(n_add.sum())
-    len_at = del_at + int(n_del.sum())
-    if len_at > len(raw):
-        raise IndexFileError("rlxbwt labels run past the end of the section")
-    labels = raw[add_at:len_at]
-    if len(labels) and (labels.min() < 1 or labels.max() >= sigma):
-        raise IndexFileError(f"triple label outside 1..{sigma - 1}")
-    lengths, _ = _r_varints(data, len_at, rp)
-    return n_add, labels[: del_at - add_at], n_del, labels[del_at - add_at :], lengths
+    return struct.pack("<I", rlx.r_prime) + _varints(rlx.block_lengths())
 
 
 def _enc_sprime(spi):
-    partials = spi.partials
-    return struct.pack("<I", len(partials)) + _varints(partials)
+    # a block's labels are distinct codes below sigma <= 256, so each count fits a byte
+    n_add, add_labels, n_del, del_labels = spi.deltas()
+    return np.concatenate((n_add, n_del, add_labels, del_labels)).astype(np.uint8).tobytes()
+
+
+def _dec_spi(rlxbwt, sprime, sigma, n):
+    """The S' tables from the block lengths (``rlxbwt``) and the S' columns
+    (``sprime``: all ADD counts, all DEL counts, all ADD labels, all DEL
+    labels), once the invariants their derivation relies on hold; and the
+    number of runs per label."""
+    (rp,) = struct.unpack_from("<I", rlxbwt, 0)
+    lengths, _ = _r_varints(rlxbwt, 4, rp)
+    if (lengths < 1).any() or lengths.max(initial=0) > n or lengths.sum() != n:
+        raise IndexFileError(f"rlxbwt block lengths are not positive summing to {n}")
+    raw = np.frombuffer(sprime, dtype=np.uint8)
+    n_add, n_del = raw[:rp], raw[rp : 2 * rp]
+    del_at = 2 * rp + int(n_add.sum())
+    end = del_at + int(n_del.sum())
+    if end > len(raw):
+        raise IndexFileError("rlxbwt labels run past the end of the sprime section")
+    if end > 2 * rp and (raw[2 * rp : end].min() < 1 or raw[2 * rp : end].max() >= sigma):
+        raise IndexFileError(f"triple label outside 1..{sigma - 1}")
+    add_labels, del_labels = raw[2 * rp : del_at], raw[del_at:end]
+    try:
+        spi = SPrimeIndex(sigma, n_add, add_labels, n_del, del_labels, lengths)
+    except ValueError as exc:
+        raise IndexFileError(f"sprime: {exc}") from None
+    if spi.c_array[-1] != n:
+        raise IndexFileError(f"the out-sets hold {spi.c_array[-1] - 1} children, "
+                             f"not one per non-root node ({n - 1})")
+    return spi, np.bincount(add_labels, minlength=sigma)
 
 
 def _enc_colors(colors):
@@ -235,16 +234,19 @@ def _enc_isc(isc):
 
 
 def _enc_runheads(rlx):
-    # three streams over labels 1..sigma-1: the head count of each label,
-    # then every label's gaps between its heads' co-lex positions, then
-    # every label's pre-order ids
-    counts = np.array([len(h) for h in rlx.head_colex[1:]], dtype=np.int64)
-    cols = np.fromiter(chain.from_iterable(rlx.head_colex[1:]), dtype=np.int64)
-    gaps = np.diff(cols, prepend=0)
-    first = (np.cumsum(counts) - counts)[counts > 0]
-    gaps[first] = cols[first]
-    pres = np.fromiter(chain.from_iterable(rlx.head_pre[1:]), dtype=np.int64)
-    return struct.pack("<H", rlx.sigma - 1) + _varints(np.concatenate((counts, gaps, pres)))
+    # one varint stream: every label's run heads' pre-order ids, label after label
+    return _varints(np.concatenate(rlx.head_pre))
+
+
+def _dec_runheads(data, runs, n):
+    """Each label's run heads' pre-order ids, ``runs[c]`` for label c."""
+    total = int(runs.sum())
+    pres, end = _r_varints(data, 0, total)
+    if end != len(data):
+        raise IndexFileError(f"runheads holds more than {total} run heads")
+    if total and (pres.min() < 1 or pres.max() > n):
+        raise IndexFileError(f"run head node outside 1..{n}")
+    return per_label(pres, runs)
 
 
 def machinery_sections(index):
@@ -303,38 +305,10 @@ def save_rindex(index, meta=None):
     sections = {
         "meta": json.dumps(meta or {}, sort_keys=True).encode(),
         "topology": index.topo.to_bytes(),
-        "labels": _enc_labels(index.alphabet, index.n, index.rlx.c_array),
+        "labels": _enc_labels(index.alphabet, index.n),
     }
     sections.update(machinery_sections(index))
     return _pack(ENGINE_RINDEX, {k: sections[k] for k in RINDEX_SECTIONS})
-
-
-def _dec_runheads(data, sigma):
-    (m,) = struct.unpack_from("<H", data, 0)
-    if m != sigma - 1:
-        raise IndexFileError(f"run heads for {m} labels, alphabet has {sigma - 1}")
-    counts, off = _r_varints(data, 2, m)
-    if len(counts) and counts.max() > len(data):  # keeps the sum from overflowing
-        raise IndexFileError(f"run heads count {counts.max()} in {len(data)} bytes")
-    total = int(counts.sum())
-    gaps, off = _r_varints(data, off, total)
-    pres, _ = _r_varints(data, off, total)
-    bounds = np.concatenate(([0], np.cumsum(counts))).tolist()
-    head_colex = [int64_array(())] + [int64_array(gaps[a:b].cumsum())
-                                      for a, b in zip(bounds, bounds[1:])]
-    head_pre = [int64_array(())] + [int64_array(pres[a:b]) for a, b in zip(bounds, bounds[1:])]
-    return head_colex, head_pre
-
-
-def _dec_spi(sections, sigma):
-    """The S' tables, from the block records and the stored partials."""
-    n_add, add_labels, n_del, del_labels, lengths = _dec_rlxbwt(sections["rlxbwt"], sigma)
-    data = sections["sprime"]
-    (cnt,) = struct.unpack_from("<I", data, 0)
-    if cnt != len(add_labels):
-        raise IndexFileError(f"sprime holds {cnt} counts for {len(add_labels)} label entries")
-    partials, _ = _r_varints(data, 4, cnt)
-    return SPrimeIndex(sigma, n_add, add_labels, n_del, del_labels, lengths, partials)
 
 
 def _dec_colors(data, topo):
@@ -386,14 +360,13 @@ def load_rindex(sections):
     index keeps, so its temporaries are freed before the next one runs."""
     meta = json.loads(sections["meta"].decode() or "{}")
     topo, _ = BpsTopology.from_bytes(sections["topology"])
-    alphabet, n, c_array = _dec_labels(sections["labels"])
-    n = int(n)
+    alphabet, n = _dec_labels(sections["labels"])
     if topo.n != n:
         raise IndexFileError(f"topology has {topo.n} nodes, labels {n}")
     sigma = alphabet.sigma
-    spi = _dec_spi(sections, sigma)
-    head_colex, head_pre = _dec_runheads(sections["runheads"], sigma)
-    rlx = RlXbwt(n, sigma, spi, c_array, head_colex, head_pre)
+    spi, runs = _dec_spi(sections["rlxbwt"], sections["sprime"], sigma, n)
+    head_pre = _dec_runheads(sections["runheads"], runs, n)
+    rlx = RlXbwt(n, sigma, spi, head_pre)
     colors = _dec_colors(sections["colors"], topo)
     samples, last = _dec_samples(sections["samples"], n)
     isc = _dec_isc(sections["isc"], colors.red)
@@ -416,7 +389,7 @@ def save_sampled(sl, meta=None):
     _w_varint(cover, sl.t)
     sections = {
         "meta": json.dumps(meta or {}, sort_keys=True).encode(),
-        "labels": _enc_labels(sl.alphabet, nav.n, nav.c_array),
+        "labels": _enc_labels(sl.alphabet, nav.n),
         "xbwtflat": bytes(out),
         "cover": bytes(cover),
     }
@@ -425,7 +398,7 @@ def save_sampled(sl, meta=None):
 
 def load_sampled(sections):
     meta = json.loads(sections["meta"].decode() or "{}")
-    alphabet, n, c_array = _dec_labels(sections["labels"])
+    alphabet, n = _dec_labels(sections["labels"])
     data = sections["xbwtflat"]
     (n2,) = struct.unpack_from("<Q", data, 0)
     degs = np.frombuffer(data[8 : 8 + n2], dtype=np.uint8).astype(np.int64)
@@ -433,7 +406,7 @@ def load_sampled(sections):
     np.cumsum(degs, out=node_end[1:])
     total = int(node_end[-1])
     flat = np.frombuffer(data[8 + n2 : 8 + n2 + total], dtype=np.uint8).astype(np.int64)
-    nav = XbwtNav(int(n2), alphabet.sigma, WaveletSeq(flat, alphabet.sigma), flat, node_end, c_array)
+    nav = XbwtNav(int(n2), alphabet.sigma, WaveletSeq(flat, alphabet.sigma), flat, node_end)
     data = sections["cover"]
     (cnt,) = struct.unpack_from("<I", data, 0)
     marked_pos, off = _r_deltas(data, 4, cnt)

@@ -33,6 +33,15 @@ class Alphabet:
         self.byte_of_code = np.array([0] + used, dtype=np.int64)
         self.code_of_byte = {b: i + 1 for i, b in enumerate(used)}
 
+    @classmethod
+    def of_codes(cls, byte_of_code):
+        """The alphabet mapping code k to ``byte_of_code[k]``: 0 for code 0,
+        then strictly increasing bytes 1..255."""
+        alphabet = cls(byte_of_code[1:])
+        if alphabet.byte_of_code.tolist() != list(byte_of_code):
+            raise FormatError("byte map is not 0 followed by strictly increasing bytes")
+        return alphabet
+
     @property
     def sigma(self):
         """Alphabet size including the sentinel code 0."""

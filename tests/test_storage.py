@@ -14,6 +14,7 @@ from rlxt.baseline import build_sampled
 from rlxt.bits import WaveletSeq
 from rlxt.errors import IndexFileError, NoSuccessorError
 from rlxt.rindex import build_index
+from rlxt.rlxbwt import OutSets
 from rlxt.trie import build_from_strings, colex_sort, oracle_locate
 
 from conftest import EX26_COLEX_TO_PRE, make_dictionary, make_random_trie, present_patterns
@@ -59,7 +60,7 @@ def test_bad_magic_and_version():
         storage.load_bytes(b"XXXXX" + blob[5:])
     with pytest.raises(IndexFileError):
         storage.load_bytes(blob[:5] + bytes([99]) + blob[6:])
-    for old in (1, 2):
+    for old in (1, 2, 3):
         with pytest.raises(IndexFileError, match=f"unsupported version {old}"):
             storage.load_bytes(blob[:5] + bytes([old]) + blob[6:])
 
@@ -91,41 +92,96 @@ def test_last_node_out_of_range(ex26, stored):
 @pytest.mark.parametrize("label", [0, 4])
 def test_triple_label_outside_alphabet(ex26, label):
     engine, sections = storage._unpack(storage.save_rindex(build_index(ex26)))
-    rlxbwt = sections["rlxbwt"]
-    (rp,) = struct.unpack_from("<I", rlxbwt, 0)
-    at = 4 + 2 * rp  # past the ADD and DEL count columns
-    assert rlxbwt[at : at + 3] == bytes([1, 2, 3])  # the first block's ADD labels
-    sections["rlxbwt"] = rlxbwt[:at] + bytes([label]) + rlxbwt[at + 1 :]
+    sprime = sections["sprime"]
+    (rp,) = struct.unpack_from("<I", sections["rlxbwt"], 0)
+    at = 2 * rp  # past the ADD and DEL count columns
+    assert sprime[at : at + 3] == bytes([1, 2, 3])  # the first block's ADD labels
+    sections["sprime"] = sprime[:at] + bytes([label]) + sprime[at + 1 :]
     with pytest.raises(IndexFileError, match="triple label"):
         storage.load_bytes(storage._pack(engine, sections))
 
 
 def test_add_count_runs_past_rlxbwt(ex26):
     engine, sections = storage._unpack(storage.save_rindex(build_index(ex26)))
-    rlxbwt = sections["rlxbwt"]
-    assert rlxbwt[4] == 3 and len(rlxbwt) < 255  # the first block's ADD count
-    sections["rlxbwt"] = rlxbwt[:4] + bytes([255]) + rlxbwt[5:]
+    sprime = sections["sprime"]
+    assert sprime[0] == 3 and len(sprime) < 255  # the first block's ADD count
+    sections["sprime"] = bytes([255]) + sprime[1:]
     with pytest.raises(IndexFileError, match="rlxbwt labels run past the end"):
         storage.load_bytes(storage._pack(engine, sections))
 
 
-@pytest.mark.parametrize("delta", [-1, 1])
-def test_sprime_count_differs_from_label_entries(ex26, delta):
+def _sections_of(strings):
+    return storage._unpack(storage.save_rindex(build_index(build_from_strings(strings))))
+
+
+# EX26's sprime section: eight ADD counts, eight DEL counts, then the ADD
+# labels (A B C, A C, B C, A) and the DEL labels (A C, B, A C, B C)
+EX26_SPRIME = bytes([3, 0, 0, 2, 0, 2, 0, 1, 0, 2, 1, 0, 2, 0, 2, 0,
+                     1, 2, 3, 1, 3, 2, 3, 1, 1, 3, 2, 1, 3, 2, 3])
+
+
+def _replace(data, at, value):
+    return data[:at] + bytes([value]) + data[at + 1 :]
+
+
+@pytest.mark.parametrize("sprime, match", [
+    # block 3 adds B, not C
+    (_replace(EX26_SPRIME, 20, 2), "label 3 enters the out-set 2 times, leaves 3"),
+    # block 2 drops A, not B
+    (_replace(EX26_SPRIME, 26, 1), "entries and exits do not alternate"),
+    # block 7 drops A as well as adding it
+    (_replace(EX26_SPRIME, 15, 1) + bytes([1]), "entries and exits do not alternate"),
+])
+def test_sprime_label_events_are_inconsistent(ex26, sprime, match):
     engine, sections = storage._unpack(storage.save_rindex(build_index(ex26)))
-    sprime = sections["sprime"]
-    (cnt,) = struct.unpack_from("<I", sprime, 0)
-    sections["sprime"] = struct.pack("<I", cnt + delta) + sprime[4:]
-    with pytest.raises(IndexFileError, match="sprime"):
+    assert sections["sprime"] == EX26_SPRIME
+    sections["sprime"] = sprime
+    with pytest.raises(IndexFileError, match=match):
         storage.load_bytes(storage._pack(engine, sections))
 
 
-@pytest.mark.parametrize("delta", [-1, 1])
-def test_run_head_labels_differ_from_alphabet(ex26, delta):
+@pytest.mark.parametrize("lengths, match", [
+    ([0, 4, 1, 3, 8, 2, 3, 2], "block lengths are not positive summing to 26"),
+    ([0, 4, 1, 3, 8, 2, 3, 3], "block lengths are not positive summing to 26"),  # sum 26
+    ([3, 4, 1, 3, 8, 2, 3, 3], "block lengths are not positive summing to 26"),
+    ([4, 3, 1, 3, 8, 2, 3, 2], "out-sets hold 27 children"),  # one more row of A B C
+])
+def test_block_lengths_are_inconsistent(ex26, lengths, match):
     engine, sections = storage._unpack(storage.save_rindex(build_index(ex26)))
-    runheads = sections["runheads"]
-    (m,) = struct.unpack_from("<H", runheads, 0)
-    sections["runheads"] = struct.pack("<H", m + delta) + runheads[2:]
-    with pytest.raises(IndexFileError, match="run heads"):
+    rlxbwt = sections["rlxbwt"]
+    assert rlxbwt == struct.pack("<I", 8) + bytes([3, 4, 1, 3, 8, 2, 3, 2])
+    sections["rlxbwt"] = struct.pack("<I", 8) + bytes(lengths)
+    with pytest.raises(IndexFileError, match=match):
+        storage.load_bytes(storage._pack(engine, sections))
+
+
+@pytest.mark.parametrize("at, node", [(0, 0), (-1, 12)])
+def test_run_head_outside_trie(at, node):
+    engine, sections = _sections_of([b"abc", b"abd", b"bcd", b"xyz"])
+    runheads = bytearray(sections["runheads"])
+    assert max(runheads) < 0x80  # one byte per pre-order id
+    runheads[at] = node
+    sections["runheads"] = bytes(runheads)
+    with pytest.raises(IndexFileError, match="run head node outside 1..11"):
+        storage.load_bytes(storage._pack(engine, sections))
+
+
+def test_run_heads_past_their_count(ex26):
+    engine, sections = storage._unpack(storage.save_rindex(build_index(ex26)))
+    sections["runheads"] += b"\x01"
+    with pytest.raises(IndexFileError, match="more than 8 run heads"):
+        storage.load_bytes(storage._pack(engine, sections))
+
+
+@pytest.mark.parametrize("byte_map", [b"bacdxyz", b"aacdxyz", b"\0bcdxyz", b"abcdxy"])
+def test_byte_map_not_strictly_increasing(byte_map):
+    # [abc, abd, bcd, xyz] maps codes 1..7 to "abcdxyz"; with a and b swapped
+    # locate(b"a") would answer b's nodes
+    engine, sections = _sections_of([b"abc", b"abd", b"bcd", b"xyz"])
+    labels = sections["labels"]
+    assert labels[12:] == b"abcdxyz"
+    sections["labels"] = labels[:12] + byte_map
+    with pytest.raises(IndexFileError, match="byte map|labels hold 6 bytes"):
         storage.load_bytes(storage._pack(engine, sections))
 
 
@@ -136,10 +192,6 @@ def test_varint_wider_than_a_table_word(ex26):
     sections["runheads"] = sections["runheads"][:-1] + b"\x80" * 9 + b"\x02"
     with pytest.raises(IndexFileError, match="OverflowError"):
         storage.load_bytes(storage._pack(engine, sections))
-
-
-def _sections_of(strings):
-    return storage._unpack(storage.save_rindex(build_index(build_from_strings(strings))))
 
 
 @pytest.mark.parametrize("slen", [2**40, 18])
@@ -357,6 +409,31 @@ def _naive_triples(trie, order):
     return triples
 
 
+def _trie_side_tables(trie, order):
+    """The S' node counts, the C array and the run heads computed from the
+    trie and its co-lex order rather than derived from the blocks:
+    (base per label, C array, {label: [(colex, preorder), ...]})."""
+    out = OutSets(trie, order)
+    sigma = trie.alphabet.sigma
+    starts = np.flatnonzero(np.concatenate(([True], out.change)))
+    is_start = np.zeros(trie.n + 1, dtype=bool)
+    is_start[starts] = True
+    add = ~out.in_prev & is_start[out.row]
+    c_array = np.cumsum(np.bincount(trie.label[1 : trie.n + 1] + 1, minlength=sigma + 1))
+    # c-nodes before an entry's row = its rank among the entries labeled c
+    by_label = np.argsort(out.labels, kind="stable")
+    per_label = np.bincount(out.labels, minlength=sigma)
+    before = np.empty(len(by_label), dtype=np.int64)
+    before[by_label] = np.arange(len(by_label)) - np.repeat(np.cumsum(per_label) - per_label,
+                                                             per_label)
+    heads = out.row[add] + 1
+    base, run_heads = [[] for _ in range(sigma)], {c: [] for c in range(1, sigma)}
+    for c, b, i in zip(out.labels[add].tolist(), before[add].tolist(), heads.tolist()):
+        base[c].append(b)
+        run_heads[c].append((i, int(order.colex_to_pre[i])))
+    return base, c_array.tolist(), run_heads
+
+
 def test_loaded_sprime_tables_equal_built(ex26):
     rng = random.Random(37)
     tries = [ex26] + [make_random_trie(rng, 300, sigma) for sigma in (5, 27) for _ in range(6)]
@@ -365,9 +442,14 @@ def test_loaded_sprime_tables_equal_built(ex26):
         idx = build_index(t, order)
         blob = storage.save_rindex(idx)
         _, idx2, _, _ = storage.load_bytes(blob)
-        for name in ("starts", "adds", "dels", "base"):
+        for name in ("starts", "adds", "dels", "base", "c_array"):
             assert getattr(idx2.spi, name) == getattr(idx.spi, name), name
         assert idx2.rlx.triples == idx.rlx.triples == _naive_triples(t, order)
+        base, c_array, run_heads = _trie_side_tables(t, order)
+        for index in (idx, idx2):
+            assert [list(b) for b in index.spi.base] == base
+            assert list(index.rlx.c_array) == c_array
+            assert index.rlx.run_heads == run_heads
         assert storage.save_rindex(idx2) == blob
 
 
