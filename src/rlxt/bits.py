@@ -3,8 +3,9 @@
 All public positions are 1-based. ``rank1(i)`` counts set bits in positions
 ``1..i``; ``select1(j)`` returns the position of the j-th set bit. The dense
 vector and the wavelet sequence keep 0-based numpy arrays; the sparse vector
-keeps an ``array('q')`` searched with ``bisect``, because a query makes one
-scalar lookup at a time and a scalar numpy call costs several times more.
+keeps an :func:`int_array` (``array('i')`` while its values are below 2**31)
+searched with ``bisect``, because a query makes one scalar lookup at a time
+and a scalar numpy call costs several times more.
 """
 
 from __future__ import annotations
@@ -15,14 +16,18 @@ from bisect import bisect_left, bisect_right
 import numpy as np
 
 
-def int64_array(values):
-    """``values`` (a sequence or an integer numpy array) as an ``array('q')``
-    of exactly that length. Building one from bytes or by appending
-    over-allocates, and one built from a list of Python ints first holds the
-    list: 36 B per entry beside the array's 8."""
-    values = np.asarray(values, dtype=np.int64)
-    out = array("q", [0]) * len(values)
-    np.frombuffer(out, dtype=np.int64)[:] = values
+def int_array(values):
+    """``values`` (a sequence or an integer numpy array) as an ``array('i')``
+    when every value fits a signed 32-bit int, else an ``array('q')``, of
+    exactly that length. Item reads and ``bisect`` work alike on both. Building one from
+    bytes or by appending over-allocates, and one built from a list of Python
+    ints first holds the list: 36 B per entry beside the array's 4 or 8."""
+    values = np.asarray(values)
+    if values.dtype.kind not in "iu":
+        values = values.astype(np.int64)
+    narrow = not len(values) or (values.min() >= -(1 << 31) and values.max() < 1 << 31)
+    out = array("i" if narrow else "q", [0]) * len(values)
+    np.frombuffer(out, dtype=out.typecode)[:] = values
     return out
 
 
@@ -136,8 +141,9 @@ class SparseBitVec:
 
     Same rank/select algebra as :class:`BitVec`; space is proportional to the
     number of set bits, which is what the O(r log n) components rely on.
-    ``positions`` is an ``array('q')``: every query is one ``bisect`` or one
-    item read on it.
+    ``positions`` is an :func:`int_array`, 4 bytes per set bit while the
+    universe is below 2**31: every query is one ``bisect`` or one item read
+    on it.
     """
 
     __slots__ = ("universe", "positions")
@@ -147,7 +153,7 @@ class SparseBitVec:
         pos = sorted_set(positions)
         if len(pos) and (pos[0] < 1 or pos[-1] > self.universe):
             raise ValueError("positions out of universe range")
-        self.positions = int64_array(pos)
+        self.positions = int_array(pos)
 
     def __len__(self):
         return self.universe

@@ -14,7 +14,7 @@ from bisect import bisect_left
 
 import numpy as np
 
-from .bits import SparseBitVec, concat_ranges, int64_array, sorted_set
+from .bits import SparseBitVec, concat_ranges, int_array, sorted_set
 from .errors import DomainError, NoSuccessorError
 from .rlxbwt import (
     OutSets,
@@ -60,16 +60,16 @@ class PhiSamples:
 
     Type 1 lives on colored nodes; type 2 on the child reached by a label
     that breaks its run. A node may carry both flags; the value is the same.
-    ``keys``, ``values`` and ``flags`` are parallel ``array('q')`` tables
-    sorted by key.
+    ``keys``, ``values`` and ``flags`` are parallel :func:`~rlxt.bits.int_array`
+    tables (``array('i')`` below 2**31 nodes) sorted by key.
     """
 
     __slots__ = ("keys", "values", "flags")
 
     def __init__(self, keys, values, flags):
-        self.keys = int64_array(keys)
-        self.values = int64_array(values)
-        self.flags = int64_array(flags)
+        self.keys = int_array(keys)
+        self.values = int_array(values)
+        self.flags = int_array(flags)
 
     def _slot(self, u):
         keys = self.keys
@@ -113,7 +113,7 @@ class IscTables:
         self.b1 = b1
         # segment boundaries; offsets may repeat because a run-break node can
         # have an empty out-set (its first segment is empty)
-        self.starts = int64_array(starts)
+        self.starts = int_array(starts)
 
     def segments(self, u):
         """(seg1, seg2) position ranges [start, end) in S for red node u, 1-based."""
@@ -133,8 +133,11 @@ class IscTables:
             raise DomainError(f"label of child {k} missing from the successor's out-set")
         # the child's label is the j-th common one; find the j-th one of seg2
         pos = s2 - 2
-        for _ in range(s.count(1, s1 - 1, s1 + k - 1)):
-            pos = s.index(1, pos + 1, e2 - 1)
+        try:
+            for _ in range(s.count(1, s1 - 1, s1 + k - 1)):
+                pos = s.index(1, pos + 1, e2 - 1)
+        except ValueError:  # seg2 holds fewer common labels than seg1
+            raise DomainError(f"isc segments of node {u} disagree on the common labels") from None
         return pos - s2 + 2
 
 

@@ -18,7 +18,7 @@ from bisect import bisect_left, bisect_right
 
 import numpy as np
 
-from .bits import concat_ranges, int64_array
+from .bits import concat_ranges, int_array
 from .errors import DomainError
 
 
@@ -29,8 +29,8 @@ class RlXbwt:
     ``r_prime``, ``c_array`` and ``block_out_sets`` are views derived from
     them. The c-run heads are the nodes at the starts of the blocks in
     ``spi.adds[c]``: ``head_pre[c][k]`` is the pre-order id of the head of
-    the run entering at block ``spi.adds[c][k]``, one ``array('q')`` per
-    label (label 0, the root's, has none).
+    the run entering at block ``spi.adds[c][k]``, one
+    :func:`~rlxt.bits.int_array` per label (label 0, the root's, has none).
     """
 
     __slots__ = ("n", "sigma", "spi", "head_pre")
@@ -93,9 +93,12 @@ def by_label(sigma, labels, values):
 
 
 def per_label(values, counts):
-    """Label-sorted ``values`` cut into one ``array('q')`` per label."""
+    """Label-sorted ``values`` cut into one table per label, all at the
+    width :func:`~rlxt.bits.int_array` picks for the whole: 4 bytes per
+    value below 2**31. Slicing an array copies exactly its length."""
+    table = int_array(values)
     bounds = np.concatenate(([0], np.cumsum(counts))).tolist()
-    return [int64_array(values[a:b]) for a, b in zip(bounds, bounds[1:])]
+    return [table[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def _in_block_order(tables):
@@ -135,7 +138,7 @@ class SPrimeIndex:
         lengths = np.asarray(lengths, dtype=np.int64)
         ends = np.cumsum(lengths) + 1  # one past each block, n + 1 for the last
         starts = ends - lengths
-        self.starts = int64_array(starts)
+        self.starts = int_array(starts)
         blocks = np.arange(len(lengths))
         entries, n_entries = by_label(sigma, add_labels, np.repeat(blocks, n_add))
         exits, n_exits = by_label(sigma, del_labels, np.repeat(blocks, n_del))
@@ -156,7 +159,7 @@ class SPrimeIndex:
         before = np.concatenate(([0], np.cumsum(stops - heads)))
         first = np.cumsum(n_entries) - n_entries
         self.base = per_label(before[:-1] - np.repeat(before[first], n_entries), n_entries)
-        self.c_array = int64_array(np.concatenate(([0], before[first + n_entries] + 1)))
+        self.c_array = int_array(np.concatenate(([0], before[first + n_entries] + 1)))
         self.adds = per_label(entries, n_entries)
         self.dels = per_label(exits, n_exits)
 

@@ -4,8 +4,9 @@ The i-th open parenthesis corresponds to pre-order node i. Subtrees occupy
 contiguous parenthesis ranges, which is what the isomorphic-descendant jump
 and the marked-node queries exploit. Excess searches (level ancestor, LCA)
 run over the blocked minima of the prefix-excess array and a sparse table
-over them. Beside the excess only open, close and parent tables are kept
-(40 bytes per node), all built by array operations.
+over them. Beside the excess only open, close and parent tables are kept,
+each at the narrowest width that holds it (16 bytes per node below depth
+2**15 and 2**31 parens), all built by array operations.
 """
 
 from __future__ import annotations
@@ -14,10 +15,37 @@ from array import array
 
 import numpy as np
 
-from .bits import SparseBitVec, int64_array, pack_bits, sorted_set, unpack_bits
+from .bits import SparseBitVec, pack_bits, sorted_set, unpack_bits
 from .errors import DomainError
 
 _BLOCK = 512
+
+
+def _view(table):
+    """A numpy view of an ``array`` table, at its own width."""
+    return np.frombuffer(table, dtype=table.typecode)
+
+
+def _excess(bits):
+    """The prefix excess of the parentheses ``bits`` (opens minus closes
+    among the first p, for p = 0..2n) in the narrowest of ``array('h')``,
+    ``('i')`` and ``('q')`` that holds it. Each width is tried with a
+    running sum in that width over the int8 steps: the steps are +-1 from 0,
+    so a sum that overflows wraps to a negative value before any other, and
+    one that stays non-negative is exact."""
+    steps = bits.astype(np.int8)
+    steps *= 2
+    steps -= 1  # +1 open, -1 close
+    for code in "hiq":
+        ex = array(code, [0]) * (len(bits) + 1)
+        view = _view(ex)
+        np.cumsum(steps, dtype=view.dtype, out=view[1:])
+        low = view.min()
+        if low >= 0:
+            break
+    if low < 0 or view[-1] != 0:
+        raise ValueError("parenthesis sequence is not balanced")
+    return ex
 
 
 def _depth_order(minuend, subtrahend, key_type):
@@ -41,38 +69,45 @@ class BpsTopology:
         # excess[p]: opens minus closes among the first p parens. The node
         # opening at p is (p + excess[p]) >> 1 and node u has depth
         # 2u - open_pos[u-1] - 1, so neither needs a table of its own. The
-        # tables are array('q'), as the climb reads them one item at a time,
-        # at a quarter of the cost of int(numpy_array[i]); the excess also
-        # has a numpy view, for the block scans
-        self._ex = array("q", [0]) * (2 * n + 1)
-        self._excess = ex = np.frombuffer(self._ex, dtype=np.int64)
-        np.cumsum(bits.astype(np.int8) * 2 - 1, out=ex[1:])  # +1 open, -1 close
-        if ex[-1] != 0 or ex.min() < 0:
-            raise ValueError("parenthesis sequence is not balanced")
-        opens = np.flatnonzero(bits) + 1
+        # tables are arrays, as the climb reads them one item at a time, at a
+        # quarter of the cost of int(numpy_array[i]), each at the narrowest
+        # width that holds its values: 2 bytes per paren for the excess below
+        # depth 2**15, 4 per node for each of open, close and parent below
+        # 2**31 parens. The excess also has a numpy view, for the block scans.
+        # Every n-sized temporary is freed once used, and the int64 sort
+        # results are narrowed before the next one is made.
+        self._ex = _excess(bits)
+        self._excess = ex = _view(self._ex)
+        wide = "i" if 2 * n < 1 << 31 else "q"  # no position exceeds 2n
+        self.open_pos = array(wide, [0]) * n
+        opens = _view(self.open_pos)
+        opens[:] = np.flatnonzero(bits.view(bool))
+        opens += 1
+        odd = np.arange(1, 2 * n, 2, dtype=wide)  # 2u - 1 for node u
         key_type = np.min_scalar_type(int(ex.max()))
-        by_depth = _depth_order(np.arange(1, 2 * n, 2), opens, key_type)  # node u: 2u - 1 - open
+        # each depth's opens and closes alternate in position order, so the
+        # k-th open at a depth matches the k-th close there
+        closes = np.flatnonzero(bits == 0).astype(wide)
+        closes = closes[_depth_order(closes, odd, key_type)]  # j-th close: q - 2j
+        by_depth = _depth_order(odd, opens, key_type).astype(wide)  # node u: 2u - 1 - open
+        del odd
+        closes += 1
+        self.close_pos = array(wide, [0]) * (n + 1)
+        _view(self.close_pos)[1:][by_depth] = closes
+        del closes
         # in (depth, id) order, each parent's children form one run that
         # starts at its first child u, whose parent is u - 1 (the root, a run
         # of its own, gets 0); a running maximum carries each run's start on
-        run = np.arange(n)
         first = np.ones(n, dtype=bool)
         first[1:] = opens[1:] == opens[:-1] + 1
-        run[~first[by_depth]] = 0
+        run = np.arange(n, dtype=wide)
+        run *= first.take(by_depth)
+        del first
         np.maximum.accumulate(run, out=run)
-        parent = np.zeros(n + 1, dtype=np.int64)
-        parent[1:][by_depth] = by_depth[run]
-        del first, run
-        # each depth's opens and closes alternate in position order, so the
-        # k-th open at a depth matches the k-th close there
-        closes = np.flatnonzero(bits == 0)
-        closes = closes[_depth_order(closes, np.arange(1, 2 * n, 2), key_type)]  # j-th close: q - 2j
-        close = np.zeros(n + 1, dtype=np.int64)
-        close[1:][by_depth] = closes + 1
-        del closes, by_depth
-        self.open_pos = int64_array(opens)
-        self.close_pos = int64_array(close)
-        self.parent_node = int64_array(parent)
+        run = by_depth.take(run)
+        self.parent_node = array(wide, [0]) * (n + 1)
+        _view(self.parent_node)[1:][by_depth] = run
+        del run, by_depth
         # blocked minima of the excess array, plus a sparse table over them
         nb = (len(ex) + _BLOCK - 1) // _BLOCK
         self._blk_min = np.minimum.reduceat(ex, np.arange(0, len(ex), _BLOCK))

@@ -5,7 +5,7 @@ from array import array
 import numpy as np
 import pytest
 
-from rlxt.bits import BitVec, SparseBitVec, WaveletSeq, int64_array
+from rlxt.bits import BitVec, SparseBitVec, WaveletSeq, int_array
 
 # S' of the running example, encoded over the order a- < b- < c- < a+ < b+ < c+ < /
 # with a,b,c = label codes 1,2,3: minus(c) = c-1, plus(c) = 2+c, slash = 6.
@@ -101,11 +101,16 @@ def test_sparse_round_trip_and_ends():
             sv2.select1(0)  # not a wrap to the last position
 
 
-def test_int64_array_is_exact():
-    for values in ([], [7], list(range(-3, 997)), np.arange(46_612, dtype=np.int64)):
-        out = int64_array(values)
-        assert out.typecode == "q" and list(out) == list(values)
-        assert sys.getsizeof(out) == sys.getsizeof(array("q")) + 8 * len(values)
+def test_int_array_width_and_exact_size():
+    # 4 bytes per value while every value fits a signed 32-bit int, else 8
+    cases = [([], "i"), ([7], "i"), (list(range(-3, 997)), "i"),
+             (np.arange(46_612, dtype=np.int64), "i"), (np.arange(5, dtype=np.int16), "i"),
+             ([2**31 - 1, -2**31], "i"), ([2**31], "q"), ([-2**31 - 1], "q"),
+             ([0, 2**31 - 1, 2**31], "q"), (np.array([2**31], dtype=np.uint64), "q")]
+    for values, code in cases:
+        out = int_array(values)
+        assert out.typecode == code and list(out) == list(values)
+        assert sys.getsizeof(out) == sys.getsizeof(array(code)) + out.itemsize * len(values)
 
 
 def test_wavelet_sprime_examples():

@@ -163,6 +163,21 @@ def test_sample_outside_trie_is_index_error(tmp_path, capsys):
     assert _one_line_index_error(capsys) == "index error: phi sample node outside 1..11"
 
 
+def test_isc_segments_that_disagree_are_index_error(tmp_path, capsys):
+    # one flipped bit of S under a valid checksum leaves a red node's second
+    # segment with fewer common labels than its first: the climb stops there
+    engine, sections = storage._unpack(
+        storage.save_rindex(build_index(build_from_strings([b"abc", b"abd", b"bcd", b"xyz"]))))
+    isc = bytearray(sections["isc"])
+    isc[105 // 8] ^= 1 << 105 % 8
+    sections["isc"] = bytes(isc)
+    path = tmp_path / "bad-isc.rlxt"
+    path.write_bytes(storage._pack(engine, sections))
+    assert main(["locate", str(path), ""]) == 3
+    line = _one_line_index_error(capsys)
+    assert line.startswith("index error: query failed (DomainError: isc segments of node ")
+
+
 @pytest.mark.parametrize("error", [DomainError, NoSuccessorError, IndexError])
 @pytest.mark.parametrize("cmd", [["locate"], ["count"], ["locate", "--count-only"]])
 def test_query_failure_on_loaded_index(ex26_index, capsys, monkeypatch, error, cmd):

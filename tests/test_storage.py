@@ -4,6 +4,7 @@ import random
 import struct
 import sys
 import types
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -294,21 +295,38 @@ def test_every_truncation_is_an_index_file_error():
             storage.load_bytes(blob[:k])
 
 
-def test_loaded_index_holds_no_wavelet(ex26):
-    _, idx, _, _ = storage.load_bytes(storage.save_rindex(build_index(ex26)))
-    seen, stack = set(), [idx]
+def _reachable(idx):
+    """Every object a loaded index references, after checking that the walk
+    reached every component and every table it holds."""
+    seen, found, stack = set(), [], [idx]
     while stack:
         obj = stack.pop()
         if id(obj) in seen or isinstance(obj, (type, types.ModuleType, types.FunctionType)):
             continue
         seen.add(id(obj))
-        assert not isinstance(obj, WaveletSeq)
+        found.append(obj)
         stack.extend(gc.get_referents(obj))
-    # the walk reached every component and every table it holds
     for comp in (getattr(idx, name) for name in idx.__slots__):
         assert id(comp) in seen
         for name in getattr(type(comp), "__slots__", ()):
             assert id(getattr(comp, name)) in seen
+    return found
+
+
+def test_loaded_index_holds_no_wavelet(ex26):
+    _, idx, _, _ = storage.load_bytes(storage.save_rindex(build_index(ex26)))
+    assert not any(isinstance(obj, WaveletSeq) for obj in _reachable(idx))
+
+
+def test_loaded_index_tables_are_narrow():
+    # every value of a query table is below 2n, so none needs 8 bytes
+    trie = build_from_strings(make_dictionary(random.Random(27), 4600, b"abcdefgh"))
+    assert trie.n > 20_000
+    _, idx, _, _ = storage.load_bytes(storage.save_rindex(build_index(trie)))
+    tables = [obj for obj in _reachable(idx) if isinstance(obj, array)]
+    assert len(tables) > 20
+    assert [t.typecode for t in tables if t.typecode == "q"] == []
+    assert idx.topo._ex.typecode == "h"
 
 
 def test_machinery_bits_are_sane(ex26):

@@ -221,12 +221,29 @@ def test_tables_match_stack_walk():
     rng = random.Random(24)
     for _ in range(30):
         t = make_random_trie(rng, rng.randint(1, 600), rng.choice([1, 2, 3, 6]))
-        _assert_tables_match_stack_walk(BpsTopology.from_trie(t))
-    # depth keys sort as uint8, uint16 (the 20,000-deep path) and uint32
+        topo = BpsTopology.from_trie(t)
+        _assert_tables_match_stack_walk(topo)
+        assert topo._ex.typecode == "h"
+    # depth keys sort as uint8, uint16 (the 20,000-deep path) and uint32; the
+    # 70,000-deep path's excess no longer fits 16 bits
     for parens in ([1, 0], _path_parens(20_000), _path_parens(70_000), _star_parens(255)):
         topo, _ = BpsTopology.from_bytes(BpsTopology(parens).to_bytes())
         assert topo.parens.tolist() == parens
         _assert_tables_match_stack_walk(topo)
+        assert topo._ex.typecode == ("i" if len(parens) > 2**16 else "h")
+
+
+def test_excess_width_at_the_int16_boundary():
+    # a 16-bit running sum that overflows wraps negative: the excess then
+    # takes the next width, and a sum that truly goes negative is rejected
+    for m, code in ((2**15 - 1, "h"), (2**15, "i")):
+        topo = BpsTopology(_path_parens(m))
+        assert topo._ex.typecode == code
+        assert list(topo._ex) == list(range(m + 1)) + list(range(m - 1, -1, -1))
+        assert topo.depth(m) == m - 1 and topo.laq(m, m - 1) == 1
+    for parens in (_path_parens(2**15) + [0, 1], [1] * 2**16 + [0] * 2**16 + [0, 1]):
+        with pytest.raises(ValueError):
+            BpsTopology(parens)
 
 
 @pytest.mark.parametrize("parens", [[1], [1, 0, 1], [0, 1], [1, 0, 0, 1], [1, 1, 0, 1],
@@ -266,7 +283,7 @@ def test_loaded_topology_size_per_node():
     rng = random.Random(25)
     t = make_random_trie(rng, 20_000, 4)
     topo, _ = BpsTopology.from_bytes(BpsTopology.from_trie(t).to_bytes())
-    assert _deep_size(topo) <= 42 * t.n
+    assert _deep_size(topo) <= 17 * t.n
 
 
 def _caterpillar(m, spine_first):
