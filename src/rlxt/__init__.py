@@ -26,7 +26,7 @@ from .rlxbwt import (
     xbwt_successor,
 )
 from .storage import load, save
-from .topology import BpsTopology, MarkSet
+from .topology import BpsTopology
 from .trie import (
     Alphabet,
     ColexOrder,
@@ -44,7 +44,6 @@ __all__ = [
     "BpsTopology",
     "ColexOrder",
     "LabeledTrie",
-    "MarkSet",
     "RIndex",
     "RlXbwt",
     "SPrimeIndex",

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bits import SparseBitVec, WaveletSeq, concat_ranges
+from .bits import SparseBitVec, WaveletSeq
 from .errors import DomainError
+from .rlxbwt import OutSets
 from .trie import colex_sort
 
 
@@ -34,15 +35,9 @@ class XbwtNav:
 
     @classmethod
     def from_trie(cls, trie, colex):
-        n = trie.n
-        nodes = colex.colex_to_pre[1:]
-        first = trie.child_start[nodes]
-        deg = trie.child_start[nodes + 1] - first
-        node_end = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(deg, out=node_end[1:])
-        flat = trie.label[trie.child_ids[concat_ranges(first, deg)]]
-        wavelet = WaveletSeq(flat, trie.alphabet.sigma)
-        return cls(n, trie.alphabet.sigma, wavelet, flat, node_end)
+        out = OutSets(trie, colex)
+        wavelet = WaveletSeq(out.labels, trie.alphabet.sigma)
+        return cls(trie.n, trie.alphabet.sigma, wavelet, out.labels, out.offsets)
 
     def label_of(self, i):
         """Incoming label of colex node i (the Lambda sequence is sorted)."""

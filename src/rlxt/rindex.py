@@ -14,7 +14,7 @@ from bisect import bisect_left
 
 import numpy as np
 
-from .bits import SparseBitVec, concat_ranges, int_array, sorted_set
+from .bits import SparseBitVec, concat_ranges, int_array
 from .errors import DomainError, NoSuccessorError
 from .rlxbwt import (
     OutSets,
@@ -24,22 +24,23 @@ from .rlxbwt import (
     run_head_preorder,
     xbwt_successor,
 )
-from .topology import BpsTopology, MarkSet
+from .topology import BpsTopology
 from .trie import colex_sort
 
 
 class ColorMarks:
     """Red = outgoing labels differ from the co-lex successor's; blue =
-    incoming label differs. The union feeds the topology's marked queries
-    and answers "is u colored?" in one lookup."""
+    incoming label differs. The union, ``colored``, is the one table of
+    colored node ids: the topology's marked queries search it, "is u
+    colored?" is one lookup in it, and the phi samples are keyed by it."""
 
     __slots__ = ("red", "blue", "colored")
 
-    def __init__(self, topo, red_ids, blue_ids):
-        self.red = SparseBitVec(topo.n, red_ids)
-        self.blue = SparseBitVec(topo.n, blue_ids)
-        self.colored = MarkSet(topo, sorted_set(np.concatenate((self.red.positions,
-                                                                 self.blue.positions))))
+    def __init__(self, n, red_ids, blue_ids):
+        self.red = SparseBitVec(n, red_ids)
+        self.blue = SparseBitVec(n, blue_ids)
+        self.colored = SparseBitVec(n, np.concatenate((self.red.positions,
+                                                       self.blue.positions)))
 
     def is_red(self, u):
         return self.red.contains(u)
@@ -48,49 +49,48 @@ class ColorMarks:
         return self.blue.contains(u)
 
     def is_colored(self, u):
-        return self.colored.contains_node(u)
-
-
-TYPE1 = 1
-TYPE2 = 2
+        return self.colored.contains(u)
 
 
 class PhiSamples:
     """Sampled values of the co-lex successor function.
 
-    Type 1 lives on colored nodes; type 2 on the child reached by a label
-    that breaks its run. A node may carry both flags; the value is the same.
-    ``keys``, ``values`` and ``flags`` are parallel :func:`~rlxt.bits.int_array`
-    tables (``array('i')`` below 2**31 nodes) sorted by key.
+    Type 1 lives on the colored nodes: ``values[k]`` belongs to the k-th of
+    ``colored.positions``, the set :class:`ColorMarks` holds, not a copy.
+    Type 2 lives on the child reached by a label that breaks its run. The
+    climb asks for a type-2 sample only at a node that is not colored (the
+    child below the lowest covering ancestor, whose subtree holds no mark),
+    so only those type-2 nodes are kept: ``type2_keys``, sorted, with
+    ``type2_values``. A colored node's type-2 value, if any, is its type-1
+    value. Every table is an :func:`~rlxt.bits.int_array`.
     """
 
-    __slots__ = ("keys", "values", "flags")
+    __slots__ = ("colored", "values", "type2_keys", "type2_values")
 
-    def __init__(self, keys, values, flags):
-        self.keys = int_array(keys)
+    def __init__(self, colored, values, type2_keys, type2_values):
+        self.colored = colored
         self.values = int_array(values)
-        self.flags = int_array(flags)
-
-    def _slot(self, u):
-        keys = self.keys
-        k = bisect_left(keys, u)
-        return k if k < len(keys) and keys[k] == u else -1
+        self.type2_keys = int_array(type2_keys)
+        self.type2_values = int_array(type2_values)
 
     def value(self, u):
-        k = self._slot(u)
-        if k < 0:
-            raise DomainError(f"node {u} carries no phi sample")
-        return self.values[k]
+        """The type-1 sample of u, a colored node."""
+        keys = self.colored.positions
+        k = bisect_left(keys, u)
+        if k < len(keys) and keys[k] == u:
+            return self.values[k]
+        raise DomainError(f"node {u} is not colored: it carries no type-1 phi sample")
 
-    def has_type2(self, u):
-        k = self._slot(u)
-        return k >= 0 and bool(self.flags[k] & TYPE2)
+    def type2_value(self, u):
+        """The type-2 sample of u, a node that is not colored, or None."""
+        keys = self.type2_keys
+        k = bisect_left(keys, u)
+        return self.type2_values[k] if k < len(keys) and keys[k] == u else None
 
     def arrows(self):
-        return dict(zip(self.keys, self.values))
-
-    def typed(self, which):
-        return {k for k, f in zip(self.keys, self.flags) if f & which}
+        out = dict(zip(self.colored.positions, self.values))
+        out.update(zip(self.type2_keys, self.type2_values))
+        return out
 
 
 class IscTables:
@@ -147,20 +147,18 @@ class RIndex:
     Every locate answer is produced by the toehold + climb machinery alone;
     neither direction of the co-lex permutation is kept. The one fact of it
     a query reads is which node is co-lex-last (``phi`` has no successor to
-    give there): ``pre_to_colex`` holds just that entry of the pre-order to
-    co-lex map, ``{last: n}``. It keeps the map's name because measuring
-    tools look the component up under that name.
+    give there): ``last``.
     """
 
     __slots__ = (
-        "n", "alphabet", "pre_to_colex", "topo", "rlx", "spi", "colors",
+        "n", "alphabet", "last", "topo", "rlx", "spi", "colors",
         "samples", "isc_tables", "case_counters",
     )
 
     def __init__(self, n, alphabet, last, topo, rlx, spi, colors, samples, isc_tables):
         self.n = n
         self.alphabet = alphabet
-        self.pre_to_colex = {last: n}
+        self.last = last
         self.topo = topo
         self.rlx = rlx
         self.spi = spi
@@ -170,9 +168,10 @@ class RIndex:
         self.case_counters = {"1": 0, "2.1": 0, "2.2.1": 0, "2.2.2": 0}
 
     @property
-    def last(self):
-        """Pre-order id of the co-lex-last node."""
-        return next(iter(self.pre_to_colex))
+    def pre_to_colex(self):
+        """The one entry of the pre-order to co-lex map that is kept,
+        ``{last: n}``, under the map's name, which measuring tools read."""
+        return {self.last: self.n}
 
     def reset_counters(self):
         for k in self.case_counters:
@@ -227,7 +226,7 @@ class RIndex:
 
     def phi(self, u):
         """Pre-order id of u's co-lex successor (climb, Cases 1..2.2.2)."""
-        if self.pre_to_colex.get(u) == self.n:
+        if u == self.last:
             raise NoSuccessorError(f"node {u} is last in co-lex order")
         if self.colors.is_colored(u):
             self.case_counters["1"] += 1
@@ -242,9 +241,9 @@ class RIndex:
         t = topo.depth(u) - topo.depth(a)
         k_node = topo.laq(u, t - 1)
         if self.colors.is_red(a):
-            if self.samples.has_type2(k_node):
+            u_k1 = self.samples.type2_value(k_node)
+            if u_k1 is not None:
                 self.case_counters["2.2.1"] += 1
-                u_k1 = self.samples.value(k_node)
             else:
                 self.case_counters["2.2.2"] += 1
                 a1 = self.samples.value(a)
@@ -269,6 +268,15 @@ class RIndex:
         return self.isc_tables.isc(u, k)
 
 
+def type2_nodes(out, colex):
+    """The type-2 sample nodes: each child along a label that leaves
+    the out-set between co-lex neighbours (``out``, the :class:`OutSets`),
+    unless that child is co-lex-last."""
+    n = len(out.offsets) - 1
+    gone = out.kids[~out.in_next & (out.row < n - 1)]
+    return gone[colex.pre_to_colex[gone] < n]
+
+
 def build_index(trie, colex=None):
     """Build the full locate structure; of the colex permutation only the
     co-lex-last node is kept. Every table comes from one pass of array
@@ -284,17 +292,12 @@ def build_index(trie, colex=None):
     red_ids = c2p[np.flatnonzero(out.change) + 1]
     lam = trie.label[c2p[1:]]
     blue_ids = c2p[np.flatnonzero(lam[:-1] != lam[1:]) + 1]
-    colors = ColorMarks(topo, red_ids, blue_ids)
+    colors = ColorMarks(n, red_ids, blue_ids)
 
-    # type 1 on colored nodes; type 2 on the child along a label that leaves
-    # the out-set between co-lex neighbours, unless that child is last
-    type1 = np.union1d(red_ids, blue_ids)
-    gone = out.kids[~out.in_next & (out.row < n - 1)]
-    type2 = gone[p2c[gone] < n]
-    keys = np.union1d(type1, type2)
-    flags = (np.where(np.isin(keys, type1), TYPE1, 0)
-             | np.where(np.isin(keys, type2), TYPE2, 0))
-    phi_samples = PhiSamples(keys, c2p[p2c[keys] + 1], flags)
+    # type 1 on the colored nodes; of type 2, the nodes that are not colored
+    colored = np.asarray(colors.colored.positions)
+    type2 = np.setdiff1d(type2_nodes(out, colex), colored)
+    phi_samples = PhiSamples(colors.colored, c2p[p2c[colored] + 1], type2, c2p[p2c[type2] + 1])
 
     # per red node in pre-order: which of its labels the successor holds,
     # then which of the successor's labels it holds

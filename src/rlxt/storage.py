@@ -6,9 +6,11 @@ Layout: magic ``RLXT1``, version byte, engine byte (0 = run-length index,
 payloads. A section whose payload fails its CRC is rejected before any
 decoder reads it. Files round-trip bit-exactly: serializing a loaded index
 reproduces the original bytes. Each fact of the transform is stored once:
-loading derives the S' node counts and the C array from the blocks, and does
-not rebuild the trie. Every section is laid out in columns (fixed-width or
-varint streams), each decoded in one numpy pass with no Python call per value.
+loading derives the S' node counts and the C array from the blocks, the phi
+samples are keyed by the colored set of the ``colors`` section, and the trie
+is not rebuilt. Payloads are read in place, as slices of the file. Every
+section is laid out in columns (fixed-width or varint streams), each decoded
+in one numpy pass with no Python call per value.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .topology import BpsTopology
 from .trie import Alphabet, colex_sort
 
 MAGIC = b"RLXT1"
-VERSION = 4
+VERSION = 5
 ENGINE_RINDEX = 0
 ENGINE_SAMPLED = 1
 _ENTRY = struct.Struct("<8sQQI")  # tag, offset, length, CRC-32 of the payload
@@ -213,11 +215,11 @@ def _enc_colors(colors):
 
 
 def _enc_samples(samples, last):
-    out = bytearray()
-    out += struct.pack("<I", len(samples.keys))
-    _w_deltas(out, samples.keys)
-    # a flag (< 128) is its own one-byte varint, so values and flags are one stream
-    out += _varints(np.column_stack((samples.values, samples.flags)))
+    # the colored nodes' values need no keys: the colors section gives them
+    out = bytearray(_varints(samples.values))
+    out += struct.pack("<I", len(samples.type2_keys))
+    _w_deltas(out, samples.type2_keys)
+    out += _varints(samples.type2_values)
     _w_varint(out, last)  # the co-lex-last node, where phi has no value
     return bytes(out)
 
@@ -311,26 +313,42 @@ def save_rindex(index, meta=None):
     return _pack(ENGINE_RINDEX, {k: sections[k] for k in RINDEX_SECTIONS})
 
 
-def _dec_colors(data, topo):
+def _dec_colors(data, n):
     (nred,) = struct.unpack_from("<I", data, 0)
     reds, off = _r_deltas(data, 4, nred)
     (nblue,) = struct.unpack_from("<I", data, off)
     blues, off = _r_deltas(data, off + 4, nblue)
-    return ColorMarks(topo, reds, blues)
+    return ColorMarks(n, reds, blues)
 
 
-def _dec_samples(data, n):
-    """The phi samples and the co-lex-last node."""
-    (cnt,) = struct.unpack_from("<I", data, 0)
-    keys, off = _r_deltas(data, 4, cnt)
-    pairs, off = _r_varints(data, off, 2 * cnt)  # value, flag, value, flag, ...
-    nodes = np.concatenate((keys, pairs[0::2]))
-    if cnt and (nodes.min() < 1 or nodes.max() > n):
+def _check_nodes(nodes, n):
+    if len(nodes) and (nodes.min() < 1 or nodes.max() > n):
         raise IndexFileError(f"phi sample node outside 1..{n}")
-    samples = PhiSamples(keys, pairs[0::2], pairs[1::2])
+
+
+def _dec_samples(data, colored, n):
+    """The phi samples, keyed by the ``colored`` set of the colors section,
+    and the co-lex-last node."""
+    values, off = _r_varints(data, 0, colored.num_ones)
+    _check_nodes(values, n)
+    (cnt,) = struct.unpack_from("<I", data, off)
+    gaps, off = _r_varints(data, off + 4, cnt)
+    if (gaps[1:] < 1).any():
+        raise IndexFileError("type-2 sample nodes are not strictly increasing")
+    keys = np.cumsum(gaps, out=gaps)
+    _check_nodes(keys, n)
+    if np.isin(keys, colored.positions, assume_unique=True).any():
+        raise IndexFileError("a type-2 sample node is colored")
+    type2_values, off = _r_varints(data, off, cnt)
+    _check_nodes(type2_values, n)
+    samples = PhiSamples(colored, values, keys, type2_values)
     last, off = _r_varint(data, off)
+    if off != len(data):
+        raise IndexFileError("samples section does not end at the co-lex-last node")
     if not 1 <= last <= n:
         raise IndexFileError(f"co-lex-last node {last} outside 1..{n}")
+    if colored.contains(last) or samples.type2_value(last) is not None:
+        raise IndexFileError(f"co-lex-last node {last} carries a phi sample")
     return samples, last
 
 
@@ -343,6 +361,8 @@ def _dec_isc(data, red):
     sts, off = _r_deltas(data, off + 4, nst)
     if len(sts) != 2 * red.num_ones + 1:
         raise IndexFileError(f"isc holds {len(sts)} segment starts for {red.num_ones} red nodes")
+    if (sts[1:] < sts[:-1]).any():  # a running sum that wrapped past 2**63
+        raise IndexFileError("isc segment starts decrease")
     # S is allocated from its stored length only once the segment starts,
     # which end one past S, and the zero positions agree with that length
     if slen != sts[-1] - 1:
@@ -358,7 +378,7 @@ def _dec_isc(data, red):
 def load_rindex(sections):
     """Decode every section in turn; each decoder returns only what the
     index keeps, so its temporaries are freed before the next one runs."""
-    meta = json.loads(sections["meta"].decode() or "{}")
+    meta = json.loads(bytes(sections["meta"]).decode() or "{}")
     topo, _ = BpsTopology.from_bytes(sections["topology"])
     alphabet, n = _dec_labels(sections["labels"])
     if topo.n != n:
@@ -367,8 +387,8 @@ def load_rindex(sections):
     spi, runs = _dec_spi(sections["rlxbwt"], sections["sprime"], sigma, n)
     head_pre = _dec_runheads(sections["runheads"], runs, n)
     rlx = RlXbwt(n, sigma, spi, head_pre)
-    colors = _dec_colors(sections["colors"], topo)
-    samples, last = _dec_samples(sections["samples"], n)
+    colors = _dec_colors(sections["colors"], n)
+    samples, last = _dec_samples(sections["samples"], colors.colored, n)
     isc = _dec_isc(sections["isc"], colors.red)
     idx = RIndex(n, alphabet, last, topo, rlx, spi, colors, samples, isc)
     return idx, meta
@@ -397,7 +417,7 @@ def save_sampled(sl, meta=None):
 
 
 def load_sampled(sections):
-    meta = json.loads(sections["meta"].decode() or "{}")
+    meta = json.loads(bytes(sections["meta"]).decode() or "{}")
     alphabet, n = _dec_labels(sections["labels"])
     data = sections["xbwtflat"]
     (n2,) = struct.unpack_from("<Q", data, 0)
@@ -434,7 +454,7 @@ def save(obj, path, meta=None):
 
 def load_bytes(data):
     try:
-        engine, sections = _unpack(data)
+        engine, sections = _unpack(memoryview(data))
         if engine == ENGINE_RINDEX:
             obj, meta = load_rindex(sections)
         elif engine == ENGINE_SAMPLED:

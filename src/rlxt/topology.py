@@ -2,11 +2,12 @@
 
 The i-th open parenthesis corresponds to pre-order node i. Subtrees occupy
 contiguous parenthesis ranges, which is what the isomorphic-descendant jump
-and the marked-node queries exploit. Excess searches (level ancestor, LCA)
-run over the blocked minima of the prefix-excess array and a sparse table
-over them. Beside the excess only open, close and parent tables are kept,
-each at the narrowest width that holds it (16 bytes per node below depth
-2**15 and 2**31 parens), all built by array operations.
+exploits, and contiguous pre-order id ranges, which the marked-node queries
+search. Excess searches (level ancestor, LCA) run over the blocked minima of
+the prefix-excess array and a sparse table over them. Beside the excess only
+open, close and parent tables are kept, each at the narrowest width that
+holds it (16 bytes per node below depth 2**15 and 2**31 parens), all built
+by array operations.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from array import array
 
 import numpy as np
 
-from .bits import SparseBitVec, pack_bits, sorted_set, unpack_bits
+from .bits import pack_bits, unpack_bits
 from .errors import DomainError
 
 _BLOCK = 512
@@ -284,30 +285,32 @@ class BpsTopology:
         return self._node_at_open(pos)
 
     def next_marked_in_subtree(self, marks, u):
-        """Pre-order-smallest marked node strictly below/after u in u's subtree."""
-        o, c = self.subtree_range(u)
-        j = marks.positions_succ(o + 1)
-        if j is not None and j <= c:
-            return self._node_at_open(j)
+        """Pre-order-smallest marked node strictly below u, or None. ``marks``
+        is a :class:`~rlxt.bits.SparseBitVec` of node ids; u's subtree is the
+        ids u .. u + size - 1."""
+        self._check(u)
+        j = marks.succ1(u + 1)
+        if j is not None and j < u + ((self.close_pos[u] - self.open_pos[u - 1] + 1) >> 1):
+            return j
         return None
 
     def lowest_covering_ancestor(self, marks, u):
         """Lowest proper ancestor of u whose subtree holds a mark outside u's subtree.
 
         With no mark inside u's subtree (the intended use) this is exactly the
-        lowest ancestor whose subtree intersects the mark set.
+        lowest ancestor whose subtree intersects the mark set, a
+        :class:`~rlxt.bits.SparseBitVec` of node ids.
         """
         self._check(u)
         if u == 1:
             raise DomainError("root has no proper ancestor")
-        o, c = self.subtree_range(u)
         best = None
-        p = marks.positions_pred(o - 1)
+        p = marks.pred1(u - 1)  # the last mark before u's subtree
         if p is not None:
-            best = self.lca(u, self._node_at_open(p))
-        s = marks.positions_succ(c + 1)
+            best = self.lca(u, p)
+        s = marks.succ1(u + ((self.close_pos[u] - self.open_pos[u - 1] + 1) >> 1))
         if s is not None:
-            cand = self.lca(u, self._node_at_open(s))
+            cand = self.lca(u, s)
             # both are ancestors of u: the deeper has the larger pre-order id
             if best is None or cand > best:
                 best = cand
@@ -324,31 +327,3 @@ class BpsTopology:
     def _check(self, u):
         if not 1 <= u <= self.n:
             raise IndexError(f"node {u} out of range 1..{self.n}")
-
-
-class MarkSet:
-    """A node subset exposed as marked open-parenthesis positions."""
-
-    __slots__ = ("_pos", "_open")
-
-    def __init__(self, topo, node_ids):
-        ids = sorted_set(node_ids)
-        if len(ids) and (ids[0] < 1 or ids[-1] > topo.n):
-            raise IndexError("marked node out of range")
-        self._open = topo.open_pos
-        self._pos = SparseBitVec(2 * topo.n, np.asarray(topo.open_pos)[ids - 1])
-
-    def contains_node(self, u):
-        """Whether node u is marked; False for any u outside 1..n."""
-        opens = self._open
-        return 0 < u <= len(opens) and self._pos.contains(opens[u - 1])
-
-    def positions_succ(self, pos):
-        if pos > self._pos.universe:
-            return None
-        return self._pos.succ1(max(pos, 1))
-
-    def positions_pred(self, pos):
-        if pos < 1:
-            return None
-        return self._pos.pred1(min(pos, self._pos.universe))

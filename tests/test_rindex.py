@@ -5,7 +5,8 @@ import pytest
 
 from rlxt import rindex, storage
 from rlxt.errors import DomainError, NoSuccessorError
-from rlxt.rindex import TYPE1, TYPE2, build_index
+from rlxt.rindex import build_index, type2_nodes
+from rlxt.rlxbwt import OutSets
 from rlxt.trie import build_from_strings, colex_sort, oracle_locate
 
 from conftest import (
@@ -32,18 +33,19 @@ def test_colors_ex26(idx26):
     assert set(int(p) for p in idx26.colors.blue.positions) == EX26_BLUE
 
 
-def test_phi_samples_ex26(idx26):
+def test_phi_samples_ex26(ex26, ex26_colex, idx26):
     want = dict(EX26_TYPE1_ARROWS)
     want.update(EX26_TYPE2_ONLY_ARROWS)
     assert idx26.samples.arrows() == want
-    assert idx26.samples.typed(TYPE1) == EX26_RED | EX26_BLUE
-    assert idx26.samples.typed(TYPE2) == {4, 7, 8, 15, 16, 17}
+    assert set(idx26.samples.colored.positions) == EX26_RED | EX26_BLUE
+    assert set(type2_nodes(OutSets(ex26, ex26_colex), ex26_colex)) == {4, 7, 8, 15, 16, 17}
+    assert list(idx26.samples.type2_keys) == [4, 16]
 
 
 def test_single_node_index():
     idx = build_index(build_from_strings([]))
     assert idx.colors.red.num_ones == 0 and idx.colors.blue.num_ones == 0
-    assert len(idx.samples.keys) == 0
+    assert len(idx.samples.values) == 0 and len(idx.samples.type2_keys) == 0
     assert idx.locate(b"") == [1]
     assert idx.count(b"a") == 0
 

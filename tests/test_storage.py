@@ -61,7 +61,7 @@ def test_bad_magic_and_version():
         storage.load_bytes(b"XXXXX" + blob[5:])
     with pytest.raises(IndexFileError):
         storage.load_bytes(blob[:5] + bytes([99]) + blob[6:])
-    for old in (1, 2, 3):
+    for old in (1, 2, 3, 4):
         with pytest.raises(IndexFileError, match=f"unsupported version {old}"):
             storage.load_bytes(blob[:5] + bytes([old]) + blob[6:])
 
@@ -233,6 +233,17 @@ def test_isc_starts_differ_from_red_nodes(extra):
         storage.load_bytes(storage._pack(engine, sections))
 
 
+def test_isc_starts_decrease():
+    # segment start gaps of 2**62 wrap the running sum past 2**63
+    engine, sections = _sections_of([b"abc", b"abd", b"bcd", b"xyz"])
+    isc = sections["isc"]
+    (nst,) = struct.unpack_from("<I", isc, 23)
+    gaps = [1, 2**62, 2**62] + [0] * (nst - 3)
+    sections["isc"] = isc[:27] + storage._varints(gaps)
+    with pytest.raises(IndexFileError, match="isc segment starts decrease"):
+        storage.load_bytes(storage._pack(engine, sections))
+
+
 def test_isc_shares_the_red_set():
     idx = build_index(build_from_strings([b"abc", b"abd", b"bcd", b"xyz"]))
     _, loaded, _, _ = storage.load_bytes(storage.save_rindex(idx))
@@ -240,12 +251,51 @@ def test_isc_shares_the_red_set():
         assert index.isc_tables.b1 is index.colors.red
 
 
-@pytest.mark.parametrize("table, at", [("keys", -1), ("values", 0)])
-def test_sample_node_outside_trie(table, at):
-    idx = build_index(build_from_strings([b"abc", b"abd", b"bcd", b"xyz"]))
+def test_samples_share_the_colored_set(ex26):
+    idx = build_index(ex26)
+    _, loaded, _, _ = storage.load_bytes(storage.save_rindex(idx))
+    for index in (idx, loaded):
+        assert index.samples.colored is index.colors.colored
+
+
+@pytest.mark.parametrize("table, at", [("type2_keys", -1), ("values", 0), ("type2_values", 0)])
+def test_sample_node_outside_trie(ex26, table, at):
+    idx = build_index(ex26)
     getattr(idx.samples, table)[at] = idx.n + 1
-    with pytest.raises(IndexFileError, match="phi sample node outside 1..11"):
+    with pytest.raises(IndexFileError, match="phi sample node outside 1..26"):
         storage.load_bytes(storage.save_rindex(idx))
+
+
+# EX26's samples section: the values of the ten colored nodes 1 3 7 8 10 14
+# 15 17 21 26, the count of type-2 nodes that are not colored (u32), their
+# gaps (4 16) and values, then the co-lex-last node
+EX26_SAMPLES = (bytes([2, 4, 13, 26, 22, 6, 21, 20, 10, 18]) + struct.pack("<I", 2)
+                + bytes([4, 12, 11, 19, EX26_COLEX_TO_PRE[-1]]))
+
+
+@pytest.mark.parametrize("at, value, match", [
+    (15, 0, "type-2 sample nodes are not strictly increasing"),  # keys 4 4
+    (14, 3, "a type-2 sample node is colored"),  # keys 3 15
+    (18, 1, "co-lex-last node 1 carries a phi sample"),  # colored
+    (18, 4, "co-lex-last node 4 carries a phi sample"),  # type 2
+    (19, 0, "samples section does not end at the co-lex-last node"),
+])
+def test_samples_section_is_inconsistent(ex26, at, value, match):
+    engine, sections = storage._unpack(storage.save_rindex(build_index(ex26)))
+    assert sections["samples"] == EX26_SAMPLES
+    sections["samples"] = EX26_SAMPLES[:at] + bytes([value]) + EX26_SAMPLES[at + 1 :]
+    with pytest.raises(IndexFileError, match=match):
+        storage.load_bytes(storage._pack(engine, sections))
+
+
+def test_load_reads_the_payloads_in_place(ex26):
+    blob = storage.save_rindex(build_index(ex26))
+    refs = sys.getrefcount(blob)
+    _, idx, _, sections = storage.load_bytes(blob)
+    assert all(payload.obj is blob for payload in sections.values())
+    del sections
+    assert sys.getrefcount(blob) == refs  # the index keeps no view of the file
+    assert idx.locate(b"ac") == [18, 7, 13]
 
 
 def test_payload_fails_its_checksum(ex26):

@@ -5,8 +5,9 @@ import sys
 import numpy as np
 import pytest
 
+from rlxt.bits import SparseBitVec
 from rlxt.errors import DomainError
-from rlxt.topology import BpsTopology, MarkSet
+from rlxt.topology import BpsTopology
 from rlxt.trie import Alphabet, LabeledTrie, is_isomorphic
 
 from conftest import EX26_BLUE, EX26_RED, make_random_trie
@@ -19,7 +20,7 @@ def topo26(ex26):
 
 @pytest.fixture(scope="module")
 def colored26(ex26, topo26):
-    return MarkSet(topo26, sorted(EX26_RED | EX26_BLUE))
+    return SparseBitVec(topo26.n, sorted(EX26_RED | EX26_BLUE))
 
 
 def test_depth_examples(topo26):
@@ -157,8 +158,8 @@ def test_marked_queries_against_brute_force():
         size = t.subtree_sizes()
         marked = set(u for u in range(2, t.n + 1) if rng.random() < 0.15)
         marked.add(1)
-        marks = MarkSet(topo, sorted(marked))
-        assert [u for u in range(-1, t.n + 3) if marks.contains_node(u)] == sorted(marked)
+        marks = SparseBitVec(topo.n, sorted(marked))
+        assert [u for u in range(-1, t.n + 3) if marks.contains(u)] == sorted(marked)
         for u in range(1, t.n + 1):
             inside = [v for v in range(u + 1, u + int(size[u])) if v in marked]
             assert topo.next_marked_in_subtree(marks, u) == (min(inside) if inside else None)
