@@ -18,7 +18,6 @@ from .measures import (
 from .rindex import RIndex, build_index
 from .rlxbwt import (
     RlXbwt,
-    SPrimeIndex,
     backward_extend,
     build_rl_xbwt,
     cr,
@@ -46,7 +45,6 @@ __all__ = [
     "LabeledTrie",
     "RIndex",
     "RlXbwt",
-    "SPrimeIndex",
     "SampledLocate",
     "TreeCover",
     "XbwtNav",

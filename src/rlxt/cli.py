@@ -100,7 +100,7 @@ def cmd_count(args):
 
 def _stats_payload(engine, obj, sections, meta):
     trie, order = storage.trie_of(engine, obj)
-    rlx, _ = build_rl_xbwt(trie, order)
+    rlx = build_rl_xbwt(trie, order)
     r, r_c, r_prime = rlx.run_stats()
     q_out = quotient(trie, order, "out-set")
     q_iso = quotient(trie, order, "isomorphic")
@@ -185,7 +185,7 @@ def cmd_verify(args):
 
     def size_bounds():
         r, _, r_prime = idx.rlx.run_stats()
-        sum_add, sum_del = idx.spi.delta_counts()
+        sum_add, sum_del = idx.rlx.delta_counts()
         ok = sum_del <= r and sum_add <= 2 * r and r_prime <= max(3 * r, 1)
         return ok, f"r={r} r'={r_prime} |DEL|={sum_del} |ADD|={sum_add}"
 

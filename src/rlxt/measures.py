@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
+from .trie import colex_sort
 
 REL_TOL = 1e-9  # relative tolerance for entropy comparisons
 
@@ -151,8 +152,6 @@ def verify_attractor(trie, attractor, mode, colex=None):
 
     ``all-connected``: exhaustive over all connected subtrees (n <= 12 only).
     """
-    from .trie import colex_sort
-
     edges = attractor.edges
     if mode == "complete-subtrees":
         if colex is None:

@@ -147,21 +147,21 @@ class RIndex:
     Every locate answer is produced by the toehold + climb machinery alone;
     neither direction of the co-lex permutation is kept. The one fact of it
     a query reads is which node is co-lex-last (``phi`` has no successor to
-    give there): ``last``.
+    give there): ``last``. The transform is one object, ``rlx``, the
+    :class:`~rlxt.rlxbwt.RlXbwt`: its S' tables and its run heads.
     """
 
     __slots__ = (
-        "n", "alphabet", "last", "topo", "rlx", "spi", "colors",
+        "n", "alphabet", "last", "topo", "rlx", "colors",
         "samples", "isc_tables", "case_counters",
     )
 
-    def __init__(self, n, alphabet, last, topo, rlx, spi, colors, samples, isc_tables):
+    def __init__(self, n, alphabet, last, topo, rlx, colors, samples, isc_tables):
         self.n = n
         self.alphabet = alphabet
         self.last = last
         self.topo = topo
         self.rlx = rlx
-        self.spi = spi
         self.colors = colors
         self.samples = samples
         self.isc_tables = isc_tables
@@ -172,6 +172,12 @@ class RIndex:
         """The one entry of the pre-order to co-lex map that is kept,
         ``{last: n}``, under the map's name, which measuring tools read."""
         return {self.last: self.n}
+
+    @property
+    def spi(self):
+        """The S' tables under their former name, which measuring tools
+        read: they are ``rlx`` itself."""
+        return self.rlx
 
     def reset_counters(self):
         for k in self.case_counters:
@@ -190,13 +196,14 @@ class RIndex:
             return None
         rng = (1, self.n)
         node = 1
+        rlx = self.rlx
         for c in codes:
-            new = backward_extend(self.rlx, self.spi, rng, c)
+            new = backward_extend(rlx, rng, c)
             if new is None:
                 return None
-            i = xbwt_successor(self.spi, self.rlx, c, rng[0])
-            base = node if i == rng[0] else run_head_preorder(self.rlx, c, i)
-            node = self.topo.cbr(base, cr(self.spi, self.rlx, i, c))
+            i = xbwt_successor(rlx, c, rng[0])
+            base = node if i == rng[0] else run_head_preorder(rlx, c, i)
+            node = self.topo.cbr(base, cr(rlx, i, c))
             rng = new
         return rng, node
 
@@ -207,8 +214,9 @@ class RIndex:
         if codes is None:
             return 0
         rng = (1, self.n)
+        rlx = self.rlx
         for c in codes:
-            rng = backward_extend(self.rlx, self.spi, rng, c)
+            rng = backward_extend(rlx, rng, c)
             if rng is None:
                 return 0
         return rng[1] - rng[0] + 1
@@ -285,7 +293,7 @@ def build_index(trie, colex=None):
         colex = colex_sort(trie)
     n = trie.n
     out = OutSets(trie, colex)
-    rlx, spi = build_rl_xbwt(trie, colex, out)
+    rlx = build_rl_xbwt(trie, colex, out)
     topo = BpsTopology.from_trie(trie)
 
     c2p, p2c = colex.colex_to_pre, colex.pre_to_colex
@@ -312,5 +320,4 @@ def build_index(trie, colex=None):
     starts = np.concatenate(([0], np.cumsum(seg_len))) + 1
     isc_tables = IscTables(s_bits, colors.red, starts)
 
-    return RIndex(n, trie.alphabet, int(c2p[n]), topo, rlx, spi,
-                  colors, phi_samples, isc_tables)
+    return RIndex(n, trie.alphabet, int(c2p[n]), topo, rlx, colors, phi_samples, isc_tables)

@@ -9,7 +9,9 @@ separators. Queries read S' regrouped by label: per label, the blocks where
 it enters and leaves the out-set and the count of its nodes before each
 entry, plus the block starts; every lookup is a binary search over O(r)
 words. The blocks are kept only in those tables: the node counts, the C
-array and the triples are derived from them.
+array and the triples are derived from them. One object, :class:`RlXbwt`,
+holds the tables and the run heads' pre-order ids, O(r) words in all, and
+every query takes it as its one transform argument.
 """
 
 from __future__ import annotations
@@ -20,68 +22,7 @@ import numpy as np
 
 from .bits import concat_ranges, int_array
 from .errors import DomainError
-
-
-class RlXbwt:
-    """The run-length XBWT: its S' tables plus the run heads' pre-order ids.
-
-    The blocks live only in the S' tables (``spi``); ``triples``,
-    ``r_prime``, ``c_array`` and ``block_out_sets`` are views derived from
-    them. The c-run heads are the nodes at the starts of the blocks in
-    ``spi.adds[c]``: ``head_pre[c][k]`` is the pre-order id of the head of
-    the run entering at block ``spi.adds[c][k]``, one
-    :func:`~rlxt.bits.int_array` per label (label 0, the root's, has none).
-    """
-
-    __slots__ = ("n", "sigma", "spi", "head_pre")
-
-    def __init__(self, n, sigma, spi, head_pre):
-        self.n = n
-        self.sigma = sigma
-        self.spi = spi
-        self.head_pre = head_pre
-
-    @property
-    def r_prime(self):
-        return len(self.spi.starts)
-
-    @property
-    def c_array(self):
-        """``c_array[c]`` counts nodes whose incoming label precedes c, so the
-        co-lex positions with incoming label c are ``c_array[c]+1 .. c_array[c+1]``."""
-        return self.spi.c_array
-
-    def block_lengths(self):
-        """Positions per block, as an int64 array."""
-        return np.diff(np.asarray(self.spi.starts, dtype=np.int64), append=self.n + 1)
-
-    @property
-    def triples(self):
-        """``[(add, dele, length)]`` per block, the label tuples ascending."""
-        return [(add, dele, ln) for (add, dele), ln
-                in zip(self.spi.block_deltas(), self.block_lengths().tolist())]
-
-    @property
-    def run_heads(self):
-        """``{c: [(colex, preorder), ...]}`` for labels 1..sigma-1, derived
-        from the per-label tables."""
-        starts = self.spi.starts
-        return {c: [(starts[q], u) for q, u in zip(self.spi.adds[c], self.head_pre[c])]
-                for c in range(1, self.sigma)}
-
-    def run_stats(self):
-        """(r, per-label run counts, r')."""
-        r_c = {c: len(adds) for c, adds in enumerate(self.spi.adds) if len(adds)}
-        return sum(r_c.values()), r_c, self.r_prime
-
-    def block_out_sets(self):
-        """Unroll the blocks into the per-block out-label sets."""
-        sets = []
-        cur = set()
-        for add, dele, _ln in self.triples:
-            cur = (cur - set(dele)) | set(add)
-            sets.append(tuple(sorted(cur)))
-        return sets
+from .trie import Alphabet, LabeledTrie
 
 
 def by_label(sigma, labels, values):
@@ -110,8 +51,9 @@ def _in_block_order(tables):
     return blocks[order], labels[order]
 
 
-class SPrimeIndex:
-    """S' regrouped by label, answering rank, successor and child rank.
+class RlXbwt:
+    """The run-length XBWT: S' regrouped by label, answering rank,
+    successor and child rank, plus the run heads' pre-order ids.
 
     Blocks are numbered from 0 and ``starts[q]`` is the co-lex position where
     block q begins. For each label c, ``adds[c]`` lists the blocks where c
@@ -125,10 +67,17 @@ class SPrimeIndex:
     its entry's block start to its exit's, or through n when it has no exit,
     and each of them has one c-child: ``base[c][k]``, the number of c-nodes
     before block ``adds[c][k]``, sums c's earlier runs, and ``c_array``
-    sums every label's runs.
+    sums every label's runs. ``triples``, ``r_prime`` and
+    ``block_out_sets`` are views derived from the tables.
+
+    The c-run heads are the nodes at the starts of the blocks in
+    ``adds[c]``: ``head_pre[c][k]`` is the pre-order id of the head of the
+    run entering at block ``adds[c][k]``, one :func:`~rlxt.bits.int_array`
+    per label (label 0, the root's, has none). They are attached once the
+    tables are built, so the temporaries of the two never coexist.
     """
 
-    __slots__ = ("starts", "adds", "dels", "base", "c_array")
+    __slots__ = ("n", "sigma", "starts", "adds", "dels", "base", "c_array", "head_pre")
 
     def __init__(self, sigma, n_add, add_labels, n_del, del_labels, lengths):
         """Per block q: ``n_add[q]`` entering and ``n_del[q]`` leaving labels
@@ -138,6 +87,8 @@ class SPrimeIndex:
         lengths = np.asarray(lengths, dtype=np.int64)
         ends = np.cumsum(lengths) + 1  # one past each block, n + 1 for the last
         starts = ends - lengths
+        self.n = int(ends[-1]) - 1
+        self.sigma = sigma
         self.starts = int_array(starts)
         blocks = np.arange(len(lengths))
         entries, n_entries = by_label(sigma, add_labels, np.repeat(blocks, n_add))
@@ -162,6 +113,43 @@ class SPrimeIndex:
         self.c_array = int_array(np.concatenate(([0], before[first + n_entries] + 1)))
         self.adds = per_label(entries, n_entries)
         self.dels = per_label(exits, n_exits)
+        self.head_pre = None
+
+    @property
+    def r_prime(self):
+        return len(self.starts)
+
+    def block_lengths(self):
+        """Positions per block, as an int64 array."""
+        return np.diff(np.asarray(self.starts, dtype=np.int64), append=self.n + 1)
+
+    @property
+    def triples(self):
+        """``[(add, dele, length)]`` per block, the label tuples ascending."""
+        return [(add, dele, ln) for (add, dele), ln
+                in zip(self.block_deltas(), self.block_lengths().tolist())]
+
+    @property
+    def run_heads(self):
+        """``{c: [(colex, preorder), ...]}`` for labels 1..sigma-1, derived
+        from the per-label tables."""
+        starts = self.starts
+        return {c: [(starts[q], u) for q, u in zip(self.adds[c], self.head_pre[c])]
+                for c in range(1, self.sigma)}
+
+    def run_stats(self):
+        """(r, per-label run counts, r')."""
+        r_c = {c: len(adds) for c, adds in enumerate(self.adds) if len(adds)}
+        return sum(r_c.values()), r_c, self.r_prime
+
+    def block_out_sets(self):
+        """Unroll the blocks into the per-block out-label sets."""
+        sets = []
+        cur = set()
+        for add, dele, _ln in self.triples:
+            cur = (cur - set(dele)) | set(add)
+            sets.append(tuple(sorted(cur)))
+        return sets
 
     def deltas(self):
         """S' block by block: the ADD count per block, the ADD labels in S'
@@ -236,8 +224,8 @@ class OutSets:
 
 
 def build_rl_xbwt(trie, colex, out=None):
-    """Build the run-length XBWT and its S' index from a trie and its order;
-    ``out`` is the trie's :class:`OutSets`, built here if not given."""
+    """Build the run-length XBWT from a trie and its order; ``out`` is the
+    trie's :class:`OutSets`, built here if not given."""
     if out is None:
         out = OutSets(trie, colex)
     n = trie.n
@@ -248,15 +236,15 @@ def build_rl_xbwt(trie, colex, out=None):
     add = ~out.in_prev & is_start[out.row]  # labels a block gains
     dele = ~out.in_next & is_start[out.row + 1]  # labels the row before a block loses
     add_labels = out.labels[add]
+    rlx = RlXbwt(sigma, np.bincount(out.row[add], minlength=n)[starts], add_labels,
+                 np.bincount(out.row[dele] + 1, minlength=n + 1)[starts],
+                 out.labels[dele], np.diff(starts, append=n))
     # a block's entering labels are the run heads; group them by label
-    head_pre = per_label(*by_label(sigma, add_labels, colex.colex_to_pre[out.row[add] + 1]))
-    spi = SPrimeIndex(sigma, np.bincount(out.row[add], minlength=n)[starts], add_labels,
-                      np.bincount(out.row[dele] + 1, minlength=n + 1)[starts],
-                      out.labels[dele], np.diff(starts, append=n))
-    return RlXbwt(n, sigma, spi, head_pre), spi
+    rlx.head_pre = per_label(*by_label(sigma, add_labels, colex.colex_to_pre[out.row[add] + 1]))
+    return rlx
 
 
-def xbwt_rank(spi, rlx, c, i):
+def xbwt_rank(rlx, c, i):
     """Number of colex positions j <= i whose out-set contains label c."""
     if i == 0:
         return 0
@@ -264,53 +252,53 @@ def xbwt_rank(spi, rlx, c, i):
         raise IndexError(f"colex position {i} out of range 1..{rlx.n}")
     if not 1 <= c < rlx.sigma:
         raise IndexError(f"label {c} out of alphabet")
-    adds = spi.adds[c]
-    q = spi.block_of(i)
+    adds = rlx.adds[c]
+    q = rlx.block_of(i)
     k = bisect_right(adds, q) - 1
     if k < 0:
         return 0
-    dels = spi.dels[c]
+    dels = rlx.dels[c]
     if k < len(dels) and dels[k] <= q:
-        i = spi.starts[dels[k]] - 1  # c left before block q; count up to its exit
-    return spi.base[c][k] + i - spi.starts[adds[k]] + 1
+        i = rlx.starts[dels[k]] - 1  # c left before block q; count up to its exit
+    return rlx.base[c][k] + i - rlx.starts[adds[k]] + 1
 
 
-def xbwt_successor(spi, rlx, c, i):
+def xbwt_successor(rlx, c, i):
     """Smallest colex position i' >= i with c in its out-set, or None."""
     if not 1 <= i <= rlx.n:
         raise IndexError(f"colex position {i} out of range 1..{rlx.n}")
     if not 1 <= c < rlx.sigma:
         return None
-    q = spi.block_of(i)
-    if spi.entry(c, q) >= 0:
+    q = rlx.block_of(i)
+    if rlx.entry(c, q) >= 0:
         return i  # the block containing i already carries c
-    adds = spi.adds[c]
+    adds = rlx.adds[c]
     k = bisect_right(adds, q)
-    return spi.starts[adds[k]] if k < len(adds) else None
+    return rlx.starts[adds[k]] if k < len(adds) else None
 
 
-def cr(spi, rlx, i, c):
+def cr(rlx, i, c):
     """Child rank: position of label c within the out-set of colex node i."""
     if not 1 <= i <= rlx.n:
         raise IndexError(f"colex position {i} out of range 1..{rlx.n}")
     if not 1 <= c < rlx.sigma:
         raise DomainError(f"label {c} not in alphabet")
-    q = spi.block_of(i)
-    if spi.entry(c, q) < 0:
+    q = rlx.block_of(i)
+    if rlx.entry(c, q) < 0:
         raise DomainError(f"label {c} not outgoing at colex position {i}")
-    return sum(1 for d in range(1, c + 1) if spi.entry(d, q) >= 0)
+    return sum(1 for d in range(1, c + 1) if rlx.entry(d, q) >= 0)
 
 
-def backward_extend(rlx, spi, rng, c):
+def backward_extend(rlx, rng, c):
     """One backward-search step: range of P -> range of P.c, or None if empty."""
     lo, hi = rng
     if not (1 <= lo <= hi <= rlx.n):
         raise IndexError(f"range {rng} invalid for n={rlx.n}")
     if c is None or not 1 <= c < rlx.sigma:
         return None
-    base = spi.c_array[c]
-    lo2 = base + xbwt_rank(spi, rlx, c, lo - 1) + 1
-    hi2 = base + xbwt_rank(spi, rlx, c, hi)
+    base = rlx.c_array[c]
+    lo2 = base + xbwt_rank(rlx, c, lo - 1) + 1
+    hi2 = base + xbwt_rank(rlx, c, hi)
     if lo2 > hi2:
         return None
     return (lo2, hi2)
@@ -319,11 +307,10 @@ def backward_extend(rlx, spi, rng, c):
 def run_head_preorder(rlx, c, i):
     """Pre-order id of the c-run head at colex position i: the run that
     enters at the block starting at i."""
-    spi = rlx.spi
-    adds = spi.adds[c] if 1 <= c < rlx.sigma else ()
-    q = spi.block_of(i)
+    adds = rlx.adds[c] if 1 <= c < rlx.sigma else ()
+    q = rlx.block_of(i)
     k = bisect_left(adds, q)
-    if k == len(adds) or adds[k] != q or spi.starts[q] != i:
+    if k == len(adds) or adds[k] != q or rlx.starts[q] != i:
         raise DomainError(f"colex position {i} is not a {c}-run head")
     return rlx.head_pre[c][k]
 
@@ -346,8 +333,6 @@ def reconstruct_trie(rlx, byte_of_code):
 
 def reconstruct_trie_from_outsets(n, sigma, out_sets, c_array, byte_of_code):
     """Shared reconstruction: colex out-sets + C array -> LabeledTrie."""
-    from .trie import LabeledTrie, Alphabet
-
     children_of = [[] for _ in range(n + 1)]
     seen = np.zeros(sigma, dtype=np.int64)
     for i in range(1, n + 1):

@@ -25,8 +25,7 @@ from .baseline import SampledLocate, XbwtNav
 from .bits import SparseBitVec, WaveletSeq
 from .errors import FormatError, IndexFileError
 from .rindex import ColorMarks, IscTables, PhiSamples, RIndex
-from .rlxbwt import (RlXbwt, SPrimeIndex, per_label, reconstruct_trie,
-                     reconstruct_trie_from_outsets)
+from .rlxbwt import RlXbwt, per_label, reconstruct_trie, reconstruct_trie_from_outsets
 from .topology import BpsTopology
 from .trie import Alphabet, colex_sort
 
@@ -171,17 +170,19 @@ def _enc_rlxbwt(rlx):
     return struct.pack("<I", rlx.r_prime) + _varints(rlx.block_lengths())
 
 
-def _enc_sprime(spi):
+def _enc_sprime(rlx):
     # a block's labels are distinct codes below sigma <= 256, so each count fits a byte
-    n_add, add_labels, n_del, del_labels = spi.deltas()
+    n_add, add_labels, n_del, del_labels = rlx.deltas()
     return np.concatenate((n_add, n_del, add_labels, del_labels)).astype(np.uint8).tobytes()
 
 
-def _dec_spi(rlxbwt, sprime, sigma, n):
-    """The S' tables from the block lengths (``rlxbwt``) and the S' columns
-    (``sprime``: all ADD counts, all DEL counts, all ADD labels, all DEL
-    labels), once the invariants their derivation relies on hold; and the
-    number of runs per label."""
+def _dec_rlx(rlxbwt, sprime, runheads, sigma, n):
+    """The run-length XBWT from the block lengths (``rlxbwt``), the S'
+    columns (``sprime``: all ADD counts, all DEL counts, all ADD labels, all
+    DEL labels) and the run heads' pre-order ids (``runheads``, label after
+    label), once the invariants its derivation relies on hold. The run heads
+    are decoded only after the S' tables are built, so the two decodings'
+    temporaries never coexist."""
     (rp,) = struct.unpack_from("<I", rlxbwt, 0)
     lengths, _ = _r_varints(rlxbwt, 4, rp)
     if (lengths < 1).any() or lengths.max(initial=0) > n or lengths.sum() != n:
@@ -196,13 +197,21 @@ def _dec_spi(rlxbwt, sprime, sigma, n):
         raise IndexFileError(f"triple label outside 1..{sigma - 1}")
     add_labels, del_labels = raw[2 * rp : del_at], raw[del_at:end]
     try:
-        spi = SPrimeIndex(sigma, n_add, add_labels, n_del, del_labels, lengths)
+        rlx = RlXbwt(sigma, n_add, add_labels, n_del, del_labels, lengths)
     except ValueError as exc:
         raise IndexFileError(f"sprime: {exc}") from None
-    if spi.c_array[-1] != n:
-        raise IndexFileError(f"the out-sets hold {spi.c_array[-1] - 1} children, "
+    if rlx.c_array[-1] != n:
+        raise IndexFileError(f"the out-sets hold {rlx.c_array[-1] - 1} children, "
                              f"not one per non-root node ({n - 1})")
-    return spi, np.bincount(add_labels, minlength=sigma)
+    runs = np.bincount(add_labels, minlength=sigma)
+    total = int(runs.sum())
+    pres, end = _r_varints(runheads, 0, total)
+    if end != len(runheads):
+        raise IndexFileError(f"runheads holds more than {total} run heads")
+    if total and (pres.min() < 1 or pres.max() > n):
+        raise IndexFileError(f"run head node outside 1..{n}")
+    rlx.head_pre = per_label(pres, runs)
+    return rlx
 
 
 def _enc_colors(colors):
@@ -240,22 +249,11 @@ def _enc_runheads(rlx):
     return _varints(np.concatenate(rlx.head_pre))
 
 
-def _dec_runheads(data, runs, n):
-    """Each label's run heads' pre-order ids, ``runs[c]`` for label c."""
-    total = int(runs.sum())
-    pres, end = _r_varints(data, 0, total)
-    if end != len(data):
-        raise IndexFileError(f"runheads holds more than {total} run heads")
-    if total and (pres.min() < 1 or pres.max() > n):
-        raise IndexFileError(f"run head node outside 1..{n}")
-    return per_label(pres, runs)
-
-
 def machinery_sections(index):
     """Serialized payloads of the locate-machinery components."""
     return {
         "rlxbwt": _enc_rlxbwt(index.rlx),
-        "sprime": _enc_sprime(index.spi),
+        "sprime": _enc_sprime(index.rlx),
         "colors": _enc_colors(index.colors),
         "samples": _enc_samples(index.samples, index.last),
         "isc": _enc_isc(index.isc_tables),
@@ -383,14 +381,12 @@ def load_rindex(sections):
     alphabet, n = _dec_labels(sections["labels"])
     if topo.n != n:
         raise IndexFileError(f"topology has {topo.n} nodes, labels {n}")
-    sigma = alphabet.sigma
-    spi, runs = _dec_spi(sections["rlxbwt"], sections["sprime"], sigma, n)
-    head_pre = _dec_runheads(sections["runheads"], runs, n)
-    rlx = RlXbwt(n, sigma, spi, head_pre)
+    rlx = _dec_rlx(sections["rlxbwt"], sections["sprime"], sections["runheads"],
+                   alphabet.sigma, n)
     colors = _dec_colors(sections["colors"], n)
     samples, last = _dec_samples(sections["samples"], colors.colored, n)
     isc = _dec_isc(sections["isc"], colors.red)
-    idx = RIndex(n, alphabet, last, topo, rlx, spi, colors, samples, isc)
+    idx = RIndex(n, alphabet, last, topo, rlx, colors, samples, isc)
     return idx, meta
 
 
@@ -421,10 +417,17 @@ def load_sampled(sections):
     alphabet, n = _dec_labels(sections["labels"])
     data = sections["xbwtflat"]
     (n2,) = struct.unpack_from("<Q", data, 0)
+    # the stored node count sizes every table below: it must match the
+    # labels' and the payload's before anything is allocated from it
+    if n2 != n or len(data) < 8 + n2:
+        raise IndexFileError(f"xbwtflat holds {n2} nodes in {len(data)} bytes, labels {n}")
     degs = np.frombuffer(data[8 : 8 + n2], dtype=np.uint8).astype(np.int64)
+    total = int(degs.sum())
+    if len(data) != 8 + n2 + total:
+        raise IndexFileError(f"xbwtflat holds {len(data) - 8 - n2} labels, "
+                             f"its degrees sum to {total}")
     node_end = np.zeros(n2 + 1, dtype=np.int64)
     np.cumsum(degs, out=node_end[1:])
-    total = int(node_end[-1])
     flat = np.frombuffer(data[8 + n2 : 8 + n2 + total], dtype=np.uint8).astype(np.int64)
     nav = XbwtNav(int(n2), alphabet.sigma, WaveletSeq(flat, alphabet.sigma), flat, node_end)
     data = sections["cover"]

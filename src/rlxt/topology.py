@@ -190,10 +190,6 @@ class BpsTopology:
         self._check(u)
         return 2 * u - self.open_pos[u - 1] - 1
 
-    def parent(self, u):
-        self._check(u)
-        return self.parent_node[u]
-
     def subtree_range(self, u):
         self._check(u)
         return self.open_pos[u - 1], self.close_pos[u]

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from rlxt import storage
+from rlxt.baseline import build_sampled
 from rlxt.trie import LabeledTrie, build_from_strings, colex_sort
 
 # 26-node running example used by most golden tests.
@@ -32,6 +34,19 @@ def ex26():
 @pytest.fixture(scope="session")
 def ex26_colex(ex26):
     return colex_sort(ex26)
+
+
+def sampled_with_flipped_bit(bit):
+    """The saved sampled index (t = 2) of [abc, abd, bcd, xyz], n = 11, with
+    one bit of its ``xbwtflat`` section flipped, under a valid checksum. The
+    section holds the node count (u64), a degree byte per node, then the
+    labels."""
+    t = build_from_strings([b"abc", b"abd", b"bcd", b"xyz"])
+    engine, sections = storage._unpack(storage.save_sampled(build_sampled(t, colex_sort(t), t=2)))
+    flat = bytearray(sections["xbwtflat"])
+    flat[bit // 8] ^= 1 << bit % 8
+    sections["xbwtflat"] = bytes(flat)
+    return storage._pack(engine, sections)
 
 
 def make_random_trie(rng: random.Random, max_n: int, sigma: int) -> LabeledTrie:

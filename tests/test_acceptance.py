@@ -262,7 +262,7 @@ def test_criterion_5_attractor_validity(corpus):
         order = colex_sort(t)
         from rlxt.rlxbwt import build_rl_xbwt
 
-        rlx, _ = build_rl_xbwt(t, order)
+        rlx = build_rl_xbwt(t, order)
         g = gamma_r(t, order, rlx)
         assert verify_attractor(t, g, "all-connected", order)
         exhaustive += 1

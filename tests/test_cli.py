@@ -9,7 +9,7 @@ from rlxt.errors import DomainError, NoSuccessorError
 from rlxt.rindex import RIndex, build_index
 from rlxt.trie import build_from_strings
 
-from conftest import EX26_COLEX_TO_PRE, ex26_lines
+from conftest import EX26_COLEX_TO_PRE, ex26_lines, sampled_with_flipped_bit
 
 
 @pytest.fixture()
@@ -176,6 +176,15 @@ def test_isc_segments_that_disagree_are_index_error(tmp_path, capsys):
     assert main(["locate", str(path), ""]) == 3
     line = _one_line_index_error(capsys)
     assert line.startswith("index error: query failed (DomainError: isc segments of node ")
+
+
+def test_sampled_node_count_past_its_payload_is_index_error(tmp_path, capsys):
+    # bit 28 of the stored node count would size a 2 GiB table if trusted
+    path = tmp_path / "bad.idx"
+    path.write_bytes(sampled_with_flipped_bit(28))
+    assert main(["locate", str(path), "a"]) == 3
+    line = _one_line_index_error(capsys)
+    assert line == f"index error: xbwtflat holds {11 + 2**28} nodes in 29 bytes, labels 11"
 
 
 @pytest.mark.parametrize("error", [DomainError, NoSuccessorError, IndexError])

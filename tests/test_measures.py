@@ -38,7 +38,7 @@ def test_entropy_degenerate_cases():
 
 
 def test_entropy_bounds_examples(ex26, ex26_colex):
-    rlx, _ = build_rl_xbwt(ex26, ex26_colex)
+    rlx = build_rl_xbwt(ex26, ex26_colex)
     rep = check_entropy_bounds(ex26, ex26_colex, rlx, k_max=2)
     assert rep["r"] == 8
     assert rep["sigma_eff"] == 3
@@ -49,14 +49,14 @@ def test_entropy_bounds_examples(ex26, ex26_colex):
 
     p = path_trie(b"aaa")
     pc = colex_sort(p)
-    prlx, _ = build_rl_xbwt(p, pc)
+    prlx = build_rl_xbwt(p, pc)
     prep = check_entropy_bounds(p, pc, prlx, k_max=2)
     assert prep["r"] == 1
     assert prep["bounds"][0]["h_wc_k"] == pytest.approx(2.0)
 
     t = build_from_strings([])
     tc = colex_sort(t)
-    trlx, _ = build_rl_xbwt(t, tc)
+    trlx = build_rl_xbwt(t, tc)
     trep = check_entropy_bounds(t, tc, trlx, k_max=2)
     assert trep["r"] == 0
 
@@ -66,23 +66,23 @@ def test_entropy_bounds_random_corpus():
     for _ in range(30):
         t = make_random_trie(rng, 200, rng.choice([2, 3, 6]))
         order = colex_sort(t)
-        rlx, _ = build_rl_xbwt(t, order)
+        rlx = build_rl_xbwt(t, order)
         rep = check_entropy_bounds(t, order, rlx, k_max=2)
         hs = [b["h_wc_k"] for b in rep["bounds"]]
         assert hs[1] <= hs[0] + 1e-9 and hs[2] <= hs[1] + 1e-9
 
 
 def test_gamma_r_examples(ex26, ex26_colex):
-    rlx, _ = build_rl_xbwt(ex26, ex26_colex)
+    rlx = build_rl_xbwt(ex26, ex26_colex)
     got = gamma_r(ex26, ex26_colex, rlx)
     assert set(got.edges) == EX26_GAMMA
     assert len(got) == rlx.run_stats()[0] == 8
 
     t = build_from_strings([])
-    assert len(gamma_r(t, colex_sort(t), build_rl_xbwt(t, colex_sort(t))[0])) == 0
+    assert len(gamma_r(t, colex_sort(t), build_rl_xbwt(t, colex_sort(t)))) == 0
 
     p = path_trie(b"ab")
-    pg = gamma_r(p, colex_sort(p), build_rl_xbwt(p, colex_sort(p))[0])
+    pg = gamma_r(p, colex_sort(p), build_rl_xbwt(p, colex_sort(p)))
     assert set(pg.edges) == {(1, 2), (2, 3)}
 
 
@@ -91,12 +91,12 @@ def test_gamma_size_equals_r_random():
     for _ in range(30):
         t = make_random_trie(rng, 200, 3)
         order = colex_sort(t)
-        rlx, _ = build_rl_xbwt(t, order)
+        rlx = build_rl_xbwt(t, order)
         assert len(gamma_r(t, order, rlx)) == rlx.run_stats()[0]
 
 
 def test_verify_attractor_ex26(ex26, ex26_colex):
-    rlx, _ = build_rl_xbwt(ex26, ex26_colex)
+    rlx = build_rl_xbwt(ex26, ex26_colex)
     g = gamma_r(ex26, ex26_colex, rlx)
     assert verify_attractor(ex26, g, "complete-subtrees", ex26_colex)
     assert not verify_attractor(ex26, AttractorSet(frozenset()), "complete-subtrees", ex26_colex)
@@ -112,7 +112,7 @@ def test_verify_attractor_all_connected_small():
         if t.n < 2:
             continue
         order = colex_sort(t)
-        rlx, _ = build_rl_xbwt(t, order)
+        rlx = build_rl_xbwt(t, order)
         g = gamma_r(t, order, rlx)
         assert verify_attractor(t, g, "all-connected", order)
         checked += 1
@@ -140,7 +140,7 @@ def test_quotient_refinement_chain_random():
     for _ in range(30):
         t = make_random_trie(rng, 200, 3)
         order = colex_sort(t)
-        rlx, _ = build_rl_xbwt(t, order)
+        rlx = build_rl_xbwt(t, order)
         q_out = quotient(t, order, "out-set")
         q_iso = quotient(t, order, "isomorphic")
         q_eq = quotient(t, order, "isomorphic+label")

@@ -29,7 +29,7 @@ def rlx26(ex26, ex26_colex):
 
 
 def test_ex26_triples(rlx26):
-    rlx, _ = rlx26
+    rlx = rlx26
     expected = [
         ((A, B, C), (), 3),
         ((), (A, C), 4),
@@ -44,7 +44,7 @@ def test_ex26_triples(rlx26):
 
 
 def test_ex26_sprime_string(rlx26):
-    _, spi = rlx26
+    rlx = rlx26
     want = [
         ("+", A), ("+", B), ("+", C), ("/", None),
         ("-", A), ("-", C), ("/", None),
@@ -55,11 +55,11 @@ def test_ex26_sprime_string(rlx26):
         ("-", B), ("-", C), ("/", None),
         ("+", A), ("/", None),
     ]
-    assert spi.symbols() == want
+    assert rlx.symbols() == want
 
 
 def test_ex26_run_stats(rlx26):
-    rlx, _ = rlx26
+    rlx = rlx26
     r, r_c, r_prime = rlx.run_stats()
     assert (r, r_prime) == (8, 8)
     assert r_c == {A: 3, B: 2, C: 3}
@@ -67,7 +67,7 @@ def test_ex26_run_stats(rlx26):
 
 def test_single_node_trie_degenerate():
     t = build_from_strings([])
-    rlx, spi = build_rl_xbwt(t, colex_sort(t))
+    rlx = build_rl_xbwt(t, colex_sort(t))
     assert rlx.triples == [((), (), 1)]
     r, r_c, r_prime = rlx.run_stats()
     assert (r, r_prime) == (0, 1)
@@ -75,41 +75,41 @@ def test_single_node_trie_degenerate():
 
 
 def test_xbwt_rank_examples(rlx26):
-    rlx, spi = rlx26
-    assert xbwt_rank(spi, rlx, B, 7) == 7
-    assert xbwt_rank(spi, rlx, A, 26) == 8
-    assert xbwt_rank(spi, rlx, C, 0) == 0
+    rlx = rlx26
+    assert xbwt_rank(rlx, B, 7) == 7
+    assert xbwt_rank(rlx, A, 26) == 8
+    assert xbwt_rank(rlx, C, 0) == 0
 
 
 def test_xbwt_successor_examples(rlx26):
-    rlx, spi = rlx26
-    assert xbwt_successor(spi, rlx, B, 8) == 20
-    assert xbwt_successor(spi, rlx, A, 1) == 1
-    assert xbwt_successor(spi, rlx, C, 22) is None
+    rlx = rlx26
+    assert xbwt_successor(rlx, B, 8) == 20
+    assert xbwt_successor(rlx, A, 1) == 1
+    assert xbwt_successor(rlx, C, 22) is None
 
 
 def test_cr_examples(rlx26):
-    rlx, spi = rlx26
-    assert cr(spi, rlx, 3, C) == 3
-    assert cr(spi, rlx, 20, C) == 2
+    rlx = rlx26
+    assert cr(rlx, 3, C) == 3
+    assert cr(rlx, 20, C) == 2
     with pytest.raises(DomainError):
-        cr(spi, rlx, 4, A)
+        cr(rlx, 4, A)
 
 
 def test_backward_extend_examples(rlx26):
-    rlx, spi = rlx26
-    assert backward_extend(rlx, spi, (1, 26), A) == (2, 9)
-    assert backward_extend(rlx, spi, (2, 9), C) == (20, 22)
-    assert backward_extend(rlx, spi, (4, 7), A) is None
+    rlx = rlx26
+    assert backward_extend(rlx, (1, 26), A) == (2, 9)
+    assert backward_extend(rlx, (2, 9), C) == (20, 22)
+    assert backward_extend(rlx, (4, 7), A) is None
 
 
 def test_c_array_ex26(rlx26):
-    rlx, _ = rlx26
+    rlx = rlx26
     assert list(rlx.c_array[:4]) == [0, 1, 9, 18]
 
 
 def test_run_heads_ex26(rlx26):
-    rlx, _ = rlx26
+    rlx = rlx26
     assert rlx.run_heads[A] == [(1, 1), (9, 10), (25, 20)]
     assert rlx.run_heads[B] == [(1, 1), (20, 18)]
     assert run_head_preorder(rlx, A, 9) == 10
@@ -127,7 +127,7 @@ def test_reconstruction_and_bounds_random():
     for _ in range(40):
         t = make_random_trie(rng, 250, rng.choice([2, 4, 8]))
         order = colex_sort(t)
-        rlx, spi = build_rl_xbwt(t, order)
+        rlx = build_rl_xbwt(t, order)
         outs = _naive_out_sets(t, order)
         assert reconstruct_out_sets(rlx) == outs
         r, r_c, r_prime = rlx.run_stats()
@@ -161,30 +161,30 @@ def test_queries_match_naive_scans():
         if loaded:
             blob = storage.save_rindex(build_index(t, order))
             _, idx, _, _ = storage.load_bytes(blob)
-            rlx, spi = idx.rlx, idx.spi
+            rlx = idx.rlx
         else:
-            rlx, spi = build_rl_xbwt(t, order)
+            rlx = build_rl_xbwt(t, order)
         outs = _naive_out_sets(t, order)
         for _ in range(60):
             c = rng.randint(1, t.alphabet.sigma - 1)
             i = rng.randint(1, t.n)
             want_rank = sum(1 for j in range(1, i + 1) if c in outs[j - 1])
-            assert xbwt_rank(spi, rlx, c, i) == want_rank
+            assert xbwt_rank(rlx, c, i) == want_rank
             want_succ = next((j for j in range(i, t.n + 1) if c in outs[j - 1]), None)
-            assert xbwt_successor(spi, rlx, c, i) == want_succ
+            assert xbwt_successor(rlx, c, i) == want_succ
             if c in outs[i - 1]:
-                assert cr(spi, rlx, i, c) == outs[i - 1].index(c) + 1
+                assert cr(rlx, i, c) == outs[i - 1].index(c) + 1
             else:
                 with pytest.raises(DomainError):
-                    cr(spi, rlx, i, c)
+                    cr(rlx, i, c)
 
 
 def test_sprime_interleaving_invariant():
     rng = random.Random(33)
     for _ in range(25):
         t = make_random_trie(rng, 200, 4)
-        rlx, spi = build_rl_xbwt(t, colex_sort(t))
-        syms = spi.symbols()
+        rlx = build_rl_xbwt(t, colex_sort(t))
+        syms = rlx.symbols()
         for c in range(1, t.alphabet.sigma):
             kinds = [k for k, lab in syms if lab == c]
             # between consecutive c+ there is exactly one c-
@@ -200,7 +200,7 @@ def test_path_trie_runs_match_string_rle():
         s = bytes(rng.choice(b"abc") for _ in range(rng.randint(1, 300)))
         t = path_trie(s)
         order = colex_sort(t)
-        rlx, _ = build_rl_xbwt(t, order)
+        rlx = build_rl_xbwt(t, order)
         outs = _naive_out_sets(t, order)
         naive_runs = 0
         for c in range(1, t.alphabet.sigma):
@@ -216,7 +216,7 @@ def test_path_trie_runs_match_string_rle():
 
 
 def test_reconstruct_trie_round_trip(ex26, ex26_colex):
-    rlx, _ = build_rl_xbwt(ex26, ex26_colex)
+    rlx = build_rl_xbwt(ex26, ex26_colex)
     t2 = reconstruct_trie(rlx, ex26.alphabet.byte_of_code)
     assert np.array_equal(t2.parent, ex26.parent)
     assert np.array_equal(t2.label, ex26.label)

@@ -18,7 +18,8 @@ from rlxt.rindex import build_index
 from rlxt.rlxbwt import OutSets
 from rlxt.trie import build_from_strings, colex_sort, oracle_locate
 
-from conftest import EX26_COLEX_TO_PRE, make_dictionary, make_random_trie, present_patterns
+from conftest import (EX26_COLEX_TO_PRE, make_dictionary, make_random_trie, present_patterns,
+                      sampled_with_flipped_bit)
 
 
 def test_rindex_round_trip_bit_exact(ex26):
@@ -330,6 +331,17 @@ def test_damaged_file_loads_right_or_is_rejected():
     assert loaded < 10
 
 
+@pytest.mark.parametrize("bit, match", [
+    # the node count, 11 + 2**28: a 2 GiB table of node ends if trusted
+    (28, "xbwtflat holds 268435467 nodes in 29 bytes, labels 11"),
+    # the root's degree, 3 -> 2
+    (64, "xbwtflat holds 10 labels, its degrees sum to 9"),
+])
+def test_sampled_node_count_is_checked_before_allocating(bit, match):
+    with pytest.raises(IndexFileError, match=match):
+        storage.load_bytes(sampled_with_flipped_bit(bit))
+
+
 def test_topology_of_another_index_is_rejected():
     engine, sections = _sections_of([b"abc", b"abd", b"bcd", b"xyz"])
     _, other = _sections_of([b"abc", b"abd", b"bcd", b"xyzw"])
@@ -510,8 +522,9 @@ def test_loaded_sprime_tables_equal_built(ex26):
         idx = build_index(t, order)
         blob = storage.save_rindex(idx)
         _, idx2, _, _ = storage.load_bytes(blob)
-        for name in ("starts", "adds", "dels", "base", "c_array"):
+        for name in ("starts", "adds", "dels", "base", "c_array", "head_pre"):
             assert getattr(idx2.spi, name) == getattr(idx.spi, name), name
+        assert idx.spi is idx.rlx and idx2.spi is idx2.rlx
         assert idx2.rlx.triples == idx.rlx.triples == _naive_triples(t, order)
         base, c_array, run_heads = _trie_side_tables(t, order)
         for index in (idx, idx2):
