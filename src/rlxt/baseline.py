@@ -39,6 +39,11 @@ class XbwtNav:
         wavelet = WaveletSeq(out.labels, trie.alphabet.sigma)
         return cls(trie.n, trie.alphabet.sigma, wavelet, out.labels, out.offsets)
 
+    def colex_parents(self):
+        """The parent co-lex position of positions 2..n: flat's rows, stably by label."""
+        rows = np.repeat(np.arange(1, self.n + 1), np.diff(self.node_end))
+        return rows[np.argsort(self.flat, kind="stable")]
+
     def label_of(self, i):
         """Incoming label of colex node i (the Lambda sequence is sorted)."""
         return int(np.searchsorted(self.c_array, i - 1, side="right")) - 1
@@ -142,10 +147,8 @@ class SampledLocate:
         size = trie.subtree_sizes()
         root_colex = sorted(int(colex.pre_to_colex[u]) for u in cover.roots)
         marked = SparseBitVec(trie.n, root_colex)
-        samples = np.array([int(colex.colex_to_pre[i]) for i in root_colex], dtype=np.int64)
-        sizes = np.array([int(size[s]) for s in samples], dtype=np.int64)
-        psums = np.zeros(len(sizes) + 1, dtype=np.int64)
-        np.cumsum(sizes, out=psums[1:])
+        samples = colex.colex_to_pre[root_colex]
+        psums = np.concatenate(([0], np.cumsum(size[samples])))
         return cls(nav, marked, samples, psums, trie.alphabet, t), cover
 
     def _root_sample(self, i):

@@ -22,7 +22,7 @@ import numpy as np
 
 from .bits import concat_ranges, int_array
 from .errors import DomainError
-from .trie import Alphabet, LabeledTrie
+from .trie import ColexOrder, LabeledTrie, _depths, _levels, _subtree_sizes
 
 
 def by_label(sigma, labels, values):
@@ -68,7 +68,7 @@ class RlXbwt:
     and each of them has one c-child: ``base[c][k]``, the number of c-nodes
     before block ``adds[c][k]``, sums c's earlier runs, and ``c_array``
     sums every label's runs. ``triples``, ``r_prime`` and
-    ``block_out_sets`` are views derived from the tables.
+    ``colex_parents`` are views derived from the tables.
 
     The c-run heads are the nodes at the starts of the blocks in
     ``adds[c]``: ``head_pre[c][k]`` is the pre-order id of the head of the
@@ -142,14 +142,14 @@ class RlXbwt:
         r_c = {c: len(adds) for c, adds in enumerate(self.adds) if len(adds)}
         return sum(r_c.values()), r_c, self.r_prime
 
-    def block_out_sets(self):
-        """Unroll the blocks into the per-block out-label sets."""
-        sets = []
-        cur = set()
-        for add, dele, _ln in self.triples:
-            cur = (cur - set(dele)) | set(add)
-            sets.append(tuple(sorted(cur)))
-        return sets
+    def colex_parents(self):
+        """The parent co-lex position of each of positions 2..n: the k-th
+        c-child hangs off the k-th position of c's runs, label after label;
+        ``base`` and the C array give each run's offset among the children."""
+        offsets = np.concatenate(self.base) + np.repeat(
+            np.asarray(self.c_array)[:-1] - 1, [len(b) for b in self.base])
+        heads = np.asarray(self.starts)[np.concatenate(self.adds)]
+        return concat_ranges(heads, np.diff(offsets, append=self.n - 1))
 
     def deltas(self):
         """S' block by block: the ADD count per block, the ADD labels in S'
@@ -315,38 +315,26 @@ def run_head_preorder(rlx, c, i):
     return rlx.head_pre[c][k]
 
 
-def reconstruct_out_sets(rlx):
-    """Per-colex-position out-sets unrolled from the triples."""
-    out = []
-    block_sets = rlx.block_out_sets()
-    for (add, dele, ln), s in zip(rlx.triples, block_sets):
-        out.extend([s] * ln)
-    return out
-
-
-def reconstruct_trie(rlx, byte_of_code):
-    """Rebuild the full trie from the transform (used when loading an index)."""
-    return reconstruct_trie_from_outsets(
-        rlx.n, rlx.sigma, reconstruct_out_sets(rlx), rlx.c_array, byte_of_code
-    )
-
-
-def reconstruct_trie_from_outsets(n, sigma, out_sets, c_array, byte_of_code):
-    """Shared reconstruction: colex out-sets + C array -> LabeledTrie."""
-    children_of = [[] for _ in range(n + 1)]
-    seen = np.zeros(sigma, dtype=np.int64)
-    for i in range(1, n + 1):
-        for c in out_sets[i - 1]:
-            seen[c] += 1
-            children_of[i].append((c, int(c_array[c] + seen[c])))
-    parent = [0, 0]
-    labels = [0, 0]
-    stack = [(child, 1, c) for c, child in reversed(children_of[1])]
-    while stack:
-        i, par, c = stack.pop()
-        uid = len(parent)
-        parent.append(par)
-        labels.append(c)
-        for cc, child in reversed(children_of[i]):
-            stack.append((child, uid, cc))
-    return LabeledTrie(parent, labels, Alphabet.of_codes(byte_of_code))
+def reconstruct_trie(parents, c_array, alphabet):
+    """The trie and its co-lex order from each of positions 2..n's parent
+    co-lex position and the C array. Top-down, one level per pass, a node's
+    pre-order id is its parent's + 1 + its earlier (smaller-labeled) siblings'
+    subtree sizes. Positions sorted by (label, parent) are the co-lex order."""
+    n = len(parents) + 1
+    par = np.concatenate(([0, 0], parents))
+    if n > 1 and (par[2:].min() < 1 or par[2:].max() > n):
+        raise ValueError(f"parent position outside 1..{n}")
+    depth = _depths(par)
+    size = _subtree_sizes(par, depth)
+    kids = np.argsort(par[2:], kind="stable") + 2  # by parent, siblings by position
+    before = np.cumsum(size[kids]) - size[kids]  # sizes of the kids ahead in that order
+    first = np.searchsorted(par[kids], par[kids])  # where each kid's siblings begin
+    pre = np.zeros(n + 1, dtype=np.int64)  # first each node's id less its parent's
+    pre[1] = 1
+    pre[kids] = 1 + before - before[first]
+    for level in _levels(depth)[1:]:
+        pre[level] += pre[par[level]]
+    parent, label = np.zeros((2, n + 1), dtype=np.int64)
+    parent[pre] = pre[par]
+    label[pre[1:]] = np.repeat(np.arange(len(c_array) - 1), np.diff(c_array))
+    return LabeledTrie(parent, label, alphabet), ColexOrder(pre)

@@ -25,9 +25,9 @@ from .baseline import SampledLocate, XbwtNav
 from .bits import SparseBitVec, WaveletSeq
 from .errors import FormatError, IndexFileError
 from .rindex import ColorMarks, IscTables, PhiSamples, RIndex
-from .rlxbwt import RlXbwt, per_label, reconstruct_trie, reconstruct_trie_from_outsets
+from .rlxbwt import RlXbwt, per_label, reconstruct_trie  # bench/spans.py patches it here
 from .topology import BpsTopology
-from .trie import Alphabet, colex_sort
+from .trie import Alphabet, colex_sort  # noqa: F401 (not called; bench/spans.py patches it here)
 
 MAGIC = b"RLXT1"
 VERSION = 5
@@ -426,18 +426,34 @@ def load_sampled(sections):
     if len(data) != 8 + n2 + total:
         raise IndexFileError(f"xbwtflat holds {len(data) - 8 - n2} labels, "
                              f"its degrees sum to {total}")
-    node_end = np.zeros(n2 + 1, dtype=np.int64)
-    np.cumsum(degs, out=node_end[1:])
+    sigma = alphabet.sigma
     flat = np.frombuffer(data[8 + n2 : 8 + n2 + total], dtype=np.uint8).astype(np.int64)
-    nav = XbwtNav(int(n2), alphabet.sigma, WaveletSeq(flat, alphabet.sigma), flat, node_end)
+    if total and (flat.min() < 1 or flat.max() >= sigma):
+        raise IndexFileError(f"xbwtflat label outside 1..{sigma - 1}")
+    if (np.diff(np.repeat(np.arange(n), degs) * sigma + flat) <= 0).any():
+        raise IndexFileError("xbwtflat labels do not strictly increase within a node")
+    if total != n - 1:
+        raise IndexFileError(f"xbwtflat degrees sum to {total}, not one per non-root node")
+    node_end = np.concatenate(([0], np.cumsum(degs)))
+    nav = XbwtNav(int(n2), sigma, WaveletSeq(flat, sigma), flat, node_end)
     data = sections["cover"]
     (cnt,) = struct.unpack_from("<I", data, 0)
     marked_pos, off = _r_deltas(data, 4, cnt)
+    # checked before SparseBitVec sorts and dedups them; the root is marked
+    if not cnt or marked_pos[0] != 1 or (np.diff(marked_pos) < 1).any() or marked_pos[-1] > n:
+        raise IndexFileError(f"cover marked positions are not strictly increasing in 1..{n} from 1")
     samples, off = _r_varints(data, off, cnt)
+    if samples.min() < 1 or samples.max() > n or len(np.unique(samples)) != cnt:
+        raise IndexFileError(f"cover samples outside 1..{n} or repeated")
     sizes, off = _r_varints(data, off, cnt)
+    if samples[0] != 1 or sizes[0] != n:
+        raise IndexFileError(f"the root's cover sample is not 1 with size {n}")
+    if (sizes < 1).any() or (sizes > n + 1 - samples).any():  # sample + size - 1 > n, unwrapped
+        raise IndexFileError(f"a cover sample's subtree runs past node {n}")
     t, off = _r_varint(data, off)
-    psums = np.zeros(cnt + 1, dtype=np.int64)
-    np.cumsum(sizes, out=psums[1:])
+    if not 1 <= t <= n or off != len(data):
+        raise IndexFileError(f"cover parameter t outside 1..{n}, or bytes follow it")
+    psums = np.concatenate(([0], np.cumsum(sizes)))
     marked = SparseBitVec(int(n2), marked_pos)
     sl = SampledLocate(nav, marked, samples, psums, alphabet, int(t))
     return sl, meta
@@ -482,11 +498,8 @@ def load(path):
 def trie_of(engine, obj):
     """The trie a loaded index was built from, rebuilt from its transform,
     with its co-lex order. Queries never need it; statistics do."""
-    if engine == ENGINE_RINDEX:
-        trie = reconstruct_trie(obj.rlx, obj.alphabet.byte_of_code)
-    else:
-        nav = obj.nav
-        out_sets = [tuple(nav.out_labels(i)) for i in range(1, nav.n + 1)]
-        trie = reconstruct_trie_from_outsets(nav.n, nav.sigma, out_sets, nav.c_array,
-                                             obj.alphabet.byte_of_code)
-    return trie, colex_sort(trie)
+    nav = obj.rlx if engine == ENGINE_RINDEX else obj.nav
+    try:
+        return reconstruct_trie(nav.colex_parents(), nav.c_array, obj.alphabet)
+    except ValueError as exc:  # FormatError too
+        raise IndexFileError(f"the transform is not a trie: {exc}") from None

@@ -176,11 +176,7 @@ class LabeledTrie:
         return self._path_bytes
 
     def subtree_sizes(self):
-        size = np.ones(self.n + 1, dtype=np.int64)
-        size[0] = 0
-        for u in range(self.n, 1, -1):
-            size[self.parent[u]] += size[u]
-        return size
+        return _subtree_sizes(self.parent, self.depth)
 
     def iso_signatures(self):
         """Canonical id per node: equal ids iff complete subtrees are isomorphic.
@@ -212,17 +208,35 @@ class LabeledTrie:
 
 
 def _depths(parent):
-    """Depth of every node of a parent array in which each node's parent
-    precedes it (``parent[1] == 0`` for the root), by pointer jumping:
-    ceil(log2 depth) + 1 rounds over the whole array."""
+    """Depth of every node of a parent array (``parent[1] == 0``, the rest
+    in 1..n, in any order) by pointer jumping: ceil(log2 depth) + 1 rounds
+    over the whole array, or a ValueError past ceil(log2 n) + 1 rounds."""
     jump = parent.copy()
     jump[:2] = (0, 1)  # the root chains to itself
     dist = np.ones(len(parent), dtype=np.int64)  # dist[u]: levels from u up to jump[u]
     dist[:2] = 0
-    while (jump[1:] != 1).any():
+    for _ in range(max(len(parent) - 2, 1).bit_length() + 1):
+        if not (jump[1:] != 1).any():
+            return dist
         dist += dist[jump]
         jump = jump[jump]
-    return dist
+    raise ValueError("a parent chain never reaches the root")
+
+
+def _levels(depth):
+    """Nodes 1..n grouped by depth, one id array per level from the root's."""
+    return np.split(np.argsort(depth[1:], kind="stable") + 1,
+                    np.cumsum(np.bincount(depth[1:]))[:-1])
+
+
+def _subtree_sizes(parent, depth):
+    """Nodes in every node's subtree (0 at index 0), summed bottom-up one
+    depth level per pass, so ids need not be in pre-order."""
+    size = np.ones(len(parent), dtype=np.int64)
+    size[0] = 0
+    for level in reversed(_levels(depth)[1:]):
+        np.add.at(size, parent[level], size[level])
+    return size
 
 
 def _last_one_level_up(depth):

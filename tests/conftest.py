@@ -1,9 +1,11 @@
+import functools
 import random
 
 import pytest
 
 from rlxt import storage
 from rlxt.baseline import build_sampled
+from rlxt.rindex import build_index
 from rlxt.trie import LabeledTrie, build_from_strings, colex_sort
 
 # 26-node running example used by most golden tests.
@@ -36,17 +38,31 @@ def ex26_colex(ex26):
     return colex_sort(ex26)
 
 
-def sampled_with_flipped_bit(bit):
-    """The saved sampled index (t = 2) of [abc, abd, bcd, xyz], n = 11, with
-    one bit of its ``xbwtflat`` section flipped, under a valid checksum. The
-    section holds the node count (u64), a degree byte per node, then the
-    labels."""
+@functools.cache
+def saved_example(engine):
+    """The saved index of [abc, abd, bcd, xyz], n = 11: the run-length
+    index for ``engine`` "rindex", the sampled one (t = 2) for "sampled"."""
     t = build_from_strings([b"abc", b"abd", b"bcd", b"xyz"])
-    engine, sections = storage._unpack(storage.save_sampled(build_sampled(t, colex_sort(t), t=2)))
-    flat = bytearray(sections["xbwtflat"])
-    flat[bit // 8] ^= 1 << bit % 8
-    sections["xbwtflat"] = bytes(flat)
+    if engine == "rindex":
+        return storage.save_rindex(build_index(t))
+    return storage.save_sampled(build_sampled(t, colex_sort(t), t=2))
+
+
+def with_flipped_bit(blob, section, bit):
+    """The saved index ``blob`` with one bit of ``section`` flipped, under a
+    valid checksum."""
+    engine, sections = storage._unpack(blob)
+    payload = bytearray(sections[section])
+    payload[bit // 8] ^= 1 << bit % 8
+    sections[section] = bytes(payload)
     return storage._pack(engine, sections)
+
+
+def sampled_with_flipped_bit(bit, section="xbwtflat"):
+    """The sampled example index with one bit of ``section`` flipped. Its
+    ``xbwtflat`` section holds the node count (u64), a degree byte per node,
+    then the labels."""
+    return with_flipped_bit(saved_example("sampled"), section, bit)
 
 
 def make_random_trie(rng: random.Random, max_n: int, sigma: int) -> LabeledTrie:

@@ -9,7 +9,8 @@ from rlxt.errors import DomainError, NoSuccessorError
 from rlxt.rindex import RIndex, build_index
 from rlxt.trie import build_from_strings
 
-from conftest import EX26_COLEX_TO_PRE, ex26_lines, sampled_with_flipped_bit
+from conftest import (EX26_COLEX_TO_PRE, ex26_lines, sampled_with_flipped_bit, saved_example,
+                      with_flipped_bit)
 
 
 @pytest.fixture()
@@ -185,6 +186,25 @@ def test_sampled_node_count_past_its_payload_is_index_error(tmp_path, capsys):
     assert main(["locate", str(path), "a"]) == 3
     line = _one_line_index_error(capsys)
     assert line == f"index error: xbwtflat holds {11 + 2**28} nodes in 29 bytes, labels 11"
+
+
+@pytest.mark.parametrize("engine, section", [
+    ("sampled", "xbwtflat"), ("sampled", "cover"), ("rindex", "rlxbwt"), ("rindex", "sprime"),
+])
+def test_stats_of_every_flipped_bit_is_right_or_index_error(tmp_path, capsys, engine, section):
+    # every single-bit flip under a valid checksum: stats reports the 11-node
+    # trie or exits 3 with one line. A parent chain that never reaches the
+    # root ends the rebuild within its round bound, so no flip hangs
+    blob = saved_example(engine)
+    path = tmp_path / "flipped.idx"
+    for bit in range(8 * len(storage._unpack(blob)[1][section])):
+        path.write_bytes(with_flipped_bit(blob, section, bit))
+        code = main(["stats", str(path)])
+        if code == 0:
+            assert json.loads(capsys.readouterr().out)["n"] == 11, bit
+        else:
+            assert code == 3, bit
+            _one_line_index_error(capsys)
 
 
 @pytest.mark.parametrize("error", [DomainError, NoSuccessorError, IndexError])

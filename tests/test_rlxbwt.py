@@ -4,21 +4,20 @@ import numpy as np
 import pytest
 
 from rlxt import storage
-from rlxt.errors import DomainError
+from rlxt.errors import DeterminismError, DomainError
 from rlxt.rindex import build_index
 from rlxt.rlxbwt import (
     backward_extend,
     build_rl_xbwt,
     cr,
-    reconstruct_out_sets,
     reconstruct_trie,
     run_head_preorder,
     xbwt_rank,
     xbwt_successor,
 )
-from rlxt.trie import build_from_strings, colex_sort
+from rlxt.trie import Alphabet, build_from_strings, colex_sort
 
-from conftest import make_random_trie, path_trie
+from conftest import EX26_COLEX_TO_PRE, make_random_trie, path_trie
 
 A, B, C = 1, 2, 3  # label codes in EX26
 
@@ -129,18 +128,20 @@ def test_reconstruction_and_bounds_random():
         order = colex_sort(t)
         rlx = build_rl_xbwt(t, order)
         outs = _naive_out_sets(t, order)
-        assert reconstruct_out_sets(rlx) == outs
+        parents = rlx.colex_parents()
+        assert parents.tolist() == order.pre_to_colex[t.parent[order.colex_to_pre[2:]]].tolist()
+        t2, order2 = reconstruct_trie(parents, rlx.c_array, t.alphabet)
+        assert np.array_equal(t2.parent, t.parent)
+        assert np.array_equal(t2.label, t.label)
+        assert np.array_equal(order2.colex_to_pre, order.colex_to_pre)
         r, r_c, r_prime = rlx.run_stats()
         sum_del = sum(len(d) for _, d, _ in rlx.triples)
         sum_add = sum(len(a) for a, _, _ in rlx.triples)
         assert sum_del <= r
         assert sum_add <= 2 * r
         assert r_prime <= max(3 * r, 1)
-        if t.n > 1:
+        if t.n > 1:  # so blocks are maximal: consecutive blocks differ
             assert all(a or d for a, d, _ in rlx.triples)
-        # blocks are maximal: consecutive blocks differ
-        sets = rlx.block_out_sets()
-        assert all(sets[q] != sets[q + 1] for q in range(len(sets) - 1))
         # naive run-break count agrees
         want_r = 0
         for c in range(1, t.alphabet.sigma):
@@ -217,6 +218,34 @@ def test_path_trie_runs_match_string_rle():
 
 def test_reconstruct_trie_round_trip(ex26, ex26_colex):
     rlx = build_rl_xbwt(ex26, ex26_colex)
-    t2 = reconstruct_trie(rlx, ex26.alphabet.byte_of_code)
+    t2, order = reconstruct_trie(rlx.colex_parents(), rlx.c_array, ex26.alphabet)
     assert np.array_equal(t2.parent, ex26.parent)
     assert np.array_equal(t2.label, ex26.label)
+    assert order.colex_to_pre.tolist() == [0] + EX26_COLEX_TO_PRE
+
+
+@pytest.mark.parametrize("parents", [
+    [1, 4, 3],  # positions 3 and 4 are each other's parent
+    [1, 3, 4],  # 2 -> 3 -> 4 -> 4
+    [2, 2, 2],  # the root has no child; 2 is its own parent
+])
+def test_parents_off_the_root_raise(parents):
+    with pytest.raises(ValueError, match="a parent chain never reaches the root"):
+        reconstruct_trie(np.array(parents), [0, 1, 4], Alphabet(b"a"))
+
+
+@pytest.mark.parametrize("parents, c_array, match", [
+    ([1, 5, 1], [0, 1, 4], "parent position outside 1..4"),
+    ([1, 0, 1], [0, 1, 4], "parent position outside 1..4"),
+    ([1, 1, 1], [0, 2, 4], "node 2: sentinel label on an edge"),  # two nodes labeled 0
+    ([1, 1, 1], [0, 1, 3], "shape mismatch"),  # labels for 3 nodes of 4
+])
+def test_arrays_that_are_no_trie_raise(parents, c_array, match):
+    with pytest.raises(ValueError, match=match):
+        reconstruct_trie(np.array(parents), c_array, Alphabet(b"a"))
+
+
+def test_two_equal_labels_under_one_parent_raise():
+    # positions 2 and 3 both carry 'a' under the root: not a trie
+    with pytest.raises(DeterminismError):
+        reconstruct_trie(np.array([1, 1, 2]), [0, 1, 4], Alphabet(b"a"))

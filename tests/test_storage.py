@@ -19,7 +19,7 @@ from rlxt.rlxbwt import OutSets
 from rlxt.trie import build_from_strings, colex_sort, oracle_locate
 
 from conftest import (EX26_COLEX_TO_PRE, make_dictionary, make_random_trie, present_patterns,
-                      sampled_with_flipped_bit)
+                      sampled_with_flipped_bit, saved_example)
 
 
 def test_rindex_round_trip_bit_exact(ex26):
@@ -342,6 +342,40 @@ def test_sampled_node_count_is_checked_before_allocating(bit, match):
         storage.load_bytes(sampled_with_flipped_bit(bit))
 
 
+@pytest.mark.parametrize("section, bit, match", [
+    ("xbwtflat", 152, "xbwtflat label outside 1..7"),  # the root's first label, a -> 0
+    ("xbwtflat", 153, "xbwtflat labels do not strictly increase within a node"),
+    ("cover", 32, "cover marked positions are not strictly increasing in 1..11 from 1"),
+    ("cover", 96, "cover samples outside 1..11 or repeated"),  # 2 -> 3, taken
+    ("cover", 140, "cover samples outside 1..11 or repeated"),  # 10 -> 26
+    ("cover", 90, "the root's cover sample is not 1 with size 11"),  # 1 -> 5
+    ("cover", 155, "a cover sample's subtree runs past node 11"),  # node 2's size 4 -> 12
+    ("cover", 204, "cover parameter t outside 1..11, or bytes follow it"),  # 2 -> 18
+])
+def test_sampled_payloads_are_checked(section, bit, match):
+    with pytest.raises(IndexFileError, match=match):
+        storage.load_bytes(sampled_with_flipped_bit(bit, section))
+
+
+def test_sampled_degrees_must_give_one_parent_per_node():
+    # the root keeps two of its three labels: the payload is consistent
+    # with its degrees, which sum to 9 for 11 nodes
+    engine, sections = storage._unpack(saved_example("sampled"))
+    flat = bytearray(sections["xbwtflat"])
+    flat[8] -= 1
+    del flat[8 + 11 + 2]
+    sections["xbwtflat"] = bytes(flat)
+    with pytest.raises(IndexFileError, match="xbwtflat degrees sum to 9, not one per non-root"):
+        storage.load_bytes(storage._pack(engine, sections))
+
+
+def test_sampled_cover_must_end_at_t():
+    engine, sections = storage._unpack(saved_example("sampled"))
+    sections["cover"] = bytes(sections["cover"]) + b"\0"
+    with pytest.raises(IndexFileError, match="bytes follow it"):
+        storage.load_bytes(storage._pack(engine, sections))
+
+
 def test_topology_of_another_index_is_rejected():
     engine, sections = _sections_of([b"abc", b"abd", b"bcd", b"xyz"])
     _, other = _sections_of([b"abc", b"abd", b"bcd", b"xyzw"])
@@ -416,9 +450,23 @@ def test_reconstruct_trie_from_loaded_index(ex26):
 
     idx = build_index(ex26)
     _, idx2, _, _ = storage.load_bytes(storage.save_rindex(idx))
-    t2 = reconstruct_trie(idx2.rlx, idx2.alphabet.byte_of_code)
+    t2, order = reconstruct_trie(idx2.rlx.colex_parents(), idx2.rlx.c_array, idx2.alphabet)
     assert np.array_equal(t2.parent, ex26.parent)
     assert np.array_equal(t2.label, ex26.label)
+    assert order.colex_to_pre.tolist() == [0] + EX26_COLEX_TO_PRE
+
+
+def test_loaded_sampled_index_rebuilds_to_its_trie():
+    rng = random.Random(73)
+    tries = [make_random_trie(rng, 200, rng.choice([2, 5, 30])) for _ in range(30)]
+    for t in tries + [build_from_strings([])]:
+        order = colex_sort(t)
+        blob = storage.save_sampled(build_sampled(t, order, t=rng.randint(1, t.n)))
+        engine, sl, _, _ = storage.load_bytes(blob)
+        t2, order2 = storage.trie_of(engine, sl)
+        assert np.array_equal(t2.parent, t.parent)
+        assert np.array_equal(t2.label, t.label)
+        assert np.array_equal(order2.colex_to_pre, order.colex_to_pre)
 
 
 def test_traced_benchmark_hooks_resolve(ex26):

@@ -10,6 +10,8 @@ from rlxt.errors import DeterminismError, FormatError, PreorderError
 from rlxt.trie import (
     Alphabet,
     LabeledTrie,
+    _depths,
+    _subtree_sizes,
     build_from_edges,
     build_from_strings,
     colex_sort,
@@ -273,3 +275,37 @@ def test_colex_sort_by_doubling_matches_naive():
         t = build_from_strings(lines)
         assert int(t.depth.max()) >= 300
         assert np.array_equal(colex_sort(t).colex_to_pre, naive_colex_order(t).colex_to_pre)
+
+
+def _loop_depths(parent):
+    depth = np.zeros(len(parent), dtype=np.int64)
+    for u in range(2, len(parent)):
+        depth[u] = depth[parent[u]] + 1
+    return depth
+
+
+def test_depths_of_preorder_parents_match_the_loop():
+    # paths are the deepest tries: n - 1 levels take the most rounds allowed
+    tries = [path_trie(b"a" * (n - 1)) for n in range(1, 70)]
+    rng = random.Random(12)
+    tries += [make_random_trie(rng, 300, rng.choice([2, 5])) for _ in range(40)]
+    for t in tries:
+        assert np.array_equal(_depths(t.parent), _loop_depths(t.parent))
+        assert np.array_equal(t.depth, _loop_depths(t.parent))
+
+
+def test_subtree_sizes_on_shuffled_ids_match_the_loop():
+    rng = random.Random(13)
+    for _ in range(40):
+        t = make_random_trie(rng, 300, rng.choice([2, 5]))
+        want = np.ones(t.n + 1, dtype=np.int64)
+        want[0] = 0
+        for u in range(t.n, 1, -1):
+            want[t.parent[u]] += want[u]
+        assert np.array_equal(t.subtree_sizes(), want)
+        # the same tree under ids 2..n shuffled: parents no longer come first
+        new = np.concatenate(([0, 1], rng.sample(range(2, t.n + 1), t.n - 1)))
+        parent = np.zeros(t.n + 1, dtype=np.int64)
+        parent[new[2:]] = new[t.parent[2:]]
+        size = _subtree_sizes(parent, _depths(parent))
+        assert np.array_equal(size[new], want)

@@ -5,6 +5,12 @@ For each workload of ``bench/workloads.py`` and seeds 1..10, and for the
 
     <corpus> <sha1 of save_rindex(build_index(parse_strings_file(corpus)))>
 
+then one line per sampled-engine file, ``save_sampled(build_sampled(...))``:
+the running example at t = 2 and 4, and seed 1 of each workload at the
+default t,
+
+    sampled <corpus> t=<t> <sha1>
+
 using the checkout's own ``src/`` and ``bench/workloads.py`` (read, never
 edited). Two checkouts build bit-for-bit the same files iff they print the
 same lines:
@@ -29,6 +35,12 @@ def digest(data, rindex, storage, trie):
     return hashlib.sha1(blob).hexdigest()
 
 
+def sampled_digest(data, t, baseline, storage, trie):
+    """(t, sha1) of the sampled index of ``data``; ``t=None`` takes the default."""
+    sl = baseline.build_sampled(trie.parse_strings_file(data), t=t)
+    return sl.t, hashlib.sha1(storage.save_sampled(sl)).hexdigest()
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("checkout", help="root of the checkout to build with")
@@ -36,7 +48,7 @@ def main(argv=None):
     root = Path(args.checkout).resolve()
     for sub in ("src", "bench", "tests"):
         sys.path.insert(0, str(root / sub))
-    from rlxt import rindex, storage, trie
+    from rlxt import baseline, rindex, storage, trie
     import workloads
     from conftest import ex26_lines
 
@@ -48,6 +60,12 @@ def main(argv=None):
         for seed in SEEDS:
             lines, _patterns, _oracle = workloads.generate(name, seed)
             print(f"{name}/{seed}", digest(corpus(lines), rindex, storage, trie), flush=True)
+    sampled = [("ex26", corpus(ex26_lines()), t) for t in (2, 4)]
+    sampled += [(f"{name}/1", corpus(workloads.generate(name, 1)[0]), None)
+                for name in workloads.WORKLOADS]
+    for label, data, t in sampled:
+        t, sha = sampled_digest(data, t, baseline, storage, trie)
+        print(f"sampled {label} t={t}", sha, flush=True)
     return 0
 
 
