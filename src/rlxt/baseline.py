@@ -1,88 +1,88 @@
 """Sampling-based locate over the plain (uncompressed) XBWT.
 
-This is the comparison foil for the run-length index: navigation works on a
-wavelet sequence over the flattened out-label sets, locate converts a co-lex
-position to its pre-order id via a tree cover of parameter t. Roots of the
-cover are sampled (pre-order id + complete-subtree size, partial-summed in
-co-lex order); non-sampled positions walk up to their cover root and replay
-a pre-order visit, skipping over foreign cover components using the size
-sums.
+This is the comparison foil for the run-length index: navigation reads one
+table, the parent co-lex position of every position 2..n. Positions are
+sorted by (incoming label, parent), so each label's slice of the table is
+ascending and a child or a backward-search step is one ``bisect`` in it.
+Locate converts a co-lex position to its pre-order id via a tree cover of
+parameter t. Roots of the cover are sampled (pre-order id + complete-subtree
+size, partial-summed in co-lex order); non-sampled positions walk up to their
+cover root and replay a pre-order visit, skipping over foreign cover
+components using the size sums.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+
 import numpy as np
 
-from .bits import SparseBitVec, WaveletSeq
+from .bits import SparseBitVec, int_array
 from .errors import DomainError
 from .rlxbwt import OutSets
 from .trie import colex_sort
 
 
 class XbwtNav:
-    """Parent/child navigation in co-lex coordinates on the flat XBWT."""
+    """Parent/child navigation in co-lex coordinates on the flat XBWT.
 
-    __slots__ = ("n", "sigma", "wavelet", "flat", "node_end", "c_array")
+    ``flat`` holds the out-labels of positions 1..n in turn (bytes) and
+    ``node_end[i]`` the total out-degree of positions 1..i. ``parents[i - 2]``
+    is position i's parent; label c's positions, and so its slice of
+    ``parents``, are ``c_array[c] + 1 .. c_array[c + 1]``.
+    """
 
-    def __init__(self, n, sigma, wavelet, flat, node_end):
+    __slots__ = ("n", "sigma", "flat", "node_end", "c_array", "parents")
+
+    def __init__(self, n, sigma, flat, node_end):
+        flat = np.asarray(flat, dtype=np.uint8)
         self.n = n
         self.sigma = sigma
-        self.wavelet = wavelet
-        self.flat = flat  # raw label sequence; the wavelet is the query structure
-        self.node_end = node_end  # node_end[i] = total out-degree of colex 1..i
+        self.flat = flat.tobytes()
+        self.node_end = int_array(node_end)
         # c_array[c] = nodes with incoming label < c: the root plus flat's labels below c
-        self.c_array = np.concatenate(([0], 1 + np.cumsum(np.bincount(flat, minlength=sigma))))
+        self.c_array = int_array(np.concatenate(([0], 1 + np.cumsum(
+            np.bincount(flat, minlength=sigma)))))
+        rows = np.repeat(np.arange(1, n + 1), np.diff(node_end))
+        self.parents = int_array(rows[np.argsort(flat, kind="stable")])
 
     @classmethod
     def from_trie(cls, trie, colex):
         out = OutSets(trie, colex)
-        wavelet = WaveletSeq(out.labels, trie.alphabet.sigma)
-        return cls(trie.n, trie.alphabet.sigma, wavelet, out.labels, out.offsets)
+        return cls(trie.n, trie.alphabet.sigma, out.labels, out.offsets)
 
     def colex_parents(self):
-        """The parent co-lex position of positions 2..n: flat's rows, stably by label."""
-        rows = np.repeat(np.arange(1, self.n + 1), np.diff(self.node_end))
-        return rows[np.argsort(self.flat, kind="stable")]
-
-    def label_of(self, i):
-        """Incoming label of colex node i (the Lambda sequence is sorted)."""
-        return int(np.searchsorted(self.c_array, i - 1, side="right")) - 1
+        """The parent co-lex position of positions 2..n."""
+        return self.parents
 
     def out_labels(self, i):
-        lo, hi = int(self.node_end[i - 1]), int(self.node_end[i])
-        return [int(c) for c in self.flat[lo:hi]]
+        return self.flat[self.node_end[i - 1] : self.node_end[i]]
 
     def xbwt_parent(self, i):
         if i == 1:
             raise DomainError("the root has no parent")
         if not 1 <= i <= self.n:
             raise IndexError(f"colex position {i} out of range")
-        c = self.label_of(i)
-        q = i - int(self.c_array[c])
-        p = self.wavelet.select(c, q)
-        return int(np.searchsorted(self.node_end[1:], p, side="left")) + 1
+        return self.parents[i - 2]
 
     def xbwt_child(self, i, c):
         if not 1 <= i <= self.n:
             raise IndexError(f"colex position {i} out of range")
         if not 1 <= c < self.sigma:
             raise DomainError(f"label {c} out of alphabet")
-        before = self.wavelet.rank(c, int(self.node_end[i - 1]))
-        here = self.wavelet.rank(c, int(self.node_end[i])) - before
-        if here != 1:
+        hi = self.c_array[c + 1] - 1
+        k = bisect_left(self.parents, i, self.c_array[c] - 1, hi)
+        if k == hi or self.parents[k] != i:
             raise DomainError(f"label {c} not outgoing at colex position {i}")
-        return int(self.c_array[c]) + before + 1
+        return k + 2
 
     def backward_extend(self, rng, c):
-        lo, hi = rng
         if c is None or not 1 <= c < self.sigma:
             return None
-        base = int(self.c_array[c])
-        lo2 = base + self.wavelet.rank(c, int(self.node_end[lo - 1])) + 1
-        hi2 = base + self.wavelet.rank(c, int(self.node_end[hi]))
-        if lo2 > hi2:
-            return None
-        return (lo2, hi2)
+        lo, hi = self.c_array[c] - 1, self.c_array[c + 1] - 1
+        a = bisect_left(self.parents, rng[0], lo, hi)
+        b = bisect_right(self.parents, rng[1], a, hi)
+        return (a + 2, b + 1) if a < b else None
 
 
 class TreeCover:

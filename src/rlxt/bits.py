@@ -1,11 +1,14 @@
-"""Bit-level primitives: rank/select bitvectors and a small-alphabet wavelet sequence.
+"""Bit-level primitives: the sparse rank/select bitvector and the array helpers.
 
 All public positions are 1-based. ``rank1(i)`` counts set bits in positions
-``1..i``; ``select1(j)`` returns the position of the j-th set bit. The dense
-vector and the wavelet sequence keep 0-based numpy arrays; the sparse vector
-keeps an :func:`int_array` (``array('i')`` while its values are below 2**31)
-searched with ``bisect``, because a query makes one scalar lookup at a time
-and a scalar numpy call costs several times more.
+``1..i``; ``select1(j)`` returns the position of the j-th set bit. The sparse
+vector keeps an :func:`int_array` (``array('i')`` while its values are below
+2**31) searched with ``bisect``, because a query makes one scalar lookup at a
+time and a scalar numpy call costs several times more.
+
+:class:`BitVec` and :class:`WaveletSeq` have no caller in the library. They
+stay, with their tests, only because the traced benchmark (``bench/spans.py``)
+patches their methods by name; they go once it stops (ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -57,7 +60,8 @@ class BitVec:
     """Dense bitvector with O(1) rank and O(log n) select.
 
     The rank directory is a prefix-sum array over the raw bits; select is a
-    binary search over the stored positions of set bits.
+    binary search over the stored positions of set bits. No library code
+    uses it: it is kept for ``bench/spans.py``'s patches until ROADMAP item 1.
     """
 
     __slots__ = ("bits", "_cum", "_ones", "_zeros")
@@ -205,7 +209,8 @@ class WaveletSeq:
     Supports access, per-symbol rank/select, and counting all symbols of a
     lexicographic range inside a prefix (three-sided range counting). Built as
     a pointerless wavelet tree: one BitVec per level, nodes partitioned
-    stably left-to-right.
+    stably left-to-right. No library code uses it: it is kept for
+    ``bench/spans.py``'s patches until ROADMAP item 1.
     """
 
     __slots__ = ("sigma", "length", "levels", "level_bits")

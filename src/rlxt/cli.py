@@ -25,6 +25,8 @@ from .rindex import build_index
 from .rlxbwt import build_rl_xbwt
 from .trie import colex_sort, oracle_locate, parse_edges_file, parse_strings_file
 
+ENGINES = ("rindex", "sampled")
+
 
 def _read_trie(path, fmt):
     with open(path, "rb") as fh:
@@ -56,6 +58,8 @@ def _patterns_from_args(args):
 
 
 def cmd_build(args):
+    if args.t < 0:
+        raise FormatError(f"cover parameter --t must be positive, not {args.t}")
     trie = _read_trie(args.input, args.format)
     t0 = time.perf_counter()
     if args.engine == "rindex":
@@ -226,7 +230,20 @@ def cmd_verify(args):
     return 0
 
 
+def _cover_parameters(text):
+    """The cover parameters of ``rlxt bench --t``: positive integers, comma-separated."""
+    values = [int(x) if x.isdecimal() else 0 for x in text.split(",")]
+    if min(values) < 1:
+        raise FormatError(f"--t takes positive integers separated by commas, not {text!r}")
+    return values
+
+
 def cmd_bench(args):
+    engines = args.engines.split(",")
+    for engine in engines:
+        if engine not in ENGINES:
+            raise FormatError(f"unknown engine {engine!r}; engines are {', '.join(ENGINES)}")
+    t_values = _cover_parameters(args.t)
     trie = _read_trie(args.input, args.format)
     order = colex_sort(trie)
     pats = _patterns_from_args(args)
@@ -236,15 +253,14 @@ def cmd_bench(args):
         pats = sorted({paths[rng.randint(1, trie.n)][-3:] for _ in range(20) if trie.n > 1})
         pats = [p for p in pats if p] or [b""]
     rows = ["engine,t,build_s,index_bits,count_us,locate_us_per_occ"]
-    for engine in args.engines.split(","):
-        t_values = [0] if engine == "rindex" else [int(x) for x in args.t.split(",")]
-        for t_par in t_values:
+    for engine in engines:
+        for t_par in [0] if engine == "rindex" else t_values:
             t0 = time.perf_counter()
             if engine == "rindex":
                 obj = build_index(trie, order)
                 blob = storage.save_rindex(obj)
             else:
-                obj, _ = SampledLocate.build(trie, order, min(max(t_par, 1), trie.n))
+                obj, _ = SampledLocate.build(trie, order, min(t_par, trie.n))
                 blob = storage.save_sampled(obj)
             build_s = time.perf_counter() - t0
             reps = max(1, args.repeat)
@@ -274,7 +290,7 @@ def make_parser():
     p.add_argument("input")
     p.add_argument("--format", choices=["strings", "edges"], default="strings")
     p.add_argument("--output", "-o", required=True)
-    p.add_argument("--engine", choices=["rindex", "sampled"], default="rindex")
+    p.add_argument("--engine", choices=ENGINES, default="rindex")
     p.add_argument("--t", type=int, default=0, help="cover parameter (sampled engine)")
     p.set_defaults(fn=cmd_build)
 

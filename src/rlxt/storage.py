@@ -22,12 +22,13 @@ import zlib
 import numpy as np
 
 from .baseline import SampledLocate, XbwtNav
-from .bits import SparseBitVec, WaveletSeq
+from .bits import SparseBitVec
 from .errors import FormatError, IndexFileError
 from .rindex import ColorMarks, IscTables, PhiSamples, RIndex
 from .rlxbwt import RlXbwt, per_label, reconstruct_trie  # bench/spans.py patches it here
 from .topology import BpsTopology
-from .trie import Alphabet, colex_sort  # noqa: F401 (not called; bench/spans.py patches it here)
+from .trie import Alphabet, _depths
+from .trie import colex_sort  # noqa: F401 (not called; bench/spans.py patches it here)
 
 MAGIC = b"RLXT1"
 VERSION = 5
@@ -396,7 +397,7 @@ def save_sampled(sl, meta=None):
     out += struct.pack("<Q", nav.n)
     degs = np.diff(nav.node_end)
     out += degs.astype(np.uint8).tobytes()
-    out += np.asarray(nav.flat).astype(np.uint8).tobytes()
+    out += nav.flat
     cover = bytearray()
     cover += struct.pack("<I", sl.marked.num_ones)
     _w_deltas(cover, sl.marked.positions)
@@ -427,15 +428,18 @@ def load_sampled(sections):
         raise IndexFileError(f"xbwtflat holds {len(data) - 8 - n2} labels, "
                              f"its degrees sum to {total}")
     sigma = alphabet.sigma
-    flat = np.frombuffer(data[8 + n2 : 8 + n2 + total], dtype=np.uint8).astype(np.int64)
+    flat = np.frombuffer(data[8 + n2 : 8 + n2 + total], dtype=np.uint8)
     if total and (flat.min() < 1 or flat.max() >= sigma):
         raise IndexFileError(f"xbwtflat label outside 1..{sigma - 1}")
-    if (np.diff(np.repeat(np.arange(n), degs) * sigma + flat) <= 0).any():
+    if (np.diff(np.repeat(np.arange(n), degs) * sigma + flat.astype(np.int64)) <= 0).any():
         raise IndexFileError("xbwtflat labels do not strictly increase within a node")
     if total != n - 1:
         raise IndexFileError(f"xbwtflat degrees sum to {total}, not one per non-root node")
-    node_end = np.concatenate(([0], np.cumsum(degs)))
-    nav = XbwtNav(int(n2), sigma, WaveletSeq(flat, sigma), flat, node_end)
+    nav = XbwtNav(int(n2), sigma, flat, np.concatenate(([0], np.cumsum(degs))))
+    try:
+        _depths(np.concatenate(([0, 0], nav.parents)))
+    except ValueError:
+        raise IndexFileError("xbwtflat parent chains do not all reach the root") from None
     data = sections["cover"]
     (cnt,) = struct.unpack_from("<I", data, 0)
     marked_pos, off = _r_deltas(data, 4, cnt)

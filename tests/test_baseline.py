@@ -3,9 +3,10 @@ import random
 
 import pytest
 
+from rlxt import storage
 from rlxt.baseline import SampledLocate, TreeCover, XbwtNav, build_sampled
 from rlxt.errors import DomainError
-from rlxt.trie import colex_sort, oracle_locate
+from rlxt.trie import Alphabet, LabeledTrie, colex_sort, oracle_locate
 
 from conftest import EX26_COLEX_TO_PRE, make_random_trie, present_patterns
 
@@ -31,27 +32,58 @@ def test_child_examples(nav26):
         nav26.xbwt_child(8, A)
 
 
-def test_parent_child_inverse(nav26, ex26):
+def test_parent_child_inverse(nav26, ex26, ex26_colex):
     for i in range(1, 27):
         for c in nav26.out_labels(i):
             assert nav26.xbwt_parent(nav26.xbwt_child(i, c)) == i
     for i in range(2, 27):
-        assert nav26.xbwt_child(nav26.xbwt_parent(i), nav26.label_of(i)) == i
+        label = int(ex26.label[ex26_colex.colex_to_pre[i]])
+        assert nav26.xbwt_child(nav26.xbwt_parent(i), label) == i
+
+
+def _with_unused_label(t, m):
+    """``t`` with every label code from m on moved up by one, so that code
+    m labels no edge and its slice of the parent table is empty."""
+    label = t.label + (t.label >= m)
+    label[1] = 0
+    return LabeledTrie(t.parent, label, Alphabet(range(1, t.alphabet.sigma + 1)))
+
+
+def _check_nav(nav, t, order, rng):
+    flat, ends = list(nav.flat), list(nav.node_end)
+    for i in range(1, t.n + 1):
+        u = int(order.colex_to_pre[i])
+        if i > 1:
+            assert nav.xbwt_parent(i) == int(order.pre_to_colex[t.parent[u]])
+        outs = [int(x) for x in t.out_labels(u)]
+        assert list(nav.out_labels(i)) == outs
+        for c in range(1, nav.sigma):
+            if c in outs:
+                assert nav.xbwt_child(i, c) == int(order.pre_to_colex[t.child_by_label(u, c)])
+            else:
+                with pytest.raises(DomainError):
+                    nav.xbwt_child(i, c)
+    # backward search against a scan of flat: the c-children of lo..hi
+    # follow the root, every smaller label's nodes and the c-children of 1..lo-1
+    ranges = [(1, t.n)] + [sorted(rng.choices(range(1, t.n + 1), k=2)) for _ in range(20)]
+    for c in range(1, nav.sigma):
+        for lo, hi in ranges:
+            first = 2 + sum(x < c for x in flat) + flat[: ends[lo - 1]].count(c)
+            here = flat[ends[lo - 1] : ends[hi]].count(c)
+            want = (first, first + here - 1) if here else None
+            assert nav.backward_extend((lo, hi), c) == want
 
 
 def test_nav_matches_trie_maps():
     rng = random.Random(61)
-    for _ in range(20):
-        t = make_random_trie(rng, 150, 3)
+    for k in range(24):
+        t = make_random_trie(rng, 150, 27 if k % 2 else 3)
+        if k % 3 == 0:
+            t = _with_unused_label(t, rng.randint(1, t.alphabet.sigma))
         order = colex_sort(t)
-        nav = XbwtNav.from_trie(t, order)
-        for i in range(1, t.n + 1):
-            u = int(order.colex_to_pre[i])
-            if i > 1:
-                assert nav.xbwt_parent(i) == int(order.pre_to_colex[t.parent[u]])
-            for c in (int(x) for x in t.out_labels(u)):
-                want = int(order.pre_to_colex[t.child_by_label(u, c)])
-                assert nav.xbwt_child(i, c) == want
+        _, loaded, _, _ = storage.load_bytes(storage.save_sampled(build_sampled(t, order)))
+        for nav in (XbwtNav.from_trie(t, order), loaded.nav):
+            _check_nav(nav, t, order, rng)
 
 
 def test_cover_degenerate(ex26):

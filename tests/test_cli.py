@@ -87,6 +87,24 @@ def test_bad_hex_line_in_pattern_file_is_input_error(ex26_index, tmp_path, capsy
     assert len(captured.err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["build", "--engine", "sampled", "--t", "-5", "-o", "unused.idx"],
+    ["bench", "--t", "x"],
+    ["bench", "--t", "-3"],
+    ["bench", "--engines", "foo"],
+])
+def test_bad_cover_parameter_or_engine_is_input_error(ex26_file, tmp_path, monkeypatch, capsys,
+                                                      argv):
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    assert main([argv[0], str(ex26_file), *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+    assert captured.err.startswith("input error: ")
+    assert not (tmp_path / "unused.idx").exists()
+
+
 def test_build_empty_and_nul(tmp_path, capsys):
     empty = tmp_path / "empty.txt"
     empty.write_bytes(b"")

@@ -12,7 +12,7 @@ import pytest
 
 from rlxt import storage
 from rlxt.baseline import build_sampled
-from rlxt.bits import WaveletSeq
+from rlxt.bits import BitVec, WaveletSeq
 from rlxt.errors import IndexFileError, NoSuccessorError
 from rlxt.rindex import build_index
 from rlxt.rlxbwt import OutSets
@@ -345,6 +345,8 @@ def test_sampled_node_count_is_checked_before_allocating(bit, match):
 @pytest.mark.parametrize("section, bit, match", [
     ("xbwtflat", 152, "xbwtflat label outside 1..7"),  # the root's first label, a -> 0
     ("xbwtflat", 153, "xbwtflat labels do not strictly increase within a node"),
+    # the root's third label, x -> z: the z-labeled positions' parents form a cycle
+    ("xbwtflat", 169, "xbwtflat parent chains do not all reach the root"),
     ("cover", 32, "cover marked positions are not strictly increasing in 1..11 from 1"),
     ("cover", 96, "cover samples outside 1..11 or repeated"),  # 2 -> 3, taken
     ("cover", 140, "cover samples outside 1..11 or repeated"),  # 10 -> 26
@@ -410,8 +412,9 @@ def _reachable(idx):
 
 
 def test_loaded_index_holds_no_wavelet(ex26):
-    _, idx, _, _ = storage.load_bytes(storage.save_rindex(build_index(ex26)))
-    assert not any(isinstance(obj, WaveletSeq) for obj in _reachable(idx))
+    for blob in (storage.save_rindex(build_index(ex26)), saved_example("sampled")):
+        _, idx, _, _ = storage.load_bytes(blob)
+        assert not any(isinstance(obj, (WaveletSeq, BitVec)) for obj in _reachable(idx))
 
 
 def test_loaded_index_tables_are_narrow():

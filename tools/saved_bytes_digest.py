@@ -7,7 +7,7 @@ For each workload of ``bench/workloads.py`` and seeds 1..10, and for the
 
 then one line per sampled-engine file, ``save_sampled(build_sampled(...))``:
 the running example at t = 2 and 4, and seed 1 of each workload at the
-default t,
+default t and at t = 1 (every node a cover root),
 
     sampled <corpus> t=<t> <sha1>
 
@@ -61,8 +61,9 @@ def main(argv=None):
             lines, _patterns, _oracle = workloads.generate(name, seed)
             print(f"{name}/{seed}", digest(corpus(lines), rindex, storage, trie), flush=True)
     sampled = [("ex26", corpus(ex26_lines()), t) for t in (2, 4)]
-    sampled += [(f"{name}/1", corpus(workloads.generate(name, 1)[0]), None)
-                for name in workloads.WORKLOADS]
+    for name in workloads.WORKLOADS:
+        data = corpus(workloads.generate(name, 1)[0])
+        sampled += [(f"{name}/1", data, None), (f"{name}/1", data, 1)]
     for label, data, t in sampled:
         t, sha = sampled_digest(data, t, baseline, storage, trie)
         print(f"sampled {label} t={t}", sha, flush=True)
