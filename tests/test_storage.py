@@ -12,7 +12,7 @@ import pytest
 
 from rlxt import storage
 from rlxt.baseline import build_sampled
-from rlxt.bits import BitVec, WaveletSeq
+from rlxt.bits import BitVec, WaveletSeq, pack_bits, unpack_bits
 from rlxt.errors import IndexFileError, NoSuccessorError
 from rlxt.rindex import build_index
 from rlxt.rlxbwt import OutSets
@@ -386,6 +386,16 @@ def test_topology_of_another_index_is_rejected():
         storage.load_bytes(storage._pack(engine, sections))
 
 
+def test_topology_of_two_trees_is_rejected():
+    # "()" and then the root's children as roots of their own: balanced, as
+    # many nodes as the labels, but not one tree
+    engine, sections = _sections_of([b"abc", b"abd", b"bcd", b"xyz"])
+    parens = unpack_bits(sections["topology"])[0].tolist()
+    sections["topology"] = pack_bits([1, 0] + parens[1:-1])
+    with pytest.raises(IndexFileError, match="parentheses do not form one tree"):
+        storage.load_bytes(storage._pack(engine, sections))
+
+
 def test_every_truncation_is_an_index_file_error():
     blob = storage.save_rindex(build_index(build_from_strings([b"abc", b"abd", b"bcd", b"xyz"])))
     for k in range(len(blob)):
@@ -425,7 +435,6 @@ def test_loaded_index_tables_are_narrow():
     tables = [obj for obj in _reachable(idx) if isinstance(obj, array)]
     assert len(tables) > 20
     assert [t.typecode for t in tables if t.typecode == "q"] == []
-    assert idx.topo._ex.typecode == "h"
 
 
 def test_machinery_bits_are_sane(ex26):

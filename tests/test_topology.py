@@ -64,6 +64,10 @@ def test_isd_examples(topo26):
     assert topo26.isd(3, 9, 3) == 9
     with pytest.raises(DomainError):
         topo26.isd(4, 22, 11)
+    # node 9 sits 6 ids below node 3, and node 4's subtree holds 2 ids: a
+    # damaged sample naming 4 as 3's image must not give node 10
+    with pytest.raises(DomainError, match="subtree is smaller"):
+        topo26.isd(3, 9, 4)
 
 
 def test_next_marked_in_subtree(topo26, colored26):
@@ -177,7 +181,7 @@ def test_bps_round_trip(ex26):
     topo2, _ = BpsTopology.from_bytes(topo.to_bytes())
     assert np.array_equal(topo.parens, topo2.parens)
     assert np.array_equal(topo.close_pos, topo2.close_pos)
-    assert np.array_equal(topo.parent_node[1:], ex26.parent[1:])
+    assert [topo.laq(u, 1) for u in range(2, ex26.n + 1)] == ex26.parent[2:].tolist()
     assert [topo.depth(u) for u in range(1, ex26.n + 1)] == ex26.depth[1:].tolist()
 
 
@@ -214,7 +218,7 @@ def _assert_tables_match_stack_walk(topo):
     open_pos, close_pos, parent, depth = _stack_tables(topo.parens.tolist())
     assert list(topo.open_pos) == open_pos
     assert list(topo.close_pos) == close_pos
-    assert list(topo.parent_node) == parent
+    assert [topo.laq(u, 1) for u in range(2, topo.n + 1)] == parent[2:]
     assert [topo.depth(u) for u in range(1, topo.n + 1)] == depth[1:]
 
 
@@ -224,23 +228,18 @@ def test_tables_match_stack_walk():
         t = make_random_trie(rng, rng.randint(1, 600), rng.choice([1, 2, 3, 6]))
         topo = BpsTopology.from_trie(t)
         _assert_tables_match_stack_walk(topo)
-        assert topo._ex.typecode == "h"
-    # depth keys sort as uint8, uint16 (the 20,000-deep path) and uint32; the
-    # 70,000-deep path's excess no longer fits 16 bits
+    # depth keys sort as uint8, uint16 (the 20,000-deep path) and uint32
     for parens in ([1, 0], _path_parens(20_000), _path_parens(70_000), _star_parens(255)):
         topo, _ = BpsTopology.from_bytes(BpsTopology(parens).to_bytes())
         assert topo.parens.tolist() == parens
         _assert_tables_match_stack_walk(topo)
-        assert topo._ex.typecode == ("i" if len(parens) > 2**16 else "h")
 
 
-def test_excess_width_at_the_int16_boundary():
-    # a 16-bit running sum that overflows wraps negative: the excess then
-    # takes the next width, and a sum that truly goes negative is rejected
-    for m, code in ((2**15 - 1, "h"), (2**15, "i")):
+def test_path_depth_at_the_int16_boundary():
+    # paths of 2**15 - 1 and 2**15 nodes answer depth and a root-deep laq;
+    # sequences that close more than they open past that depth are rejected
+    for m in (2**15 - 1, 2**15):
         topo = BpsTopology(_path_parens(m))
-        assert topo._ex.typecode == code
-        assert list(topo._ex) == list(range(m + 1)) + list(range(m - 1, -1, -1))
         assert topo.depth(m) == m - 1 and topo.laq(m, m - 1) == 1
     for parens in (_path_parens(2**15) + [0, 1], [1] * 2**16 + [0] * 2**16 + [0, 1]):
         with pytest.raises(ValueError):
@@ -248,7 +247,9 @@ def test_excess_width_at_the_int16_boundary():
 
 
 @pytest.mark.parametrize("parens", [[1], [1, 0, 1], [0, 1], [1, 0, 0, 1], [1, 1, 0, 1],
-                                    [1, 1], [1, 0, 0, 1, 1, 0]])
+                                    [1, 1], [1, 0, 0, 1, 1, 0],
+                                    # balanced, but two trees
+                                    [1, 0, 1, 0], [1, 1, 0, 0, 1, 0]])
 def test_odd_or_unbalanced_parens_are_rejected(parens):
     with pytest.raises(ValueError):
         BpsTopology(parens)
@@ -284,7 +285,7 @@ def test_loaded_topology_size_per_node():
     rng = random.Random(25)
     t = make_random_trie(rng, 20_000, 4)
     topo, _ = BpsTopology.from_bytes(BpsTopology.from_trie(t).to_bytes())
-    assert _deep_size(topo) <= 17 * t.n
+    assert _deep_size(topo) <= 13 * t.n
 
 
 def _caterpillar(m, spine_first):
@@ -341,12 +342,3 @@ def test_far_laq_and_lca_on_caterpillars(m, spine_first):
         v = rng.randint(1, t.n)
         want = u if u == v else spine[min(where[u][0], where[v][0])]
         assert topo.lca(u, v) == want
-    # the backward excess search against a scan, and its no-hit answers
-    ex = topo._excess
-    for _ in range(100):
-        pos = rng.randrange(len(ex))
-        target = rng.randint(0, int(ex[pos]))
-        hits = np.flatnonzero(ex[: pos + 1] == target)
-        assert topo._bwd_search_eq(pos, target) == int(hits[-1])
-    assert topo._bwd_search_eq(len(ex) - 1, -1) == -1
-    assert topo._bwd_search_eq(-1, 0) == -1
