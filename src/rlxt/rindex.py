@@ -236,15 +236,11 @@ class RIndex:
         """Pre-order id of u's co-lex successor (climb, Cases 1..2.2.2)."""
         if u == self.last:
             raise NoSuccessorError(f"node {u} is last in co-lex order")
-        if self.colors.is_colored(u):
+        succ = self._phi_case1(u)
+        if succ is not None:
             self.case_counters["1"] += 1
-            return self.samples.value(u)
+            return succ
         topo = self.topo
-        j_node = topo.next_marked_in_subtree(self.colors.colored, u)
-        if j_node is not None:
-            self.case_counters["1"] += 1
-            return topo.laq(self.samples.value(j_node),
-                            topo.depth(j_node) - topo.depth(u))
         a = topo.lowest_covering_ancestor(self.colors.colored, u)
         t = topo.depth(u) - topo.depth(a)
         k_node = topo.laq(u, t - 1)
@@ -258,18 +254,20 @@ class RIndex:
                 u_k1 = topo.cbr(a1, self.isc_tables.isc(a, topo.sr(k_node)))
         else:
             self.case_counters["2.1"] += 1
-            a1 = self._phi_case1(a)
-            u_k1 = topo.cbr(a1, topo.sr(k_node))
+            u_k1 = topo.cbr(self._phi_case1(a), topo.sr(k_node))
         if k_node == u:
             return u_k1
         return topo.isd(k_node, u, u_k1)
 
     def _phi_case1(self, u):
-        """Case-1 step for a node whose subtree is known to hold a colored node."""
+        """Case-1 step: u's successor read off the first colored node of u's
+        subtree, or None if that subtree holds no colored node."""
         if self.colors.is_colored(u):
             return self.samples.value(u)
         topo = self.topo
         j_node = topo.next_marked_in_subtree(self.colors.colored, u)
+        if j_node is None:
+            return None
         return topo.laq(self.samples.value(j_node), topo.depth(j_node) - topo.depth(u))
 
     def isc(self, u, k):

@@ -1,14 +1,15 @@
 """Succinct tree topology over balanced parentheses.
 
-The i-th open parenthesis corresponds to pre-order node i. Subtrees occupy
-contiguous parenthesis ranges and contiguous pre-order id ranges: the
-marked-node queries search an id range, and the isomorphic-descendant jump
-is an id offset. Three tables are kept, each at the narrowest width that
-holds it (12 bytes per node below 2**31 parens), all built by array
-operations: every node's open and close position, and a level table of the
-nodes in (depth, id) order. In pre-order a node's ancestor at depth t is the
-last node of depth t at or before it, so a level ancestor is one bisect in
-that depth's slice of the level table, and an LCA a binary search over depth.
+The i-th open parenthesis corresponds to pre-order node i, and node u's
+subtree is the ids u .. u + size(u) - 1: the marked-node queries search that
+range, and the isomorphic-descendant jump is an id offset. Three tables are
+kept, all built by array operations: each node's depth (at the narrowest
+width that holds the deepest) and subtree size, and a level table of the
+nodes in (depth, id) order, 9 bytes per node below 256 levels. A node's
+ancestor at depth t is the last node of depth t at or before it, one bisect
+in that depth's slice; ancestors' ids rise with depth and their subtrees
+shrink, so the LCA and the lowest ancestor covering a mark are one binary
+search over depth. Node u opens at 0-based position ``2u - 2 - depth(u)``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ def _view(table):
 
 
 class BpsTopology:
-    __slots__ = ("n", "open_pos", "close_pos", "level_nodes", "level_start")
+    __slots__ = ("n", "node_depth", "subtree_size", "level_nodes", "level_start")
 
     def __init__(self, parens):
         bits = np.asarray(parens, dtype=np.uint8)
@@ -37,18 +38,12 @@ class BpsTopology:
         self.n = n = len(bits) // 2
         if np.count_nonzero(bits) != n:
             raise ValueError("parenthesis sequence is not balanced")
-        # Node u opens at open_pos[u-1] and closes at close_pos[u], both
-        # 1-based, and has depth 2u - open_pos[u-1] - 1. level_nodes lists the
-        # nodes by (depth, id), depth t in level_nodes[level_start[t] :
-        # level_start[t+1]]. The tables are arrays, as the climb reads them
-        # one item at a time, at a quarter of the cost of int(numpy_array[i]),
-        # each 4 bytes per node below 2**31 parens. Every n-sized temporary is
-        # freed once used, and the int64 sort results are narrowed before the
-        # next one is made.
+        # node_depth[u], subtree_size[u] (slot 0 unused); depth t's nodes in
+        # level_nodes[level_start[t] : level_start[t+1]]. The climb reads
+        # these arrays one item at a time, at a quarter of the cost of
+        # int(numpy_array[i]). Every n-sized temporary is freed once used.
         wide = "i" if 2 * n < 1 << 31 else "q"  # no position exceeds 2n
-        self.open_pos = array(wide, [0]) * n
-        opens = _view(self.open_pos)
-        opens[:] = np.flatnonzero(bits)
+        opens = np.flatnonzero(bits).astype(wide)
         closes = np.flatnonzero(bits == 0).astype(wide)
         # the k-th close follows the k-th open, and only the last close
         # brings the excess back to 0
@@ -56,28 +51,34 @@ class BpsTopology:
             raise ValueError("parenthesis sequence is not balanced")
         if n == 0 or not np.all(opens[1:] < closes[:-1]):
             raise ValueError("parentheses do not form one tree")
-        opens += 1
-        odd = np.arange(1, 2 * n, 2, dtype=wide)  # 2u - 1 for node u
-        key = odd - opens  # node depths
-        top = int(key.max())
-        # numpy sorts 8- and 16-bit keys by radix, in linear time
-        key = key.astype(np.min_scalar_type(top))
-        by_depth = np.argsort(key, kind="stable").astype(wide)
-        self.level_start = array(wide, [0]) * (top + 2)
-        _view(self.level_start)[1:] = np.cumsum(np.bincount(key))
-        # each depth's opens and closes alternate in position order, so the
-        # k-th open at a depth matches the k-th close there
-        np.subtract(closes, odd, out=key, casting="unsafe")  # j-th close: q - 2j - 1
-        del odd
-        closes = closes[np.argsort(key, kind="stable")]
+        even = np.arange(0, 2 * n, 2, dtype=wide)  # 2u - 2 for node u
+        np.subtract(even, opens, out=opens)  # node u opens at 2u - 2 - depth(u)
+        self.node_depth = array(np.min_scalar_type(int(opens.max())).char, [0]) * (n + 1)
+        depth = _view(self.node_depth)[1:]
+        depth[:] = opens
+        del opens
+        # close j (from 0) at position q (from 0) ends a node of depth
+        # q - 2j - 1; each depth's opens and closes alternate in position
+        # order, so the k-th open at a depth matches the k-th close there.
+        # numpy sorts 8- and 16-bit keys by radix, in linear time.
+        key = (closes - even - 1).astype(depth.dtype)
+        del even
+        perm = np.argsort(key, kind="stable")
         del key
-        closes += 1
-        self.close_pos = array(wide, [0]) * (n + 1)
-        _view(self.close_pos)[1:][by_depth] = closes
+        closes = closes[perm]
+        del perm
+        self.level_nodes = array(wide, [0]) * n
+        by_depth = _view(self.level_nodes)
+        by_depth[:] = np.argsort(depth, kind="stable")
+        closes -= 2 * by_depth - depth[by_depth] - 1  # close - open + 1
+        closes >>= 1
+        self.subtree_size = array(wide, [0]) * (n + 1)
+        _view(self.subtree_size)[1:][by_depth] = closes
         del closes
         by_depth += 1
-        self.level_nodes = array(wide, [0]) * n
-        _view(self.level_nodes)[:] = by_depth
+        counts = np.bincount(depth)
+        self.level_start = array(wide, [0]) * (len(counts) + 1)
+        _view(self.level_start)[1:] = np.cumsum(counts)
 
     @classmethod
     def from_trie(cls, trie):
@@ -92,9 +93,9 @@ class BpsTopology:
 
     @property
     def parens(self):
-        """The parentheses, 1 for open, one at each node's open position."""
+        """The parentheses, 1 for open: node u opens at ``2u - 2 - depth(u)``."""
         bits = np.zeros(2 * self.n, dtype=np.uint8)
-        bits[_view(self.open_pos) - 1] = 1
+        bits[np.arange(0, 2 * self.n, 2) - _view(self.node_depth)[1:]] = 1
         return bits
 
     def _ancestor(self, u, t):
@@ -103,38 +104,49 @@ class BpsTopology:
         nodes, start = self.level_nodes, self.level_start
         return nodes[bisect_right(nodes, u, start[t], start[t + 1]) - 1]
 
+    def _deepest_ancestor(self, u, p, s):
+        """The deepest proper ancestor a of u with a <= p or a + size(a) > s,
+        given that the root qualifies and is not u. Each condition holds from
+        the root down to some depth, so one binary search over depth finds it."""
+        size = self.subtree_size
+        lo, hi, found = 0, self.node_depth[u] - 1, 1
+        while lo < hi:
+            mid = (lo + hi + 1) >> 1
+            a = self._ancestor(u, mid)
+            if a <= p or a + size[a] > s:
+                lo, found = mid, a
+            else:
+                hi = mid - 1
+        return found
+
     # -- operations ---------------------------------------------------------
 
     def depth(self, u):
         self._check(u)
-        return 2 * u - self.open_pos[u - 1] - 1
-
-    def subtree_range(self, u):
-        self._check(u)
-        return self.open_pos[u - 1], self.close_pos[u]
+        return self.node_depth[u]
 
     def cbr(self, u, k):
         """k-th child of u in pre-order (= label order), 1-based."""
         self._check(u)
         if k < 1:
             raise IndexError("child rank must be >= 1")
-        # a node's next sibling comes its subtree size, (close - open + 1) / 2, ids on
-        open_pos, close_pos = self.open_pos, self.close_pos
-        v, end = u + 1, u + ((close_pos[u] - open_pos[u - 1] + 1) >> 1)
+        # a node's next sibling comes its subtree size ids on
+        size = self.subtree_size
+        v, end = u + 1, u + size[u]
         for _ in range(k - 1):
             if v >= end:
                 break
-            v += (close_pos[v] - open_pos[v - 1] + 1) >> 1
+            v += size[v]
         if v >= end:
             raise IndexError(f"node {u} has only {self.child_count(u)} children, asked for {k}")
         return v
 
     def child_count(self, u):
         self._check(u)
-        open_pos, close_pos = self.open_pos, self.close_pos
-        v, end, cnt = u + 1, u + ((close_pos[u] - open_pos[u - 1] + 1) >> 1), 0
+        size = self.subtree_size
+        v, end, cnt = u + 1, u + size[u], 0
         while v < end:
-            v += (close_pos[v] - open_pos[v - 1] + 1) >> 1
+            v += size[v]
             cnt += 1
         return cnt
 
@@ -143,18 +155,18 @@ class BpsTopology:
         self._check(u)
         if u == 1:
             raise DomainError("root has no sibling rank")
-        open_pos, close_pos = self.open_pos, self.close_pos
-        p = self._ancestor(u, 2 * u - open_pos[u - 1] - 2)
+        size = self.subtree_size
+        p = self._ancestor(u, self.node_depth[u] - 1)
         v, rank = p + 1, 1
         while v != u:
-            v += (close_pos[v] - open_pos[v - 1] + 1) >> 1
+            v += size[v]
             rank += 1
         return rank
 
     def laq(self, u, ell):
         """Ancestor of u exactly ell levels up; laq(u, 0) = u."""
         self._check(u)
-        d = 2 * u - self.open_pos[u - 1] - 1
+        d = self.node_depth[u]
         if ell < 0 or ell > d:
             raise IndexError(f"level {ell} exceeds depth of node {u}")
         return self._ancestor(u, d - ell)
@@ -164,19 +176,10 @@ class BpsTopology:
         self._check(v)
         if u > v:
             u, v = v, u
-        open_pos = self.open_pos
-        if open_pos[v - 1] < self.close_pos[u]:  # v lies in u's subtree
+        if v < u + self.subtree_size[u]:  # v lies in u's subtree
             return u
-        # v's ancestors rise in id with depth, and those at or before u are
-        # the common ancestors: find the deepest, above both u and v
-        lo, hi = 0, min(2 * u - open_pos[u - 1], 2 * v - open_pos[v - 1]) - 2
-        while lo < hi:
-            mid = (lo + hi + 1) >> 1
-            if self._ancestor(v, mid) <= u:
-                lo = mid
-            else:
-                hi = mid - 1
-        return self._ancestor(v, lo)
+        # the common ancestors are u's whose subtree reaches past v
+        return self._deepest_ancestor(u, 0, v)
 
     def isd(self, u, v, u2):
         """Image of descendant v under the subtree translation u -> u2.
@@ -188,11 +191,11 @@ class BpsTopology:
         self._check(u)
         self._check(v)
         self._check(u2)
-        open_pos, close_pos = self.open_pos, self.close_pos
+        size = self.subtree_size
         offset = v - u
-        if not 0 < offset < (close_pos[u] - open_pos[u - 1] + 1) >> 1:
+        if not 0 < offset < size[u]:
             raise DomainError(f"node {v} is not a proper descendant of {u}")
-        if offset >= (close_pos[u2] - open_pos[u2 - 1] + 1) >> 1:
+        if offset >= size[u2]:
             raise DomainError(f"node {u2}'s subtree is smaller than node {u}'s")
         return u2 + offset
 
@@ -202,7 +205,7 @@ class BpsTopology:
         ids u .. u + size - 1."""
         self._check(u)
         j = marks.succ1(u + 1)
-        if j is not None and j < u + ((self.close_pos[u] - self.open_pos[u - 1] + 1) >> 1):
+        if j is not None and j < u + self.subtree_size[u]:
             return j
         return None
 
@@ -216,17 +219,13 @@ class BpsTopology:
         self._check(u)
         if u == 1:
             raise DomainError("root has no proper ancestor")
-        best = None
         p = marks.pred1(u - 1)  # the last mark before u's subtree
-        if p is not None:
-            best = self.lca(u, p)
-        s = marks.succ1(u + ((self.close_pos[u] - self.open_pos[u - 1] + 1) >> 1))
-        if s is not None:
-            cand = self.lca(u, s)
-            # both are ancestors of u: the deeper has the larger pre-order id
-            if best is None or cand > best:
-                best = cand
-        return best
+        s = marks.succ1(u + self.subtree_size[u])  # the first after it
+        if p is None and s is None:
+            return None
+        # an ancestor a covers p iff a <= p, and s iff a + size(a) > s; no
+        # ancestor covers 0 or n + 1
+        return self._deepest_ancestor(u, p or 0, self.n + 1 if s is None else s)
 
     def to_bytes(self):
         return pack_bits(self.parens)

@@ -119,7 +119,8 @@ class LabeledTrie:
             raise PreorderError(f"node {first}: parent {int(parent[first])} "
                                 "not on the current DFS path")
         if first <= n:
-            raise PreorderError(f"node {first} has parent {int(parent[first])} >= itself")
+            raise PreorderError(f"node {first} has parent {int(parent[first])} "
+                                f"outside 1..{first - 1}")
         return depth
 
     def _check_child_labels(self):
@@ -321,15 +322,14 @@ def parse_strings_file(data: bytes):
 
 def parse_edges_file(data: bytes):
     """Format B: first line n, then n-1 lines ``parent<TAB>label_byte_decimal``."""
-    text = data.decode("ascii", errors="strict")
-    rows = [ln for ln in text.split("\n") if ln]
+    rows = [ln for ln in data.split(b"\n") if ln]
     if not rows:
         raise FormatError("empty edge file")
     try:
         n = int(rows[0])
         edges = []
         for ln in rows[1:]:
-            p, b = ln.split("\t")
+            p, b = ln.split(b"\t")  # int() reads ASCII digits off bytes
             edges.append((int(p), int(b)))
     except (ValueError, IndexError) as exc:
         raise FormatError(f"malformed edge file: {exc}") from None

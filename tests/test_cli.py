@@ -132,6 +132,23 @@ def test_build_edges_format(ex26, tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "3 18 7 13"
 
 
+@pytest.mark.parametrize("data", [b"3\n1\t97\n2\t\xe9\n", b"\xef\xbb\xbf2\n1\t97\n"],
+                         ids=["byte-e9", "utf8-bom"])
+@pytest.mark.parametrize("cmd", [["build", "-o", "unused.idx"], ["verify"], ["bench"]],
+                         ids=["build", "verify", "bench"])
+def test_non_ascii_edge_file_is_input_error(tmp_path, monkeypatch, capsys, cmd, data):
+    monkeypatch.chdir(tmp_path)
+    src = tmp_path / "bad.edges"
+    src.write_bytes(data)
+    capsys.readouterr()
+    assert main([cmd[0], str(src), "--format", "edges", *cmd[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+    assert captured.err.startswith("input error: ")
+    assert not (tmp_path / "unused.idx").exists()
+
+
 def test_bad_index_file(tmp_path):
     p = tmp_path / "junk.rlxt"
     p.write_bytes(b"NOTANINDEX")

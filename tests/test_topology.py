@@ -180,7 +180,7 @@ def test_bps_round_trip(ex26):
     topo = BpsTopology.from_trie(ex26)
     topo2, _ = BpsTopology.from_bytes(topo.to_bytes())
     assert np.array_equal(topo.parens, topo2.parens)
-    assert np.array_equal(topo.close_pos, topo2.close_pos)
+    assert topo.subtree_size == topo2.subtree_size and topo.node_depth == topo2.node_depth
     assert [topo.laq(u, 1) for u in range(2, ex26.n + 1)] == ex26.parent[2:].tolist()
     assert [topo.depth(u) for u in range(1, ex26.n + 1)] == ex26.depth[1:].tolist()
 
@@ -216,8 +216,9 @@ def _star_parens(k):
 
 def _assert_tables_match_stack_walk(topo):
     open_pos, close_pos, parent, depth = _stack_tables(topo.parens.tolist())
-    assert list(topo.open_pos) == open_pos
-    assert list(topo.close_pos) == close_pos
+    sizes = [(close_pos[u] - open_pos[u - 1] + 1) // 2 for u in range(1, topo.n + 1)]
+    assert list(topo.subtree_size)[1:] == sizes
+    assert list(topo.node_depth)[1:] == depth[1:]
     assert [topo.laq(u, 1) for u in range(2, topo.n + 1)] == parent[2:]
     assert [topo.depth(u) for u in range(1, topo.n + 1)] == depth[1:]
 
@@ -244,6 +245,16 @@ def test_path_depth_at_the_int16_boundary():
     for parens in (_path_parens(2**15) + [0, 1], [1] * 2**16 + [0] * 2**16 + [0, 1]):
         with pytest.raises(ValueError):
             BpsTopology(parens)
+
+
+@pytest.mark.parametrize("m, itemsize", [(256, 1), (257, 2), (65_536, 2), (65_537, 4)])
+def test_depth_table_width_boundaries(m, itemsize):
+    # a path of m nodes is m - 1 deep: depths up to 255 fit one byte, up to
+    # 65,535 two, and the next depth takes the next width
+    topo, _ = BpsTopology.from_bytes(BpsTopology(_path_parens(m)).to_bytes())
+    assert topo.node_depth.itemsize == itemsize
+    assert topo.parens.tolist() == _path_parens(m)
+    _assert_tables_match_stack_walk(topo)
 
 
 @pytest.mark.parametrize("parens", [[1], [1, 0, 1], [0, 1], [1, 0, 0, 1], [1, 1, 0, 1],
@@ -285,7 +296,7 @@ def test_loaded_topology_size_per_node():
     rng = random.Random(25)
     t = make_random_trie(rng, 20_000, 4)
     topo, _ = BpsTopology.from_bytes(BpsTopology.from_trie(t).to_bytes())
-    assert _deep_size(topo) <= 13 * t.n
+    assert _deep_size(topo) <= 10 * t.n
 
 
 def _caterpillar(m, spine_first):
@@ -342,3 +353,25 @@ def test_far_laq_and_lca_on_caterpillars(m, spine_first):
         v = rng.randint(1, t.n)
         want = u if u == v else spine[min(where[u][0], where[v][0])]
         assert topo.lca(u, v) == want
+
+
+@pytest.mark.parametrize("spine_first", [False, True])
+def test_lowest_covering_ancestor_on_caterpillars(spine_first):
+    m = 100_000
+    t, where, spine = _caterpillar(m, spine_first)
+    topo = BpsTopology.from_trie(t)
+    rng = random.Random(7 + spine_first)
+    for _ in range(20):
+        marked = sorted(rng.sample(range(1, t.n + 1), rng.randint(1, 4)))
+        marks = SparseBitVec(topo.n, marked)
+        # spine node s_k's subtree holds every node whose spine index is k or more
+        top = max(where[v][0] for v in marked)
+        for _ in range(30):
+            u = rng.randint(2, t.n)
+            k, is_leaf = where[u]
+            if u in marked or (not is_leaf and top >= k):
+                continue  # contract requires a mark-free subtree
+            # u's proper ancestors are s_j, s_{j-1}, .., s_0 on the spine; the
+            # lowest whose subtree holds a mark is s_min(j, top)
+            j = k if is_leaf else k - 1
+            assert topo.lowest_covering_ancestor(marks, u) == spine[min(j, top)]

@@ -181,7 +181,7 @@ def loop_preorder_error(parent, label):
     for u in range(2, n + 1):
         p = parent[u]
         if not 1 <= p < u:
-            return PreorderError, f"node {u} has parent {p} >= itself"
+            return PreorderError, f"node {u} has parent {p} outside 1..{u - 1}"
         while stack and stack[-1] != p:
             stack.pop()
         if not stack:
