@@ -16,14 +16,9 @@ import numpy as np
 
 from .bits import SparseBitVec, concat_ranges, int_array
 from .errors import DomainError, NoSuccessorError
-from .rlxbwt import (
-    OutSets,
-    backward_extend,
-    build_rl_xbwt,
-    cr,
-    run_head_preorder,
-    xbwt_successor,
-)
+from .rlxbwt import OutSets, backward_extend, build_rl_xbwt, toehold_step
+# not called here: kept because the traced benchmark patches these names in this module
+from .rlxbwt import cr, run_head_preorder, xbwt_successor  # noqa: F401
 from .topology import BpsTopology
 from .trie import colex_sort
 
@@ -196,15 +191,13 @@ class RIndex:
             return None
         rng = (1, self.n)
         node = 1
-        rlx = self.rlx
+        rlx, cbr = self.rlx, self.topo.cbr
         for c in codes:
-            new = backward_extend(rlx, rng, c)
-            if new is None:
+            step = toehold_step(rlx, rng, c)
+            if step is None:
                 return None
-            i = xbwt_successor(rlx, c, rng[0])
-            base = node if i == rng[0] else run_head_preorder(rlx, c, i)
-            node = self.topo.cbr(base, cr(rlx, i, c))
-            rng = new
+            rng, head, k = step
+            node = cbr(node if head is None else head, k)
         return rng, node
 
     def count(self, pattern):

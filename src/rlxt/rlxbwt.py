@@ -1,6 +1,6 @@
 """Run-length encoded XBWT: block triples, the S' delta sequence, and the
 counting-side queries (rank over the out-label sets, run successor, child
-rank, backward range extension).
+rank, backward range extension, and the toehold step that fuses them).
 
 The XBWT is the sequence of outgoing-label sets in co-lex node order. Blocks
 are maximal runs of equal sets, each encoded as (ADD, DEL, length) against
@@ -8,10 +8,12 @@ its predecessor. S' flattens the deltas as c+/c- symbols with '/' block
 separators. Queries read S' regrouped by label: per label, the blocks where
 it enters and leaves the out-set and the count of its nodes before each
 entry, plus the block starts; every lookup is a binary search over O(r)
-words. The blocks are kept only in those tables: the node counts, the C
-array and the triples are derived from them. One object, :class:`RlXbwt`,
-holds the tables and the run heads' pre-order ids, O(r) words in all, and
-every query takes it as its one transform argument.
+words. A toehold step searches the block starts once per range end and
+ranks the child with two searches per label below it. The blocks are kept
+only in those tables: the node counts, the C array and the triples are
+derived from them. One object, :class:`RlXbwt`, holds the tables and the
+run heads' pre-order ids, O(r) words in all, and every query takes it as
+its one transform argument.
 """
 
 from __future__ import annotations
@@ -176,14 +178,6 @@ class RlXbwt:
         """0-based block containing co-lex position i."""
         return bisect_right(self.starts, i) - 1
 
-    def entry(self, c, q):
-        """Index into ``adds[c]`` of c's entry whose run covers block q, or -1."""
-        k = bisect_right(self.adds[c], q) - 1
-        if k < 0:
-            return -1
-        dels = self.dels[c]
-        return -1 if k < len(dels) and dels[k] <= q else k
-
     def symbols(self):
         """Decode S' back to (kind, label) pairs; kind in {'+','-','/'}."""
         out = []
@@ -270,10 +264,10 @@ def xbwt_successor(rlx, c, i):
     if not 1 <= c < rlx.sigma:
         return None
     q = rlx.block_of(i)
-    if rlx.entry(c, q) >= 0:
-        return i  # the block containing i already carries c
     adds = rlx.adds[c]
     k = bisect_right(adds, q)
+    if k > bisect_right(rlx.dels[c], q):
+        return i  # the block containing i already carries c
     return rlx.starts[adds[k]] if k < len(adds) else None
 
 
@@ -284,9 +278,21 @@ def cr(rlx, i, c):
     if not 1 <= c < rlx.sigma:
         raise DomainError(f"label {c} not in alphabet")
     q = rlx.block_of(i)
-    if rlx.entry(c, q) < 0:
+    if bisect_right(rlx.adds[c], q) == bisect_right(rlx.dels[c], q):
         raise DomainError(f"label {c} not outgoing at colex position {i}")
-    return sum(1 for d in range(1, c + 1) if rlx.entry(d, q) >= 0)
+    return _child_rank(rlx, q, c)
+
+
+def _child_rank(rlx, q, c):
+    """Rank of label c among the out-labels of block q, which holds c: one
+    plus the labels d < c present there. Entries and exits alternate, so a
+    label is present at q iff more of its entries than its exits lie at or
+    before q."""
+    adds, dels = rlx.adds, rlx.dels
+    k = 1
+    for d in range(1, c):
+        k += bisect_right(adds[d], q) - bisect_right(dels[d], q)
+    return k
 
 
 def backward_extend(rlx, rng, c):
@@ -302,6 +308,41 @@ def backward_extend(rlx, rng, c):
     if lo2 > hi2:
         return None
     return (lo2, hi2)
+
+
+def toehold_step(rlx, rng, c):
+    """One toehold step: ``backward_extend``, ``xbwt_successor``,
+    ``run_head_preorder`` and ``cr`` fused, with one block search per range
+    end. Returns ``((lo2, hi2), head, k)``, or None if P.c matches nothing:
+    the first node of the new range is child k of ``head``, the pre-order id
+    of the c-run head at the successor i of lo, or of the range's own first
+    node when ``head`` is None (i = lo). Run heads and child ranks are read
+    at a block that holds c by construction, so neither is checked again."""
+    lo, hi = rng
+    if not (1 <= lo <= hi <= rlx.n):
+        raise IndexError(f"range {rng} invalid for n={rlx.n}")
+    if c is None or not 1 <= c < rlx.sigma:
+        return None
+    starts, adds, dels, base = rlx.starts, rlx.adds[c], rlx.dels[c], rlx.base[c]
+    q = bisect_right(starts, lo) - 1
+    k = bisect_right(adds, q) - 1
+    if k >= 0 and (k >= len(dels) or dels[k] > q):  # c present at lo: i = lo
+        head = None
+        lo2 = base[k] + lo - starts[adds[k]] + 1
+    else:  # i heads c's next run, if it starts within the range
+        k += 1
+        if k == len(adds) or starts[adds[k]] > hi:
+            return None
+        q = adds[k]
+        head = rlx.head_pre[c][k]
+        lo2 = base[k] + 1
+    # rank of c through hi; its run, at or after k, starts at or before hi
+    qh = bisect_right(starts, hi) - 1
+    kh = bisect_right(adds, qh, k) - 1
+    if kh < len(dels) and dels[kh] <= qh:
+        hi = starts[dels[kh]] - 1  # c left before hi's block; count up to its exit
+    cc = rlx.c_array[c]
+    return (cc + lo2, cc + base[kh] + hi - starts[adds[kh]] + 1), head, _child_rank(rlx, q, c)
 
 
 def run_head_preorder(rlx, c, i):

@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from rlxt import rindex, storage
+from rlxt import rindex, rlxbwt, storage
 from rlxt.errors import DomainError, NoSuccessorError
 from rlxt.rindex import build_index, type2_nodes
 from rlxt.rlxbwt import OutSets
@@ -126,10 +126,33 @@ def test_count_skips_the_toehold(monkeypatch):
     def forbidden(*args):
         raise AssertionError("count reached a toehold step")
 
+    monkeypatch.setattr(rindex, "toehold_step", forbidden)
     monkeypatch.setattr(rindex, "xbwt_successor", forbidden)
     monkeypatch.setattr(rindex, "cr", forbidden)
     assert [idx.count(pat) for pat in pats] == want
     assert any(want)
+
+
+def test_toehold_searches_blocks_at_most_twice_per_symbol(monkeypatch):
+    # one block search per range end: the toehold's constant over the r'
+    # block starts, counted on a loaded index
+    rng = random.Random(45)
+    t = make_random_trie(rng, 200, 5)
+    _, idx, _, _ = storage.load_bytes(storage.save_rindex(build_index(t)))
+    starts = idx.rlx.starts
+    calls = []
+    real = rlxbwt.bisect_right
+
+    def counting(a, *args):
+        if a is starts:
+            calls.append(1)
+        return real(a, *args)
+
+    monkeypatch.setattr(rlxbwt, "bisect_right", counting)
+    for pat in present_patterns(t, rng, 60):
+        calls.clear()
+        assert idx.toehold_search(pat) is not None
+        assert 0 < len(calls) <= 2 * len(pat)
 
 
 def _pattern_suite(trie, rng):

@@ -12,6 +12,7 @@ from rlxt.rlxbwt import (
     cr,
     reconstruct_trie,
     run_head_preorder,
+    toehold_step,
     xbwt_rank,
     xbwt_successor,
 )
@@ -100,6 +101,12 @@ def test_backward_extend_examples(rlx26):
     assert backward_extend(rlx, (1, 26), A) == (2, 9)
     assert backward_extend(rlx, (2, 9), C) == (20, 22)
     assert backward_extend(rlx, (4, 7), A) is None
+    # the toehold step adds the first node: child k of the range's first node
+    assert toehold_step(rlx, (1, 26), A) == ((2, 9), None, 1)
+    assert toehold_step(rlx, (2, 9), C) == ((20, 22), None, 3)
+    assert toehold_step(rlx, (4, 7), A) is None
+    with pytest.raises(IndexError):
+        toehold_step(rlx, (0, 3), A)
 
 
 def test_c_array_ex26(rlx26):
@@ -178,6 +185,56 @@ def test_queries_match_naive_scans():
             else:
                 with pytest.raises(DomainError):
                     cr(rlx, i, c)
+
+
+def _composed_step(rlx, rng, c):
+    """The toehold step as the four separate queries compose it."""
+    new = backward_extend(rlx, rng, c)
+    if new is None:
+        return None
+    i = xbwt_successor(rlx, c, rng[0])
+    head = None if i == rng[0] else run_head_preorder(rlx, c, i)
+    return new, head, cr(rlx, i, c)
+
+
+def _reached_ranges(rlx, limit=300):
+    """The ranges backward search reaches from the whole range, breadth first."""
+    seen, todo = {(1, rlx.n)}, [(1, rlx.n)]
+    for rng in todo:
+        for c in range(1, rlx.sigma):
+            new = backward_extend(rlx, rng, c)
+            if new is not None and new not in seen and len(seen) < limit:
+                seen.add(new)
+                todo.append(new)
+    return todo
+
+
+def test_toehold_step_equals_the_composed_queries():
+    # every reached range and every label, in and out of the alphabet, on
+    # tables built fresh and rebuilt by a load
+    rng = random.Random(35)
+    branches = set()
+    for sigma in (2, 3, 5, 12, 40):
+        for loaded in (False, True):
+            for _ in range(4):
+                t = make_random_trie(rng, 160, sigma)
+                order = colex_sort(t)
+                if loaded:
+                    blob = storage.save_rindex(build_index(t, order))
+                    rlx = storage.load_bytes(blob)[1].rlx
+                else:
+                    rlx = build_index(t, order).rlx
+                for r in _reached_ranges(rlx):
+                    for c in [None, 0, rlx.sigma, *range(1, rlx.sigma)]:
+                        got = toehold_step(rlx, r, c)
+                        assert got == _composed_step(rlx, r, c), (r, c)
+                        if got is None:
+                            branches.add("empty")
+                        else:
+                            branches.add("at lo" if got[1] is None else "next run")
+                            if r[0] == 1:
+                                branches.add("block 0")
+    assert branches == {"empty", "at lo", "next run", "block 0"}
 
 
 def test_sprime_interleaving_invariant():
