@@ -133,7 +133,9 @@ def pack_bits(bits):
 
 def unpack_bits(data, offset=0):
     """The bits of a :func:`pack_bits` payload, as a uint8 array, and the
-    offset after it."""
+    offset after it. They are sized from the payload: a stored count past
+    the bytes that follow gives only their bits, and an offset past
+    ``data``."""
     n = int.from_bytes(data[offset : offset + 8], "little")
     nbytes = (n + 7) // 8
     raw = np.frombuffer(data[offset + 8 : offset + 8 + nbytes], dtype=np.uint8)

@@ -22,7 +22,7 @@ import zlib
 import numpy as np
 
 from .baseline import SampledLocate, XbwtNav
-from .bits import SparseBitVec
+from .bits import SparseBitVec, pack_bits, unpack_bits
 from .errors import FormatError, IndexFileError
 from .rindex import ColorMarks, IscTables, PhiSamples, RIndex
 from .rlxbwt import RlXbwt, per_label, reconstruct_trie  # bench/spans.py patches it here
@@ -31,7 +31,7 @@ from .trie import Alphabet, _depths
 from .trie import colex_sort  # noqa: F401 (not called; bench/spans.py patches it here)
 
 MAGIC = b"RLXT1"
-VERSION = 5
+VERSION = 6
 ENGINE_RINDEX = 0
 ENGINE_SAMPLED = 1
 _ENTRY = struct.Struct("<8sQQI")  # tag, offset, length, CRC-32 of the payload
@@ -235,13 +235,11 @@ def _enc_samples(samples, last):
 
 
 def _enc_isc(isc):
+    # the 2 * |red| + 1 segment starts need no count: the colors section
+    # gives |red|; S, mostly zeros, is packed eight bits to a byte
     out = bytearray()
-    out += struct.pack("<Q", len(isc.s))
-    zeros = np.flatnonzero(np.frombuffer(isc.s, dtype=np.uint8) == 0) + 1
-    out += struct.pack("<I", len(zeros))
-    _w_deltas(out, zeros)
-    out += struct.pack("<I", len(isc.starts))
     _w_deltas(out, isc.starts)
+    out += pack_bits(np.frombuffer(isc.s, dtype=np.uint8))
     return bytes(out)
 
 
@@ -353,24 +351,16 @@ def _dec_samples(data, colored, n):
 
 def _dec_isc(data, red):
     """The isc tables over the red nodes ``red``, which B1 shares."""
-    (slen,) = struct.unpack_from("<Q", data, 0)
-    (nz,) = struct.unpack_from("<I", data, 8)
-    zeros, off = _r_deltas(data, 12, nz)
-    (nst,) = struct.unpack_from("<I", data, off)
-    sts, off = _r_deltas(data, off + 4, nst)
-    if len(sts) != 2 * red.num_ones + 1:
-        raise IndexFileError(f"isc holds {len(sts)} segment starts for {red.num_ones} red nodes")
+    sts, off = _r_deltas(data, 0, 2 * red.num_ones + 1)
     if (sts[1:] < sts[:-1]).any():  # a running sum that wrapped past 2**63
         raise IndexFileError("isc segment starts decrease")
-    # S is allocated from its stored length only once the segment starts,
-    # which end one past S, and the zero positions agree with that length
-    if slen != sts[-1] - 1:
-        raise IndexFileError(f"isc length {slen} does not match its segment starts")
-    if len(zeros) and (zeros[0] < 1 or zeros[-1] > slen):
-        raise IndexFileError(f"isc zero position outside 1..{slen}")
-    s_bits = np.ones(slen, dtype=np.uint8)
-    s_bits[zeros - 1] = 0
-    del zeros
+    # unpack_bits sizes S from the payload, so a stored length too large
+    # allocates nothing; the segment starts end one past S
+    s_bits, off = unpack_bits(data, off)
+    if len(s_bits) != sts[-1] - 1:
+        raise IndexFileError(f"isc length {len(s_bits)} does not match its segment starts")
+    if off != len(data):
+        raise IndexFileError("isc section does not end with S")
     return IscTables(s_bits, red, sts)
 
 

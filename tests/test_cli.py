@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 
 import pytest
 
@@ -201,17 +202,33 @@ def test_sample_outside_trie_is_index_error(tmp_path, capsys):
 
 def test_isc_segments_that_disagree_are_index_error(tmp_path, capsys):
     # one flipped bit of S under a valid checksum leaves a red node's second
-    # segment with fewer common labels than its first: the climb stops there
-    engine, sections = storage._unpack(
-        storage.save_rindex(build_index(build_from_strings([b"abc", b"abd", b"bcd", b"xyz"]))))
+    # segment with fewer common labels than its first: the climb stops there.
+    # S's bits start at byte 25 of the section, after the 17 segment start
+    # gaps and S's u64 length; the flip sets its seventh bit
+    engine, sections = storage._unpack(saved_example("rindex"))
     isc = bytearray(sections["isc"])
-    isc[105 // 8] ^= 1 << 105 % 8
+    isc[25] ^= 0x80 >> 6
     sections["isc"] = bytes(isc)
     path = tmp_path / "bad-isc.rlxt"
     path.write_bytes(storage._pack(engine, sections))
     assert main(["locate", str(path), ""]) == 3
     line = _one_line_index_error(capsys)
     assert line.startswith("index error: query failed (DomainError: isc segments of node ")
+
+
+@pytest.mark.parametrize("damage", [
+    lambda isc: storage._varints([1, 2**62, 2**62] + [0] * 14) + isc[17:],
+    lambda isc: isc[:16] + isc[17:],
+    lambda isc: isc[:17] + struct.pack("<Q", 2**40) + isc[25:],
+    lambda isc: isc + b"\0",
+], ids=["starts-wrap", "starts-cut-short", "s-length-2**40", "trailing-byte"])
+def test_damaged_isc_section_is_index_error(damage, tmp_path, capsys):
+    engine, sections = storage._unpack(saved_example("rindex"))
+    sections["isc"] = damage(sections["isc"])
+    path = tmp_path / "bad-isc.rlxt"
+    path.write_bytes(storage._pack(engine, sections))
+    assert main(["locate", str(path), "a"]) == 3
+    assert _one_line_index_error(capsys).startswith("index error: isc ")
 
 
 def test_sampled_node_count_past_its_payload_is_index_error(tmp_path, capsys):

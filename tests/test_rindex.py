@@ -129,6 +129,7 @@ def test_count_skips_the_toehold(monkeypatch):
     monkeypatch.setattr(rindex, "toehold_step", forbidden)
     monkeypatch.setattr(rindex, "xbwt_successor", forbidden)
     monkeypatch.setattr(rindex, "cr", forbidden)
+    monkeypatch.setattr(rlxbwt, "_child_rank", forbidden)  # what toehold_step calls
     assert [idx.count(pat) for pat in pats] == want
     assert any(want)
 

@@ -3,6 +3,7 @@ import importlib.util
 import random
 import struct
 import sys
+import tracemalloc
 import types
 from array import array
 from pathlib import Path
@@ -62,7 +63,7 @@ def test_bad_magic_and_version():
         storage.load_bytes(b"XXXXX" + blob[5:])
     with pytest.raises(IndexFileError):
         storage.load_bytes(blob[:5] + bytes([99]) + blob[6:])
-    for old in (1, 2, 3, 4):
+    for old in (1, 2, 3, 4, 5):
         with pytest.raises(IndexFileError, match=f"unsupported version {old}"):
             storage.load_bytes(blob[:5] + bytes([old]) + blob[6:])
 
@@ -196,53 +197,80 @@ def test_varint_wider_than_a_table_word(ex26):
         storage.load_bytes(storage._pack(engine, sections))
 
 
+def _isc_of_example():
+    """The sections of [abc, abd, bcd, xyz] and its isc section: 17 one-byte
+    segment start gaps (two per red node and a sentinel, ending at 18) at
+    bytes 0..16, then S as pack_bits: its length, 17, as a u64 at bytes
+    17..24 and its bits at 25..27."""
+    engine, sections = _sections_of([b"abc", b"abd", b"bcd", b"xyz"])
+    isc = sections["isc"]
+    assert len(isc) == 28 and isc[16] == 0 and struct.unpack_from("<Q", isc, 17) == (17,)
+    return engine, sections, isc
+
+
+def _load_with_isc(engine, sections, isc):
+    sections["isc"] = isc
+    return storage.load_bytes(storage._pack(engine, sections))
+
+
 @pytest.mark.parametrize("slen", [2**40, 18])
 def test_isc_length_disagrees_with_segment_starts(slen):
     # S of this index is 17 bits long; a larger stored length must be
-    # rejected before S is allocated from it
-    engine, sections = _sections_of([b"abc", b"abd", b"bcd", b"xyz"])
-    isc = sections["isc"]
-    assert struct.unpack_from("<Q", isc, 0) == (17,)
-    sections["isc"] = struct.pack("<Q", slen) + isc[8:]
+    # rejected without allocating S from it
+    engine, sections, isc = _isc_of_example()
     with pytest.raises(IndexFileError, match="isc length"):
-        storage.load_bytes(storage._pack(engine, sections))
+        _load_with_isc(engine, sections, isc[:17] + struct.pack("<Q", slen) + isc[25:])
 
 
-@pytest.mark.parametrize("at, delta", [(12, 0), (22, 2)])
-def test_isc_zero_position_outside_s(at, delta):
-    # the 11 zero positions of S are gaps at bytes 12..22, summing to 1 .. 17;
-    # make the first 0 or the last 18
-    engine, sections = _sections_of([b"abc", b"abd", b"bcd", b"xyz"])
-    isc = sections["isc"]
-    assert struct.unpack_from("<QI", isc, 0) == (17, 11) and isc[12] == isc[22] == 1
-    sections["isc"] = isc[:at] + bytes([delta]) + isc[at + 1 :]
-    with pytest.raises(IndexFileError, match="isc zero position"):
-        storage.load_bytes(storage._pack(engine, sections))
+def test_isc_length_past_the_payload_allocates_nothing():
+    # the segment starts and S's stored length agree on 2**40 bits, but S
+    # holds three bytes: it is sized from those, never from the claim
+    engine, sections, isc = _isc_of_example()
+    starts = isc[:16] + storage._varints([2**40 + 1 - 18])
+    tracemalloc.start()
+    try:
+        with pytest.raises(IndexFileError, match="isc length 24 does not match"):
+            _load_with_isc(engine, sections, starts + struct.pack("<Q", 2**40) + isc[25:])
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("extra", [-1, 1])
 def test_isc_starts_differ_from_red_nodes(extra):
-    # the segment starts follow the 11 zero gaps: a count at byte 23, then
-    # one start per segment, two per red node and a sentinel
-    engine, sections = _sections_of([b"abc", b"abd", b"bcd", b"xyz"])
-    isc = sections["isc"]
-    (nst,) = struct.unpack_from("<I", isc, 23)
-    assert nst == 2 * storage.load_bytes(storage._pack(engine, sections))[1].colors.red.num_ones + 1
-    tail = isc[27:] if extra < 0 else isc[27:] + b"\x01"
-    sections["isc"] = isc[:23] + struct.pack("<I", nst + extra) + tail
-    with pytest.raises(IndexFileError, match="segment starts for"):
-        storage.load_bytes(storage._pack(engine, sections))
+    # the colors section fixes the number of starts at 2 * |red| + 1: one
+    # start fewer, or one more, shifts S out of place
+    engine, sections, isc = _isc_of_example()
+    starts = isc[:16] if extra < 0 else isc[:17] + b"\0"
+    with pytest.raises(IndexFileError, match="isc length"):
+        _load_with_isc(engine, sections, starts + isc[17:])
 
 
 def test_isc_starts_decrease():
     # segment start gaps of 2**62 wrap the running sum past 2**63
-    engine, sections = _sections_of([b"abc", b"abd", b"bcd", b"xyz"])
-    isc = sections["isc"]
-    (nst,) = struct.unpack_from("<I", isc, 23)
-    gaps = [1, 2**62, 2**62] + [0] * (nst - 3)
-    sections["isc"] = isc[:27] + storage._varints(gaps)
+    engine, sections, isc = _isc_of_example()
+    gaps = [1, 2**62, 2**62] + [0] * 14
     with pytest.raises(IndexFileError, match="isc segment starts decrease"):
-        storage.load_bytes(storage._pack(engine, sections))
+        _load_with_isc(engine, sections, storage._varints(gaps) + isc[17:])
+
+
+def test_isc_section_layout():
+    # only the segment start gaps, then S packed: no count, no other field;
+    # one byte less or more is rejected
+    rng = random.Random(47)
+    for sigma in (2, 5, 27):
+        for _ in range(4):
+            idx = build_index(make_random_trie(rng, 160, sigma))
+            tables = idx.isc_tables
+            assert len(tables.starts) == 2 * idx.colors.red.num_ones + 1
+            want = (storage._varints(np.diff(np.asarray(tables.starts), prepend=0))
+                    + pack_bits(np.frombuffer(tables.s, dtype=np.uint8)))
+            engine, sections = storage._unpack(storage.save_rindex(idx))
+            isc = sections["isc"]
+            assert isc == want
+            for damaged in (isc[:-1], isc + b"\0"):
+                with pytest.raises(IndexFileError, match="isc "):
+                    _load_with_isc(engine, dict(sections), damaged)
 
 
 def test_isc_shares_the_red_set():

@@ -3,17 +3,19 @@
 For each workload of ``bench/workloads.py`` and seeds 1..10, and for the
 26-node running example of the tests, prints one line
 
-    <corpus> <sha1 of save_rindex(build_index(parse_strings_file(corpus)))>
+    <corpus> <sha1 of save_rindex(build_index(parse_strings_file(corpus)))> <sections>
 
 then one line per sampled-engine file, ``save_sampled(build_sampled(...))``:
 the running example at t = 2 and 4, and seed 1 of each workload at the
 default t and at t = 1 (every node a cover root),
 
-    sampled <corpus> t=<t> <sha1>
+    sampled <corpus> t=<t> <sha1> <sections>
 
-using the checkout's own ``src/`` and ``bench/workloads.py`` (read, never
-edited). Two checkouts build bit-for-bit the same files iff they print the
-same lines:
+where ``<sections>`` is ``<tag>=<sha1 of its payload>`` for every section,
+in file order, so a format change shows which sections moved. It uses the
+checkout's own ``src/`` and ``bench/workloads.py`` (read, never edited).
+Two checkouts build bit-for-bit the same files iff they print the same
+lines:
 
     python3 tools/saved_bytes_digest.py ../parent > parent.txt
     python3 tools/saved_bytes_digest.py . > change.txt
@@ -30,15 +32,23 @@ from pathlib import Path
 SEEDS = range(1, 11)
 
 
+def digests(blob, storage):
+    """The SHA-1 of ``blob``, then ``<tag>=<sha1>`` for each of its sections."""
+    _engine, sections = storage._unpack(blob)
+    return " ".join([hashlib.sha1(blob).hexdigest()]
+                    + [f"{tag}={hashlib.sha1(payload).hexdigest()}"
+                       for tag, payload in sections.items()])
+
+
 def digest(data, rindex, storage, trie):
     blob = storage.save_rindex(rindex.build_index(trie.parse_strings_file(data)))
-    return hashlib.sha1(blob).hexdigest()
+    return digests(blob, storage)
 
 
 def sampled_digest(data, t, baseline, storage, trie):
-    """(t, sha1) of the sampled index of ``data``; ``t=None`` takes the default."""
+    """(t, digests) of the sampled index of ``data``; ``t=None`` takes the default."""
     sl = baseline.build_sampled(trie.parse_strings_file(data), t=t)
-    return sl.t, hashlib.sha1(storage.save_sampled(sl)).hexdigest()
+    return sl.t, digests(storage.save_sampled(sl), storage)
 
 
 def main(argv=None):
