@@ -135,10 +135,13 @@ def unpack_bits(data, offset=0):
     """The bits of a :func:`pack_bits` payload, as a uint8 array, and the
     offset after it. They are sized from the payload: a stored count past
     the bytes that follow gives only their bits, and an offset past
-    ``data``."""
+    ``data``. A ValueError says that a padding bit of the last byte is set,
+    which :func:`pack_bits` never writes."""
     n = int.from_bytes(data[offset : offset + 8], "little")
     nbytes = (n + 7) // 8
     raw = np.frombuffer(data[offset + 8 : offset + 8 + nbytes], dtype=np.uint8)
+    if len(raw) == nbytes and n % 8 and raw[-1] & (0xFF >> n % 8):
+        raise ValueError("a padding bit of the packed bits is set")
     return np.unpackbits(raw)[:n], offset + 8 + nbytes
 
 

@@ -6,18 +6,21 @@ The XBWT is the sequence of outgoing-label sets in co-lex node order. Blocks
 are maximal runs of equal sets, each encoded as (ADD, DEL, length) against
 its predecessor. S' flattens the deltas as c+/c- symbols with '/' block
 separators. Queries read S' regrouped by label: per label, the blocks where
-it enters and leaves the out-set and the count of its nodes before each
-entry, plus the block starts; every lookup is a binary search over O(r)
-words. A toehold step searches the block starts once per range end and
-ranks the child with two searches per label below it. The blocks are kept
-only in those tables: the node counts, the C array and the triples are
-derived from them. One object, :class:`RlXbwt`, holds the tables and the
-run heads' pre-order ids, O(r) words in all, and every query takes it as
-its one transform argument.
+it enters the out-set and the count of its nodes before each entry, plus
+the block starts; every lookup is a binary search over O(r) words. Each
+block's out-set is also kept as a sigma-bit mask, so "is c present at
+block q" is one bit test and the child rank of c is one popcount of the
+bits below c. A toehold step searches the block starts once per range end
+and c's entries at most twice. The blocks are kept only in those tables:
+the exits, the node counts, the C array and the triples are derived from
+them. One object, :class:`RlXbwt`, holds the tables, the masks and the run
+heads' pre-order ids, and every query takes it as its one transform
+argument.
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right
 
 import numpy as np
@@ -44,11 +47,11 @@ def per_label(values, counts):
     return [table[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
-def _in_block_order(tables):
-    """The entries of per-label block tables in S' order, by block and then
-    by label: (blocks, labels)."""
-    labels = np.repeat(np.arange(len(tables)), [len(t) for t in tables])
-    blocks = np.concatenate(tables)
+def _in_block_order(blocks, labels, r):
+    """Label-sorted (blocks, labels) pairs in S' order, by block and then
+    by label. The block numbers, below ``r``, are sorted stably at the
+    narrowest width that holds them, by radix below 2**16."""
+    blocks = blocks.astype(np.min_scalar_type(r))
     order = np.argsort(blocks, kind="stable")
     return blocks[order], labels[order]
 
@@ -59,27 +62,27 @@ class RlXbwt:
 
     Blocks are numbered from 0 and ``starts[q]`` is the co-lex position where
     block q begins. For each label c, ``adds[c]`` lists the blocks where c
-    enters the out-set (the c+ symbols of S') and ``dels[c]`` the blocks
-    where it leaves (the c- symbols). Entries and exits alternate, starting
-    with an entry, so c is present in block q iff its last entry at or before
-    q is not followed by an exit at or before q. All tables together hold
-    |S'| = r' + sum|ADD| + sum|DEL| words.
+    enters the out-set (the c+ symbols of S'). ``mask[q]`` is block q's
+    out-set: bit c is set iff c is present there (see :func:`out_masks`).
 
     The rest follows from the blocks. c's k-th run spans the positions from
-    its entry's block start to its exit's, or through n when it has no exit,
-    and each of them has one c-child: ``base[c][k]``, the number of c-nodes
-    before block ``adds[c][k]``, sums c's earlier runs, and ``c_array``
-    sums every label's runs. ``triples``, ``r_prime`` and
+    its entry's block start through its last c-node, and each of them has
+    one c-child: ``base[c][k]``, the number of c-nodes before block
+    ``adds[c][k]``, sums c's earlier runs, and ``c_array`` sums every
+    label's runs. So run k ends where ``base[c][k + 1]`` (or c's total)
+    runs out, and c leaves the out-set (the c- symbols, ``dels``) at the
+    block starting there. ``dels``, ``triples``, ``r_prime`` and
     ``colex_parents`` are views derived from the tables.
 
     The c-run heads are the nodes at the starts of the blocks in
     ``adds[c]``: ``head_pre[c][k]`` is the pre-order id of the head of the
     run entering at block ``adds[c][k]``, one :func:`~rlxt.bits.int_array`
-    per label (label 0, the root's, has none). They are attached once the
-    tables are built, so the temporaries of the two never coexist.
+    per label (label 0, the root's, has none). They and the masks are
+    attached once the tables are built, so the temporaries of the three
+    never coexist.
     """
 
-    __slots__ = ("n", "sigma", "starts", "adds", "dels", "base", "c_array", "head_pre")
+    __slots__ = ("n", "sigma", "starts", "adds", "base", "c_array", "mask", "head_pre")
 
     def __init__(self, sigma, n_add, add_labels, n_del, del_labels, lengths):
         """Per block q: ``n_add[q]`` entering and ``n_del[q]`` leaving labels
@@ -104,18 +107,23 @@ class RlXbwt:
         # in the last block gets an exit past it
         heads = starts[entries]
         stops = np.insert(starts[exits], np.cumsum(n_exits)[n_entries > n_exits], ends[-1])
+        del exits  # each temporary goes once used: a load can peak in this constructor
         # entries and exits alternate in distinct blocks iff, label after
-        # label, every run's head and stop come in strictly increasing order
-        shift = np.repeat(np.arange(sigma) * ends[-1], n_entries)
-        if (np.diff(np.column_stack((heads + shift, stops + shift)).ravel()) <= 0).any():
-            raise ValueError("a label's entries and exits do not alternate")
-        before = np.concatenate(([0], np.cumsum(stops - heads)))
+        # label, every run's head and stop come in strictly increasing order:
+        # each run is nonempty and starts after the label's previous one stops
+        runs = stops - heads
+        gaps = heads[1:] - stops[:-1]
+        del heads, stops
         first = np.cumsum(n_entries) - n_entries
+        gaps[first[(first > 0) & (n_entries > 0)] - 1] = 1  # another label's run before
+        if (runs <= 0).any() or (gaps <= 0).any():
+            raise ValueError("a label's entries and exits do not alternate")
+        del gaps
+        before = np.concatenate(([0], np.cumsum(runs)))
         self.base = per_label(before[:-1] - np.repeat(before[first], n_entries), n_entries)
         self.c_array = int_array(np.concatenate(([0], before[first + n_entries] + 1)))
         self.adds = per_label(entries, n_entries)
-        self.dels = per_label(exits, n_exits)
-        self.head_pre = None
+        self.mask = self.head_pre = None
 
     @property
     def r_prime(self):
@@ -153,12 +161,39 @@ class RlXbwt:
         heads = np.asarray(self.starts)[np.concatenate(self.adds)]
         return concat_ranges(heads, np.diff(offsets, append=self.n - 1))
 
+    def _run_labels(self):
+        """The label of every run, label after label."""
+        return np.repeat(np.arange(self.sigma), [len(a) for a in self.adds])
+
+    def _exits(self, labels):
+        """Every run's exit as (blocks, labels) in S' order, by block and
+        then by label, given the runs' ``labels``. Run k of c ends where its
+        count runs out, at ``base[c][k + 1]`` or c's total, and c leaves at
+        the block starting one past it; a run through n has no exit."""
+        before = np.concatenate(self.base).astype(np.int64)
+        through = np.empty_like(before)  # c's nodes through each run
+        through[:-1] = before[1:]
+        last = np.flatnonzero(np.diff(labels, append=self.sigma))  # each label's last run
+        through[last] = np.diff(self.c_array)[labels[last]]
+        ends = np.asarray(self.starts)[np.concatenate(self.adds)] + through - before
+        r = len(self.starts)
+        block_at = np.zeros(self.n + 2, np.min_scalar_type(r))  # the block starting at each position
+        block_at[self.starts] = np.arange(r)
+        exits = ends <= self.n
+        return _in_block_order(block_at[ends[exits]], labels[exits], r)
+
+    @property
+    def dels(self):
+        """``dels[c]``: the blocks where c leaves the out-set, ascending."""
+        blocks, labels = self._exits(self._run_labels())
+        return per_label(*by_label(self.sigma, labels, blocks))
+
     def deltas(self):
         """S' block by block: the ADD count per block, the ADD labels in S'
         order, then the same for DEL."""
-        r = len(self.starts)
-        add_blocks, add_labels = _in_block_order(self.adds)
-        del_blocks, del_labels = _in_block_order(self.dels)
+        r, labels = len(self.starts), self._run_labels()
+        add_blocks, add_labels = _in_block_order(np.concatenate(self.adds), labels, r)
+        del_blocks, del_labels = self._exits(labels)
         return (np.bincount(add_blocks, minlength=r), add_labels,
                 np.bincount(del_blocks, minlength=r), del_labels)
 
@@ -171,8 +206,10 @@ class RlXbwt:
                 in zip([0] + add_end[:-1], add_end, [0] + del_end[:-1], del_end)]
 
     def delta_counts(self):
-        """(sum|ADD|, sum|DEL|) over all blocks."""
-        return sum(map(len, self.adds)), sum(map(len, self.dels))
+        """(sum|ADD|, sum|DEL|) over all blocks: every run exits but those
+        present in the last block."""
+        runs = sum(map(len, self.adds))
+        return runs, runs - self.mask[-1].bit_count()
 
     def block_of(self, i):
         """0-based block containing co-lex position i."""
@@ -185,6 +222,36 @@ class RlXbwt:
             out += [("+", c) for c in add] + [("-", c) for c in dele]
             out.append(("/", None))
         return out
+
+
+def out_masks(sigma, n_add, add_labels, n_del, del_labels):
+    """Each block's out-set as a mask, bit c set iff label c is present,
+    from the S' columns :class:`RlXbwt` takes. A label is present at block
+    q iff it entered there or before more often than it left, so the mask
+    is the running sum of the entering labels' bits less that of the
+    leaving ones', exact modulo the word width. The masks are an ``array``
+    of the narrowest unsigned typecode whose items hold sigma bits, or a
+    list of ints when sigma > 64; either way ``mask[q]`` is an int."""
+    typecode = next((t for t in "BHIQ" if array(t).itemsize * 8 >= sigma), "Q")
+    dtype = np.dtype(typecode)
+    nwords = -(-sigma // 64)
+
+    def running(counts, labels, w):  # bits 64w.. of the labels, summed through each block
+        labels = np.asarray(labels, dtype=np.uint8)  # codes below sigma <= 256
+        bits = np.zeros(len(labels) + 1, dtype)
+        np.left_shift(1, labels & 63, out=bits[1:], dtype=dtype,
+                      where=True if nwords == 1 else labels >> 6 == w)
+        np.cumsum(bits, out=bits)
+        return bits.take(np.cumsum(counts, dtype=np.intp))
+
+    words = [running(n_add, add_labels, w) - running(n_del, del_labels, w) for w in range(nwords)]
+    if nwords == 1:
+        masks = array(typecode, [0]) * len(words[0])
+        np.frombuffer(masks, dtype)[:] = words[0]
+        return masks
+    raw = np.column_stack(words).astype("<u8").tobytes()
+    step = 8 * nwords
+    return [int.from_bytes(raw[i : i + step], "little") for i in range(0, len(raw), step)]
 
 
 class OutSets:
@@ -229,10 +296,10 @@ def build_rl_xbwt(trie, colex, out=None):
     is_start[starts] = True
     add = ~out.in_prev & is_start[out.row]  # labels a block gains
     dele = ~out.in_next & is_start[out.row + 1]  # labels the row before a block loses
-    add_labels = out.labels[add]
-    rlx = RlXbwt(sigma, np.bincount(out.row[add], minlength=n)[starts], add_labels,
-                 np.bincount(out.row[dele] + 1, minlength=n + 1)[starts],
-                 out.labels[dele], np.diff(starts, append=n))
+    n_add, add_labels = np.bincount(out.row[add], minlength=n)[starts], out.labels[add]
+    n_del, del_labels = np.bincount(out.row[dele] + 1, minlength=n + 1)[starts], out.labels[dele]
+    rlx = RlXbwt(sigma, n_add, add_labels, n_del, del_labels, np.diff(starts, append=n))
+    rlx.mask = out_masks(sigma, n_add, add_labels, n_del, del_labels)
     # a block's entering labels are the run heads; group them by label
     rlx.head_pre = per_label(*by_label(sigma, add_labels, colex.colex_to_pre[out.row[add] + 1]))
     return rlx
@@ -251,10 +318,16 @@ def xbwt_rank(rlx, c, i):
     k = bisect_right(adds, q) - 1
     if k < 0:
         return 0
-    dels = rlx.dels[c]
-    if k < len(dels) and dels[k] <= q:
-        i = rlx.starts[dels[k]] - 1  # c left before block q; count up to its exit
-    return rlx.base[c][k] + i - rlx.starts[adds[k]] + 1
+    if rlx.mask[q] >> c & 1:
+        return rlx.base[c][k] + i - rlx.starts[adds[k]] + 1
+    return _count_through(rlx, c, k)
+
+
+def _count_through(rlx, c, k):
+    """c's nodes in its runs 0..k, which have all ended: run k + 1's
+    offset, or c's total after its last run."""
+    base = rlx.base[c]
+    return base[k + 1] if k + 1 < len(base) else rlx.c_array[c + 1] - rlx.c_array[c]
 
 
 def xbwt_successor(rlx, c, i):
@@ -264,10 +337,10 @@ def xbwt_successor(rlx, c, i):
     if not 1 <= c < rlx.sigma:
         return None
     q = rlx.block_of(i)
+    if rlx.mask[q] >> c & 1:
+        return i  # the block containing i already carries c
     adds = rlx.adds[c]
     k = bisect_right(adds, q)
-    if k > bisect_right(rlx.dels[c], q):
-        return i  # the block containing i already carries c
     return rlx.starts[adds[k]] if k < len(adds) else None
 
 
@@ -278,21 +351,15 @@ def cr(rlx, i, c):
     if not 1 <= c < rlx.sigma:
         raise DomainError(f"label {c} not in alphabet")
     q = rlx.block_of(i)
-    if bisect_right(rlx.adds[c], q) == bisect_right(rlx.dels[c], q):
+    if not rlx.mask[q] >> c & 1:
         raise DomainError(f"label {c} not outgoing at colex position {i}")
     return _child_rank(rlx, q, c)
 
 
 def _child_rank(rlx, q, c):
     """Rank of label c among the out-labels of block q, which holds c: one
-    plus the labels d < c present there. Entries and exits alternate, so a
-    label is present at q iff more of its entries than its exits lie at or
-    before q."""
-    adds, dels = rlx.adds, rlx.dels
-    k = 1
-    for d in range(1, c):
-        k += bisect_right(adds[d], q) - bisect_right(dels[d], q)
-    return k
+    plus the labels below c in the block's mask."""
+    return (rlx.mask[q] & ((1 << c) - 1)).bit_count() + 1
 
 
 def backward_extend(rlx, rng, c):
@@ -323,14 +390,14 @@ def toehold_step(rlx, rng, c):
         raise IndexError(f"range {rng} invalid for n={rlx.n}")
     if c is None or not 1 <= c < rlx.sigma:
         return None
-    starts, adds, dels, base = rlx.starts, rlx.adds[c], rlx.dels[c], rlx.base[c]
+    starts, adds, base, mask = rlx.starts, rlx.adds[c], rlx.base[c], rlx.mask
     q = bisect_right(starts, lo) - 1
-    k = bisect_right(adds, q) - 1
-    if k >= 0 and (k >= len(dels) or dels[k] > q):  # c present at lo: i = lo
+    if mask[q] >> c & 1:  # c present at lo: i = lo
+        k = bisect_right(adds, q) - 1
         head = None
         lo2 = base[k] + lo - starts[adds[k]] + 1
     else:  # i heads c's next run, if it starts within the range
-        k += 1
+        k = bisect_right(adds, q)
         if k == len(adds) or starts[adds[k]] > hi:
             return None
         q = adds[k]
@@ -339,10 +406,12 @@ def toehold_step(rlx, rng, c):
     # rank of c through hi; its run, at or after k, starts at or before hi
     qh = bisect_right(starts, hi) - 1
     kh = bisect_right(adds, qh, k) - 1
-    if kh < len(dels) and dels[kh] <= qh:
-        hi = starts[dels[kh]] - 1  # c left before hi's block; count up to its exit
+    if mask[qh] >> c & 1:
+        hi2 = base[kh] + hi - starts[adds[kh]] + 1
+    else:  # c's run kh ended before hi's block
+        hi2 = _count_through(rlx, c, kh)
     cc = rlx.c_array[c]
-    return (cc + lo2, cc + base[kh] + hi - starts[adds[kh]] + 1), head, _child_rank(rlx, q, c)
+    return (cc + lo2, cc + hi2), head, _child_rank(rlx, q, c)
 
 
 def run_head_preorder(rlx, c, i):

@@ -25,7 +25,7 @@ from .baseline import SampledLocate, XbwtNav
 from .bits import SparseBitVec, pack_bits, unpack_bits
 from .errors import FormatError, IndexFileError
 from .rindex import ColorMarks, IscTables, PhiSamples, RIndex
-from .rlxbwt import RlXbwt, per_label, reconstruct_trie  # bench/spans.py patches it here
+from .rlxbwt import RlXbwt, out_masks, per_label, reconstruct_trie  # bench/spans.py patches it here
 from .topology import BpsTopology
 from .trie import Alphabet, _depths
 from .trie import colex_sort  # noqa: F401 (not called; bench/spans.py patches it here)
@@ -122,8 +122,9 @@ def _r_varints(data, off, count):
     """The ``count`` LEB128 values from ``data[off]`` on, as int64, and the
     offset after them, decoded in one pass. Its int64 temporaries hold one
     entry per value, not per byte: when every value is one byte those bytes
-    are the values; otherwise the k-th 7-bit group is ORed into the values
-    that have one, for k up to the widest value's byte count."""
+    are the values; otherwise the k-th 7-bit group of every value, zero
+    past a value's last byte, is ORed in, for k up to the widest value's
+    byte count."""
     raw = np.frombuffer(data, dtype=np.uint8)[off:]
     head = raw[:count]
     if len(head) == count and (count == 0 or head.max() < 0x80):
@@ -133,15 +134,18 @@ def _r_varints(data, off, count):
     first[1:] = ends[:-1] + 1
     first[0] = 0
     size = ends - first + 1
+    stop = int(ends[-1]) + 1
     del ends
     width = int(size.max())
     if width > 9:
         raise OverflowError("varint wider than 63 bits")
-    vals = (raw[first] & 0x7F).astype(np.int64)
+    groups = raw[:stop] & 0x7F
+    vals = groups[first].astype(np.int64)
     for k in range(1, width):
-        has = (size > k).nonzero()[0]
-        vals[has] |= (raw[first[has] + k] & 0x7F).astype(np.int64) << (7 * k)
-    return vals, off + int(first[-1] + size[-1])
+        group = groups.take(first + k, mode="clip")
+        group *= size > k
+        vals |= group.astype(np.int64) << (7 * k)
+    return vals, off + stop
 
 
 def _r_deltas(data, off, count):
@@ -181,9 +185,9 @@ def _dec_rlx(rlxbwt, sprime, runheads, sigma, n):
     """The run-length XBWT from the block lengths (``rlxbwt``), the S'
     columns (``sprime``: all ADD counts, all DEL counts, all ADD labels, all
     DEL labels) and the run heads' pre-order ids (``runheads``, label after
-    label), once the invariants its derivation relies on hold. The run heads
-    are decoded only after the S' tables are built, so the two decodings'
-    temporaries never coexist."""
+    label), once the invariants its derivation relies on hold. The block
+    masks and then the run heads are built only after the S' tables, so the
+    temporaries of the three never coexist."""
     (rp,) = struct.unpack_from("<I", rlxbwt, 0)
     lengths, _ = _r_varints(rlxbwt, 4, rp)
     if (lengths < 1).any() or lengths.max(initial=0) > n or lengths.sum() != n:
@@ -204,6 +208,7 @@ def _dec_rlx(rlxbwt, sprime, runheads, sigma, n):
     if rlx.c_array[-1] != n:
         raise IndexFileError(f"the out-sets hold {rlx.c_array[-1] - 1} children, "
                              f"not one per non-root node ({n - 1})")
+    rlx.mask = out_masks(sigma, n_add, add_labels, n_del, del_labels)
     runs = np.bincount(add_labels, minlength=sigma)
     total = int(runs.sum())
     pres, end = _r_varints(runheads, 0, total)
@@ -352,6 +357,8 @@ def _dec_samples(data, colored, n):
 def _dec_isc(data, red):
     """The isc tables over the red nodes ``red``, which B1 shares."""
     sts, off = _r_deltas(data, 0, 2 * red.num_ones + 1)
+    if sts[0] != 1:
+        raise IndexFileError(f"isc segment starts begin at {sts[0]}, not 1")
     if (sts[1:] < sts[:-1]).any():  # a running sum that wrapped past 2**63
         raise IndexFileError("isc segment starts decrease")
     # unpack_bits sizes S from the payload, so a stored length too large

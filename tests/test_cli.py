@@ -231,6 +231,32 @@ def test_damaged_isc_section_is_index_error(damage, tmp_path, capsys):
     assert _one_line_index_error(capsys).startswith("index error: isc ")
 
 
+def _isc_first_start_0(blob):
+    # the first two segment start gaps 1, 3 moved to 0, 4: the same sum, so
+    # only the first start, 0, is wrong
+    engine, sections = storage._unpack(blob)
+    isc = bytes(sections["isc"])
+    assert isc[:2] == bytes([1, 3])
+    sections["isc"] = bytes([0, 4]) + isc[2:]
+    return storage._pack(engine, sections)
+
+
+@pytest.mark.parametrize("damage, match", [
+    # S is 17 bits in bytes 25..27 of the section: bit 0 of byte 27 is padding
+    (lambda blob: with_flipped_bit(blob, "isc", 8 * 27), "a padding bit of the packed bits"),
+    # 22 parentheses in bytes 8..10: bit 0 of byte 10 is padding
+    (lambda blob: with_flipped_bit(blob, "topology", 8 * 10), "a padding bit of the packed bits"),
+    (_isc_first_start_0, "index error: isc segment starts begin at 0, not 1"),
+], ids=["isc-padding", "topology-padding", "isc-first-start-0"])
+def test_non_canonical_payload_is_index_error(damage, match, tmp_path, capsys):
+    # each of these files would answer right, but re-saving it gives other
+    # bytes: the round trip is bit-exact only if loads take canonical files
+    path = tmp_path / "non-canonical.idx"
+    path.write_bytes(damage(saved_example("rindex")))
+    assert main(["locate", str(path), "a"]) == 3
+    assert match in _one_line_index_error(capsys)
+
+
 def test_sampled_node_count_past_its_payload_is_index_error(tmp_path, capsys):
     # bit 28 of the stored node count would size a 2 GiB table if trusted
     path = tmp_path / "bad.idx"

@@ -13,6 +13,7 @@ from conftest import (
     EX26_BLUE,
     EX26_COLEX_TO_PRE,
     EX26_RED,
+    make_dictionary,
     make_random_trie,
     present_patterns,
     random_patterns,
@@ -154,6 +155,38 @@ def test_toehold_searches_blocks_at_most_twice_per_symbol(monkeypatch):
         calls.clear()
         assert idx.toehold_search(pat) is not None
         assert 0 < len(calls) <= 2 * len(pat)
+
+
+def test_toehold_step_searches_at_most_four_times(monkeypatch):
+    # the child rank is a popcount, so a step's searches do not grow with
+    # its label: two over the block starts, at most two over c's entries
+    rng = random.Random(46)
+    alpha = bytes(range(33, 33 + 130))
+    t = build_from_strings([bytes([b]) for b in alpha] + make_dictionary(rng, 600, alpha, 1, 6))
+    assert t.alphabet.sigma >= 120
+    _, idx, _, _ = storage.load_bytes(storage.save_rindex(build_index(t)))
+    rlx = idx.rlx
+    searched = []
+
+    def counting(real):
+        def search(a, *args):
+            searched.append(a)
+            return real(a, *args)
+        return search
+
+    monkeypatch.setattr(rlxbwt, "bisect_right", counting(rlxbwt.bisect_right))
+    monkeypatch.setattr(rlxbwt, "bisect_left", counting(rlxbwt.bisect_left))
+    top = 0
+    for pat in present_patterns(t, rng, 100):
+        span = (1, rlx.n)
+        for c in idx.alphabet.encode(pat):
+            searched.clear()
+            span = rlxbwt.toehold_step(rlx, span, c)[0]
+            assert sum(a is rlx.starts for a in searched) == 2
+            assert len(searched) <= 4
+            assert all(a is rlx.starts or a is rlx.adds[c] for a in searched)
+            top = max(top, c)
+    assert top >= 100
 
 
 def _pattern_suite(trie, rng):

@@ -18,7 +18,8 @@ from rlxt.rlxbwt import (
 )
 from rlxt.trie import Alphabet, build_from_strings, colex_sort
 
-from conftest import EX26_COLEX_TO_PRE, make_random_trie, path_trie
+from conftest import (EX26_COLEX_TO_PRE, make_dictionary, make_random_trie, path_trie,
+                      repetitive_lines)
 
 A, B, C = 1, 2, 3  # label codes in EX26
 
@@ -235,6 +236,56 @@ def test_toehold_step_equals_the_composed_queries():
                             if r[0] == 1:
                                 branches.add("block 0")
     assert branches == {"empty", "at lo", "next run", "block 0"}
+
+
+def _trie_of_alphabet(rng, sigma):
+    """A trie whose alphabet has exactly sigma codes: every label is a root
+    child, under lightly edited copies of a small dictionary so that blocks
+    hold several labels."""
+    alpha = bytes(range(33, 33 + sigma - 1))
+    words = make_dictionary(rng, min(40, 4 * len(alpha)), alpha, 1, 5)
+    t = build_from_strings([bytes([b]) for b in alpha] + repetitive_lines(rng, words, alpha, 3))
+    assert t.alphabet.sigma == sigma
+    return t
+
+
+@pytest.mark.parametrize("sigma, typecode", [
+    (2, "B"), (8, "B"), (9, "H"), (16, "H"), (17, "I"), (32, "I"), (33, "Q"), (64, "Q"),
+    (65, None), (200, None),
+])
+def test_masks_at_every_width(sigma, typecode):
+    # the narrowest array whose items hold sigma bits, a list of ints past
+    # 64; both forms answer alike, built and loaded
+    rng = random.Random(sigma)
+    t = _trie_of_alphabet(rng, sigma)
+    order = colex_sort(t)
+    idx = build_index(t, order)
+    blob = storage.save_rindex(idx)
+    loaded = storage.load_bytes(blob)[1]
+    assert storage.save_rindex(loaded) == blob
+    outs = _naive_out_sets(t, order)
+    built = idx.rlx
+    for rlx in (built, loaded.rlx):
+        if typecode is None:
+            assert type(rlx.mask) is list
+        else:
+            assert rlx.mask.typecode == typecode and rlx.mask.itemsize * 8 >= sigma
+        assert rlx.mask == built.mask
+        assert list(rlx.mask) == [sum(1 << c for c in outs[i - 1]) for i in rlx.starts]
+        labels = [1, sigma - 1] + [rng.randint(1, sigma - 1) for _ in range(20)]
+        for c in labels:
+            for i in [1, t.n] + [rng.randint(1, t.n) for _ in range(10)]:
+                assert xbwt_rank(rlx, c, i) == sum(c in out for out in outs[:i])
+                assert xbwt_successor(rlx, c, i) == next(
+                    (j for j in range(i, t.n + 1) if c in outs[j - 1]), None)
+                if c in outs[i - 1]:
+                    assert cr(rlx, i, c) == outs[i - 1].index(c) + 1
+                else:
+                    with pytest.raises(DomainError):
+                        cr(rlx, i, c)
+        for r in _reached_ranges(rlx, 40):
+            for c in [None, 0, sigma, *labels]:
+                assert toehold_step(rlx, r, c) == _composed_step(rlx, r, c), (r, c)
 
 
 def test_sprime_interleaving_invariant():

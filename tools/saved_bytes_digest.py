@@ -1,7 +1,9 @@
 """SHA-1 of the saved index bytes for every benchmark corpus, in one checkout.
 
-For each workload of ``bench/workloads.py`` and seeds 1..10, and for the
-26-node running example of the tests, prints one line
+For each workload of ``bench/workloads.py`` and seeds 1..10, for the
+26-node running example of the tests and for a trie over 200 byte values
+(sigma > 64, where the in-memory block masks are Python ints rather than
+an ``array``), prints one line
 
     <corpus> <sha1 of save_rindex(build_index(parse_strings_file(corpus)))> <sections>
 
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import random
 import sys
 from pathlib import Path
 
@@ -60,12 +63,17 @@ def main(argv=None):
         sys.path.insert(0, str(root / sub))
     from rlxt import baseline, rindex, storage, trie
     import workloads
-    from conftest import ex26_lines
+    from conftest import ex26_lines, make_dictionary, repetitive_lines
 
     def corpus(lines):
         return b"".join(line + b"\n" for line in lines)
 
     print("ex26", digest(corpus(ex26_lines()), rindex, storage, trie), flush=True)
+    rng = random.Random(1)
+    alpha = bytes(range(33, 233))
+    wide = [bytes([b]) for b in alpha] + repetitive_lines(
+        rng, make_dictionary(rng, 300, alpha, 1, 8), alpha, 4)
+    print("wide200", digest(corpus(wide), rindex, storage, trie), flush=True)
     for name in workloads.WORKLOADS:
         for seed in SEEDS:
             lines, _patterns, _oracle = workloads.generate(name, seed)
