@@ -9,8 +9,12 @@ reproduces the original bytes. Each fact of the transform is stored once:
 loading derives the S' node counts and the C array from the blocks, the phi
 samples are keyed by the colored set of the ``colors`` section, and the trie
 is not rebuilt. Payloads are read in place, as slices of the file. Every
-section is laid out in columns (fixed-width or varint streams), each decoded
-in one numpy pass with no Python call per value.
+section is laid out in columns. An integer column is a byte w, the fewest
+whole bytes that hold its largest value (0 only for an empty column), then
+each value as w little-endian bytes, read as one ``np.frombuffer`` view with
+no Python call per value; a sorted table is stored as the column of its
+gaps. Each decoder ends exactly at its payload's end and takes only the
+minimal w, so every file that loads re-saves to the same bytes.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from .trie import Alphabet, _depths
 from .trie import colex_sort  # noqa: F401 (not called; bench/spans.py patches it here)
 
 MAGIC = b"RLXT1"
-VERSION = 6
+VERSION = 7
 ENGINE_RINDEX = 0
 ENGINE_SAMPLED = 1
 _ENTRY = struct.Struct("<8sQQI")  # tag, offset, length, CRC-32 of the payload
@@ -44,113 +48,47 @@ SAMPLED_SECTIONS = ("meta", "labels", "xbwtflat", "cover")
 MACHINERY = ("rlxbwt", "sprime", "colors", "samples", "isc", "runheads")
 
 
-def _w_varint(out, v):
-    v = int(v)
-    if v < 0:
-        raise ValueError("varints are unsigned here")
-    while True:
-        b = v & 0x7F
-        v >>= 7
-        if v:
-            out.append(b | 0x80)
-        else:
-            out.append(b)
-            return
-
-
-def _r_varint(data, off):
-    shift = 0
-    val = 0
-    while True:
-        b = data[off]
-        off += 1
-        val |= (b & 0x7F) << shift
-        if not b & 0x80:
-            return val, off
-        shift += 7
-
-
-def _varints(values):
-    """The concatenated ``_w_varint`` (LEB128) bytes of ``values``, encoded
-    in bulk: each value's byte count comes from its magnitude, then every
-    7-bit group is scattered to its place."""
+def _column(values):
+    """``values`` as one column: a byte w, the fewest whole bytes that hold
+    the largest value (at least 1, and 0 only for no values), then each
+    value as w little-endian bytes."""
     v = np.asarray(values, dtype=np.int64).ravel()
     if len(v) and v.min() < 0:
-        raise ValueError("varints are unsigned here")
-    v = v.astype(np.uint64)
-    size = np.ones(len(v), dtype=np.int64)
-    for k in range(1, 10):  # 63 bits need 9 groups
-        size += (v >> np.uint64(7 * k)) != 0
-    first = np.cumsum(size) - size
-    out = np.zeros(int(size.sum()), dtype=np.uint8)
-    for k in range(int(size.max()) if len(v) else 0):
-        more = size > k
-        group = (v[more] >> np.uint64(7 * k)) & np.uint64(0x7F)
-        out[first[more] + k] = group | np.where(size[more] > k + 1, 0x80, 0).astype(np.uint64)
-    return out.tobytes()
+        raise ValueError("column values are unsigned")
+    w = max(1, (int(v.max()).bit_length() + 7) // 8) if len(v) else 0
+    if w > 7:
+        raise ValueError("a column value needs more than 7 bytes")
+    return bytes([w]) + v.astype("<u8").view(np.uint8).reshape(-1, 8)[:, :w].tobytes()
 
 
-def _w_deltas(out, values):
-    out += _varints(np.diff(np.asarray(values, dtype=np.int64), prepend=0))
+def _gap_column(values):
+    # a sorted table as the column of its gaps, the first from 0
+    return _column(np.diff(np.asarray(values, dtype=np.int64), prepend=0))
 
 
-_SCAN = 4096  # bytes per block when counting varint ends
-
-# The varint decoder calls ndarray methods and ufuncs rather than numpy's
-# Python-level wrappers (np.diff, np.flatnonzero, ...), so decoding a stream
-# costs the same few Python calls whatever its length and value widths.
-
-
-def _varint_ends(raw, count):
-    """Indices in ``raw`` of the last bytes of its first ``count`` varints.
-    Ends are counted block by block first, so the index array holds about
-    ``count`` entries, not one per end of whatever follows the stream."""
-    window = raw[: 9 * count]  # a value below 2**63 takes at most 9 bytes
-    is_end = window < 0x80
-    full = len(is_end) // _SCAN
-    per_block = np.add.reduce(is_end[: full * _SCAN].reshape(full, _SCAN), axis=1)
-    b = int(per_block.cumsum().searchsorted(count))  # block holding the count-th end
-    ends = is_end[: (b + 1) * _SCAN].nonzero()[0][:count]
-    if len(ends) < count:
-        if len(window) < 9 * count:
-            raise IndexFileError(f"varint stream cut short: {len(ends)} of {count} values")
-        raise OverflowError("varint wider than 63 bits")
-    return ends
-
-
-def _r_varints(data, off, count):
-    """The ``count`` LEB128 values from ``data[off]`` on, as int64, and the
-    offset after them, decoded in one pass. Its int64 temporaries hold one
-    entry per value, not per byte: when every value is one byte those bytes
-    are the values; otherwise the k-th 7-bit group of every value, zero
-    past a value's last byte, is ORed in, for k up to the widest value's
-    byte count."""
-    raw = np.frombuffer(data, dtype=np.uint8)[off:]
-    head = raw[:count]
-    if len(head) == count and (count == 0 or head.max() < 0x80):
-        return head.astype(np.int64), off + count
-    ends = _varint_ends(raw, count)
-    first = ends.copy()  # each value's first byte: one past the previous end
-    first[1:] = ends[:-1] + 1
-    first[0] = 0
-    size = ends - first + 1
-    stop = int(ends[-1]) + 1
-    del ends
-    width = int(size.max())
-    if width > 9:
-        raise OverflowError("varint wider than 63 bits")
-    groups = raw[:stop] & 0x7F
-    vals = groups[first].astype(np.int64)
-    for k in range(1, width):
-        group = groups.take(first + k, mode="clip")
-        group *= size > k
-        vals |= group.astype(np.int64) << (7 * k)
-    return vals, off + stop
-
-
-def _r_deltas(data, off, count):
-    vals, off = _r_varints(data, off, count)
-    return np.cumsum(vals, out=vals), off
+def _r_column(data, off, count, what):
+    """The ``count`` values of the column at ``data[off]``, as int64, and
+    the offset after it. The payload is checked to hold them before
+    anything is sized from ``count``, and w to be the one ``_column``
+    writes, so that a file that loads re-saves to the same bytes."""
+    if off >= len(data):
+        raise IndexFileError(f"{what} column missing")
+    w = data[off]
+    if w > 7 or (w == 0) != (count == 0):
+        raise IndexFileError(f"{what} column of {count} values is {w} bytes wide")
+    end = off + 1 + w * count
+    if end > len(data):
+        raise IndexFileError(f"{what} column of {count} values cut short")
+    if w in (1, 2, 4):
+        vals = np.frombuffer(data, dtype=f"<u{w}", count=count, offset=off + 1).astype(np.int64)
+    else:  # each row zero-padded to 8 bytes
+        rows = np.zeros((count, 8), dtype=np.uint8)
+        rows[:, :w] = np.frombuffer(data, dtype=np.uint8, count=w * count,
+                                    offset=off + 1).reshape(count, w)
+        vals = rows.view("<i8").reshape(count)
+    if w > 1 and not vals.max() >> 8 * (w - 1):
+        raise IndexFileError(f"{what} column is {w} bytes wide for values below 2**{8 * (w - 1)}")
+    return vals, end
 
 
 # -- per-section encoders ----------------------------------------------------
@@ -172,7 +110,7 @@ def _dec_labels(data):
 
 
 def _enc_rlxbwt(rlx):
-    return struct.pack("<I", rlx.r_prime) + _varints(rlx.block_lengths())
+    return struct.pack("<I", rlx.r_prime) + _column(rlx.block_lengths())
 
 
 def _enc_sprime(rlx):
@@ -189,7 +127,9 @@ def _dec_rlx(rlxbwt, sprime, runheads, sigma, n):
     masks and then the run heads are built only after the S' tables, so the
     temporaries of the three never coexist."""
     (rp,) = struct.unpack_from("<I", rlxbwt, 0)
-    lengths, _ = _r_varints(rlxbwt, 4, rp)
+    lengths, end = _r_column(rlxbwt, 4, rp, "rlxbwt block lengths")
+    if end != len(rlxbwt):
+        raise IndexFileError("rlxbwt section does not end with its block lengths")
     if (lengths < 1).any() or lengths.max(initial=0) > n or lengths.sum() != n:
         raise IndexFileError(f"rlxbwt block lengths are not positive summing to {n}")
     raw = np.frombuffer(sprime, dtype=np.uint8)
@@ -198,6 +138,8 @@ def _dec_rlx(rlxbwt, sprime, runheads, sigma, n):
     end = del_at + int(n_del.sum())
     if end > len(raw):
         raise IndexFileError("rlxbwt labels run past the end of the sprime section")
+    if end < len(raw):
+        raise IndexFileError("sprime section does not end with its DEL labels")
     if end > 2 * rp and (raw[2 * rp : end].min() < 1 or raw[2 * rp : end].max() >= sigma):
         raise IndexFileError(f"triple label outside 1..{sigma - 1}")
     add_labels, del_labels = raw[2 * rp : del_at], raw[del_at:end]
@@ -211,7 +153,7 @@ def _dec_rlx(rlxbwt, sprime, runheads, sigma, n):
     rlx.mask = out_masks(sigma, n_add, add_labels, n_del, del_labels)
     runs = np.bincount(add_labels, minlength=sigma)
     total = int(runs.sum())
-    pres, end = _r_varints(runheads, 0, total)
+    pres, end = _r_column(runheads, 0, total, "runheads")
     if end != len(runheads):
         raise IndexFileError(f"runheads holds more than {total} run heads")
     if total and (pres.min() < 1 or pres.max() > n):
@@ -221,36 +163,26 @@ def _dec_rlx(rlxbwt, sprime, runheads, sigma, n):
 
 
 def _enc_colors(colors):
-    out = bytearray()
-    out += struct.pack("<I", colors.red.num_ones)
-    _w_deltas(out, colors.red.positions)
-    out += struct.pack("<I", colors.blue.num_ones)
-    _w_deltas(out, colors.blue.positions)
-    return bytes(out)
+    return b"".join(struct.pack("<I", ids.num_ones) + _gap_column(ids.positions)
+                    for ids in (colors.red, colors.blue))
 
 
 def _enc_samples(samples, last):
-    # the colored nodes' values need no keys: the colors section gives them
-    out = bytearray(_varints(samples.values))
-    out += struct.pack("<I", len(samples.type2_keys))
-    _w_deltas(out, samples.type2_keys)
-    out += _varints(samples.type2_values)
-    _w_varint(out, last)  # the co-lex-last node, where phi has no value
-    return bytes(out)
+    # the colored nodes' values need no keys: the colors section gives them;
+    # the co-lex-last node, where phi has no value, is a one-value column
+    return (_column(samples.values) + struct.pack("<I", len(samples.type2_keys))
+            + _gap_column(samples.type2_keys) + _column(samples.type2_values) + _column([last]))
 
 
 def _enc_isc(isc):
     # the 2 * |red| + 1 segment starts need no count: the colors section
     # gives |red|; S, mostly zeros, is packed eight bits to a byte
-    out = bytearray()
-    _w_deltas(out, isc.starts)
-    out += pack_bits(np.frombuffer(isc.s, dtype=np.uint8))
-    return bytes(out)
+    return _gap_column(isc.starts) + pack_bits(np.frombuffer(isc.s, dtype=np.uint8))
 
 
 def _enc_runheads(rlx):
-    # one varint stream: every label's run heads' pre-order ids, label after label
-    return _varints(np.concatenate(rlx.head_pre))
+    # one column: every label's run heads' pre-order ids, label after label
+    return _column(np.concatenate(rlx.head_pre))
 
 
 def machinery_sections(index):
@@ -315,12 +247,29 @@ def save_rindex(index, meta=None):
     return _pack(ENGINE_RINDEX, {k: sections[k] for k in RINDEX_SECTIONS})
 
 
+def _dec_meta(data):
+    meta = json.loads(bytes(data).decode())
+    if not isinstance(meta, dict) or json.dumps(meta, sort_keys=True).encode() != data:
+        raise IndexFileError("meta section is not a JSON object as saving writes it")
+    return meta
+
+
 def _dec_colors(data, n):
-    (nred,) = struct.unpack_from("<I", data, 0)
-    reds, off = _r_deltas(data, 4, nred)
-    (nblue,) = struct.unpack_from("<I", data, off)
-    blues, off = _r_deltas(data, off + 4, nblue)
-    return ColorMarks(n, reds, blues)
+    """The red and then the blue node ids, each a count (u32) and a gap
+    column. Each set must be strictly increasing within 1..n: a repeat
+    would be dropped, and the file would re-save to other bytes."""
+    off, sets = 0, []
+    for color in ("red", "blue"):
+        (cnt,) = struct.unpack_from("<I", data, off)
+        gaps, off = _r_column(data, off + 4, cnt, f"{color} nodes")
+        ids = np.cumsum(gaps)
+        # a running sum that wrapped past 2**63 went below 1
+        if cnt and (gaps.min() < 1 or ids.min() < 1 or ids.max() > n):
+            raise IndexFileError(f"{color} nodes are not strictly increasing within 1..{n}")
+        sets.append(ids)
+    if off != len(data):
+        raise IndexFileError("colors section does not end with its blue nodes")
+    return ColorMarks(n, *sets)
 
 
 def _check_nodes(nodes, n):
@@ -331,32 +280,33 @@ def _check_nodes(nodes, n):
 def _dec_samples(data, colored, n):
     """The phi samples, keyed by the ``colored`` set of the colors section,
     and the co-lex-last node."""
-    values, off = _r_varints(data, 0, colored.num_ones)
+    values, off = _r_column(data, 0, colored.num_ones, "phi samples")
     _check_nodes(values, n)
     (cnt,) = struct.unpack_from("<I", data, off)
-    gaps, off = _r_varints(data, off + 4, cnt)
+    gaps, off = _r_column(data, off + 4, cnt, "type-2 sample nodes")
     if (gaps[1:] < 1).any():
         raise IndexFileError("type-2 sample nodes are not strictly increasing")
     keys = np.cumsum(gaps, out=gaps)
     _check_nodes(keys, n)
     if np.isin(keys, colored.positions, assume_unique=True).any():
         raise IndexFileError("a type-2 sample node is colored")
-    type2_values, off = _r_varints(data, off, cnt)
+    type2_values, off = _r_column(data, off, cnt, "type-2 sample values")
     _check_nodes(type2_values, n)
     samples = PhiSamples(colored, values, keys, type2_values)
-    last, off = _r_varint(data, off)
+    (last,), off = _r_column(data, off, 1, "co-lex-last node")
     if off != len(data):
         raise IndexFileError("samples section does not end at the co-lex-last node")
     if not 1 <= last <= n:
         raise IndexFileError(f"co-lex-last node {last} outside 1..{n}")
     if colored.contains(last) or samples.type2_value(last) is not None:
         raise IndexFileError(f"co-lex-last node {last} carries a phi sample")
-    return samples, last
+    return samples, int(last)
 
 
 def _dec_isc(data, red):
     """The isc tables over the red nodes ``red``, which B1 shares."""
-    sts, off = _r_deltas(data, 0, 2 * red.num_ones + 1)
+    sts, off = _r_column(data, 0, 2 * red.num_ones + 1, "isc segment starts")
+    np.cumsum(sts, out=sts)
     if sts[0] != 1:
         raise IndexFileError(f"isc segment starts begin at {sts[0]}, not 1")
     if (sts[1:] < sts[:-1]).any():  # a running sum that wrapped past 2**63
@@ -374,8 +324,10 @@ def _dec_isc(data, red):
 def load_rindex(sections):
     """Decode every section in turn; each decoder returns only what the
     index keeps, so its temporaries are freed before the next one runs."""
-    meta = json.loads(bytes(sections["meta"]).decode() or "{}")
-    topo, _ = BpsTopology.from_bytes(sections["topology"])
+    meta = _dec_meta(sections["meta"])
+    topo, end = BpsTopology.from_bytes(sections["topology"])
+    if end != len(sections["topology"]):
+        raise IndexFileError("topology section does not end with its parentheses")
     alphabet, n = _dec_labels(sections["labels"])
     if topo.n != n:
         raise IndexFileError(f"topology has {topo.n} nodes, labels {n}")
@@ -395,23 +347,19 @@ def save_sampled(sl, meta=None):
     degs = np.diff(nav.node_end)
     out += degs.astype(np.uint8).tobytes()
     out += nav.flat
-    cover = bytearray()
-    cover += struct.pack("<I", sl.marked.num_ones)
-    _w_deltas(cover, sl.marked.positions)
-    cover += _varints(sl.samples)
-    cover += _varints(np.diff(sl.psums))
-    _w_varint(cover, sl.t)
+    cover = (struct.pack("<I", sl.marked.num_ones) + _gap_column(sl.marked.positions)
+             + _column(sl.samples) + _column(np.diff(sl.psums)) + _column([sl.t]))
     sections = {
         "meta": json.dumps(meta or {}, sort_keys=True).encode(),
         "labels": _enc_labels(sl.alphabet, nav.n),
         "xbwtflat": bytes(out),
-        "cover": bytes(cover),
+        "cover": cover,
     }
     return _pack(ENGINE_SAMPLED, {k: sections[k] for k in SAMPLED_SECTIONS})
 
 
 def load_sampled(sections):
-    meta = json.loads(bytes(sections["meta"]).decode() or "{}")
+    meta = _dec_meta(sections["meta"])
     alphabet, n = _dec_labels(sections["labels"])
     data = sections["xbwtflat"]
     (n2,) = struct.unpack_from("<Q", data, 0)
@@ -439,19 +387,20 @@ def load_sampled(sections):
         raise IndexFileError("xbwtflat parent chains do not all reach the root") from None
     data = sections["cover"]
     (cnt,) = struct.unpack_from("<I", data, 0)
-    marked_pos, off = _r_deltas(data, 4, cnt)
+    marked_pos, off = _r_column(data, 4, cnt, "cover marked positions")
+    np.cumsum(marked_pos, out=marked_pos)
     # checked before SparseBitVec sorts and dedups them; the root is marked
     if not cnt or marked_pos[0] != 1 or (np.diff(marked_pos) < 1).any() or marked_pos[-1] > n:
         raise IndexFileError(f"cover marked positions are not strictly increasing in 1..{n} from 1")
-    samples, off = _r_varints(data, off, cnt)
+    samples, off = _r_column(data, off, cnt, "cover samples")
     if samples.min() < 1 or samples.max() > n or len(np.unique(samples)) != cnt:
         raise IndexFileError(f"cover samples outside 1..{n} or repeated")
-    sizes, off = _r_varints(data, off, cnt)
+    sizes, off = _r_column(data, off, cnt, "cover sizes")
     if samples[0] != 1 or sizes[0] != n:
         raise IndexFileError(f"the root's cover sample is not 1 with size {n}")
     if (sizes < 1).any() or (sizes > n + 1 - samples).any():  # sample + size - 1 > n, unwrapped
         raise IndexFileError(f"a cover sample's subtree runs past node {n}")
-    t, off = _r_varint(data, off)
+    (t,), off = _r_column(data, off, 1, "cover parameter t")
     if not 1 <= t <= n or off != len(data):
         raise IndexFileError(f"cover parameter t outside 1..{n}, or bytes follow it")
     psums = np.concatenate(([0], np.cumsum(sizes)))
@@ -485,8 +434,7 @@ def load_bytes(data):
         raise
     except (struct.error, IndexError, KeyError, ValueError, OverflowError) as exc:
         # a short or garbled section fails inside a decoder; ValueError also
-        # covers JSON and Unicode decode errors, OverflowError a varint too
-        # wide for a 64-bit table
+        # covers JSON and Unicode decode errors
         raise IndexFileError(f"damaged index file ({type(exc).__name__}: {exc})") from None
     return engine, obj, meta, sections
 

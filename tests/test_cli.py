@@ -203,11 +203,11 @@ def test_sample_outside_trie_is_index_error(tmp_path, capsys):
 def test_isc_segments_that_disagree_are_index_error(tmp_path, capsys):
     # one flipped bit of S under a valid checksum leaves a red node's second
     # segment with fewer common labels than its first: the climb stops there.
-    # S's bits start at byte 25 of the section, after the 17 segment start
-    # gaps and S's u64 length; the flip sets its seventh bit
+    # S's bits start at byte 26 of the section, after the column of 17
+    # segment start gaps and S's u64 length; the flip sets its seventh bit
     engine, sections = storage._unpack(saved_example("rindex"))
     isc = bytearray(sections["isc"])
-    isc[25] ^= 0x80 >> 6
+    isc[26] ^= 0x80 >> 6
     sections["isc"] = bytes(isc)
     path = tmp_path / "bad-isc.rlxt"
     path.write_bytes(storage._pack(engine, sections))
@@ -216,10 +216,17 @@ def test_isc_segments_that_disagree_are_index_error(tmp_path, capsys):
     assert line.startswith("index error: query failed (DomainError: isc segments of node ")
 
 
+def _wrapping_starts(isc):
+    # gaps of 2**62 would wrap the running sum past 2**63; they need eight
+    # bytes each, one more than a column holds
+    gaps = [1, 2**62, 2**62] + [0] * 14
+    return bytes([8]) + b"".join(g.to_bytes(8, "little") for g in gaps) + isc[18:]
+
+
 @pytest.mark.parametrize("damage", [
-    lambda isc: storage._varints([1, 2**62, 2**62] + [0] * 14) + isc[17:],
-    lambda isc: isc[:16] + isc[17:],
-    lambda isc: isc[:17] + struct.pack("<Q", 2**40) + isc[25:],
+    _wrapping_starts,
+    lambda isc: isc[:17] + isc[18:],
+    lambda isc: isc[:18] + struct.pack("<Q", 2**40) + isc[26:],
     lambda isc: isc + b"\0",
 ], ids=["starts-wrap", "starts-cut-short", "s-length-2**40", "trailing-byte"])
 def test_damaged_isc_section_is_index_error(damage, tmp_path, capsys):
@@ -236,14 +243,14 @@ def _isc_first_start_0(blob):
     # only the first start, 0, is wrong
     engine, sections = storage._unpack(blob)
     isc = bytes(sections["isc"])
-    assert isc[:2] == bytes([1, 3])
-    sections["isc"] = bytes([0, 4]) + isc[2:]
+    assert isc[:3] == bytes([1, 1, 3])  # the column's width, then its gaps
+    sections["isc"] = bytes([1, 0, 4]) + isc[3:]
     return storage._pack(engine, sections)
 
 
 @pytest.mark.parametrize("damage, match", [
-    # S is 17 bits in bytes 25..27 of the section: bit 0 of byte 27 is padding
-    (lambda blob: with_flipped_bit(blob, "isc", 8 * 27), "a padding bit of the packed bits"),
+    # S is 17 bits in bytes 26..28 of the section: bit 0 of byte 28 is padding
+    (lambda blob: with_flipped_bit(blob, "isc", 8 * 28), "a padding bit of the packed bits"),
     # 22 parentheses in bytes 8..10: bit 0 of byte 10 is padding
     (lambda blob: with_flipped_bit(blob, "topology", 8 * 10), "a padding bit of the packed bits"),
     (_isc_first_start_0, "index error: isc segment starts begin at 0, not 1"),

@@ -63,7 +63,7 @@ def test_bad_magic_and_version():
         storage.load_bytes(b"XXXXX" + blob[5:])
     with pytest.raises(IndexFileError):
         storage.load_bytes(blob[:5] + bytes([99]) + blob[6:])
-    for old in (1, 2, 3, 4, 5):
+    for old in (1, 2, 3, 4, 5, 6):
         with pytest.raises(IndexFileError, match=f"unsupported version {old}"):
             storage.load_bytes(blob[:5] + bytes([old]) + blob[6:])
 
@@ -86,7 +86,7 @@ def test_loaded_phi_is_colex_successor(ex26):
 def test_last_node_out_of_range(ex26, stored):
     engine, sections = storage._unpack(storage.save_rindex(build_index(ex26)))
     samples = sections["samples"]
-    assert samples[-1] == EX26_COLEX_TO_PRE[-1]  # the trailing one-byte varint
+    assert samples[-2:] == bytes([1, EX26_COLEX_TO_PRE[-1]])  # the trailing one-byte column
     sections["samples"] = samples[:-1] + bytes([stored])
     with pytest.raises(IndexFileError, match="co-lex-last node"):
         storage.load_bytes(storage._pack(engine, sections))
@@ -152,19 +152,21 @@ def test_sprime_label_events_are_inconsistent(ex26, sprime, match):
 def test_block_lengths_are_inconsistent(ex26, lengths, match):
     engine, sections = storage._unpack(storage.save_rindex(build_index(ex26)))
     rlxbwt = sections["rlxbwt"]
-    assert rlxbwt == struct.pack("<I", 8) + bytes([3, 4, 1, 3, 8, 2, 3, 2])
-    sections["rlxbwt"] = struct.pack("<I", 8) + bytes(lengths)
+    assert rlxbwt == struct.pack("<I", 8) + bytes([1, 3, 4, 1, 3, 8, 2, 3, 2])
+    sections["rlxbwt"] = struct.pack("<I", 8) + bytes([1, *lengths])
     with pytest.raises(IndexFileError, match=match):
         storage.load_bytes(storage._pack(engine, sections))
 
 
 @pytest.mark.parametrize("at, node", [(0, 0), (-1, 12)])
 def test_run_head_outside_trie(at, node):
+    # ``at`` indexes the run heads: the column's values after its width byte
     engine, sections = _sections_of([b"abc", b"abd", b"bcd", b"xyz"])
     runheads = bytearray(sections["runheads"])
-    assert max(runheads) < 0x80  # one byte per pre-order id
-    runheads[at] = node
-    sections["runheads"] = bytes(runheads)
+    assert runheads[0] == 1  # one byte per pre-order id
+    ids = runheads[1:]
+    ids[at] = node
+    sections["runheads"] = bytes(runheads[:1] + ids)
     with pytest.raises(IndexFileError, match="run head node outside 1..11"):
         storage.load_bytes(storage._pack(engine, sections))
 
@@ -188,23 +190,16 @@ def test_byte_map_not_strictly_increasing(byte_map):
         storage.load_bytes(storage._pack(engine, sections))
 
 
-def test_varint_wider_than_a_table_word(ex26):
-    # the section ends with the last run head's pre-order id; make it 2**64
-    engine, sections = storage._unpack(storage.save_rindex(build_index(ex26)))
-    assert sections["runheads"][-1] < 0x80
-    sections["runheads"] = sections["runheads"][:-1] + b"\x80" * 9 + b"\x02"
-    with pytest.raises(IndexFileError, match="OverflowError"):
-        storage.load_bytes(storage._pack(engine, sections))
-
-
 def _isc_of_example():
-    """The sections of [abc, abd, bcd, xyz] and its isc section: 17 one-byte
-    segment start gaps (two per red node and a sentinel, ending at 18) at
-    bytes 0..16, then S as pack_bits: its length, 17, as a u64 at bytes
-    17..24 and its bits at 25..27."""
+    """The sections of [abc, abd, bcd, xyz] and its isc section: a column of
+    17 one-byte segment start gaps (two per red node and a sentinel, ending
+    at 18), its width at byte 0 and the gaps at bytes 1..17, then S as
+    pack_bits: its length, 17, as a u64 at bytes 18..25 and its bits at
+    26..28."""
     engine, sections = _sections_of([b"abc", b"abd", b"bcd", b"xyz"])
     isc = sections["isc"]
-    assert len(isc) == 28 and isc[16] == 0 and struct.unpack_from("<Q", isc, 17) == (17,)
+    assert len(isc) == 29 and isc[0] == 1 and isc[17] == 0
+    assert struct.unpack_from("<Q", isc, 18) == (17,)
     return engine, sections, isc
 
 
@@ -219,18 +214,18 @@ def test_isc_length_disagrees_with_segment_starts(slen):
     # rejected without allocating S from it
     engine, sections, isc = _isc_of_example()
     with pytest.raises(IndexFileError, match="isc length"):
-        _load_with_isc(engine, sections, isc[:17] + struct.pack("<Q", slen) + isc[25:])
+        _load_with_isc(engine, sections, isc[:18] + struct.pack("<Q", slen) + isc[26:])
 
 
 def test_isc_length_past_the_payload_allocates_nothing():
     # the segment starts and S's stored length agree on 2**40 bits, but S
     # holds three bytes: it is sized from those, never from the claim
     engine, sections, isc = _isc_of_example()
-    starts = isc[:16] + storage._varints([2**40 + 1 - 18])
+    starts = storage._column([*isc[1:17], 2**40 + 1 - 18])
     tracemalloc.start()
     try:
         with pytest.raises(IndexFileError, match="isc length 24 does not match"):
-            _load_with_isc(engine, sections, starts + struct.pack("<Q", 2**40) + isc[25:])
+            _load_with_isc(engine, sections, starts + struct.pack("<Q", 2**40) + isc[26:])
         assert tracemalloc.get_traced_memory()[1] < 1 << 20
     finally:
         tracemalloc.stop()
@@ -241,17 +236,23 @@ def test_isc_starts_differ_from_red_nodes(extra):
     # the colors section fixes the number of starts at 2 * |red| + 1: one
     # start fewer, or one more, shifts S out of place
     engine, sections, isc = _isc_of_example()
-    starts = isc[:16] if extra < 0 else isc[:17] + b"\0"
+    starts = isc[:17] if extra < 0 else isc[:18] + b"\0"
     with pytest.raises(IndexFileError, match="isc length"):
-        _load_with_isc(engine, sections, starts + isc[17:])
+        _load_with_isc(engine, sections, starts + isc[18:])
 
 
 def test_isc_starts_decrease():
-    # segment start gaps of 2**62 wrap the running sum past 2**63
-    engine, sections, isc = _isc_of_example()
-    gaps = [1, 2**62, 2**62] + [0] * 14
+    # a gap is below 2**56, so the running sum wraps past 2**63 only over
+    # at least 128 gaps: take an index with that many segment starts
+    idx = build_index(make_random_trie(random.Random(3), 400, 5))
+    count = 2 * idx.colors.red.num_ones + 1
+    assert count > 130
+    engine, sections = storage._unpack(storage.save_rindex(idx))
+    isc = sections["isc"]
+    _, off = storage._r_column(isc, 0, count, "isc segment starts")
+    gaps = [1] + [2**56 - 1] * 130 + [0] * (count - 131)
     with pytest.raises(IndexFileError, match="isc segment starts decrease"):
-        _load_with_isc(engine, sections, storage._varints(gaps) + isc[17:])
+        _load_with_isc(engine, sections, storage._column(gaps) + isc[off:])
 
 
 def test_isc_section_layout():
@@ -263,7 +264,7 @@ def test_isc_section_layout():
             idx = build_index(make_random_trie(rng, 160, sigma))
             tables = idx.isc_tables
             assert len(tables.starts) == 2 * idx.colors.red.num_ones + 1
-            want = (storage._varints(np.diff(np.asarray(tables.starts), prepend=0))
+            want = (storage._column(np.diff(np.asarray(tables.starts), prepend=0))
                     + pack_bits(np.frombuffer(tables.s, dtype=np.uint8)))
             engine, sections = storage._unpack(storage.save_rindex(idx))
             isc = sections["isc"]
@@ -295,11 +296,20 @@ def test_sample_node_outside_trie(ex26, table, at):
         storage.load_bytes(storage.save_rindex(idx))
 
 
-# EX26's samples section: the values of the ten colored nodes 1 3 7 8 10 14
-# 15 17 21 26, the count of type-2 nodes that are not colored (u32), their
-# gaps (4 16) and values, then the co-lex-last node
+# EX26's samples section without its four column width bytes, all 1: the
+# values of the ten colored nodes 1 3 7 8 10 14 15 17 21 26, the count of
+# type-2 nodes that are not colored (u32), their gaps (4 16) and values,
+# then the co-lex-last node
 EX26_SAMPLES = (bytes([2, 4, 13, 26, 22, 6, 21, 20, 10, 18]) + struct.pack("<I", 2)
                 + bytes([4, 12, 11, 19, EX26_COLEX_TO_PRE[-1]]))
+
+
+def _samples_section(body):
+    """The samples section of ``body``, laid out as EX26_SAMPLES: a width
+    byte of 1 opens each of its four columns; bytes past the last column's
+    one value follow it."""
+    return (b"\1" + body[:10] + body[10:14] + b"\1" + body[14:16] + b"\1" + body[16:18]
+            + b"\1" + body[18:])
 
 
 @pytest.mark.parametrize("at, value, match", [
@@ -311,9 +321,55 @@ EX26_SAMPLES = (bytes([2, 4, 13, 26, 22, 6, 21, 20, 10, 18]) + struct.pack("<I",
 ])
 def test_samples_section_is_inconsistent(ex26, at, value, match):
     engine, sections = storage._unpack(storage.save_rindex(build_index(ex26)))
-    assert sections["samples"] == EX26_SAMPLES
-    sections["samples"] = EX26_SAMPLES[:at] + bytes([value]) + EX26_SAMPLES[at + 1 :]
+    assert sections["samples"] == _samples_section(EX26_SAMPLES)
+    sections["samples"] = _samples_section(EX26_SAMPLES[:at] + bytes([value])
+                                           + EX26_SAMPLES[at + 1 :])
     with pytest.raises(IndexFileError, match=match):
+        storage.load_bytes(storage._pack(engine, sections))
+
+
+# the example's colors section: 8 red nodes (u32) and their gap column,
+# then 7 blue ones; the gaps sit at bytes 5..12 and 18..24
+EXAMPLE_COLORS = (struct.pack("<I", 8) + bytes([1, 1, 1, 1, 3, 1, 1, 1, 1])
+                  + struct.pack("<I", 7) + bytes([1, 1, 1, 1, 1, 4, 1, 1]))
+
+
+@pytest.mark.parametrize("at, gap, match", [
+    (5, 0, "red nodes are not strictly increasing within 1..11"),  # node 0
+    (7, 0, "red nodes are not strictly increasing within 1..11"),  # node 2 twice
+    (12, 3, "red nodes are not strictly increasing within 1..11"),  # node 12
+    (19, 0, "blue nodes are not strictly increasing within 1..11"),  # node 1 twice
+    (24, 3, "blue nodes are not strictly increasing within 1..11"),  # node 12
+])
+def test_colors_are_strictly_increasing_within_the_trie(at, gap, match):
+    # SparseBitVec drops a repeated node, so a zero gap would load, answer
+    # right and re-save to other bytes
+    engine, sections = storage._unpack(saved_example("rindex"))
+    assert sections["colors"] == EXAMPLE_COLORS
+    sections["colors"] = _replace(EXAMPLE_COLORS, at, gap)
+    with pytest.raises(IndexFileError, match=match):
+        storage.load_bytes(storage._pack(engine, sections))
+
+
+@pytest.mark.parametrize("engine, section", [
+    *(("rindex", s) for s in storage.RINDEX_SECTIONS),
+    *(("sampled", s) for s in storage.SAMPLED_SECTIONS),
+])
+def test_every_section_ends_at_its_payload_end(engine, section):
+    # a byte past what a decoder reads would load and re-save without it
+    kind, sections = storage._unpack(saved_example(engine))
+    sections[section] = bytes(sections[section]) + b"\0"
+    with pytest.raises(IndexFileError):
+        storage.load_bytes(storage._pack(kind, sections))
+
+
+@pytest.mark.parametrize("meta", [b'{"a": 1} ', b'{"b": 1, "a": 2}', b'{"a":1}', b"[]", b""],
+                         ids=["trailing-space", "unsorted-keys", "compact", "array", "empty"])
+def test_meta_is_saved_json(meta):
+    # each would load, and re-save as another payload
+    engine, sections = storage._unpack(saved_example("rindex"))
+    sections["meta"] = meta
+    with pytest.raises(IndexFileError):
         storage.load_bytes(storage._pack(engine, sections))
 
 
@@ -370,6 +426,15 @@ def test_sampled_node_count_is_checked_before_allocating(bit, match):
         storage.load_bytes(sampled_with_flipped_bit(bit))
 
 
+def _cover_bit(bit):
+    """Bit ``bit`` of the sampled example's cover section with its four
+    column width bytes (all 1) taken out, as a bit of the section. Without
+    them it holds the count (u32), then a byte per marked gap, sample and
+    subtree size, seven each, then t."""
+    byte = bit // 8
+    return bit + 8 * (0 if byte < 4 else 1 + min(3, (byte - 4) // 7))
+
+
 @pytest.mark.parametrize("section, bit, match", [
     ("xbwtflat", 152, "xbwtflat label outside 1..7"),  # the root's first label, a -> 0
     ("xbwtflat", 153, "xbwtflat labels do not strictly increase within a node"),
@@ -383,6 +448,10 @@ def test_sampled_node_count_is_checked_before_allocating(bit, match):
     ("cover", 204, "cover parameter t outside 1..11, or bytes follow it"),  # 2 -> 18
 ])
 def test_sampled_payloads_are_checked(section, bit, match):
+    if section == "cover":
+        cover = storage._unpack(saved_example("sampled"))[1]["cover"]
+        assert len(cover) == 30 and [cover[k] for k in (4, 12, 20, 28)] == [1] * 4
+        bit = _cover_bit(bit)
     with pytest.raises(IndexFileError, match=match):
         storage.load_bytes(sampled_with_flipped_bit(bit, section))
 
@@ -530,36 +599,63 @@ def test_traced_benchmark_hooks_resolve(ex26):
     assert metrics["storage.resident_bytes.pre_to_colex"][0] < 1024
 
 
-def test_bulk_varints_equal_one_at_a_time():
+def test_column_round_trips_at_every_width():
     rng = random.Random(5)
-    runs = [[0, 127, 128, 2**14, 2**63 - 1], [], [2**14 - 1, 2**21, 2**56, 2**56 - 1],
-            [rng.getrandbits(rng.randint(0, 63)) for _ in range(500)]]
+    runs = [[], [0], [0] * 9, [2**56 - 1], [2**56 - 1, 0, 1]]
+    runs += [[2**(8 * w) - 1, 2**(8 * w - 8), 0] for w in range(1, 8)]
+    runs += [[rng.getrandbits(rng.randint(0, 56)) for _ in range(300)] for _ in range(4)]
     for values in runs:
-        want = bytearray()
-        for v in values:
-            storage._w_varint(want, v)
-        assert storage._varints(values) == bytes(want)
-        assert storage._varints(np.asarray(values, dtype=np.int64)) == bytes(want)
-        # decoding: the bulk pass against _r_varint, a trailing byte left alone
-        data = bytes(want) + b"\x05"
-        one, off = [], 0
-        for _ in values:
-            v, off = storage._r_varint(data, off)
-            one.append(v)
-        got, end = storage._r_varints(data, 0, len(values))
-        assert got.dtype == np.int64
-        assert got.tolist() == one == values and end == off == len(want)
-        for cut in range(1, min(len(want), 12) + 1):
-            with pytest.raises(IndexFileError, match="cut short"):
-                storage._r_varints(bytes(want)[:-cut], 0, len(values))
-    wide = bytearray([1])
-    storage._w_varint(wide, 2**63)
-    with pytest.raises(OverflowError):
-        storage._r_varints(bytes(wide), 0, 2)
-    with pytest.raises(ValueError):
-        storage._varints([3, -1])
-    with pytest.raises(ValueError):
-        storage._w_varint(bytearray(), -1)
+        col = storage._column(values)
+        top = max(values, default=None)
+        w = 0 if top is None else max(1, (top.bit_length() + 7) // 8)
+        assert col[0] == w and len(col) == 1 + w * len(values)
+        assert col[1:] == b"".join(v.to_bytes(w, "little") for v in values)
+        assert storage._column(np.asarray(values, dtype=np.int64)) == col
+        got, end = storage._r_column(col + b"\x05", 0, len(values), "test")  # a byte left alone
+        assert got.dtype == np.int64 and got.tolist() == values and end == len(col)
+    assert [storage._column([2**(8 * w) - 1])[0] for w in range(1, 8)] == list(range(1, 8))
+    for values in ([2**56], [3, -1]):
+        with pytest.raises(ValueError):
+            storage._column(values)
+
+
+@pytest.mark.parametrize("column, count, match", [
+    (bytes([8]) + (1).to_bytes(8, "little"), 1, "1 values is 8 bytes wide"),
+    (bytes([255]), 1, "1 values is 255 bytes wide"),
+    (bytes([2, 5, 0]), 1, r"2 bytes wide for values below 2\*\*8"),
+    (bytes([3, 1, 0, 0, 0, 0, 0]), 2, r"3 bytes wide for values below 2\*\*16"),
+    (bytes([7]) + bytes(7), 1, r"7 bytes wide for values below 2\*\*48"),
+    (bytes([1]), 0, "0 values is 1 bytes wide"),
+    (bytes([0]), 3, "3 values is 0 bytes wide"),
+    (bytes([2, 1, 0, 2]), 2, "2 values cut short"),
+    (bytes([5]) + bytes(9), 2, "2 values cut short"),
+    (b"", 1, "column missing"),
+], ids=["width-8", "width-255", "w2-for-one-byte", "w3-for-two-bytes", "w7-for-zeros",
+        "w1-for-no-values", "w0-for-values", "cut-short-w2", "cut-short-w5", "missing"])
+def test_column_is_rejected(column, count, match):
+    with pytest.raises(IndexFileError, match=match):
+        storage._r_column(column, 0, count, "test")
+
+
+@pytest.mark.parametrize("width, match", [
+    (0, "type-2 sample nodes column of 1073741824 values is 0 bytes wide"),
+    (7, "type-2 sample nodes column of 1073741824 values cut short"),
+])
+def test_large_column_count_allocates_nothing(ex26, width, match):
+    # a type-2 count of 2**30: neither a zero width nor a payload too short
+    # for it may size a table from it
+    engine, sections = storage._unpack(storage.save_rindex(build_index(ex26)))
+    samples = sections["samples"]
+    assert samples[11:15] == struct.pack("<I", 2)
+    sections["samples"] = samples[:11] + struct.pack("<I", 2**30) + bytes([width]) + samples[16:]
+    tracemalloc.start()
+    try:
+        with pytest.raises(IndexFileError, match=match):
+            storage.load_bytes(storage._pack(engine, sections))
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
+
 
 
 def _naive_triples(trie, order):
