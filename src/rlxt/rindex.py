@@ -1,11 +1,13 @@
-"""Locate machinery: colored nodes, successor-function samples, isomorphic
-child tables, toehold search, and the four-case climb.
+"""Locate machinery: colored nodes, successor-function samples, the
+isomorphic-child jump, toehold search, and the four-case climb.
 
 ``phi`` maps a node to its co-lex successor using only the sampled anchors
 and topology jumps; the co-lex-to-pre-order permutation is never consulted.
 Locate = toehold (backward search that also tracks the pre-order id of the
 range's first node) + occ-1 applications of ``phi``. Count is the backward
-search alone.
+search alone. The isomorphic-child jump at a red node compares the out-set
+masks of the two blocks it separates; it stores only which block each red
+node ends.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from bisect import bisect_left
 
 import numpy as np
 
-from .bits import SparseBitVec, concat_ranges, int_array
+from .bits import SparseBitVec, int_array
 from .errors import DomainError, NoSuccessorError
 from .rlxbwt import OutSets, backward_extend, build_rl_xbwt, toehold_step
 # not called here: kept because the traced benchmark patches these names in this module
@@ -89,51 +91,42 @@ class PhiSamples:
 
 
 class IscTables:
-    """Bit tables driving the isomorphic-child jump at red nodes.
+    """The isomorphic-child jump at red nodes, read off the block masks.
 
-    For each red node (in pre-order) two segments are appended to S: first a
-    bit per outgoing label of the node (present in the successor's out-set?),
-    then a bit per outgoing label of the successor (present in the node's
-    out-set?). S is kept as 0/1 ``bytes``, one byte per bit: a query only
-    counts and finds ones inside two segments of at most sigma bits, so it
-    needs no rank directory. B1 marks red pre-order ids: it is the red set of
-    :class:`ColorMarks` itself, not a copy. ``starts`` holds the segment
-    boundaries inside S (two per red node plus a final sentinel).
+    A red node ends a block q of the run-length XBWT, and its co-lex
+    successor begins block q + 1, so the two out-sets the jump compares are
+    ``mask[q]`` and ``mask[q + 1]``: the masks of the
+    :class:`~rlxt.rlxbwt.RlXbwt`, held here itself, not a copy. The only
+    table of its own is ``blocks``: ``blocks[j]`` is the block that the
+    j-th red node in pre-order ends. There is one red node per block
+    boundary, so the blocks are a permutation of 0..|red| - 1. B1 marks red
+    pre-order ids: it is the red set of :class:`ColorMarks` itself.
     """
 
-    __slots__ = ("s", "b1", "starts")
+    __slots__ = ("b1", "mask", "blocks")
 
-    def __init__(self, s_bits, b1, starts):
-        self.s = np.asarray(s_bits, dtype=np.uint8).tobytes()
+    def __init__(self, b1, mask, blocks):
         self.b1 = b1
-        # segment boundaries; offsets may repeat because a run-break node can
-        # have an empty out-set (its first segment is empty)
-        self.starts = int_array(starts)
-
-    def segments(self, u):
-        """(seg1, seg2) position ranges [start, end) in S for red node u, 1-based."""
-        if not self.b1.contains(u):
-            raise DomainError(f"node {u} is not a run-break node")
-        q = self.b1.rank1(u)
-        starts = self.starts
-        s1, s2, e2 = starts[2 * q - 2], starts[2 * q - 1], starts[2 * q]
-        return (s1, s2), (s2, e2)
+        self.mask = mask
+        self.blocks = int_array(blocks)
 
     def isc(self, u, k):
-        (s1, e1), (s2, e2) = self.segments(u)
-        if not 1 <= k <= e1 - s1:
+        """Child rank, under u's co-lex successor, of the label of u's k-th
+        child: the labels below it in the successor's mask, plus one."""
+        reds = self.b1.positions
+        j = bisect_left(reds, u)
+        if j == len(reds) or reds[j] != u:
+            raise DomainError(f"node {u} is not a run-break node")
+        q = self.blocks[j]
+        m, succ = self.mask[q], self.mask[q + 1]
+        if not 1 <= k <= m.bit_count():
             raise IndexError(f"child rank {k} out of range for node {u}")
-        s = self.s  # 1-based position p of S is s[p - 1]
-        if not s[s1 + k - 2]:
+        for _ in range(k - 1):  # k <= sigma: clear the k - 1 lowest labels
+            m &= m - 1
+        below = (m & -m) - 1  # the labels below the k-th one
+        if not succ & (below + 1):
             raise DomainError(f"label of child {k} missing from the successor's out-set")
-        # the child's label is the j-th common one; find the j-th one of seg2
-        pos = s2 - 2
-        try:
-            for _ in range(s.count(1, s1 - 1, s1 + k - 1)):
-                pos = s.index(1, pos + 1, e2 - 1)
-        except ValueError:  # seg2 holds fewer common labels than seg1
-            raise DomainError(f"isc segments of node {u} disagree on the common labels") from None
-        return pos - s2 + 2
+        return (succ & below).bit_count() + 1
 
 
 class RIndex:
@@ -298,17 +291,7 @@ def build_index(trie, colex=None):
     type2 = np.setdiff1d(type2_nodes(out, colex), colored)
     phi_samples = PhiSamples(colors.colored, c2p[p2c[colored] + 1], type2, c2p[p2c[type2] + 1])
 
-    # per red node in pre-order: which of its labels the successor holds,
-    # then which of the successor's labels it holds
-    red_sorted = np.sort(red_ids)
-    rows = p2c[red_sorted] - 1
-    seg_rows = np.stack([rows, rows + 1], axis=1).ravel()
-    seg_first = out.offsets[seg_rows]
-    seg_len = out.offsets[seg_rows + 1] - seg_first
-    at = concat_ranges(seg_first, seg_len)
-    second = np.repeat(np.arange(len(seg_len)) % 2 == 1, seg_len)
-    s_bits = np.where(second, out.in_prev[at], out.in_next[at]).astype(np.uint8)
-    starts = np.concatenate(([0], np.cumsum(seg_len))) + 1
-    isc_tables = IscTables(s_bits, colors.red, starts)
+    # red_ids runs in co-lex order, where the q-th red node ends block q
+    isc_tables = IscTables(colors.red, rlx.mask, np.argsort(red_ids))
 
     return RIndex(n, trie.alphabet, int(c2p[n]), topo, rlx, colors, phi_samples, isc_tables)

@@ -6,14 +6,15 @@ Layout: magic ``RLXT1``, version byte, engine byte (0 = run-length index,
 payloads. A section whose payload fails its CRC is rejected before any
 decoder reads it. Files round-trip bit-exactly: serializing a loaded index
 reproduces the original bytes. Each fact of the transform is stored once:
-loading derives the S' node counts and the C array from the blocks, the phi
-samples are keyed by the colored set of the ``colors`` section, and the trie
-is not rebuilt. Payloads are read in place, as slices of the file. Every
-section is laid out in columns. An integer column is a byte w, the fewest
-whole bytes that hold its largest value (0 only for an empty column), then
-each value as w little-endian bytes, read as one ``np.frombuffer`` view with
-no Python call per value; a sorted table is stored as the column of its
-gaps. Each decoder ends exactly at its payload's end and takes only the
+loading derives the S' node counts, the C array and the out-set masks from
+the blocks, the phi samples are keyed by the colored set of the ``colors``
+section, the isomorphic-child jump stores only the block each red node ends,
+and the trie is not rebuilt. Payloads are read in place, as slices of the
+file. Every section is laid out in columns. An integer column is a byte w,
+the fewest whole bytes that hold its largest value (0 only for an empty
+column), then each value as w little-endian bytes, read as one
+``np.frombuffer`` view with no Python call per value; a sorted table is
+stored as the column of its gaps. Each decoder ends exactly at its payload's end and takes only the
 minimal w, so every file that loads re-saves to the same bytes.
 """
 
@@ -26,7 +27,7 @@ import zlib
 import numpy as np
 
 from .baseline import SampledLocate, XbwtNav
-from .bits import SparseBitVec, pack_bits, unpack_bits
+from .bits import SparseBitVec
 from .errors import FormatError, IndexFileError
 from .rindex import ColorMarks, IscTables, PhiSamples, RIndex
 from .rlxbwt import RlXbwt, out_masks, per_label, reconstruct_trie  # bench/spans.py patches it here
@@ -35,7 +36,7 @@ from .trie import Alphabet, _depths
 from .trie import colex_sort  # noqa: F401 (not called; bench/spans.py patches it here)
 
 MAGIC = b"RLXT1"
-VERSION = 7
+VERSION = 8
 ENGINE_RINDEX = 0
 ENGINE_SAMPLED = 1
 _ENTRY = struct.Struct("<8sQQI")  # tag, offset, length, CRC-32 of the payload
@@ -175,9 +176,8 @@ def _enc_samples(samples, last):
 
 
 def _enc_isc(isc):
-    # the 2 * |red| + 1 segment starts need no count: the colors section
-    # gives |red|; S, mostly zeros, is packed eight bits to a byte
-    return _gap_column(isc.starts) + pack_bits(np.frombuffer(isc.s, dtype=np.uint8))
+    # the block each red node ends needs no count: the colors section gives |red|
+    return _column(isc.blocks)
 
 
 def _enc_runheads(rlx):
@@ -303,22 +303,20 @@ def _dec_samples(data, colored, n):
     return samples, int(last)
 
 
-def _dec_isc(data, red):
-    """The isc tables over the red nodes ``red``, which B1 shares."""
-    sts, off = _r_column(data, 0, 2 * red.num_ones + 1, "isc segment starts")
-    np.cumsum(sts, out=sts)
-    if sts[0] != 1:
-        raise IndexFileError(f"isc segment starts begin at {sts[0]}, not 1")
-    if (sts[1:] < sts[:-1]).any():  # a running sum that wrapped past 2**63
-        raise IndexFileError("isc segment starts decrease")
-    # unpack_bits sizes S from the payload, so a stored length too large
-    # allocates nothing; the segment starts end one past S
-    s_bits, off = unpack_bits(data, off)
-    if len(s_bits) != sts[-1] - 1:
-        raise IndexFileError(f"isc length {len(s_bits)} does not match its segment starts")
+def _dec_isc(data, red, rlx):
+    """The isc tables over the red nodes ``red`` and the block masks of
+    ``rlx``, both shared: the block each red node ends. Each of the r' - 1
+    block boundaries has one red node, so the blocks must be a permutation
+    of 0..|red| - 1."""
+    cnt = red.num_ones
+    if cnt != rlx.r_prime - 1:
+        raise IndexFileError(f"isc: {cnt} red nodes for {rlx.r_prime} blocks")
+    blocks, off = _r_column(data, 0, cnt, "isc blocks")
     if off != len(data):
-        raise IndexFileError("isc section does not end with S")
-    return IscTables(s_bits, red, sts)
+        raise IndexFileError("isc section does not end with its blocks")
+    if cnt and (blocks.max() >= cnt or np.bincount(blocks, minlength=cnt).min() == 0):
+        raise IndexFileError(f"isc blocks are not a permutation of 0..{cnt - 1}")
+    return IscTables(red, rlx.mask, blocks)
 
 
 def load_rindex(sections):
@@ -335,7 +333,7 @@ def load_rindex(sections):
                    alphabet.sigma, n)
     colors = _dec_colors(sections["colors"], n)
     samples, last = _dec_samples(sections["samples"], colors.colored, n)
-    isc = _dec_isc(sections["isc"], colors.red)
+    isc = _dec_isc(sections["isc"], colors.red, rlx)
     idx = RIndex(n, alphabet, last, topo, rlx, colors, samples, isc)
     return idx, meta
 

@@ -76,7 +76,10 @@ class LabeledTrie:
     )
 
     def __init__(self, parent, label, alphabet):
-        self.parent = np.asarray(parent, dtype=np.int64)
+        try:
+            self.parent = np.asarray(parent, dtype=np.int64)
+        except OverflowError:  # an id past n fails the range check as -1 does
+            self.parent = np.array([p if 0 <= p < len(parent) else -1 for p in parent], np.int64)
         self.label = np.asarray(label, dtype=np.int64)
         self.n = n = len(self.parent) - 1
         self.alphabet = alphabet
@@ -84,7 +87,7 @@ class LabeledTrie:
             raise FormatError("trie must contain at least the root")
         if self.label[1] != SENTINEL:
             raise FormatError("root must carry the sentinel label")
-        self.depth = self._check_preorder()
+        self.depth = self._check_preorder(parent)
         kids = self.parent[2:]
         self.child_ids = np.argsort(kids, kind="stable") + 2
         self.child_start = np.zeros(n + 2, dtype=np.int64)
@@ -93,9 +96,10 @@ class LabeledTrie:
         self._iso_sig = None
         self._path_bytes = None
 
-    def _check_preorder(self):
+    def _check_preorder(self, given):
         """Depth of every node, once the arrays are known to be a pre-order
-        trie; otherwise the error for the smallest offending node.
+        trie; otherwise the error for the smallest offending node, naming
+        its parent as ``given``.
 
         Node u >= 2 is in pre-order iff (a) ``1 <= parent[u] < u``,
         (b) ``depth[u] <= depth[u-1] + 1`` and (c) ``parent[u]`` is the last
@@ -119,7 +123,7 @@ class LabeledTrie:
             raise PreorderError(f"node {first}: parent {int(parent[first])} "
                                 "not on the current DFS path")
         if first <= n:
-            raise PreorderError(f"node {first} has parent {int(parent[first])} "
+            raise PreorderError(f"node {first} has parent {int(given[first])} "
                                 f"outside 1..{first - 1}")
         return depth
 

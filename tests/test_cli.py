@@ -1,6 +1,5 @@
 import json
 import os
-import struct
 
 import pytest
 
@@ -150,6 +149,21 @@ def test_non_ascii_edge_file_is_input_error(tmp_path, monkeypatch, capsys, cmd, 
     assert not (tmp_path / "unused.idx").exists()
 
 
+@pytest.mark.parametrize("cmd", [["build", "-o", "unused.idx"], ["verify"], ["bench"]],
+                         ids=["build", "verify", "bench"])
+def test_edge_parent_past_int64_is_input_error(tmp_path, monkeypatch, capsys, cmd):
+    monkeypatch.chdir(tmp_path)
+    src = tmp_path / "big.edges"
+    src.write_bytes(b"2\n99999999999999999999\t97\n")
+    capsys.readouterr()
+    assert main([cmd[0], str(src), "--format", "edges", *cmd[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().splitlines() == [
+        "input error: node 2 has parent 99999999999999999999 outside 1..1"]
+    assert not (tmp_path / "unused.idx").exists()
+
+
 def test_bad_index_file(tmp_path):
     p = tmp_path / "junk.rlxt"
     p.write_bytes(b"NOTANINDEX")
@@ -200,35 +214,17 @@ def test_sample_outside_trie_is_index_error(tmp_path, capsys):
     assert _one_line_index_error(capsys) == "index error: phi sample node outside 1..11"
 
 
-def test_isc_segments_that_disagree_are_index_error(tmp_path, capsys):
-    # one flipped bit of S under a valid checksum leaves a red node's second
-    # segment with fewer common labels than its first: the climb stops there.
-    # S's bits start at byte 26 of the section, after the column of 17
-    # segment start gaps and S's u64 length; the flip sets its seventh bit
-    engine, sections = storage._unpack(saved_example("rindex"))
-    isc = bytearray(sections["isc"])
-    isc[26] ^= 0x80 >> 6
-    sections["isc"] = bytes(isc)
-    path = tmp_path / "bad-isc.rlxt"
-    path.write_bytes(storage._pack(engine, sections))
-    assert main(["locate", str(path), ""]) == 3
-    line = _one_line_index_error(capsys)
-    assert line.startswith("index error: query failed (DomainError: isc segments of node ")
-
-
-def _wrapping_starts(isc):
-    # gaps of 2**62 would wrap the running sum past 2**63; they need eight
-    # bytes each, one more than a column holds
-    gaps = [1, 2**62, 2**62] + [0] * 14
-    return bytes([8]) + b"".join(g.to_bytes(8, "little") for g in gaps) + isc[18:]
+def _wide_blocks(isc):
+    # the same block values, eight bytes each: one more than a column holds
+    return bytes([8]) + b"".join(q.to_bytes(8, "little") for q in isc[1:])
 
 
 @pytest.mark.parametrize("damage", [
-    _wrapping_starts,
-    lambda isc: isc[:17] + isc[18:],
-    lambda isc: isc[:18] + struct.pack("<Q", 2**40) + isc[26:],
+    _wide_blocks,
+    lambda isc: isc[:-1],
+    lambda isc: storage._column([2**40, *isc[2:]]),
     lambda isc: isc + b"\0",
-], ids=["starts-wrap", "starts-cut-short", "s-length-2**40", "trailing-byte"])
+], ids=["width-8", "cut-short", "block-2**40", "trailing-byte"])
 def test_damaged_isc_section_is_index_error(damage, tmp_path, capsys):
     engine, sections = storage._unpack(saved_example("rindex"))
     sections["isc"] = damage(sections["isc"])
@@ -238,23 +234,10 @@ def test_damaged_isc_section_is_index_error(damage, tmp_path, capsys):
     assert _one_line_index_error(capsys).startswith("index error: isc ")
 
 
-def _isc_first_start_0(blob):
-    # the first two segment start gaps 1, 3 moved to 0, 4: the same sum, so
-    # only the first start, 0, is wrong
-    engine, sections = storage._unpack(blob)
-    isc = bytes(sections["isc"])
-    assert isc[:3] == bytes([1, 1, 3])  # the column's width, then its gaps
-    sections["isc"] = bytes([1, 0, 4]) + isc[3:]
-    return storage._pack(engine, sections)
-
-
 @pytest.mark.parametrize("damage, match", [
-    # S is 17 bits in bytes 26..28 of the section: bit 0 of byte 28 is padding
-    (lambda blob: with_flipped_bit(blob, "isc", 8 * 28), "a padding bit of the packed bits"),
     # 22 parentheses in bytes 8..10: bit 0 of byte 10 is padding
     (lambda blob: with_flipped_bit(blob, "topology", 8 * 10), "a padding bit of the packed bits"),
-    (_isc_first_start_0, "index error: isc segment starts begin at 0, not 1"),
-], ids=["isc-padding", "topology-padding", "isc-first-start-0"])
+], ids=["topology-padding"])
 def test_non_canonical_payload_is_index_error(damage, match, tmp_path, capsys):
     # each of these files would answer right, but re-saving it gives other
     # bytes: the round trip is bit-exact only if loads take canonical files

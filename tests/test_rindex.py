@@ -18,6 +18,7 @@ from conftest import (
     present_patterns,
     random_patterns,
     trie_alpha_bytes,
+    versioned_lines,
 )
 
 EX26_TYPE1_ARROWS = {1: 2, 3: 4, 15: 21, 21: 10, 10: 22, 14: 6, 8: 26, 26: 18, 7: 13, 17: 20}
@@ -381,20 +382,32 @@ def test_concurrent_reads_are_consistent(idx26, ex26, ex26_colex):
 
 
 def test_isc_matches_naive_on_random_tries():
+    # sigma 4 keeps the block masks in an array; sigma 65 and 200, every byte
+    # a one-letter word beside versioned words, keep them as a list of ints.
+    # Each index is checked as built and as loaded
     rng = random.Random(47)
-    for _ in range(25):
-        t = make_random_trie(rng, 150, 4)
+    tries = [make_random_trie(rng, 150, 4) for _ in range(25)]
+    for sigma in (65, 200):
+        alpha = bytes(range(47, 46 + sigma))  # "/" and the version tags among them
+        words = make_dictionary(rng, 60, alpha, 2, 6)
+        tries.append(build_from_strings([bytes([b]) for b in alpha]
+                                        + versioned_lines(rng, words, alpha, 3)))
+        assert tries[-1].alphabet.sigma == sigma
+    for t in tries:
         order = colex_sort(t)
-        idx = build_index(t, order)
-        for i in range(1, t.n):
-            u = int(order.colex_to_pre[i])
-            if not idx.colors.is_red(u):
-                continue
-            cur = [int(c) for c in t.out_labels(u)]
-            nxt = [int(c) for c in t.out_labels(int(order.colex_to_pre[i + 1]))]
-            for k, c in enumerate(cur, 1):
-                if c in nxt:
-                    assert idx.isc(u, k) == nxt.index(c) + 1
-                else:
-                    with pytest.raises(DomainError):
-                        idx.isc(u, k)
+        built = build_index(t, order)
+        assert isinstance(built.rlx.mask, list) == (t.alphabet.sigma > 64)
+        _, loaded, _, _ = storage.load_bytes(storage.save_rindex(built))
+        for idx in (built, loaded):
+            for i in range(1, t.n):
+                u = int(order.colex_to_pre[i])
+                if not idx.colors.is_red(u):
+                    continue
+                cur = [int(c) for c in t.out_labels(u)]
+                nxt = [int(c) for c in t.out_labels(int(order.colex_to_pre[i + 1]))]
+                for k, c in enumerate(cur, 1):
+                    if c in nxt:
+                        assert idx.isc(u, k) == nxt.index(c) + 1
+                    else:
+                        with pytest.raises(DomainError):
+                            idx.isc(u, k)

@@ -15,12 +15,12 @@ from rlxt import storage
 from rlxt.baseline import build_sampled
 from rlxt.bits import BitVec, WaveletSeq, pack_bits, unpack_bits
 from rlxt.errors import IndexFileError, NoSuccessorError
-from rlxt.rindex import build_index
+from rlxt.rindex import ColorMarks, build_index
 from rlxt.rlxbwt import OutSets
 from rlxt.trie import build_from_strings, colex_sort, oracle_locate
 
 from conftest import (EX26_COLEX_TO_PRE, make_dictionary, make_random_trie, present_patterns,
-                      sampled_with_flipped_bit, saved_example)
+                      sampled_with_flipped_bit, saved_example, with_flipped_bit)
 
 
 def test_rindex_round_trip_bit_exact(ex26):
@@ -63,7 +63,7 @@ def test_bad_magic_and_version():
         storage.load_bytes(b"XXXXX" + blob[5:])
     with pytest.raises(IndexFileError):
         storage.load_bytes(blob[:5] + bytes([99]) + blob[6:])
-    for old in (1, 2, 3, 4, 5, 6):
+    for old in (1, 2, 3, 4, 5, 6, 7):
         with pytest.raises(IndexFileError, match=f"unsupported version {old}"):
             storage.load_bytes(blob[:5] + bytes([old]) + blob[6:])
 
@@ -191,15 +191,12 @@ def test_byte_map_not_strictly_increasing(byte_map):
 
 
 def _isc_of_example():
-    """The sections of [abc, abd, bcd, xyz] and its isc section: a column of
-    17 one-byte segment start gaps (two per red node and a sentinel, ending
-    at 18), its width at byte 0 and the gaps at bytes 1..17, then S as
-    pack_bits: its length, 17, as a u64 at bytes 18..25 and its bits at
-    26..28."""
+    """The sections of [abc, abd, bcd, xyz] and its isc section: one column,
+    its width 1 at byte 0, then the block that each of the 8 red nodes ends,
+    red node after red node in pre-order."""
     engine, sections = _sections_of([b"abc", b"abd", b"bcd", b"xyz"])
     isc = sections["isc"]
-    assert len(isc) == 29 and isc[0] == 1 and isc[17] == 0
-    assert struct.unpack_from("<Q", isc, 18) == (17,)
+    assert isc == bytes([1, 0, 1, 3, 2, 4, 5, 6, 7])
     return engine, sections, isc
 
 
@@ -208,67 +205,65 @@ def _load_with_isc(engine, sections, isc):
     return storage.load_bytes(storage._pack(engine, sections))
 
 
-@pytest.mark.parametrize("slen", [2**40, 18])
-def test_isc_length_disagrees_with_segment_starts(slen):
-    # S of this index is 17 bits long; a larger stored length must be
-    # rejected without allocating S from it
+@pytest.mark.parametrize("damage, match", [
+    (lambda isc: isc[:-1], "isc blocks column of 8 values cut short"),
+    (lambda isc: isc + b"\0", "isc section does not end with its blocks"),
+    (lambda isc: isc[:-1] + bytes([8]), "isc blocks are not a permutation of 0..7"),
+    (lambda isc: isc[:2] + bytes([0]) + isc[3:], "isc blocks are not a permutation of 0..7"),
+], ids=["value-missing", "trailing-byte", "value-past-red", "repeated-value"])
+def test_isc_blocks_are_checked(damage, match):
     engine, sections, isc = _isc_of_example()
-    with pytest.raises(IndexFileError, match="isc length"):
-        _load_with_isc(engine, sections, isc[:18] + struct.pack("<Q", slen) + isc[26:])
+    with pytest.raises(IndexFileError, match=match):
+        _load_with_isc(engine, sections, damage(isc))
 
 
-def test_isc_length_past_the_payload_allocates_nothing():
-    # the segment starts and S's stored length agree on 2**40 bits, but S
-    # holds three bytes: it is sized from those, never from the claim
+def test_isc_red_count_is_one_per_block_boundary():
+    # node 1 is red and blue: made blue only, it leaves the colored set, and
+    # so the samples, as they are; but 7 red nodes cannot end 8 of 9 blocks
     engine, sections, isc = _isc_of_example()
-    starts = storage._column([*isc[1:17], 2**40 + 1 - 18])
-    tracemalloc.start()
-    try:
-        with pytest.raises(IndexFileError, match="isc length 24 does not match"):
-            _load_with_isc(engine, sections, starts + struct.pack("<Q", 2**40) + isc[26:])
-        assert tracemalloc.get_traced_memory()[1] < 1 << 20
-    finally:
-        tracemalloc.stop()
+    _, idx, _, _ = storage.load_bytes(storage._pack(engine, sections))
+    red, blue = idx.colors.red.positions, idx.colors.blue.positions
+    assert red[0] == blue[0] == 1 and idx.rlx.r_prime == 9
+    sections["colors"] = storage._enc_colors(ColorMarks(idx.n, red[1:], blue))
+    with pytest.raises(IndexFileError, match="isc: 7 red nodes for 9 blocks"):
+        _load_with_isc(engine, sections, isc[:-1])
 
 
-@pytest.mark.parametrize("extra", [-1, 1])
-def test_isc_starts_differ_from_red_nodes(extra):
-    # the colors section fixes the number of starts at 2 * |red| + 1: one
-    # start fewer, or one more, shifts S out of place
-    engine, sections, isc = _isc_of_example()
-    starts = isc[:17] if extra < 0 else isc[:18] + b"\0"
-    with pytest.raises(IndexFileError, match="isc length"):
-        _load_with_isc(engine, sections, starts + isc[18:])
-
-
-def test_isc_starts_decrease():
-    # a gap is below 2**56, so the running sum wraps past 2**63 only over
-    # at least 128 gaps: take an index with that many segment starts
-    idx = build_index(make_random_trie(random.Random(3), 400, 5))
-    count = 2 * idx.colors.red.num_ones + 1
-    assert count > 130
-    engine, sections = storage._unpack(storage.save_rindex(idx))
-    isc = sections["isc"]
-    _, off = storage._r_column(isc, 0, count, "isc segment starts")
-    gaps = [1] + [2**56 - 1] * 130 + [0] * (count - 131)
-    with pytest.raises(IndexFileError, match="isc segment starts decrease"):
-        _load_with_isc(engine, sections, storage._column(gaps) + isc[off:])
+def test_every_isc_bit_flip_is_rejected_or_answers_right():
+    # each single-bit flip of the section, under a valid checksum, is either
+    # caught at load or leaves every answer as it was
+    blob = saved_example("rindex")
+    _, idx, _, sections = storage.load_bytes(blob)
+    patterns = sorted({line[i:j] for line in (b"abc", b"abd", b"bcd", b"xyz")
+                       for i in range(len(line)) for j in range(i, len(line) + 1)})
+    patterns += [b"q", b"ca", b"da", b"yx", b"abcd", b"zz"]
+    want = [(idx.count(p), idx.locate(p)) for p in patterns]
+    for bit in range(8 * len(sections["isc"])):
+        try:
+            _, flipped, _, _ = storage.load_bytes(with_flipped_bit(blob, "isc", bit))
+        except IndexFileError:
+            continue
+        assert [(flipped.count(p), flipped.locate(p)) for p in patterns] == want, bit
 
 
 def test_isc_section_layout():
-    # only the segment start gaps, then S packed: no count, no other field;
-    # one byte less or more is rejected
+    # only the column of the block each red node ends, in pre-order: no
+    # count, no other field. The red node is the block's last position, and
+    # there is one per block boundary, so the blocks are a permutation of
+    # 0..|red| - 1; one byte less or more is rejected
     rng = random.Random(47)
     for sigma in (2, 5, 27):
         for _ in range(4):
-            idx = build_index(make_random_trie(rng, 160, sigma))
-            tables = idx.isc_tables
-            assert len(tables.starts) == 2 * idx.colors.red.num_ones + 1
-            want = (storage._column(np.diff(np.asarray(tables.starts), prepend=0))
-                    + pack_bits(np.frombuffer(tables.s, dtype=np.uint8)))
+            t = make_random_trie(rng, 160, sigma)
+            order = colex_sort(t)
+            idx = build_index(t, order)
+            blocks = list(idx.isc_tables.blocks)
+            red = list(idx.colors.red.positions)
+            assert sorted(blocks) == list(range(idx.rlx.r_prime - 1)) and len(red) == len(blocks)
+            assert [idx.rlx.starts[q + 1] - 1 for q in blocks] == list(order.pre_to_colex[red])
             engine, sections = storage._unpack(storage.save_rindex(idx))
             isc = sections["isc"]
-            assert isc == want
+            assert isc == storage._column(blocks)
             for damaged in (isc[:-1], isc + b"\0"):
                 with pytest.raises(IndexFileError, match="isc "):
                     _load_with_isc(engine, dict(sections), damaged)
@@ -279,6 +274,7 @@ def test_isc_shares_the_red_set():
     _, loaded, _, _ = storage.load_bytes(storage.save_rindex(idx))
     for index in (idx, loaded):
         assert index.isc_tables.b1 is index.colors.red
+        assert index.isc_tables.mask is index.rlx.mask
 
 
 def test_samples_share_the_colored_set(ex26):
