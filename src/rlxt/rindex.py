@@ -3,16 +3,20 @@ isomorphic-child jump, toehold search, and the four-case climb.
 
 ``phi`` maps a node to its co-lex successor using only the sampled anchors
 and topology jumps; the co-lex-to-pre-order permutation is never consulted.
-Locate = toehold (backward search that also tracks the pre-order id of the
-range's first node) + occ-1 applications of ``phi``. Count is the backward
-search alone. The isomorphic-child jump at a red node compares the out-set
-masks of the two blocks it separates; it stores only which block each red
-node ends.
+It is one function over the tables themselves, with no topology call: one
+bisect in the colored ids settles case 1 or gives the marks on either side
+of u's subtree, one binary search over depth gives the covering ancestor
+and its child towards u, and sibling steps read subtree sizes. It checks
+only what the file gives. Locate = toehold (backward search that also
+tracks the pre-order id of the range's first node) + occ-1 applications of
+``phi``. Count is the backward search alone. The isomorphic-child jump at
+a red node compares the out-set masks of the two blocks it separates; it
+stores only which block each red node ends.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 
@@ -70,14 +74,6 @@ class PhiSamples:
         self.type2_keys = int_array(type2_keys)
         self.type2_values = int_array(type2_values)
 
-    def value(self, u):
-        """The type-1 sample of u, a colored node."""
-        keys = self.colored.positions
-        k = bisect_left(keys, u)
-        if k < len(keys) and keys[k] == u:
-            return self.values[k]
-        raise DomainError(f"node {u} is not colored: it carries no type-1 phi sample")
-
     def type2_value(self, u):
         """The type-2 sample of u, a node that is not colored, or None."""
         keys = self.type2_keys
@@ -117,10 +113,14 @@ class IscTables:
         j = bisect_left(reds, u)
         if j == len(reds) or reds[j] != u:
             raise DomainError(f"node {u} is not a run-break node")
+        return self.isc_at(j, k)
+
+    def isc_at(self, j, k):
+        """``isc`` at the j-th red node in pre-order (j from 0)."""
         q = self.blocks[j]
         m, succ = self.mask[q], self.mask[q + 1]
         if not 1 <= k <= m.bit_count():
-            raise IndexError(f"child rank {k} out of range for node {u}")
+            raise IndexError(f"child rank {k} out of range for node {self.b1.positions[j]}")
         for _ in range(k - 1):  # k <= sigma: clear the k - 1 lowest labels
             m &= m - 1
         below = (m & -m) - 1  # the labels below the k-th one
@@ -219,42 +219,107 @@ class RIndex:
         return out
 
     def phi(self, u):
-        """Pre-order id of u's co-lex successor (climb, Cases 1..2.2.2)."""
+        """Pre-order id of u's co-lex successor (climb, Cases 1..2.2.2).
+
+        One pass over the topology and sample tables, with no topology call.
+        One bisect in the colored ids says whether u is colored, finds the
+        first mark in u's subtree, or else the marks p and s on either side of
+        it. One binary search over depth finds the lowest ancestor a covering
+        p or s and its child ``k_node`` towards u. Sibling ranks, the k-th
+        child and ``isd`` step by subtree sizes. Only what the file gives is
+        range-checked: u, each sample or type-2 value used as a node, the child
+        rank against the subtree end and ``isd``'s offset.
+        """
         if u == self.last:
             raise NoSuccessorError(f"node {u} is last in co-lex order")
-        succ = self._phi_case1(u)
-        if succ is not None:
-            self.case_counters["1"] += 1
+        n = self.n
+        if not 1 <= u <= n:
+            raise IndexError(f"node {u} out of range 1..{n}")
+        keys = self.colors.colored.positions
+        size = self.topo.subtree_size
+        counters = self.case_counters
+        k = bisect_left(keys, u)
+        s = keys[k] if k < len(keys) else n + 1
+        if s == u:
+            counters["1"] += 1
+            return self.samples.values[k]
+        if s < u + size[u]:
+            succ = self._from_mark(u, k)
+            counters["1"] += 1
             return succ
+        p = keys[k - 1] if k else 0
+        if not p and s > n:
+            raise DomainError(f"node {u} has no ancestor covering a colored node")
+        # an ancestor b of u covers p iff b <= p, and s iff b + size(b) > s;
+        # each test holds from the root down to some depth. The smallest depth
+        # that fails is one below a's, so the last failure is k_node
         topo = self.topo
-        a = topo.lowest_covering_ancestor(self.colors.colored, u)
-        t = topo.depth(u) - topo.depth(a)
-        k_node = topo.laq(u, t - 1)
-        if self.colors.is_red(a):
-            u_k1 = self.samples.type2_value(k_node)
-            if u_k1 is not None:
-                self.case_counters["2.2.1"] += 1
+        nodes, start = topo.level_nodes, topo.level_start
+        lo, hi, a, k_node = 0, topo.node_depth[u] - 1, 1, u
+        while lo < hi:
+            mid = (lo + hi + 1) >> 1
+            b = nodes[bisect_right(nodes, u, start[mid], start[mid + 1]) - 1]
+            if b <= p or b + size[b] > s:
+                lo, a = mid, b
             else:
-                self.case_counters["2.2.2"] += 1
-                a1 = self.samples.value(a)
-                u_k1 = topo.cbr(a1, self.isc_tables.isc(a, topo.sr(k_node)))
+                hi, k_node = mid - 1, b
+        reds = self.colors.red.positions
+        j = bisect_left(reds, a)
+        red = j < len(reds) and reds[j] == a
+        t2 = self.samples.type2_keys
+        i = bisect_left(t2, k_node) if red else len(t2)
+        if i < len(t2) and t2[i] == k_node:
+            counters["2.2.1"] += 1
+            u_k1 = self.samples.type2_values[i]
+            if not 1 <= u_k1 <= n:
+                raise IndexError(f"type-2 sample {u_k1} out of range 1..{n}")
         else:
-            self.case_counters["2.1"] += 1
-            u_k1 = topo.cbr(self._phi_case1(a), topo.sr(k_node))
+            rank, v = 1, a + 1  # k_node's rank among a's children
+            while v != k_node:
+                v += size[v]
+                rank += 1
+            ka = bisect_left(keys, a, 0, k)  # the first mark in a's subtree
+            if red:
+                counters["2.2.2"] += 1
+                rank = self.isc_tables.isc_at(j, rank)
+                base = self.samples.values[ka]
+            else:
+                counters["2.1"] += 1
+                base = self._from_mark(a, ka)
+            if not 1 <= base <= n:
+                raise IndexError(f"sample {base} out of range 1..{n}")
+            u_k1, end = base + 1, base + size[base]  # base's rank-th child
+            while rank > 1 and u_k1 < end:
+                u_k1 += size[u_k1]
+                rank -= 1
+            if u_k1 >= end:
+                raise IndexError(f"node {base} has fewer children than the climb asks for")
         if k_node == u:
             return u_k1
-        return topo.isd(k_node, u, u_k1)
+        # isomorphic subtrees number their nodes alike
+        offset = u - k_node
+        if offset >= size[u_k1]:
+            raise DomainError(f"node {u_k1}'s subtree is smaller than node {k_node}'s")
+        return u_k1 + offset
 
-    def _phi_case1(self, u):
-        """Case-1 step: u's successor read off the first colored node of u's
-        subtree, or None if that subtree holds no colored node."""
-        if self.colors.is_colored(u):
-            return self.samples.value(u)
+    def _from_mark(self, x, k):
+        """Case 1 at x: x's successor, read off the k-th colored node, the
+        first in x's subtree. That node's sample is lifted back up to x's
+        depth; if it is x itself, the sample is the answer."""
+        samples = self.samples
+        j, v = samples.colored.positions[k], samples.values[k]
+        if j == x:
+            return v
+        n = self.n
+        if not 1 <= v <= n:
+            raise IndexError(f"sample {v} out of range 1..{n}")
         topo = self.topo
-        j_node = topo.next_marked_in_subtree(self.colors.colored, u)
-        if j_node is None:
-            return None
-        return topo.laq(self.samples.value(j_node), topo.depth(j_node) - topo.depth(u))
+        depth = topo.node_depth
+        t = depth[v] - depth[j] + depth[x]
+        if t < 0:
+            raise IndexError(f"sample {v} lies above the depth its mark asks for")
+        nodes, start = topo.level_nodes, topo.level_start
+        return nodes[bisect_right(nodes, v, start[t], start[t + 1]) - 1]
 
     def isc(self, u, k):
         return self.isc_tables.isc(u, k)

@@ -10,6 +10,13 @@ ancestor at depth t is the last node of depth t at or before it, one bisect
 in that depth's slice; ancestors' ids rise with depth and their subtrees
 shrink, so the LCA and the lowest ancestor covering a mark are one binary
 search over depth. Node u opens at 0-based position ``2u - 2 - depth(u)``.
+
+Every public operation checks its node ids. The climb
+(:meth:`~rlxt.rindex.RIndex.phi`) calls none of them: it reads the three
+tables itself and checks only the ids it takes from the index file. Of the
+operations, only ``cbr`` (the toehold's child step) has a library caller;
+the rest stay, with their tests, because the traced benchmark
+(``bench/spans.py``) patches them by name.
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
 import random
+from bisect import bisect_left
 
 import numpy as np
 import pytest
@@ -411,3 +412,111 @@ def test_isc_matches_naive_on_random_tries():
                     else:
                         with pytest.raises(DomainError):
                             idx.isc(u, k)
+
+
+def _checked_phi(idx, u):
+    """The climb composed of the topology's checked public calls: the
+    reference the fused ``RIndex.phi`` must agree with. Returns
+    (successor, case)."""
+    topo, colors, samples = idx.topo, idx.colors, idx.samples
+
+    def value(x):
+        keys = colors.colored.positions
+        k = bisect_left(keys, x)
+        if k < len(keys) and keys[k] == x:
+            return samples.values[k]
+        raise DomainError(f"node {x} is not colored")
+
+    def case1(x):
+        if colors.is_colored(x):
+            return value(x)
+        j = topo.next_marked_in_subtree(colors.colored, x)
+        if j is None:
+            return None
+        return topo.laq(value(j), topo.depth(j) - topo.depth(x))
+
+    if u == idx.last:
+        raise NoSuccessorError(f"node {u} is last in co-lex order")
+    succ = case1(u)
+    if succ is not None:
+        return succ, "1"
+    a = topo.lowest_covering_ancestor(colors.colored, u)
+    k_node = topo.laq(u, topo.depth(u) - topo.depth(a) - 1)
+    if colors.is_red(a):
+        case, u_k1 = "2.2.1", samples.type2_value(k_node)
+        if u_k1 is None:
+            case, u_k1 = "2.2.2", topo.cbr(value(a), idx.isc(a, topo.sr(k_node)))
+    else:
+        case, u_k1 = "2.1", topo.cbr(case1(a), topo.sr(k_node))
+    return (u_k1 if k_node == u else topo.isd(k_node, u, u_k1)), case
+
+
+def _assert_fused_climb_matches(idx):
+    for u in range(1, idx.n + 1):
+        if u == idx.last:
+            continue
+        want, case = _checked_phi(idx, u)
+        before = dict(idx.case_counters)
+        assert idx.phi(u) == want
+        assert {k: v - before[k] for k, v in idx.case_counters.items() if v != before[k]} == {
+            case: 1}
+
+
+def test_fused_climb_matches_checked_composition():
+    # every non-last node of random tries, a comb (spine x^500 with a leaf a
+    # under every spine node), a star of degree 200 (its masks are a list of
+    # ints) and a path; each index as built and as loaded
+    rng = random.Random(48)
+    tries = [make_random_trie(rng, 250, rng.choice([2, 3, 4, 8])) for _ in range(40)]
+    tries.append(build_from_strings([b"x" * i + b"a" for i in range(501)] + [b"x" * 500]))
+    tries.append(build_from_strings([bytes([b]) for b in range(33, 233)]))
+    tries.append(build_from_strings([bytes(rng.choice(b"acgt") for _ in range(300))]))
+    assert tries[-2].alphabet.sigma > 64
+    seen = set()
+    for t in tries:
+        built = build_index(t)
+        _, loaded, _, _ = storage.load_bytes(storage.save_rindex(built))
+        for idx in (built, loaded):
+            _assert_fused_climb_matches(idx)
+            seen.update(k for k, v in idx.case_counters.items() if v)
+    assert seen == {"1", "2.1", "2.2.1", "2.2.2"}
+
+
+def _outcome(climb, u):
+    try:
+        return climb(u)
+    except (DomainError, IndexError) as e:
+        return type(e)
+    except Exception as e:  # anything else, TypeError above all, is a failure
+        return e
+
+
+def test_damaged_samples_are_still_caught(ex26):
+    # each sample and type-2 value in turn overwritten with 1, n and a
+    # neighbouring id: where the checked climb raises, the fused one raises
+    # DomainError or IndexError; where it answers, the fused one agrees
+    rng = random.Random(49)
+    big = make_random_trie(rng, 400, 4)
+    while big.n < 350:
+        big = make_random_trie(rng, 400, 4)
+    raised = 0
+    for t in (ex26, big):
+        idx = build_index(t)
+        n = idx.n
+        for table in (idx.samples.values, idx.samples.type2_values):
+            for k in range(len(table)):
+                kept = table[k]
+                for bad in {1, n, kept - 1 if kept > 1 else kept + 1}:
+                    table[k] = bad
+                    for u in range(1, n + 1):
+                        if u == idx.last:
+                            continue
+                        want = _outcome(lambda x: _checked_phi(idx, x)[0], u)
+                        got = _outcome(idx.phi, u)
+                        if isinstance(want, int):
+                            assert got == want, (k, bad, u)
+                        else:
+                            raised += 1
+                            assert got in (DomainError, IndexError), (k, bad, u, want, got)
+                table[k] = kept
+    assert raised >= 40

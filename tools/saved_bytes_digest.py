@@ -14,9 +14,12 @@ default t and at t = 1 (every node a cover root),
     sampled <corpus> t=<t> <sha1> <sections>
 
 where ``<sections>`` is ``<tag>=<sha1 of its payload>`` for every section,
-in file order, so a format change shows which sections moved. It uses the
-checkout's own ``src/`` and ``bench/workloads.py`` (read, never edited).
-Two checkouts build bit-for-bit the same files iff they print the same
+in file order, so a format change shows which sections moved. The
+whole-file hash is taken with the version byte (the one after the magic)
+set to 0: both engines share that byte, so a version bump made for one
+engine's format leaves the other's lines alone. It uses the checkout's own
+``src/`` and ``bench/workloads.py`` (read, never edited). Two checkouts
+build the same files, up to the version byte, iff they print the same
 lines:
 
     python3 tools/saved_bytes_digest.py ../parent > parent.txt
@@ -36,9 +39,12 @@ SEEDS = range(1, 11)
 
 
 def digests(blob, storage):
-    """The SHA-1 of ``blob``, then ``<tag>=<sha1>`` for each of its sections."""
+    """The SHA-1 of ``blob`` with its version byte masked, then
+    ``<tag>=<sha1>`` for each of its sections."""
     _engine, sections = storage._unpack(blob)
-    return " ".join([hashlib.sha1(blob).hexdigest()]
+    at = len(storage.MAGIC)
+    masked = blob[:at] + b"\0" + blob[at + 1:]
+    return " ".join([hashlib.sha1(masked).hexdigest()]
                     + [f"{tag}={hashlib.sha1(payload).hexdigest()}"
                        for tag, payload in sections.items()])
 
