@@ -160,7 +160,9 @@ def cmd_verify(args):
     order = colex_sort(trie)
     idx = build_index(trie, order)
     if args.corrupt_phi_sample and len(idx.samples.values):
-        idx.samples.values[0] = idx.samples.values[0] % trie.n + 1  # test hook
+        # test hook: another node id no larger than the table already holds
+        v = idx.samples.values[0]
+        idx.samples.values[0] = v - 1 if v > 1 else 2
     sl, _ = SampledLocate.build(trie, order, max(1, int(math.isqrt(trie.n))))
     rng = random.Random(trie.n * 7919 + 13)
     checks = []

@@ -20,7 +20,7 @@ from bisect import bisect_left, bisect_right
 
 import numpy as np
 
-from .bits import SparseBitVec, int_array
+from .bits import SparseBitVec, int_array, sorted_set
 from .errors import DomainError, NoSuccessorError
 from .rlxbwt import OutSets, backward_extend, build_rl_xbwt, toehold_step
 # not called here: kept because the traced benchmark patches these names in this module
@@ -31,20 +31,51 @@ from .trie import colex_sort
 
 class ColorMarks:
     """Red = outgoing labels differ from the co-lex successor's; blue =
-    incoming label differs. The union, ``colored``, is the one table of
-    colored node ids: the topology's marked queries search it, "is u
-    colored?" is one lookup in it, and the phi samples are keyed by it."""
+    incoming label differs. Their union, ``colored``, is the one large table
+    of node ids: the topology's marked queries search it, "is u colored?" is
+    one lookup in it, and the phi samples are keyed by it. Co-lex order
+    groups the nodes by incoming label, so fewer than sigma nodes are blue:
+    ``blue`` holds them, and ``blue_only`` the few of them that are not red.
 
-    __slots__ = ("red", "blue", "colored")
+    So u is red iff it is colored and not blue-only, and its rank among the
+    red nodes in pre-order (from 0) is its rank among the colored ones less
+    the blue-only nodes before it. ``red`` rebuilds the red set from the two
+    tables for saving and inspection; no query reads it."""
+
+    __slots__ = ("colored", "blue", "blue_only")
 
     def __init__(self, n, red_ids, blue_ids):
-        self.red = SparseBitVec(n, red_ids)
+        red = sorted_set(red_ids)
         self.blue = SparseBitVec(n, blue_ids)
-        self.colored = SparseBitVec(n, np.concatenate((self.red.positions,
-                                                       self.blue.positions)))
+        blue = np.asarray(self.blue.positions, dtype=np.int64)
+        blue_only = blue[np.searchsorted(red, blue) == np.searchsorted(red, blue, "right")]
+        # both sorted: the few blue-only ids go in at their places among the red
+        self.colored = SparseBitVec(n, np.insert(red, np.searchsorted(red, blue_only), blue_only))
+        self.blue_only = int_array(blue_only)
+
+    @property
+    def red(self):
+        """The red nodes, as a :class:`~rlxt.bits.SparseBitVec` built anew."""
+        colored = self.colored.positions
+        return SparseBitVec(self.colored.universe,
+                            np.delete(colored, np.searchsorted(colored, self.blue_only)))
+
+    @property
+    def num_red(self):
+        return self.colored.num_ones - len(self.blue_only)
+
+    def red_rank(self, u):
+        """u's rank among the red nodes in pre-order (from 0), or None if u
+        is not red."""
+        keys, blue_only = self.colored.positions, self.blue_only
+        k = bisect_left(keys, u)
+        if k == len(keys) or keys[k] != u:
+            return None
+        b = bisect_left(blue_only, u)
+        return None if b < len(blue_only) and blue_only[b] == u else k - b
 
     def is_red(self, u):
-        return self.red.contains(u)
+        return self.red_rank(u) is not None
 
     def is_blue(self, u):
         return self.blue.contains(u)
@@ -95,23 +126,23 @@ class IscTables:
     :class:`~rlxt.rlxbwt.RlXbwt`, held here itself, not a copy. The only
     table of its own is ``blocks``: ``blocks[j]`` is the block that the
     j-th red node in pre-order ends. There is one red node per block
-    boundary, so the blocks are a permutation of 0..|red| - 1. B1 marks red
-    pre-order ids: it is the red set of :class:`ColorMarks` itself.
+    boundary, so the blocks are a permutation of 0..|red| - 1. A red node's
+    j is its red rank in ``colors``, the :class:`ColorMarks` itself: the
+    tables hold no red set of their own.
     """
 
-    __slots__ = ("b1", "mask", "blocks")
+    __slots__ = ("colors", "mask", "blocks")
 
-    def __init__(self, b1, mask, blocks):
-        self.b1 = b1
+    def __init__(self, colors, mask, blocks):
+        self.colors = colors
         self.mask = mask
         self.blocks = int_array(blocks)
 
     def isc(self, u, k):
         """Child rank, under u's co-lex successor, of the label of u's k-th
         child: the labels below it in the successor's mask, plus one."""
-        reds = self.b1.positions
-        j = bisect_left(reds, u)
-        if j == len(reds) or reds[j] != u:
+        j = self.colors.red_rank(u)
+        if j is None:
             raise DomainError(f"node {u} is not a run-break node")
         return self.isc_at(j, k)
 
@@ -120,7 +151,7 @@ class IscTables:
         q = self.blocks[j]
         m, succ = self.mask[q], self.mask[q + 1]
         if not 1 <= k <= m.bit_count():
-            raise IndexError(f"child rank {k} out of range for node {self.b1.positions[j]}")
+            raise IndexError(f"child rank {k} out of range for the red node of block {q}")
         for _ in range(k - 1):  # k <= sigma: clear the k - 1 lowest labels
             m &= m - 1
         below = (m & -m) - 1  # the labels below the k-th one
@@ -263,9 +294,14 @@ class RIndex:
                 lo, a = mid, b
             else:
                 hi, k_node = mid - 1, b
-        reds = self.colors.red.positions
-        j = bisect_left(reds, a)
-        red = j < len(reds) and reds[j] == a
+        # a is red iff it is colored and not blue-only; its red rank is its
+        # colored rank less the blue-only nodes before it
+        ka = bisect_left(keys, a, 0, k)  # the first mark in a's subtree
+        red = keys[ka] == a
+        if red:
+            blue_only = self.colors.blue_only
+            b = bisect_left(blue_only, a)
+            red = b == len(blue_only) or blue_only[b] != a
         t2 = self.samples.type2_keys
         i = bisect_left(t2, k_node) if red else len(t2)
         if i < len(t2) and t2[i] == k_node:
@@ -278,10 +314,9 @@ class RIndex:
             while v != k_node:
                 v += size[v]
                 rank += 1
-            ka = bisect_left(keys, a, 0, k)  # the first mark in a's subtree
             if red:
                 counters["2.2.2"] += 1
-                rank = self.isc_tables.isc_at(j, rank)
+                rank = self.isc_tables.isc_at(ka - b, rank)
                 base = self.samples.values[ka]
             else:
                 counters["2.1"] += 1
@@ -352,11 +387,11 @@ def build_index(trie, colex=None):
     colors = ColorMarks(n, red_ids, blue_ids)
 
     # type 1 on the colored nodes; of type 2, the nodes that are not colored
-    colored = np.asarray(colors.colored.positions)
+    colored = np.asarray(colors.colored.positions, dtype=np.int64)
     type2 = np.setdiff1d(type2_nodes(out, colex), colored)
     phi_samples = PhiSamples(colors.colored, c2p[p2c[colored] + 1], type2, c2p[p2c[type2] + 1])
 
     # red_ids runs in co-lex order, where the q-th red node ends block q
-    isc_tables = IscTables(colors.red, rlx.mask, np.argsort(red_ids))
+    isc_tables = IscTables(colors, rlx.mask, np.argsort(red_ids))
 
     return RIndex(n, trie.alphabet, int(c2p[n]), topo, rlx, colors, phi_samples, isc_tables)

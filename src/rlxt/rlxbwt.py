@@ -25,26 +25,45 @@ from bisect import bisect_left, bisect_right
 
 import numpy as np
 
-from .bits import concat_ranges, int_array
+from .bits import concat_ranges, int_array, typecode
 from .errors import DomainError
 from .trie import ColexOrder, LabeledTrie, _depths, _levels, _subtree_sizes
 
 
 def by_label(sigma, labels, values):
     """``values`` sorted by their labels, stably, so each label keeps its
-    entries' order, and the number of values per label 0..sigma-1."""
+    entries' order, at their own width, and the number of values per label
+    0..sigma-1."""
     labels = np.asarray(labels, dtype=np.uint8)  # codes below sigma <= 256: a radix sort
     order = np.argsort(labels, kind="stable")
-    return np.asarray(values, dtype=np.int64)[order], np.bincount(labels, minlength=sigma)
+    return np.asarray(values)[order], np.bincount(labels, minlength=sigma)
 
 
 def per_label(values, counts):
     """Label-sorted ``values`` cut into one table per label, all at the
-    width :func:`~rlxt.bits.int_array` picks for the whole: 4 bytes per
-    value below 2**31. Slicing an array copies exactly its length."""
+    width :func:`~rlxt.bits.int_array` picks for the whole: 2 bytes per
+    value below 2**16, 4 below 2**32. Slicing an array copies exactly its
+    length."""
     table = int_array(values)
     bounds = np.concatenate(([0], np.cumsum(counts))).tolist()
     return [table[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def _blocks_by_label(sigma, counts, labels, r):
+    """Each block number q < r, ``counts[q]`` times over, paired with
+    ``labels`` in S' order, then sorted by label and by block, at the width
+    of the block numbers; and the number per label 0..sigma-1. That is
+    :func:`by_label` of the repeated blocks, whose argsort would hold two
+    8-byte temporaries per run where a load can peak: one in-place sort of
+    the keys ``label << b | q``, with b bits for q, needs neither."""
+    shift = (r - 1).bit_length()
+    labels = np.asarray(labels, dtype=np.uint8)
+    keys = np.repeat(np.arange(r, dtype=np.min_scalar_type((sigma - 1) << shift | (r - 1))),
+                     counts)
+    keys |= np.left_shift(labels, shift, dtype=keys.dtype)
+    keys.sort()
+    keys &= (1 << shift) - 1
+    return keys.astype(np.min_scalar_type(r)), np.bincount(labels, minlength=sigma)
 
 
 def _in_block_order(blocks, labels, r):
@@ -87,17 +106,24 @@ class RlXbwt:
     def __init__(self, sigma, n_add, add_labels, n_del, del_labels, lengths):
         """Per block q: ``n_add[q]`` entering and ``n_del[q]`` leaving labels
         and ``lengths[q]`` positions. ``add_labels``/``del_labels`` hold the
-        labels block after block, ascending within a block (S' order). A
+        labels, each below sigma, block after block, ascending within a block
+        (S' order). A
         ValueError says that some label's entries and exits do not alternate."""
-        lengths = np.asarray(lengths, dtype=np.int64)
-        ends = np.cumsum(lengths) + 1  # one past each block, n + 1 for the last
-        starts = ends - lengths
-        self.n = int(ends[-1]) - 1
+        # the per-block and per-run temporaries are held at the narrowest
+        # width of their values, not at int64, since a load can peak here:
+        # block numbers below r', positions and their differences within
+        # +-(n + 1) at a signed width, and the runs' running count at the
+        # width of its total. Each goes once used.
+        lengths = np.asarray(lengths)
+        self.n = n = int(lengths.sum(dtype=np.int64))
         self.sigma = sigma
+        pos = np.min_scalar_type(-(n + 2))
+        starts = np.cumsum(lengths, dtype=pos)
+        starts -= lengths
+        starts += 1  # each block's first position
         self.starts = int_array(starts)
-        blocks = np.arange(len(lengths))
-        entries, n_entries = by_label(sigma, add_labels, np.repeat(blocks, n_add))
-        exits, n_exits = by_label(sigma, del_labels, np.repeat(blocks, n_del))
+        entries, n_entries = _blocks_by_label(sigma, n_add, add_labels, len(lengths))
+        exits, n_exits = _blocks_by_label(sigma, n_del, del_labels, len(lengths))
         bad = np.flatnonzero((n_exits > n_entries) | (n_exits < n_entries - 1))
         if len(bad):
             c = int(bad[0])
@@ -106,8 +132,8 @@ class RlXbwt:
         # each run ends where its exit's block starts; a label still present
         # in the last block gets an exit past it
         heads = starts[entries]
-        stops = np.insert(starts[exits], np.cumsum(n_exits)[n_entries > n_exits], ends[-1])
-        del exits  # each temporary goes once used: a load can peak in this constructor
+        stops = np.insert(starts[exits], np.cumsum(n_exits)[n_entries > n_exits], n + 1)
+        del exits, starts
         # entries and exits alternate in distinct blocks iff, label after
         # label, every run's head and stop come in strictly increasing order:
         # each run is nonempty and starts after the label's previous one stops
@@ -119,9 +145,14 @@ class RlXbwt:
         if (runs <= 0).any() or (gaps <= 0).any():
             raise ValueError("a label's entries and exits do not alternate")
         del gaps
-        before = np.concatenate(([0], np.cumsum(runs)))
+        before = np.zeros(len(runs) + 1, dtype=np.min_scalar_type(int(runs.sum(dtype=np.int64))))
+        np.cumsum(runs, out=before[1:])
+        del runs
+        # before never falls, so a label's counts less its first cannot wrap
         self.base = per_label(before[:-1] - np.repeat(before[first], n_entries), n_entries)
-        self.c_array = int_array(np.concatenate(([0], before[first + n_entries] + 1)))
+        self.c_array = int_array(np.concatenate(
+            ([0], before[first + n_entries].astype(np.int64) + 1)))
+        del before
         self.adds = per_label(entries, n_entries)
         self.mask = self.head_pre = None
 
@@ -156,9 +187,9 @@ class RlXbwt:
         """The parent co-lex position of each of positions 2..n: the k-th
         c-child hangs off the k-th position of c's runs, label after label;
         ``base`` and the C array give each run's offset among the children."""
-        offsets = np.concatenate(self.base) + np.repeat(
-            np.asarray(self.c_array)[:-1] - 1, [len(b) for b in self.base])
-        heads = np.asarray(self.starts)[np.concatenate(self.adds)]
+        offsets = np.concatenate(self.base).astype(np.int64) + np.repeat(
+            np.asarray(self.c_array, dtype=np.int64)[:-1] - 1, [len(b) for b in self.base])
+        heads = np.asarray(self.starts, dtype=np.int64)[np.concatenate(self.adds)]
         return concat_ranges(heads, np.diff(offsets, append=self.n - 1))
 
     def _run_labels(self):
@@ -174,8 +205,8 @@ class RlXbwt:
         through = np.empty_like(before)  # c's nodes through each run
         through[:-1] = before[1:]
         last = np.flatnonzero(np.diff(labels, append=self.sigma))  # each label's last run
-        through[last] = np.diff(self.c_array)[labels[last]]
-        ends = np.asarray(self.starts)[np.concatenate(self.adds)] + through - before
+        through[last] = np.diff(np.asarray(self.c_array, dtype=np.int64))[labels[last]]
+        ends = np.asarray(self.starts, dtype=np.int64)[np.concatenate(self.adds)] + through - before
         r = len(self.starts)
         block_at = np.zeros(self.n + 2, np.min_scalar_type(r))  # the block starting at each position
         block_at[self.starts] = np.arange(r)
@@ -232,8 +263,8 @@ def out_masks(sigma, n_add, add_labels, n_del, del_labels):
     leaving ones', exact modulo the word width. The masks are an ``array``
     of the narrowest unsigned typecode whose items hold sigma bits, or a
     list of ints when sigma > 64; either way ``mask[q]`` is an int."""
-    typecode = next((t for t in "BHIQ" if array(t).itemsize * 8 >= sigma), "Q")
-    dtype = np.dtype(typecode)
+    code = typecode(sigma)
+    dtype = np.dtype(code)
     nwords = -(-sigma // 64)
 
     def running(counts, labels, w):  # bits 64w.. of the labels, summed through each block
@@ -246,7 +277,7 @@ def out_masks(sigma, n_add, add_labels, n_del, del_labels):
 
     words = [running(n_add, add_labels, w) - running(n_del, del_labels, w) for w in range(nwords)]
     if nwords == 1:
-        masks = array(typecode, [0]) * len(words[0])
+        masks = array(code, [0]) * len(words[0])
         np.frombuffer(masks, dtype)[:] = words[0]
         return masks
     raw = np.column_stack(words).astype("<u8").tobytes()

@@ -148,6 +148,7 @@ def _dec_rlx(rlxbwt, sprime, runheads, sigma, n):
         rlx = RlXbwt(sigma, n_add, add_labels, n_del, del_labels, lengths)
     except ValueError as exc:
         raise IndexFileError(f"sprime: {exc}") from None
+    del lengths
     if rlx.c_array[-1] != n:
         raise IndexFileError(f"the out-sets hold {rlx.c_array[-1] - 1} children, "
                              f"not one per non-root node ({n - 1})")
@@ -303,12 +304,12 @@ def _dec_samples(data, colored, n):
     return samples, int(last)
 
 
-def _dec_isc(data, red, rlx):
-    """The isc tables over the red nodes ``red`` and the block masks of
-    ``rlx``, both shared: the block each red node ends. Each of the r' - 1
-    block boundaries has one red node, so the blocks must be a permutation
-    of 0..|red| - 1."""
-    cnt = red.num_ones
+def _dec_isc(data, colors, rlx):
+    """The isc tables over the red nodes of ``colors`` and the block masks
+    of ``rlx``, both shared: the block each red node ends. Each of the
+    r' - 1 block boundaries has one red node, so the blocks must be a
+    permutation of 0..|red| - 1."""
+    cnt = colors.num_red
     if cnt != rlx.r_prime - 1:
         raise IndexFileError(f"isc: {cnt} red nodes for {rlx.r_prime} blocks")
     blocks, off = _r_column(data, 0, cnt, "isc blocks")
@@ -316,7 +317,7 @@ def _dec_isc(data, red, rlx):
         raise IndexFileError("isc section does not end with its blocks")
     if cnt and (blocks.max() >= cnt or np.bincount(blocks, minlength=cnt).min() == 0):
         raise IndexFileError(f"isc blocks are not a permutation of 0..{cnt - 1}")
-    return IscTables(red, rlx.mask, blocks)
+    return IscTables(colors, rlx.mask, blocks)
 
 
 def load_rindex(sections):
@@ -333,7 +334,7 @@ def load_rindex(sections):
                    alphabet.sigma, n)
     colors = _dec_colors(sections["colors"], n)
     samples, last = _dec_samples(sections["samples"], colors.colored, n)
-    isc = _dec_isc(sections["isc"], colors.red, rlx)
+    isc = _dec_isc(sections["isc"], colors, rlx)
     idx = RIndex(n, alphabet, last, topo, rlx, colors, samples, isc)
     return idx, meta
 

@@ -3,13 +3,14 @@
 The i-th open parenthesis corresponds to pre-order node i, and node u's
 subtree is the ids u .. u + size(u) - 1: the marked-node queries search that
 range, and the isomorphic-descendant jump is an id offset. Three tables are
-kept, all built by array operations: each node's depth (at the narrowest
-width that holds the deepest) and subtree size, and a level table of the
-nodes in (depth, id) order, 9 bytes per node below 256 levels. A node's
-ancestor at depth t is the last node of depth t at or before it, one bisect
-in that depth's slice; ancestors' ids rise with depth and their subtrees
-shrink, so the LCA and the lowest ancestor covering a mark are one binary
-search over depth. Node u opens at 0-based position ``2u - 2 - depth(u)``.
+kept, all built by array operations: each node's depth and subtree size,
+and a level table of the nodes in (depth, id) order. Each is an ``array`` at
+the narrowest width that holds its largest value (the deepest depth, or n):
+below 256 levels, 5 bytes per node below 65,536 nodes and 9 from there on.
+A node's ancestor at depth t is the last node of depth t at or before it,
+one bisect in that depth's slice; ancestors' ids rise with depth and their
+subtrees shrink, so the LCA and the lowest ancestor covering a mark are one
+binary search over depth. Node u opens at 0-based position ``2u - 2 - depth(u)``.
 
 Every public operation checks its node ids. The climb
 (:meth:`~rlxt.rindex.RIndex.phi`) calls none of them: it reads the three
@@ -26,7 +27,7 @@ from bisect import bisect_right
 
 import numpy as np
 
-from .bits import pack_bits, unpack_bits
+from .bits import pack_bits, typecode, unpack_bits
 from .errors import DomainError
 
 
@@ -48,7 +49,10 @@ class BpsTopology:
         # node_depth[u], subtree_size[u] (slot 0 unused); depth t's nodes in
         # level_nodes[level_start[t] : level_start[t+1]]. The climb reads
         # these arrays one item at a time, at a quarter of the cost of
-        # int(numpy_array[i]). Every n-sized temporary is freed once used.
+        # int(numpy_array[i]). The arithmetic runs at a signed width that
+        # holds every position; each table is written at the width of its
+        # largest value (the deepest depth, or n) once its last arithmetic is
+        # done. Every n-sized temporary is freed once used.
         wide = "i" if 2 * n < 1 << 31 else "q"  # no position exceeds 2n
         opens = np.flatnonzero(bits).astype(wide)
         closes = np.flatnonzero(bits == 0).astype(wide)
@@ -60,7 +64,7 @@ class BpsTopology:
             raise ValueError("parentheses do not form one tree")
         even = np.arange(0, 2 * n, 2, dtype=wide)  # 2u - 2 for node u
         np.subtract(even, opens, out=opens)  # node u opens at 2u - 2 - depth(u)
-        self.node_depth = array(np.min_scalar_type(int(opens.max())).char, [0]) * (n + 1)
+        self.node_depth = array(typecode(int(opens.max()).bit_length()), [0]) * (n + 1)
         depth = _view(self.node_depth)[1:]
         depth[:] = opens
         del opens
@@ -74,17 +78,25 @@ class BpsTopology:
         del key
         closes = closes[perm]
         del perm
-        self.level_nodes = array(wide, [0]) * n
-        by_depth = _view(self.level_nodes)
-        by_depth[:] = np.argsort(depth, kind="stable")
-        closes -= 2 * by_depth - depth[by_depth] - 1  # close - open + 1
+        by_depth = np.argsort(depth, kind="stable").astype(wide)
+        # close - open + 1, where node by_depth + 1 opens at
+        # 2 by_depth - depth; in place, as a temporary here would set the
+        # load peak
+        closes -= by_depth
+        closes -= by_depth
+        closes += depth[by_depth]
+        closes += 1
         closes >>= 1
-        self.subtree_size = array(wide, [0]) * (n + 1)
+        narrow = typecode(n.bit_length())  # each table's largest value is n
+        self.subtree_size = array(narrow, [0]) * (n + 1)
         _view(self.subtree_size)[1:][by_depth] = closes
         del closes
         by_depth += 1
+        self.level_nodes = array(narrow, [0]) * n
+        _view(self.level_nodes)[:] = by_depth
+        del by_depth
         counts = np.bincount(depth)
-        self.level_start = array(wide, [0]) * (len(counts) + 1)
+        self.level_start = array(narrow, [0]) * (len(counts) + 1)
         _view(self.level_start)[1:] = np.cumsum(counts)
 
     @classmethod

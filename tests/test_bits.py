@@ -102,14 +102,20 @@ def test_sparse_round_trip_and_ends():
 
 
 def test_int_array_width_and_exact_size():
-    # 4 bytes per value while every value fits a signed 32-bit int, else 8
-    cases = [([], "i"), ([7], "i"), (list(range(-3, 997)), "i"),
-             (np.arange(46_612, dtype=np.int64), "i"), (np.arange(5, dtype=np.int16), "i"),
-             ([2**31 - 1, -2**31], "i"), ([2**31], "q"), ([-2**31 - 1], "q"),
-             ([0, 2**31 - 1, 2**31], "q"), (np.array([2**31], dtype=np.uint64), "q")]
+    # the narrowest width that holds every value, unsigned when none is
+    # negative: each boundary value and the one past it
+    cases = [([], "B"), ([7], "B"), ([0, 255], "B"), ([256], "H"),
+             ([65_535], "H"), (np.arange(46_612, dtype=np.int64), "H"), ([65_536], "I"),
+             ([2**32 - 1], "I"), ([2**32], "Q"), (np.array([2**64 - 1], dtype=np.uint64), "Q"),
+             (np.arange(5, dtype=np.int16), "B"),
+             ([-1], "b"), ([-128, 127], "b"), ([128, -1], "h"), ([-129], "h"),
+             (list(range(-3, 997)), "h"), ([-32_768, 32_767], "h"), ([-32_769], "i"),
+             ([2**31 - 1, -2**31], "i"), ([-2**31 - 1], "q"), ([2**31, -1], "q"),
+             ([2**63 - 1, -2**63], "q")]
     for values, code in cases:
         out = int_array(values)
         assert out.typecode == code and list(out) == list(values)
+        assert out.itemsize == {"b": 1, "h": 2, "i": 4, "q": 8}[code.lower()]
         assert sys.getsizeof(out) == sys.getsizeof(array(code)) + out.itemsize * len(values)
 
 

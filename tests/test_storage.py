@@ -1,3 +1,4 @@
+import copy
 import gc
 import importlib.util
 import random
@@ -13,9 +14,9 @@ import pytest
 
 from rlxt import storage
 from rlxt.baseline import build_sampled
-from rlxt.bits import BitVec, WaveletSeq, pack_bits, unpack_bits
+from rlxt.bits import BitVec, WaveletSeq, int_array, pack_bits, unpack_bits
 from rlxt.errors import IndexFileError, NoSuccessorError
-from rlxt.rindex import ColorMarks, build_index
+from rlxt.rindex import ColorMarks, build_index, type2_nodes
 from rlxt.rlxbwt import OutSets
 from rlxt.trie import build_from_strings, colex_sort, oracle_locate
 
@@ -273,8 +274,14 @@ def test_isc_shares_the_red_set():
     idx = build_index(build_from_strings([b"abc", b"abd", b"bcd", b"xyz"]))
     _, loaded, _, _ = storage.load_bytes(storage.save_rindex(idx))
     for index in (idx, loaded):
-        assert index.isc_tables.b1 is index.colors.red
-        assert index.isc_tables.mask is index.rlx.mask
+        # the isc tables hold no red set of their own: a red node's rank is
+        # read off the colored set of the color marks they share
+        isc = index.isc_tables
+        assert isc.colors is index.colors and isc.mask is index.rlx.mask
+        shared = {id(index.colors), id(index.rlx.mask)}
+        assert [s for s in type(isc).__slots__ if id(getattr(isc, s)) not in shared] == ["blocks"]
+        red = list(index.colors.red.positions)
+        assert [index.colors.red_rank(u) for u in red] == list(range(len(red)))
 
 
 def test_samples_share_the_colored_set(ex26):
@@ -528,6 +535,112 @@ def test_loaded_index_tables_are_narrow():
     tables = [obj for obj in _reachable(idx) if isinstance(obj, array)]
     assert len(tables) > 20
     assert [t.typecode for t in tables if t.typecode == "q"] == []
+
+
+def _at_int64(obj, names):
+    """A copy of ``obj`` whose named tables, or lists of tables, are 8 bytes
+    wide, so numpy arithmetic on their views cannot wrap."""
+    twin = copy.copy(obj)
+    for name in names:
+        table = getattr(obj, name)
+        wide = [array("q", t) for t in table] if isinstance(table, list) else array("q", table)
+        setattr(twin, name, wide)
+    return twin
+
+
+def _trie_of_size(n, nwords, alpha, seed):
+    """A random dictionary's trie topped up to exactly n nodes: each
+    word + "z" adds one leaf below the word's node."""
+    words = make_dictionary(random.Random(seed), nwords, alpha)
+    extra = n - build_from_strings(words).n
+    assert 0 <= extra <= len(words)
+    trie = build_from_strings(words + [w + b"z" for w in words[:extra]])
+    assert trie.n == n
+    return trie
+
+
+@pytest.mark.parametrize("n", [26, 255, 256])
+def test_byte_wide_tables_read_at_int64(ex26, n):
+    # below 256 nodes every table is one unsigned byte wide, where numpy
+    # arithmetic on a view wraps below 0 and past 255; at 256 the values
+    # reach the boundary. Every view derived from the tables matches the
+    # same view over 8-byte tables, and what the trie itself gives
+    trie = ex26 if n == 26 else _trie_of_size(n, 50, b"abc", 63)
+    order = colex_sort(trie)
+    c2p, p2c = order.colex_to_pre.tolist(), order.pre_to_colex.tolist()
+    parent = trie.parent.tolist()
+    parents = [p2c[parent[c2p[i]]] for i in range(2, n + 1)]
+    idx = build_index(trie, order)
+    blob = storage.save_rindex(idx)
+    _, loaded, _, _ = storage.load_bytes(blob)
+    assert storage.save_rindex(loaded) == blob
+    out = OutSets(trie, order)
+    for index in (idx, loaded):
+        codes = {t.typecode for t in _reachable(index) if isinstance(t, array)}
+        assert (codes == {"B"}) if n < 256 else ("H" in codes)
+        rlx = index.rlx
+        wide = _at_int64(rlx, ("starts", "adds", "base", "c_array", "head_pre"))
+        assert rlx.block_lengths().tolist() == wide.block_lengths().tolist()
+        assert [list(d) for d in rlx.dels] == [list(d) for d in wide.dels]
+        assert [d.tolist() for d in rlx.deltas()] == [d.tolist() for d in wide.deltas()]
+        assert list(rlx.colex_parents()) == list(wide.colex_parents()) == parents
+        colored = list(index.colors.colored.positions)
+        assert list(index.samples.values) == [c2p[p2c[u] + 1] for u in colored]
+        type2 = sorted(set(type2_nodes(out, order).tolist()) - set(colored))
+        assert list(index.samples.type2_keys) == type2
+        assert list(index.samples.type2_values) == [c2p[p2c[u] + 1] for u in type2]
+    sl = build_sampled(trie, order, 2)
+    sampled_blob = storage.save_sampled(sl)
+    _, sl2, _, _ = storage.load_bytes(sampled_blob)
+    assert storage.save_sampled(sl2) == sampled_blob
+    labels = trie.label[c2p[1:]].tolist()  # incoming label by co-lex position
+    for nav in (sl.nav, sl2.nav):
+        assert list(nav.colex_parents()) == parents
+        assert np.diff(nav.node_end).tolist() == np.diff(out.offsets).tolist()
+        assert list(nav.c_array) == [sum(lab < c for lab in labels) for c in range(nav.sigma + 1)]
+
+
+def _answers_like_the_oracle(trie, order, patterns):
+    idx = build_index(trie, order)
+    _, loaded, _, _ = storage.load_bytes(storage.save_rindex(idx))
+    for index in (idx, loaded):
+        for pat in patterns:
+            want = oracle_locate(trie, pat, order)
+            assert index.locate(pat) == want and index.count(pat) == len(want), pat
+    return loaded
+
+
+def test_ids_of_2_16_and_up_take_four_bytes():
+    # n = 65,537: node ids, positions and subtree sizes pass 2**16, so those
+    # tables are 4 bytes wide, built and loaded alike, and the empty pattern
+    # runs phi over every node
+    trie = _trie_of_size(65_537, 15_000, b"abcdefgh", 61)
+    order = colex_sort(trie)
+    patterns = [b"", b"z", b"az", b"abc", b"hgf", b"q"] + present_patterns(trie, random.Random(5), 20)
+    idx = _answers_like_the_oracle(trie, order, patterns)
+    topo = idx.topo
+    assert topo.node_depth.itemsize == 1
+    for table in (topo.subtree_size, topo.level_nodes, topo.level_start, idx.rlx.c_array):
+        assert max(table) == trie.n and table.itemsize == 4
+    # every other table is at the narrowest width of its own values; the
+    # per-label tables share the width of all labels' values
+    rlx = idx.rlx
+    per_label = {name: getattr(rlx, name) for name in ("adds", "base", "head_pre")}
+    shared = {id(t) for tables in per_label.values() for t in tables} | {id(rlx.mask)}
+    tables = [t for t in _reachable(idx) if isinstance(t, array) and id(t) not in shared]
+    assert all(t.itemsize == int_array(t).itemsize for t in tables)
+    for tables in per_label.values():
+        assert {t.itemsize for t in tables} == {int_array(np.concatenate(tables)).itemsize}
+
+
+def test_a_path_past_255_levels_takes_two_byte_depths():
+    text = bytes(random.Random(62).choice(b"ab") for _ in range(300))
+    trie = build_from_strings([text])
+    order = colex_sort(trie)
+    patterns = [b"", text, text[100:], b"ab" * 3, b"ba", b"c"]
+    patterns += present_patterns(trie, random.Random(7), 20, max_len=40)
+    idx = _answers_like_the_oracle(trie, order, patterns)
+    assert idx.topo.node_depth.itemsize == 2 and idx.topo.subtree_size.itemsize == 2
 
 
 def test_machinery_bits_are_sane(ex26):
