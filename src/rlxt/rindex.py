@@ -9,9 +9,12 @@ of u's subtree, one binary search over depth gives the covering ancestor
 and its child towards u, and sibling steps read subtree sizes. It checks
 only what the file gives. Locate = toehold (backward search that also
 tracks the pre-order id of the range's first node) + occ-1 applications of
-``phi``. Count is the backward search alone. The isomorphic-child jump at
-a red node compares the out-set masks of the two blocks it separates; it
-stores only which block each red node ends.
+``phi``. Count is the backward search alone. Both run one loop over the S'
+tables, with no function call per step: one search over the block starts
+per step once the range lies in one block, two at worst, and none from
+the whole range. The isomorphic-child jump at a red node compares the
+out-set masks of the two blocks it separates; it stores only which block
+each red node ends.
 """
 
 from __future__ import annotations
@@ -22,9 +25,9 @@ import numpy as np
 
 from .bits import SparseBitVec, int_array, sorted_set
 from .errors import DomainError, NoSuccessorError
-from .rlxbwt import OutSets, backward_extend, build_rl_xbwt, toehold_step
+from .rlxbwt import OutSets, build_rl_xbwt
 # not called here: kept because the traced benchmark patches these names in this module
-from .rlxbwt import cr, run_head_preorder, xbwt_successor  # noqa: F401
+from .rlxbwt import backward_extend, cr, run_head_preorder, xbwt_successor  # noqa: F401
 from .topology import BpsTopology
 from .trie import colex_sort
 
@@ -208,35 +211,108 @@ class RIndex:
         """Co-lex range of nodes reached by ``pattern`` plus the first node.
 
         Returns ((lo, hi), first_preorder) or None when no node matches.
-        The empty pattern matches every node, with the root first.
+        The empty pattern matches every node, with the root first. One
+        :meth:`_backward_search` that also takes each step's child.
         """
         codes = self.alphabet.encode(pattern)
         if codes is None:
             return None
-        rng = (1, self.n)
-        node = 1
-        rlx, cbr = self.rlx, self.topo.cbr
-        for c in codes:
-            step = toehold_step(rlx, rng, c)
-            if step is None:
-                return None
-            rng, head, k = step
-            node = cbr(node if head is None else head, k)
-        return rng, node
+        got = self._backward_search(codes, True)
+        return None if got is None else ((got[0], got[1]), got[2])
 
     def count(self, pattern):
-        """Number of nodes reached by ``pattern``: backward search over the
-        range alone, without the toehold's first node."""
+        """Number of nodes reached by ``pattern``: one
+        :meth:`_backward_search` over the range alone, which reads no run
+        head and takes no child step."""
         codes = self.alphabet.encode(pattern)
         if codes is None:
             return 0
-        rng = (1, self.n)
+        got = self._backward_search(codes, False)
+        return 0 if got is None else max(got[1] - got[0] + 1, 0)
+
+    def _backward_search(self, codes, toehold):
+        """(lo, hi, first) for the label codes, or None if they match no node.
+
+        ``rlxbwt.toehold_step`` and ``topo.cbr`` fused into one loop over
+        the S' tables, with no call but ``bisect_right``; ``first``, the
+        pre-order id of the range's first node, is 1 unless ``toehold``.
+        The first step, from the whole range, is c's C-array span and c's
+        first run, with no search. After it, one search over the block
+        starts finds lo's block q and one over c's entries the run k that
+        holds lo, or else c's next run and its block. If hi lies in that
+        block, run k holds it too and it needs no search of its own;
+        otherwise a second search over the block starts finds it, as
+        ``toehold_step`` does. The toehold's child is the run head, or the
+        previous first node, stepped down by c's child rank: a popcount of
+        the block's mask, then a walk over sibling subtree sizes. The checks
+        are the composed path's: the range and the label at each step, and
+        the node id and its child count at each child step.
+        """
         rlx = self.rlx
+        n, sigma = rlx.n, rlx.sigma
+        starts, all_adds, all_base = rlx.starts, rlx.adds, rlx.base
+        c_array, mask, head_pre = rlx.c_array, rlx.mask, rlx.head_pre
+        size = self.topo.subtree_size
+        search = bisect_right
+        r = len(starts)
+        lo, hi, node = 1, n, 1
         for c in codes:
-            rng = backward_extend(rlx, rng, c)
-            if rng is None:
-                return 0
-        return rng[1] - rng[0] + 1
+            if not 1 <= lo <= hi <= n:
+                if lo > hi and not toehold:  # backward_extend's empty range
+                    return None
+                raise IndexError(f"range {(lo, hi)} invalid for n={n}")
+            if not 1 <= c < sigma:
+                return None
+            adds, base = all_adds[c], all_base[c]
+            if lo == 1 and hi == n:  # the whole range: all of c's nodes
+                if not adds:
+                    return None
+                q = adds[0]  # 0 iff the root has a c-child, else c's first run's block
+                lo2, hi2 = 1, c_array[c + 1] - c_array[c]
+                u = head_pre[c][0] if q and toehold else node
+            else:
+                q = search(starts, lo) - 1
+                if mask[q] >> c & 1:  # c present at lo
+                    k = search(adds, q) - 1
+                    run = starts[adds[k]]
+                    lo2 = base[k] + lo - run + 1
+                    u = node
+                else:  # lo2 heads c's next run, if it starts within the range
+                    k = search(adds, q)
+                    if k == len(adds):
+                        return None
+                    q = adds[k]
+                    run = starts[q]
+                    if run > hi:
+                        return None
+                    lo2 = base[k] + 1
+                    if toehold:
+                        u = head_pre[c][k]
+                if q + 1 == r or hi < starts[q + 1]:  # hi in block q: run k holds it
+                    hi2 = base[k] + hi - run + 1
+                else:  # rank of c through hi; its run, at or after k, starts at or before hi
+                    qh = search(starts, hi) - 1
+                    kh = search(adds, qh, k) - 1
+                    if mask[qh] >> c & 1:
+                        hi2 = base[kh] + hi - starts[adds[kh]] + 1
+                    elif kh + 1 < len(base):  # c's run kh ended before hi's block
+                        hi2 = base[kh + 1]
+                    else:
+                        hi2 = c_array[c + 1] - c_array[c]
+            cc = c_array[c]
+            lo, hi = cc + lo2, cc + hi2
+            if toehold:  # node = cbr(u, child rank of c at block q)
+                if not 1 <= u <= n:
+                    raise IndexError(f"node {u} out of range 1..{n}")
+                v, end = u + 1, u + size[u]
+                for _ in range((mask[q] & ((1 << c) - 1)).bit_count()):
+                    if v >= end:
+                        break
+                    v += size[v]
+                if v >= end:
+                    raise IndexError(f"node {u} has fewer children than the toehold asks for")
+                node = v
+        return lo, hi, node
 
     def locate(self, pattern):
         got = self.toehold_search(pattern)

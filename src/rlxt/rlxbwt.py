@@ -16,6 +16,15 @@ the exits, the node counts, the C array and the triples are derived from
 them. One object, :class:`RlXbwt`, holds the tables, the masks and the run
 heads' pre-order ids, and every query takes it as its one transform
 argument.
+
+The queries here check every argument. ``RIndex.count`` and
+``RIndex.toehold_search`` call none of them: they run the steps of
+``toehold_step`` in one loop over the tables (``RIndex._backward_search``),
+which takes the first step from the C array and skips the search for hi
+when hi lies in the block already found for lo. ``backward_extend``,
+``toehold_step`` and ``xbwt_rank`` stay as the checked reference the tests
+compare that loop with, and because the traced benchmark
+(``bench/spans.py``) patches them by name.
 """
 
 from __future__ import annotations

@@ -13,11 +13,12 @@ subtrees shrink, so the LCA and the lowest ancestor covering a mark are one
 binary search over depth. Node u opens at 0-based position ``2u - 2 - depth(u)``.
 
 Every public operation checks its node ids. The climb
-(:meth:`~rlxt.rindex.RIndex.phi`) calls none of them: it reads the three
-tables itself and checks only the ids it takes from the index file. Of the
-operations, only ``cbr`` (the toehold's child step) has a library caller;
-the rest stay, with their tests, because the traced benchmark
-(``bench/spans.py``) patches them by name.
+(:meth:`~rlxt.rindex.RIndex.phi`) and the toehold's child step
+(``RIndex._backward_search``) call none of them: they read the tables
+themselves and check only the ids they take from the index file. No
+operation has a library caller; they stay, with their tests, because the
+traced benchmark (``bench/spans.py``) patches them by name, and ``cbr`` is
+the reference the toehold's child step is tested against.
 """
 
 from __future__ import annotations

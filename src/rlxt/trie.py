@@ -20,7 +20,10 @@ SENTINEL = 0  # incoming label of the root; smaller than every edge label
 
 
 class Alphabet:
-    """Dense byte <-> label-code mapping. Code 0 is the root sentinel."""
+    """Dense byte <-> label-code mapping. Code 0 is the root sentinel.
+
+    ``code_of_byte`` is a 256-byte table: the code of each byte, and 0, which
+    no byte maps to, for the bytes that are not in the alphabet."""
 
     __slots__ = ("byte_of_code", "code_of_byte")
 
@@ -31,7 +34,10 @@ class Alphabet:
         if any(not 0 < b < 256 for b in used):
             raise FormatError("labels must be byte values 1..255")
         self.byte_of_code = np.array([0] + used, dtype=np.int64)
-        self.code_of_byte = {b: i + 1 for i, b in enumerate(used)}
+        table = bytearray(256)
+        for code, b in enumerate(used, 1):
+            table[b] = code
+        self.code_of_byte = bytes(table)
 
     @classmethod
     def of_codes(cls, byte_of_code):
@@ -48,14 +54,11 @@ class Alphabet:
         return len(self.byte_of_code)
 
     def encode(self, data):
-        """Map a byte string to label codes, or None if some byte is unmapped."""
-        codes = []
-        for b in bytes(data):
-            c = self.code_of_byte.get(b)
-            if c is None:
-                return None
-            codes.append(c)
-        return codes
+        """Map a byte string to label codes, as ``bytes``, or None if some
+        byte is unmapped: one ``bytes.translate``, where 0 marks an unmapped
+        byte."""
+        codes = bytes(data).translate(self.code_of_byte)
+        return None if 0 in codes else codes
 
     def decode(self, codes):
         return bytes(int(self.byte_of_code[c]) for c in codes)

@@ -1,5 +1,6 @@
 import random
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -117,46 +118,76 @@ def test_count_examples(idx26):
     assert idx26.count(b"zzz") == 0
 
 
+class _Untouchable:
+    """Stands in for a table that must not be read: any access raises."""
+
+    def __init__(self, name):
+        self.name = name
+
+    def _refuse(self, *args):
+        raise AssertionError(f"{self.name} was read")
+
+    __getattr__ = __getitem__ = __len__ = __iter__ = __bool__ = __index__ = _refuse
+
+
 def test_count_skips_the_toehold(monkeypatch):
-    # count is a range-only backward search: the toehold's successor and
-    # child-rank steps belong to locate
+    # count is a range-only backward search: the run heads and the subtree
+    # sizes the child step reads belong to locate's toehold
     rng = random.Random(43)
     t = make_random_trie(rng, 180, 4)
     idx = build_index(t)
     pats = _pattern_suite(t, rng) + [b""]
     want = [len(idx.locate(pat)) for pat in pats]
 
-    def forbidden(*args):
-        raise AssertionError("count reached a toehold step")
-
-    monkeypatch.setattr(rindex, "toehold_step", forbidden)
-    monkeypatch.setattr(rindex, "xbwt_successor", forbidden)
-    monkeypatch.setattr(rindex, "cr", forbidden)
-    monkeypatch.setattr(rlxbwt, "_child_rank", forbidden)  # what toehold_step calls
+    monkeypatch.setattr(idx.rlx, "head_pre", _Untouchable("rlx.head_pre"))
+    monkeypatch.setattr(idx.topo, "subtree_size", _Untouchable("topo.subtree_size"))
+    with pytest.raises(AssertionError, match="was read"):
+        idx.toehold_search(next(pat for pat, w in zip(pats, want) if w))
     assert [idx.count(pat) for pat in pats] == want
     assert any(want)
 
 
-def test_toehold_searches_blocks_at_most_twice_per_symbol(monkeypatch):
-    # one block search per range end: the toehold's constant over the r'
-    # block starts, counted on a loaded index
-    rng = random.Random(45)
-    t = make_random_trie(rng, 200, 5)
-    _, idx, _, _ = storage.load_bytes(storage.save_rindex(build_index(t)))
-    starts = idx.rlx.starts
+def _count_block_searches(monkeypatch, starts):
+    """A list that grows by one per search over ``starts`` made through
+    ``rindex.bisect_right``."""
     calls = []
-    real = rlxbwt.bisect_right
+    real = rindex.bisect_right
 
     def counting(a, *args):
         if a is starts:
             calls.append(1)
         return real(a, *args)
 
-    monkeypatch.setattr(rlxbwt, "bisect_right", counting)
+    monkeypatch.setattr(rindex, "bisect_right", counting)
+    return calls
+
+
+def test_toehold_searches_blocks_at_most_twice_per_symbol(monkeypatch):
+    # one block search per range end at most: the toehold's constant over
+    # the r' block starts, counted on a loaded index. The first step, from
+    # the whole range, reads the C array and searches nothing
+    rng = random.Random(45)
+    t = make_random_trie(rng, 200, 5)
+    _, idx, _, _ = storage.load_bytes(storage.save_rindex(build_index(t)))
+    calls = _count_block_searches(monkeypatch, idx.rlx.starts)
     for pat in present_patterns(t, rng, 60):
         calls.clear()
         assert idx.toehold_search(pat) is not None
-        assert 0 < len(calls) <= 2 * len(pat)
+        assert len(pat) == 1 or 0 < len(calls)
+        assert len(calls) <= 2 * (len(pat) - 1)
+    # the path z y x^40: node z is co-lex-last, with out-set {y}. So y's
+    # range is that one node, and each x-step after it extends a one-node
+    # range: every range after the whole one sits in one block, and each
+    # step from it searches the block starts once
+    t = build_from_strings([b"zy" + b"x" * 40])
+    _, idx, _, _ = storage.load_bytes(storage.save_rindex(build_index(t)))
+    calls = _count_block_searches(monkeypatch, idx.rlx.starts)
+    pat = b"y" + b"x" * 30
+    assert idx.toehold_search(pat) == ((12, 12), 33)
+    assert len(calls) == len(pat) - 1
+    calls.clear()
+    assert idx.count(pat) == 1
+    assert len(calls) == len(pat) - 1
 
 
 def test_toehold_step_searches_at_most_four_times(monkeypatch):
@@ -480,6 +511,108 @@ def test_fused_climb_matches_checked_composition():
             _assert_fused_climb_matches(idx)
             seen.update(k for k, v in idx.case_counters.items() if v)
     assert seen == {"1", "2.1", "2.2.1", "2.2.2"}
+
+
+def _checked_count(idx, codes):
+    """``count`` as the fold of the checked ``rlxbwt.backward_extend``."""
+    rng = (1, idx.n)
+    for c in codes:
+        rng = rlxbwt.backward_extend(idx.rlx, rng, c)
+        if rng is None:
+            return 0
+    return rng[1] - rng[0] + 1
+
+
+def _checked_toehold(idx, codes, branches):
+    """``toehold_search`` as the fold of the checked ``rlxbwt.toehold_step``
+    and ``topo.cbr``. A step from a range short of the whole one, whose
+    high end lies in the block of c's run that holds lo or starts after it,
+    is one the fused search takes with one block search: it counts in
+    ``branches``, under "last" if that block is the last, else "same"."""
+    rlx = idx.rlx
+    starts, mask = rlx.starts, rlx.mask
+    rng, node = (1, idx.n), 1
+    for c in codes:
+        lo, hi = rng
+        q = bisect_right(starts, lo) - 1
+        if 1 <= c < rlx.sigma and not mask[q] >> c & 1:
+            k = bisect_right(rlx.adds[c], q)
+            q = rlx.adds[c][k] if k < len(rlx.adds[c]) else None
+        step = rlxbwt.toehold_step(rlx, rng, c)
+        if step is None:
+            return None
+        if rng == (1, idx.n):  # the whole range: no search at all
+            pass
+        elif q + 1 == len(starts):
+            branches["last"] += 1
+        elif hi < starts[q + 1]:
+            branches["same"] += 1
+        rng, head, k = step
+        node = idx.topo.cbr(node if head is None else head, k)
+    return rng, node
+
+
+def test_fused_search_matches_checked_steps():
+    # random tries with label pools of 3 to 100 (above 64 the masks are a
+    # list of ints), a one-node trie, a star of degree 200, a comb and a
+    # path; each index as built and as loaded. For every suite pattern,
+    # longer present ones, absent ones and the empty pattern, count and the
+    # toehold agree with the checked steps folded
+    rng = random.Random(50)
+    tries = [make_random_trie(rng, 250, sigma) for sigma in (3, 3, 4, 5, 8, 27, 70)]
+    tries.append(make_random_trie(rng, 250, 100))
+    while tries[-1].alphabet.sigma <= 64:
+        tries[-1] = make_random_trie(rng, 250, 100)
+    tries += [make_random_trie(rng, 150, rng.choice([2, 3, 4])) for _ in range(12)]
+    tries.append(build_from_strings([]))
+    tries.append(build_from_strings([bytes([b]) for b in range(33, 233)]))
+    tries.append(build_from_strings([b"x" * i + b"a" for i in range(101)] + [b"x" * 100]))
+    tries.append(build_from_strings([bytes(rng.choice(b"acgt") for _ in range(300))]))
+    assert tries[-3].alphabet.sigma > 64
+    branches = Counter()
+    for t in tries:
+        pats = _pattern_suite(t, rng) + present_patterns(t, rng, 30, max_len=40)
+        pats += [b"", b"\x00", b"\xff", b"a\x00"]
+        built = build_index(t)
+        _, loaded, _, _ = storage.load_bytes(storage.save_rindex(built))
+        for idx in (built, loaded):
+            for pat in pats:
+                codes = idx.alphabet.encode(pat)
+                if codes is None:
+                    assert idx.count(pat) == 0 and idx.toehold_search(pat) is None
+                    continue
+                assert idx.count(pat) == _checked_count(idx, codes), pat
+                assert idx.toehold_search(pat) == _checked_toehold(idx, codes, branches), pat
+    assert branches["same"] > 0 and branches["last"] > 0
+
+
+def test_fused_search_keeps_the_checks(ex26):
+    # each run head, the one table from the file the toehold reads as a
+    # node id, overwritten with 0, n, a leaf and a neighbouring id: where
+    # the checked steps raise, the fused search raises the same class;
+    # where they answer, it agrees
+    rng = random.Random(51)
+    raised = 0
+    for t in (ex26, make_random_trie(rng, 200, 4)):
+        idx = build_index(t)
+        n = idx.n
+        pats = [p for p in _pattern_suite(t, rng) if idx.alphabet.encode(p)]
+        leaf = next(u for u in range(n, 0, -1) if idx.topo.subtree_size[u] == 1)
+
+        def checked(pat):
+            return _checked_toehold(idx, idx.alphabet.encode(pat), Counter())
+
+        for heads in idx.rlx.head_pre:
+            for k in range(len(heads)):
+                kept = heads[k]
+                for bad in {0, n, leaf, kept + 1 if kept < n else kept - 1}:
+                    heads[k] = bad
+                    for pat in pats:
+                        want = _outcome(checked, pat)
+                        assert _outcome(idx.toehold_search, pat) == want, (k, bad, pat)
+                        raised += isinstance(want, type)
+                heads[k] = kept
+    assert raised
 
 
 def _outcome(climb, u):

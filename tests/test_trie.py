@@ -53,6 +53,32 @@ def test_nul_byte_rejected():
         build_from_strings([b"a\x00b"])
 
 
+def _encode_by_dict(alphabet, data):
+    """The byte-at-a-time encoding: a dict of the mapped bytes' codes."""
+    code_of = {int(b): c for c, b in enumerate(alphabet.byte_of_code) if c}
+    codes = []
+    for b in bytes(data):
+        if b not in code_of:
+            return None
+        codes.append(code_of[b])
+    return codes
+
+
+def test_encode_matches_the_dict_loop():
+    rng = random.Random(9)
+    for used in (b"acgt", bytes(range(1, 256)), b"\xff", bytes(rng.sample(range(1, 256), 40))):
+        alphabet = Alphabet(used)
+        pats = [bytes([b]) for b in range(256)]
+        pats += [b"", b"\x00", used[:3] + b"\x00", b"\x00" + used[:3], used + b"\xfe", used[::-1]]
+        pats += [bytes(rng.choice(range(256)) for _ in range(rng.randint(1, 9))) for _ in range(50)]
+        for pat in pats:
+            got, want = alphabet.encode(pat), _encode_by_dict(alphabet, pat)
+            assert (got if got is None else list(got)) == want, (used, pat)
+            if got is not None:
+                assert alphabet.decode(got) == pat
+        assert alphabet.encode(bytearray(used)) == alphabet.encode(used)
+
+
 def test_build_from_edges():
     t = build_from_edges(3, [(1, ord("a")), (2, ord("b"))])
     assert t.path_byte_strings()[3] == b"ab"
