@@ -14,7 +14,8 @@ tables, with no function call per step: one search over the block starts
 per step once the range lies in one block, two at worst, and none from
 the whole range. The isomorphic-child jump at a red node compares the
 out-set masks of the two blocks it separates; it stores only which block
-each red node ends.
+each red node ends; through it, a red node's sample is the next block's
+head, the table the toehold reads its run heads from.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from bisect import bisect_left, bisect_right
 
 import numpy as np
 
-from .bits import SparseBitVec, int_array, sorted_set
+from .bits import SparseBitVec, int_array, sorted_set, typecode
 from .errors import DomainError, NoSuccessorError
 from .rlxbwt import OutSets, build_rl_xbwt
 # not called here: kept because the traced benchmark patches these names in this module
@@ -80,6 +81,10 @@ class ColorMarks:
     def is_red(self, u):
         return self.red_rank(u) is not None
 
+    def blue_only_ranks(self):
+        """The blue-only nodes' ranks among the colored ones (from 0)."""
+        return np.searchsorted(self.colored.positions, self.blue_only)
+
     def is_blue(self, u):
         return self.blue.contains(u)
 
@@ -91,7 +96,8 @@ class PhiSamples:
     """Sampled values of the co-lex successor function.
 
     Type 1 lives on the colored nodes: ``values[k]`` belongs to the k-th of
-    ``colored.positions``, the set :class:`ColorMarks` holds, not a copy.
+    ``colored.positions``, the set :class:`ColorMarks` holds, not a copy
+    (see :func:`colored_values`).
     Type 2 lives on the child reached by a label that breaks its run. The
     climb asks for a type-2 sample only at a node that is not colored (the
     child below the lowest covering ancestor, whose subtree holds no mark),
@@ -118,6 +124,23 @@ class PhiSamples:
         out = dict(zip(self.colored.positions, self.values))
         out.update(zip(self.type2_keys, self.type2_values))
         return out
+
+
+def colored_values(colors, blocks, block_head, blue_only_values):
+    """The type-1 samples, one per colored node in pre-order, at the
+    narrowest width of their values. The red node ending block q is
+    followed in co-lex order by block q + 1's first node, so the j-th red
+    node's sample is ``block_head[blocks[j] + 1]``, with ``blocks`` the
+    :class:`IscTables` column. The blue-only nodes' samples are given, in
+    pre-order: they are the only ones an index file stores."""
+    heads = np.asarray(block_head)[1:]
+    top = max(int(heads.max(initial=0)), int(blue_only_values.max(initial=0)))
+    values = np.empty(colors.colored.num_ones, typecode(top.bit_length()))
+    red = np.ones(len(values), dtype=bool)
+    red[colors.blue_only_ranks()] = False
+    values[red] = heads[np.asarray(blocks)]
+    values[~red] = blue_only_values
+    return values
 
 
 class IscTables:
@@ -170,7 +193,7 @@ class RIndex:
     neither direction of the co-lex permutation is kept. The one fact of it
     a query reads is which node is co-lex-last (``phi`` has no successor to
     give there): ``last``. The transform is one object, ``rlx``, the
-    :class:`~rlxt.rlxbwt.RlXbwt`: its S' tables and its run heads.
+    :class:`~rlxt.rlxbwt.RlXbwt`: its S' tables and its block heads.
     """
 
     __slots__ = (
@@ -233,25 +256,25 @@ class RIndex:
     def _backward_search(self, codes, toehold):
         """(lo, hi, first) for the label codes, or None if they match no node.
 
-        ``rlxbwt.toehold_step`` and ``topo.cbr`` fused into one loop over
-        the S' tables, with no call but ``bisect_right``; ``first``, the
-        pre-order id of the range's first node, is 1 unless ``toehold``.
+        The checked ``rlxbwt`` steps and ``topo.cbr`` fused into one loop
+        over the S' tables, with no call but ``bisect_right``; ``first``,
+        the pre-order id of the range's first node, is 1 unless ``toehold``.
         The first step, from the whole range, is c's C-array span and c's
         first run, with no search. After it, one search over the block
         starts finds lo's block q and one over c's entries the run k that
         holds lo, or else c's next run and its block. If hi lies in that
         block, run k holds it too and it needs no search of its own;
-        otherwise a second search over the block starts finds it, as
-        ``toehold_step`` does. The toehold's child is the run head, or the
-        previous first node, stepped down by c's child rank: a popcount of
-        the block's mask, then a walk over sibling subtree sizes. The checks
-        are the composed path's: the range and the label at each step, and
-        the node id and its child count at each child step.
+        otherwise a second search over the block starts finds it. The
+        toehold's child is block q's head, or the previous first node,
+        stepped down by c's child rank: a popcount of the block's mask, then
+        a walk over sibling subtree sizes. The checks are the composed
+        path's: the range and the label at each step, and the node id and
+        its child count at each child step.
         """
         rlx = self.rlx
         n, sigma = rlx.n, rlx.sigma
         starts, all_adds, all_base = rlx.starts, rlx.adds, rlx.base
-        c_array, mask, head_pre = rlx.c_array, rlx.mask, rlx.head_pre
+        c_array, mask, block_head = rlx.c_array, rlx.mask, rlx.block_head
         size = self.topo.subtree_size
         search = bisect_right
         r = len(starts)
@@ -269,7 +292,7 @@ class RIndex:
                     return None
                 q = adds[0]  # 0 iff the root has a c-child, else c's first run's block
                 lo2, hi2 = 1, c_array[c + 1] - c_array[c]
-                u = head_pre[c][0] if q and toehold else node
+                u = block_head[q] if toehold else node  # block_head[0] is the root
             else:
                 q = search(starts, lo) - 1
                 if mask[q] >> c & 1:  # c present at lo
@@ -287,7 +310,7 @@ class RIndex:
                         return None
                     lo2 = base[k] + 1
                     if toehold:
-                        u = head_pre[c][k]
+                        u = block_head[q]
                 if q + 1 == r or hi < starts[q + 1]:  # hi in block q: run k holds it
                     hi2 = base[k] + hi - run + 1
                 else:  # rank of c through hi; its run, at or after k, starts at or before hi
@@ -462,12 +485,13 @@ def build_index(trie, colex=None):
     blue_ids = c2p[np.flatnonzero(lam[:-1] != lam[1:]) + 1]
     colors = ColorMarks(n, red_ids, blue_ids)
 
-    # type 1 on the colored nodes; of type 2, the nodes that are not colored
-    colored = np.asarray(colors.colored.positions, dtype=np.int64)
-    type2 = np.setdiff1d(type2_nodes(out, colex), colored)
-    phi_samples = PhiSamples(colors.colored, c2p[p2c[colored] + 1], type2, c2p[p2c[type2] + 1])
-
     # red_ids runs in co-lex order, where the q-th red node ends block q
     isc_tables = IscTables(colors, rlx.mask, np.argsort(red_ids))
+
+    # type 1 on the colored nodes; of type 2, the nodes that are not colored
+    blue_only = np.asarray(colors.blue_only, dtype=np.int64)
+    values = colored_values(colors, isc_tables.blocks, rlx.block_head, c2p[p2c[blue_only] + 1])
+    type2 = np.setdiff1d(type2_nodes(out, colex), colors.colored.positions)
+    phi_samples = PhiSamples(colors.colored, values, type2, c2p[p2c[type2] + 1])
 
     return RIndex(n, trie.alphabet, int(c2p[n]), topo, rlx, colors, phi_samples, isc_tables)

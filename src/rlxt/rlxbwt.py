@@ -1,6 +1,6 @@
 """Run-length encoded XBWT: block triples, the S' delta sequence, and the
 counting-side queries (rank over the out-label sets, run successor, child
-rank, backward range extension, and the toehold step that fuses them).
+rank and backward range extension).
 
 The XBWT is the sequence of outgoing-label sets in co-lex node order. Blocks
 are maximal runs of equal sets, each encoded as (ADD, DEL, length) against
@@ -10,21 +10,20 @@ it enters the out-set and the count of its nodes before each entry, plus
 the block starts; every lookup is a binary search over O(r) words. Each
 block's out-set is also kept as a sigma-bit mask, so "is c present at
 block q" is one bit test and the child rank of c is one popcount of the
-bits below c. A toehold step searches the block starts once per range end
-and c's entries at most twice. The blocks are kept only in those tables:
-the exits, the node counts, the C array and the triples are derived from
-them. One object, :class:`RlXbwt`, holds the tables, the masks and the run
-heads' pre-order ids, and every query takes it as its one transform
-argument.
+bits below c. The blocks are kept only in those tables: the exits, the node
+counts, the C array and the triples are derived from them. One object,
+:class:`RlXbwt`, holds the tables, the masks and each block's head, the
+pre-order id of its first node, and every query takes it as its one
+transform argument.
 
 The queries here check every argument. ``RIndex.count`` and
-``RIndex.toehold_search`` call none of them: they run the steps of
-``toehold_step`` in one loop over the tables (``RIndex._backward_search``),
-which takes the first step from the C array and skips the search for hi
-when hi lies in the block already found for lo. ``backward_extend``,
-``toehold_step`` and ``xbwt_rank`` stay as the checked reference the tests
-compare that loop with, and because the traced benchmark
-(``bench/spans.py``) patches them by name.
+``RIndex.toehold_search`` call none of them: they fuse ``backward_extend``,
+``xbwt_successor``, ``run_head_preorder`` and ``cr`` into one loop over the
+tables (``RIndex._backward_search``), which takes the first step from the C
+array and skips the search for hi when hi lies in the block already found
+for lo. The queries stay as the checked reference the tests compare that
+loop with, and because the traced benchmark (``bench/spans.py``) patches
+them by name.
 """
 
 from __future__ import annotations
@@ -37,15 +36,6 @@ import numpy as np
 from .bits import concat_ranges, int_array, typecode
 from .errors import DomainError
 from .trie import ColexOrder, LabeledTrie, _depths, _levels, _subtree_sizes
-
-
-def by_label(sigma, labels, values):
-    """``values`` sorted by their labels, stably, so each label keeps its
-    entries' order, at their own width, and the number of values per label
-    0..sigma-1."""
-    labels = np.asarray(labels, dtype=np.uint8)  # codes below sigma <= 256: a radix sort
-    order = np.argsort(labels, kind="stable")
-    return np.asarray(values)[order], np.bincount(labels, minlength=sigma)
 
 
 def per_label(values, counts):
@@ -61,10 +51,10 @@ def per_label(values, counts):
 def _blocks_by_label(sigma, counts, labels, r):
     """Each block number q < r, ``counts[q]`` times over, paired with
     ``labels`` in S' order, then sorted by label and by block, at the width
-    of the block numbers; and the number per label 0..sigma-1. That is
-    :func:`by_label` of the repeated blocks, whose argsort would hold two
-    8-byte temporaries per run where a load can peak: one in-place sort of
-    the keys ``label << b | q``, with b bits for q, needs neither."""
+    of the block numbers; and the number per label 0..sigma-1. A stable
+    argsort by label would hold two 8-byte temporaries per run where a load
+    can peak: one in-place sort of the keys ``label << b | q``, with b bits
+    for q, needs neither."""
     shift = (r - 1).bit_length()
     labels = np.asarray(labels, dtype=np.uint8)
     keys = np.repeat(np.arange(r, dtype=np.min_scalar_type((sigma - 1) << shift | (r - 1))),
@@ -86,7 +76,7 @@ def _in_block_order(blocks, labels, r):
 
 class RlXbwt:
     """The run-length XBWT: S' regrouped by label, answering rank,
-    successor and child rank, plus the run heads' pre-order ids.
+    successor and child rank, plus the block heads' pre-order ids.
 
     Blocks are numbered from 0 and ``starts[q]`` is the co-lex position where
     block q begins. For each label c, ``adds[c]`` lists the blocks where c
@@ -102,15 +92,14 @@ class RlXbwt:
     block starting there. ``dels``, ``triples``, ``r_prime`` and
     ``colex_parents`` are views derived from the tables.
 
-    The c-run heads are the nodes at the starts of the blocks in
-    ``adds[c]``: ``head_pre[c][k]`` is the pre-order id of the head of the
-    run entering at block ``adds[c][k]``, one :func:`~rlxt.bits.int_array`
-    per label (label 0, the root's, has none). They and the masks are
-    attached once the tables are built, so the temporaries of the three
-    never coexist.
+    ``block_head[q]`` is the pre-order id of block q's first node, one
+    :func:`~rlxt.bits.int_array` of r' ids; ``block_head[0]`` is the root,
+    1. The c-run heads are the heads of the blocks in ``adds[c]``: run k's
+    is ``block_head[adds[c][k]]``. The heads and the masks are attached once
+    the tables are built, so the temporaries of the three never coexist.
     """
 
-    __slots__ = ("n", "sigma", "starts", "adds", "base", "c_array", "mask", "head_pre")
+    __slots__ = ("n", "sigma", "starts", "adds", "base", "c_array", "mask", "block_head")
 
     def __init__(self, sigma, n_add, add_labels, n_del, del_labels, lengths):
         """Per block q: ``n_add[q]`` entering and ``n_del[q]`` leaving labels
@@ -163,7 +152,7 @@ class RlXbwt:
             ([0], before[first + n_entries].astype(np.int64) + 1)))
         del before
         self.adds = per_label(entries, n_entries)
-        self.mask = self.head_pre = None
+        self.mask = self.block_head = None
 
     @property
     def r_prime(self):
@@ -181,11 +170,10 @@ class RlXbwt:
 
     @property
     def run_heads(self):
-        """``{c: [(colex, preorder), ...]}`` for labels 1..sigma-1, derived
-        from the per-label tables."""
-        starts = self.starts
-        return {c: [(starts[q], u) for q, u in zip(self.adds[c], self.head_pre[c])]
-                for c in range(1, self.sigma)}
+        """``{c: [(colex, preorder), ...]}`` for labels 1..sigma-1: the
+        start and the head of each block in ``adds[c]``."""
+        starts, heads = self.starts, self.block_head
+        return {c: [(starts[q], heads[q]) for q in self.adds[c]] for c in range(1, self.sigma)}
 
     def run_stats(self):
         """(r, per-label run counts, r')."""
@@ -226,7 +214,9 @@ class RlXbwt:
     def dels(self):
         """``dels[c]``: the blocks where c leaves the out-set, ascending."""
         blocks, labels = self._exits(self._run_labels())
-        return per_label(*by_label(self.sigma, labels, blocks))
+        labels = labels.astype(np.uint8)  # codes below sigma <= 256: a radix sort
+        order = np.argsort(labels, kind="stable")
+        return per_label(blocks[order], np.bincount(labels, minlength=self.sigma))
 
     def deltas(self):
         """S' block by block: the ADD count per block, the ADD labels in S'
@@ -340,8 +330,7 @@ def build_rl_xbwt(trie, colex, out=None):
     n_del, del_labels = np.bincount(out.row[dele] + 1, minlength=n + 1)[starts], out.labels[dele]
     rlx = RlXbwt(sigma, n_add, add_labels, n_del, del_labels, np.diff(starts, append=n))
     rlx.mask = out_masks(sigma, n_add, add_labels, n_del, del_labels)
-    # a block's entering labels are the run heads; group them by label
-    rlx.head_pre = per_label(*by_label(sigma, add_labels, colex.colex_to_pre[out.row[add] + 1]))
+    rlx.block_head = int_array(colex.colex_to_pre[starts + 1])
     return rlx
 
 
@@ -358,15 +347,10 @@ def xbwt_rank(rlx, c, i):
     k = bisect_right(adds, q) - 1
     if k < 0:
         return 0
-    if rlx.mask[q] >> c & 1:
-        return rlx.base[c][k] + i - rlx.starts[adds[k]] + 1
-    return _count_through(rlx, c, k)
-
-
-def _count_through(rlx, c, k):
-    """c's nodes in its runs 0..k, which have all ended: run k + 1's
-    offset, or c's total after its last run."""
     base = rlx.base[c]
+    if rlx.mask[q] >> c & 1:
+        return base[k] + i - rlx.starts[adds[k]] + 1
+    # c's runs 0..k have all ended: run k + 1's offset, or c's total
     return base[k + 1] if k + 1 < len(base) else rlx.c_array[c + 1] - rlx.c_array[c]
 
 
@@ -393,13 +377,7 @@ def cr(rlx, i, c):
     q = rlx.block_of(i)
     if not rlx.mask[q] >> c & 1:
         raise DomainError(f"label {c} not outgoing at colex position {i}")
-    return _child_rank(rlx, q, c)
-
-
-def _child_rank(rlx, q, c):
-    """Rank of label c among the out-labels of block q, which holds c: one
-    plus the labels below c in the block's mask."""
-    return (rlx.mask[q] & ((1 << c) - 1)).bit_count() + 1
+    return (rlx.mask[q] & ((1 << c) - 1)).bit_count() + 1  # one plus the labels below c
 
 
 def backward_extend(rlx, rng, c):
@@ -417,43 +395,6 @@ def backward_extend(rlx, rng, c):
     return (lo2, hi2)
 
 
-def toehold_step(rlx, rng, c):
-    """One toehold step: ``backward_extend``, ``xbwt_successor``,
-    ``run_head_preorder`` and ``cr`` fused, with one block search per range
-    end. Returns ``((lo2, hi2), head, k)``, or None if P.c matches nothing:
-    the first node of the new range is child k of ``head``, the pre-order id
-    of the c-run head at the successor i of lo, or of the range's own first
-    node when ``head`` is None (i = lo). Run heads and child ranks are read
-    at a block that holds c by construction, so neither is checked again."""
-    lo, hi = rng
-    if not (1 <= lo <= hi <= rlx.n):
-        raise IndexError(f"range {rng} invalid for n={rlx.n}")
-    if c is None or not 1 <= c < rlx.sigma:
-        return None
-    starts, adds, base, mask = rlx.starts, rlx.adds[c], rlx.base[c], rlx.mask
-    q = bisect_right(starts, lo) - 1
-    if mask[q] >> c & 1:  # c present at lo: i = lo
-        k = bisect_right(adds, q) - 1
-        head = None
-        lo2 = base[k] + lo - starts[adds[k]] + 1
-    else:  # i heads c's next run, if it starts within the range
-        k = bisect_right(adds, q)
-        if k == len(adds) or starts[adds[k]] > hi:
-            return None
-        q = adds[k]
-        head = rlx.head_pre[c][k]
-        lo2 = base[k] + 1
-    # rank of c through hi; its run, at or after k, starts at or before hi
-    qh = bisect_right(starts, hi) - 1
-    kh = bisect_right(adds, qh, k) - 1
-    if mask[qh] >> c & 1:
-        hi2 = base[kh] + hi - starts[adds[kh]] + 1
-    else:  # c's run kh ended before hi's block
-        hi2 = _count_through(rlx, c, kh)
-    cc = rlx.c_array[c]
-    return (cc + lo2, cc + hi2), head, _child_rank(rlx, q, c)
-
-
 def run_head_preorder(rlx, c, i):
     """Pre-order id of the c-run head at colex position i: the run that
     enters at the block starting at i."""
@@ -462,7 +403,7 @@ def run_head_preorder(rlx, c, i):
     k = bisect_left(adds, q)
     if k == len(adds) or adds[k] != q or rlx.starts[q] != i:
         raise DomainError(f"colex position {i} is not a {c}-run head")
-    return rlx.head_pre[c][k]
+    return rlx.block_head[q]
 
 
 def reconstruct_trie(parents, c_array, alphabet):

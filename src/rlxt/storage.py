@@ -1,15 +1,16 @@
 """Index file format.
 
 Layout: magic ``RLXT1``, version byte, engine byte (0 = run-length index,
-1 = sampled baseline), reserved byte, little-endian section table
+1 = sampled baseline), reserved byte 0, little-endian section table
 (count, then 8-byte tag / u64 offset / u64 length / CRC-32 per section),
-payloads. A section whose payload fails its CRC is rejected before any
-decoder reads it. Files round-trip bit-exactly: serializing a loaded index
-reproduces the original bytes. Each fact of the transform is stored once:
+payloads. The table lists exactly the engine's sections, in order, and the
+payloads follow it back to back to the end of the file; any other layout,
+and a payload that fails its CRC, is rejected before a decoder reads it.
+Files round-trip bit-exactly. Each fact of the transform is stored once:
 loading derives the S' node counts, the C array and the out-set masks from
-the blocks, the phi samples are keyed by the colored set of the ``colors``
-section, the isomorphic-child jump stores only the block each red node ends,
-and the trie is not rebuilt. Payloads are read in place, as slices of the
+the blocks, the isomorphic-child jump stores only the block each red node
+ends, a red node's phi sample is the ``runheads`` id of the block after
+it, and the trie is not rebuilt. Payloads are read in place, as slices of the
 file. Every section is laid out in columns. An integer column is a byte w,
 the fewest whole bytes that hold its largest value (0 only for an empty
 column), then each value as w little-endian bytes, read as one
@@ -27,16 +28,16 @@ import zlib
 import numpy as np
 
 from .baseline import SampledLocate, XbwtNav
-from .bits import SparseBitVec
+from .bits import SparseBitVec, int_array
 from .errors import FormatError, IndexFileError
-from .rindex import ColorMarks, IscTables, PhiSamples, RIndex
-from .rlxbwt import RlXbwt, out_masks, per_label, reconstruct_trie  # bench/spans.py patches it here
+from .rindex import ColorMarks, IscTables, PhiSamples, RIndex, colored_values
+from .rlxbwt import RlXbwt, out_masks, reconstruct_trie  # bench/spans.py patches it here
 from .topology import BpsTopology
 from .trie import Alphabet, _depths
 from .trie import colex_sort  # noqa: F401 (not called; bench/spans.py patches it here)
 
 MAGIC = b"RLXT1"
-VERSION = 8
+VERSION = 9
 ENGINE_RINDEX = 0
 ENGINE_SAMPLED = 1
 _ENTRY = struct.Struct("<8sQQI")  # tag, offset, length, CRC-32 of the payload
@@ -123,10 +124,10 @@ def _enc_sprime(rlx):
 def _dec_rlx(rlxbwt, sprime, runheads, sigma, n):
     """The run-length XBWT from the block lengths (``rlxbwt``), the S'
     columns (``sprime``: all ADD counts, all DEL counts, all ADD labels, all
-    DEL labels) and the run heads' pre-order ids (``runheads``, label after
-    label), once the invariants its derivation relies on hold. The block
-    masks and then the run heads are built only after the S' tables, so the
-    temporaries of the three never coexist."""
+    DEL labels) and the pre-order ids of the heads of blocks 1..r' - 1
+    (``runheads``), once the invariants its derivation relies on hold. The
+    block masks and then the block heads are built only after the S'
+    tables, so the temporaries of the three never coexist."""
     (rp,) = struct.unpack_from("<I", rlxbwt, 0)
     lengths, end = _r_column(rlxbwt, 4, rp, "rlxbwt block lengths")
     if end != len(rlxbwt):
@@ -153,14 +154,12 @@ def _dec_rlx(rlxbwt, sprime, runheads, sigma, n):
         raise IndexFileError(f"the out-sets hold {rlx.c_array[-1] - 1} children, "
                              f"not one per non-root node ({n - 1})")
     rlx.mask = out_masks(sigma, n_add, add_labels, n_del, del_labels)
-    runs = np.bincount(add_labels, minlength=sigma)
-    total = int(runs.sum())
-    pres, end = _r_column(runheads, 0, total, "runheads")
+    heads, end = _r_column(runheads, 0, rp - 1, "runheads")
     if end != len(runheads):
-        raise IndexFileError(f"runheads holds more than {total} run heads")
-    if total and (pres.min() < 1 or pres.max() > n):
+        raise IndexFileError(f"runheads holds more than {rp - 1} block heads")
+    if len(heads) and (heads.min() < 1 or heads.max() > n):
         raise IndexFileError(f"run head node outside 1..{n}")
-    rlx.head_pre = per_label(pres, runs)
+    rlx.block_head = int_array(np.insert(heads, 0, 1))  # block 0's head is the root
     return rlx
 
 
@@ -169,11 +168,12 @@ def _enc_colors(colors):
                     for ids in (colors.red, colors.blue))
 
 
-def _enc_samples(samples, last):
-    # the colored nodes' values need no keys: the colors section gives them;
-    # the co-lex-last node, where phi has no value, is a one-value column
-    return (_column(samples.values) + struct.pack("<I", len(samples.type2_keys))
-            + _gap_column(samples.type2_keys) + _column(samples.type2_values) + _column([last]))
+def _enc_samples(samples, colors, last):
+    # of the colored nodes' values only the blue-only ones', keyed by the colors
+    # section; the co-lex-last node, where phi has no value, is a one-value column
+    return (_column(np.asarray(samples.values)[colors.blue_only_ranks()])
+            + struct.pack("<I", len(samples.type2_keys)) + _gap_column(samples.type2_keys)
+            + _column(samples.type2_values) + _column([last]))
 
 
 def _enc_isc(isc):
@@ -182,8 +182,8 @@ def _enc_isc(isc):
 
 
 def _enc_runheads(rlx):
-    # one column: every label's run heads' pre-order ids, label after label
-    return _column(np.concatenate(rlx.head_pre))
+    # one column: the heads of blocks 1..r' - 1
+    return _column(rlx.block_head[1:])
 
 
 def machinery_sections(index):
@@ -192,7 +192,7 @@ def machinery_sections(index):
         "rlxbwt": _enc_rlxbwt(index.rlx),
         "sprime": _enc_sprime(index.rlx),
         "colors": _enc_colors(index.colors),
-        "samples": _enc_samples(index.samples, index.last),
+        "samples": _enc_samples(index.samples, index.colors, index.last),
         "isc": _enc_isc(index.isc_tables),
         "runheads": _enc_runheads(index.rlx),
     }
@@ -217,24 +217,48 @@ def _pack(engine, sections):
     return b"".join(table + list(sections.values()))
 
 
+def _table_error(tags, names):
+    """Why the section ``tags`` are not the engine's ``names``, in order."""
+    missing = [name for name in names if name not in tags]
+    extra = [tag for i, tag in enumerate(tags) if tag not in names or tag in tags[:i]]
+    if missing or extra:
+        return f"section {missing[0]!r} missing" if missing else f"extra section {extra[0]!r}"
+    return f"section {next(t for t, name in zip(tags, names) if t != name)!r} out of order"
+
+
 def _unpack(data):
+    """The engine and its sections, from a file laid out exactly as
+    :func:`_pack` writes it."""
     if data[:5] != MAGIC:
         raise IndexFileError("bad magic; not an index file")
     if data[5] != VERSION:
         raise IndexFileError(f"unsupported version {data[5]}")
     engine = data[6]
+    names = {ENGINE_RINDEX: RINDEX_SECTIONS, ENGINE_SAMPLED: SAMPLED_SECTIONS}.get(engine)
+    if names is None:
+        raise IndexFileError(f"unknown engine {engine}")
+    if data[7]:
+        raise IndexFileError(f"reserved byte is {data[7]}, not 0")
     (count,) = struct.unpack_from("<I", data, 8)
-    end = header_bytes(count)
-    if end > len(data):
+    off = header_bytes(count)
+    if off > len(data):
         raise IndexFileError(f"section table of {count} entries runs past the end of the file")
+    entries = list(_ENTRY.iter_unpack(data[12:off]))
+    tags = [tag.rstrip(b"\0").decode("latin-1") for tag, _, _, _ in entries]
+    if tags != list(names):
+        raise IndexFileError(_table_error(tags, names))
     sections = {}
-    for tag, start, length, crc in _ENTRY.iter_unpack(data[12:end]):
-        tag = tag.rstrip(b"\0").decode()
-        if start + length > len(data):
+    for tag, (_, start, length, crc) in zip(tags, entries):
+        if start != off:
+            raise IndexFileError(f"section {tag!r} starts at byte {start}, not {off}")
+        off += length
+        if off > len(data):
             raise IndexFileError(f"section {tag!r} runs past the end of the file")
-        sections[tag] = data[start : start + length]
+        sections[tag] = data[start:off]
         if zlib.crc32(sections[tag]) != crc:
             raise IndexFileError(f"section {tag!r} fails its checksum")
+    if off != len(data):
+        raise IndexFileError(f"bytes follow the last section {tag!r}")
     return engine, sections
 
 
@@ -278,11 +302,14 @@ def _check_nodes(nodes, n):
         raise IndexFileError(f"phi sample node outside 1..{n}")
 
 
-def _dec_samples(data, colored, n):
-    """The phi samples, keyed by the ``colored`` set of the colors section,
-    and the co-lex-last node."""
-    values, off = _r_column(data, 0, colored.num_ones, "phi samples")
-    _check_nodes(values, n)
+def _dec_samples(data, rlx, isc, n):
+    """The phi samples, keyed by the colored set of the colors section, and
+    the co-lex-last node. The red nodes' values are read off the block heads
+    of ``rlx`` through the ``isc`` blocks, the blue-only ones' off the file."""
+    colors = isc.colors
+    colored = colors.colored
+    blue_values, off = _r_column(data, 0, len(colors.blue_only), "phi samples")
+    _check_nodes(blue_values, n)
     (cnt,) = struct.unpack_from("<I", data, off)
     gaps, off = _r_column(data, off + 4, cnt, "type-2 sample nodes")
     if (gaps[1:] < 1).any():
@@ -293,6 +320,7 @@ def _dec_samples(data, colored, n):
         raise IndexFileError("a type-2 sample node is colored")
     type2_values, off = _r_column(data, off, cnt, "type-2 sample values")
     _check_nodes(type2_values, n)
+    values = colored_values(colors, isc.blocks, rlx.block_head, blue_values)
     samples = PhiSamples(colored, values, keys, type2_values)
     (last,), off = _r_column(data, off, 1, "co-lex-last node")
     if off != len(data):
@@ -333,8 +361,8 @@ def load_rindex(sections):
     rlx = _dec_rlx(sections["rlxbwt"], sections["sprime"], sections["runheads"],
                    alphabet.sigma, n)
     colors = _dec_colors(sections["colors"], n)
-    samples, last = _dec_samples(sections["samples"], colors.colored, n)
     isc = _dec_isc(sections["isc"], colors, rlx)
+    samples, last = _dec_samples(sections["samples"], rlx, isc, n)
     idx = RIndex(n, alphabet, last, topo, rlx, colors, samples, isc)
     return idx, meta
 
@@ -423,12 +451,8 @@ def save(obj, path, meta=None):
 def load_bytes(data):
     try:
         engine, sections = _unpack(memoryview(data))
-        if engine == ENGINE_RINDEX:
-            obj, meta = load_rindex(sections)
-        elif engine == ENGINE_SAMPLED:
-            obj, meta = load_sampled(sections)
-        else:
-            raise IndexFileError(f"unknown engine {engine}")
+        decode = load_rindex if engine == ENGINE_RINDEX else load_sampled
+        obj, meta = decode(sections)
     except IndexFileError:
         raise
     except (struct.error, IndexError, KeyError, ValueError, OverflowError) as exc:

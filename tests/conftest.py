@@ -1,11 +1,13 @@
 import functools
 import random
+from bisect import bisect_right
 
 import pytest
 
 from rlxt import storage
 from rlxt.baseline import build_sampled
 from rlxt.rindex import build_index
+from rlxt.rlxbwt import backward_extend, cr, run_head_preorder, xbwt_successor
 from rlxt.trie import LabeledTrie, build_from_strings, colex_sort
 
 # 26-node running example used by most golden tests.
@@ -56,6 +58,83 @@ def with_flipped_bit(blob, section, bit):
     payload[bit // 8] ^= 1 << bit % 8
     sections[section] = bytes(payload)
     return storage._pack(engine, sections)
+
+
+def _repacked(blob, change):
+    engine, sections = storage._unpack(blob)
+    return storage._pack(engine, change(dict(sections)))
+
+
+def _with_gap(blob):
+    """``blob`` with a zero byte between its section table and its first
+    payload, and every offset in the table moved past it."""
+    engine, sections = storage._unpack(blob)
+    end = storage.header_bytes(len(sections))
+    table = bytearray(blob[:end])
+    for k in range(len(sections)):
+        at = 12 + storage._ENTRY.size * k + 8  # past the tag
+        offset = int.from_bytes(table[at : at + 8], "little")
+        table[at : at + 8] = (offset + 1).to_bytes(8, "little")
+    return bytes(table) + b"\0" + blob[end:]
+
+
+# ways a saved run-length index can depart from the layout that saving
+# writes, each with the one line its load raises: saved_example("rindex")
+# has nine sections, so its payloads start at byte 264
+LAYOUT_DAMAGE = {
+    "trailing-bytes": (lambda blob: blob + b"\0", "bytes follow the last section 'runheads'"),
+    "extra-section": (lambda blob: _repacked(blob, lambda s: {**s, "extra": b""}),
+                      "extra section 'extra'"),
+    "reordered": (lambda blob: _repacked(blob, lambda s: {"topology": s.pop("topology"), **s}),
+                  "section 'topology' out of order"),
+    "reserved-byte": (lambda blob: blob[:7] + b"\1" + blob[8:], "reserved byte is 1, not 0"),
+    "gap": (_with_gap, "section 'meta' starts at byte 265, not 264"),
+    "missing-section": (lambda blob: _repacked(blob, lambda s: {
+        k: v for k, v in s.items() if k != "runheads"}), "section 'runheads' missing"),
+}
+
+
+def composed_step(rlx, rng, c):
+    """One toehold step as the checked queries compose it: the range of
+    P.c, the pre-order id of the c-run head at the successor i of lo (None
+    when i is lo) and c's child rank at i; None if P.c matches nothing."""
+    new = backward_extend(rlx, rng, c)
+    if new is None:
+        return None
+    i = xbwt_successor(rlx, c, rng[0])
+    head = None if i == rng[0] else run_head_preorder(rlx, c, i)
+    return new, head, cr(rlx, i, c)
+
+
+def checked_toehold(idx, codes, branches=None):
+    """``toehold_search`` as the fold of :func:`composed_step` and the
+    checked ``topo.cbr``. Each step counts in ``branches``, if given: "at
+    lo", "next run" or "empty" by its outcome, and, when it starts short of
+    the whole range and the high end lies in the block of c's run that
+    holds lo or starts after it (a step the fused search takes with one
+    block search), under "last" if that block is the last, else "same"."""
+    rlx = idx.rlx
+    starts, mask = rlx.starts, rlx.mask
+    rng, node = (1, idx.n), 1
+    for c in codes:
+        step = composed_step(rlx, rng, c)
+        if branches is not None:
+            branches["empty" if step is None else "at lo" if step[1] is None else "next run"] += 1
+            lo, hi = rng
+            q = bisect_right(starts, lo) - 1
+            if step is not None and not mask[q] >> c & 1:
+                q = rlx.adds[c][bisect_right(rlx.adds[c], q)]
+            if step is None or rng == (1, idx.n):  # the whole range: no search at all
+                pass
+            elif q + 1 == len(starts):
+                branches["last"] += 1
+            elif hi < starts[q + 1]:
+                branches["same"] += 1
+        if step is None:
+            return None
+        rng, head, k = step
+        node = idx.topo.cbr(node if head is None else head, k)
+    return rng, node
 
 
 def sampled_with_flipped_bit(bit, section="xbwtflat"):

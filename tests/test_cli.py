@@ -9,8 +9,8 @@ from rlxt.errors import DomainError, NoSuccessorError
 from rlxt.rindex import RIndex, build_index
 from rlxt.trie import build_from_strings
 
-from conftest import (EX26_COLEX_TO_PRE, ex26_lines, sampled_with_flipped_bit, saved_example,
-                      with_flipped_bit)
+from conftest import (EX26_COLEX_TO_PRE, LAYOUT_DAMAGE, ex26_lines, sampled_with_flipped_bit,
+                      saved_example, with_flipped_bit)
 
 
 @pytest.fixture()
@@ -205,13 +205,25 @@ def _one_line_index_error(capsys):
 
 
 def test_sample_outside_trie_is_index_error(tmp_path, capsys):
-    # a sample value of n + 1 under a valid checksum is caught at load
+    # a sample value of n + 1 under a valid checksum is caught at load: that
+    # of node 4, the one colored node that is not red, whose sample is not a
+    # block head and so is stored
     idx = build_index(build_from_strings([b"abc", b"abd", b"bcd", b"xyz"]))
-    idx.samples.values[0] = idx.n + 1
+    assert list(idx.colors.blue_only_ranks()) == [3]
+    idx.samples.values[3] = idx.n + 1
     path = tmp_path / "bad-sample.rlxt"
     storage.save(idx, path)
     assert main(["locate", str(path), ""]) == 3
     assert _one_line_index_error(capsys) == "index error: phi sample node outside 1..11"
+
+
+@pytest.mark.parametrize("shape", sorted(LAYOUT_DAMAGE))
+def test_file_laid_out_otherwise_is_index_error(shape, tmp_path, capsys):
+    damage, message = LAYOUT_DAMAGE[shape]
+    path = tmp_path / "bad-layout.rlxt"
+    path.write_bytes(damage(saved_example("rindex")))
+    assert main(["locate", str(path), "a"]) == 3
+    assert _one_line_index_error(capsys) == f"index error: {message}"
 
 
 def _wide_blocks(isc):

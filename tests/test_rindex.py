@@ -1,5 +1,5 @@
 import random
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections import Counter
 
 import numpy as np
@@ -15,6 +15,7 @@ from conftest import (
     EX26_BLUE,
     EX26_COLEX_TO_PRE,
     EX26_RED,
+    checked_toehold,
     make_dictionary,
     make_random_trie,
     present_patterns,
@@ -131,15 +132,15 @@ class _Untouchable:
 
 
 def test_count_skips_the_toehold(monkeypatch):
-    # count is a range-only backward search: the run heads and the subtree
-    # sizes the child step reads belong to locate's toehold
+    # count is a range-only backward search: the block heads and the
+    # subtree sizes the child step reads belong to locate's toehold
     rng = random.Random(43)
     t = make_random_trie(rng, 180, 4)
     idx = build_index(t)
     pats = _pattern_suite(t, rng) + [b""]
     want = [len(idx.locate(pat)) for pat in pats]
 
-    monkeypatch.setattr(idx.rlx, "head_pre", _Untouchable("rlx.head_pre"))
+    monkeypatch.setattr(idx.rlx, "block_head", _Untouchable("rlx.block_head"))
     monkeypatch.setattr(idx.topo, "subtree_size", _Untouchable("topo.subtree_size"))
     with pytest.raises(AssertionError, match="was read"):
         idx.toehold_search(next(pat for pat, w in zip(pats, want) if w))
@@ -147,77 +148,77 @@ def test_count_skips_the_toehold(monkeypatch):
     assert any(want)
 
 
-def _count_block_searches(monkeypatch, starts):
-    """A list that grows by one per search over ``starts`` made through
+def _count_searches(monkeypatch):
+    """A list that grows by the table searched, per search made through
     ``rindex.bisect_right``."""
-    calls = []
+    searched = []
     real = rindex.bisect_right
 
     def counting(a, *args):
-        if a is starts:
-            calls.append(1)
+        searched.append(a)
         return real(a, *args)
 
     monkeypatch.setattr(rindex, "bisect_right", counting)
-    return calls
+    return searched
 
 
 def test_toehold_searches_blocks_at_most_twice_per_symbol(monkeypatch):
     # one block search per range end at most: the toehold's constant over
     # the r' block starts, counted on a loaded index. The first step, from
     # the whole range, reads the C array and searches nothing
+    searched = _count_searches(monkeypatch)
     rng = random.Random(45)
     t = make_random_trie(rng, 200, 5)
     _, idx, _, _ = storage.load_bytes(storage.save_rindex(build_index(t)))
-    calls = _count_block_searches(monkeypatch, idx.rlx.starts)
     for pat in present_patterns(t, rng, 60):
-        calls.clear()
+        searched.clear()
         assert idx.toehold_search(pat) is not None
-        assert len(pat) == 1 or 0 < len(calls)
-        assert len(calls) <= 2 * (len(pat) - 1)
+        blocks = sum(a is idx.rlx.starts for a in searched)
+        assert len(pat) == 1 or 0 < blocks
+        assert blocks <= 2 * (len(pat) - 1)
     # the path z y x^40: node z is co-lex-last, with out-set {y}. So y's
     # range is that one node, and each x-step after it extends a one-node
     # range: every range after the whole one sits in one block, and each
     # step from it searches the block starts once
     t = build_from_strings([b"zy" + b"x" * 40])
     _, idx, _, _ = storage.load_bytes(storage.save_rindex(build_index(t)))
-    calls = _count_block_searches(monkeypatch, idx.rlx.starts)
     pat = b"y" + b"x" * 30
+    searched.clear()
     assert idx.toehold_search(pat) == ((12, 12), 33)
-    assert len(calls) == len(pat) - 1
-    calls.clear()
+    assert sum(a is idx.rlx.starts for a in searched) == len(pat) - 1
+    searched.clear()
     assert idx.count(pat) == 1
-    assert len(calls) == len(pat) - 1
+    assert sum(a is idx.rlx.starts for a in searched) == len(pat) - 1
 
 
 def test_toehold_step_searches_at_most_four_times(monkeypatch):
     # the child rank is a popcount, so a step's searches do not grow with
-    # its label: two over the block starts, at most two over c's entries
+    # its label: on an alphabet of 130, with labels past 100, each step
+    # after the first searches at most twice over the block starts and four
+    # times in all, only over the block starts and its label's entries. A
+    # step's searches are those of the pattern through it less those of the
+    # pattern before it
+    searched = _count_searches(monkeypatch)
     rng = random.Random(46)
     alpha = bytes(range(33, 33 + 130))
     t = build_from_strings([bytes([b]) for b in alpha] + make_dictionary(rng, 600, alpha, 1, 6))
     assert t.alphabet.sigma >= 120
     _, idx, _, _ = storage.load_bytes(storage.save_rindex(build_index(t)))
     rlx = idx.rlx
-    searched = []
-
-    def counting(real):
-        def search(a, *args):
-            searched.append(a)
-            return real(a, *args)
-        return search
-
-    monkeypatch.setattr(rlxbwt, "bisect_right", counting(rlxbwt.bisect_right))
-    monkeypatch.setattr(rlxbwt, "bisect_left", counting(rlxbwt.bisect_left))
     top = 0
     for pat in present_patterns(t, rng, 100):
-        span = (1, rlx.n)
-        for c in idx.alphabet.encode(pat):
+        codes = idx.alphabet.encode(pat)
+        done = 0
+        for j, c in enumerate(codes):
             searched.clear()
-            span = rlxbwt.toehold_step(rlx, span, c)[0]
-            assert sum(a is rlx.starts for a in searched) == 2
-            assert len(searched) <= 4
-            assert all(a is rlx.starts or a is rlx.adds[c] for a in searched)
+            assert idx.toehold_search(pat[: j + 1]) is not None
+            step = searched[done:]
+            done = len(searched)
+            blocks = sum(a is rlx.starts for a in step)
+            assert (j == 0) == (not step)
+            assert 1 <= blocks <= 2 or j == 0
+            assert len(step) <= 4
+            assert all(a is rlx.starts or a is rlx.adds[c] for a in step)
             top = max(top, c)
     assert top >= 100
 
@@ -523,41 +524,12 @@ def _checked_count(idx, codes):
     return rng[1] - rng[0] + 1
 
 
-def _checked_toehold(idx, codes, branches):
-    """``toehold_search`` as the fold of the checked ``rlxbwt.toehold_step``
-    and ``topo.cbr``. A step from a range short of the whole one, whose
-    high end lies in the block of c's run that holds lo or starts after it,
-    is one the fused search takes with one block search: it counts in
-    ``branches``, under "last" if that block is the last, else "same"."""
-    rlx = idx.rlx
-    starts, mask = rlx.starts, rlx.mask
-    rng, node = (1, idx.n), 1
-    for c in codes:
-        lo, hi = rng
-        q = bisect_right(starts, lo) - 1
-        if 1 <= c < rlx.sigma and not mask[q] >> c & 1:
-            k = bisect_right(rlx.adds[c], q)
-            q = rlx.adds[c][k] if k < len(rlx.adds[c]) else None
-        step = rlxbwt.toehold_step(rlx, rng, c)
-        if step is None:
-            return None
-        if rng == (1, idx.n):  # the whole range: no search at all
-            pass
-        elif q + 1 == len(starts):
-            branches["last"] += 1
-        elif hi < starts[q + 1]:
-            branches["same"] += 1
-        rng, head, k = step
-        node = idx.topo.cbr(node if head is None else head, k)
-    return rng, node
-
-
 def test_fused_search_matches_checked_steps():
     # random tries with label pools of 3 to 100 (above 64 the masks are a
     # list of ints), a one-node trie, a star of degree 200, a comb and a
     # path; each index as built and as loaded. For every suite pattern,
     # longer present ones, absent ones and the empty pattern, count and the
-    # toehold agree with the checked steps folded
+    # toehold agree with the checked steps folded, through every branch
     rng = random.Random(50)
     tries = [make_random_trie(rng, 250, sigma) for sigma in (3, 3, 4, 5, 8, 27, 70)]
     tries.append(make_random_trie(rng, 250, 100))
@@ -582,15 +554,15 @@ def test_fused_search_matches_checked_steps():
                     assert idx.count(pat) == 0 and idx.toehold_search(pat) is None
                     continue
                 assert idx.count(pat) == _checked_count(idx, codes), pat
-                assert idx.toehold_search(pat) == _checked_toehold(idx, codes, branches), pat
-    assert branches["same"] > 0 and branches["last"] > 0
+                assert idx.toehold_search(pat) == checked_toehold(idx, codes, branches), pat
+    assert all(branches[b] for b in ("at lo", "next run", "empty", "same", "last"))
 
 
 def test_fused_search_keeps_the_checks(ex26):
-    # each run head, the one table from the file the toehold reads as a
-    # node id, overwritten with 0, n, a leaf and a neighbouring id: where
-    # the checked steps raise, the fused search raises the same class;
-    # where they answer, it agrees
+    # each block head but the root, the one table from the file the toehold
+    # reads as a node id, overwritten with 0, n, a leaf and a neighbouring
+    # id: where the checked steps raise, the fused search raises the same
+    # class; where they answer, it agrees
     rng = random.Random(51)
     raised = 0
     for t in (ex26, make_random_trie(rng, 200, 4)):
@@ -600,18 +572,18 @@ def test_fused_search_keeps_the_checks(ex26):
         leaf = next(u for u in range(n, 0, -1) if idx.topo.subtree_size[u] == 1)
 
         def checked(pat):
-            return _checked_toehold(idx, idx.alphabet.encode(pat), Counter())
+            return checked_toehold(idx, idx.alphabet.encode(pat))
 
-        for heads in idx.rlx.head_pre:
-            for k in range(len(heads)):
-                kept = heads[k]
-                for bad in {0, n, leaf, kept + 1 if kept < n else kept - 1}:
-                    heads[k] = bad
-                    for pat in pats:
-                        want = _outcome(checked, pat)
-                        assert _outcome(idx.toehold_search, pat) == want, (k, bad, pat)
-                        raised += isinstance(want, type)
-                heads[k] = kept
+        heads = idx.rlx.block_head
+        for q in range(1, len(heads)):
+            kept = heads[q]
+            for bad in {0, n, leaf, kept + 1 if kept < n else kept - 1}:
+                heads[q] = bad
+                for pat in pats:
+                    want = _outcome(checked, pat)
+                    assert _outcome(idx.toehold_search, pat) == want, (q, bad, pat)
+                    raised += isinstance(want, type)
+            heads[q] = kept
     assert raised
 
 

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,14 +13,13 @@ from rlxt.rlxbwt import (
     cr,
     reconstruct_trie,
     run_head_preorder,
-    toehold_step,
     xbwt_rank,
     xbwt_successor,
 )
 from rlxt.trie import Alphabet, build_from_strings, colex_sort
 
-from conftest import (EX26_COLEX_TO_PRE, make_dictionary, make_random_trie, path_trie,
-                      repetitive_lines)
+from conftest import (EX26_COLEX_TO_PRE, checked_toehold, composed_step, make_dictionary,
+                      make_random_trie, path_trie, present_patterns, repetitive_lines)
 
 A, B, C = 1, 2, 3  # label codes in EX26
 
@@ -103,11 +103,11 @@ def test_backward_extend_examples(rlx26):
     assert backward_extend(rlx, (2, 9), C) == (20, 22)
     assert backward_extend(rlx, (4, 7), A) is None
     # the toehold step adds the first node: child k of the range's first node
-    assert toehold_step(rlx, (1, 26), A) == ((2, 9), None, 1)
-    assert toehold_step(rlx, (2, 9), C) == ((20, 22), None, 3)
-    assert toehold_step(rlx, (4, 7), A) is None
+    assert composed_step(rlx, (1, 26), A) == ((2, 9), None, 1)
+    assert composed_step(rlx, (2, 9), C) == ((20, 22), None, 3)
+    assert composed_step(rlx, (4, 7), A) is None
     with pytest.raises(IndexError):
-        toehold_step(rlx, (0, 3), A)
+        composed_step(rlx, (0, 3), A)
 
 
 def test_c_array_ex26(rlx26):
@@ -188,54 +188,42 @@ def test_queries_match_naive_scans():
                     cr(rlx, i, c)
 
 
-def _composed_step(rlx, rng, c):
-    """The toehold step as the four separate queries compose it."""
-    new = backward_extend(rlx, rng, c)
-    if new is None:
-        return None
-    i = xbwt_successor(rlx, c, rng[0])
-    head = None if i == rng[0] else run_head_preorder(rlx, c, i)
-    return new, head, cr(rlx, i, c)
-
-
-def _reached_ranges(rlx, limit=300):
-    """The ranges backward search reaches from the whole range, breadth first."""
-    seen, todo = {(1, rlx.n)}, [(1, rlx.n)]
-    for rng in todo:
+def _reached_codes(rlx, limit=300):
+    """A label-code sequence for each range backward search reaches from the
+    whole range, breadth first."""
+    seen, todo = {(1, rlx.n)}, [((1, rlx.n), ())]
+    for rng, codes in todo:
         for c in range(1, rlx.sigma):
             new = backward_extend(rlx, rng, c)
             if new is not None and new not in seen and len(seen) < limit:
                 seen.add(new)
-                todo.append(new)
-    return todo
+                todo.append((new, codes + (c,)))
+    return [codes for _, codes in todo]
 
 
 def test_toehold_step_equals_the_composed_queries():
     # every reached range and every label, in and out of the alphabet, on
-    # tables built fresh and rebuilt by a load
+    # tables built fresh and rebuilt by a load: the fused toehold search's
+    # last step agrees with the composed queries' step, through each branch
     rng = random.Random(35)
-    branches = set()
+    branches = Counter()
     for sigma in (2, 3, 5, 12, 40):
         for loaded in (False, True):
             for _ in range(4):
                 t = make_random_trie(rng, 160, sigma)
-                order = colex_sort(t)
+                idx = build_index(t, colex_sort(t))
                 if loaded:
-                    blob = storage.save_rindex(build_index(t, order))
-                    rlx = storage.load_bytes(blob)[1].rlx
-                else:
-                    rlx = build_index(t, order).rlx
-                for r in _reached_ranges(rlx):
-                    for c in [None, 0, rlx.sigma, *range(1, rlx.sigma)]:
-                        got = toehold_step(rlx, r, c)
-                        assert got == _composed_step(rlx, r, c), (r, c)
-                        if got is None:
-                            branches.add("empty")
-                        else:
-                            branches.add("at lo" if got[1] is None else "next run")
-                            if r[0] == 1:
-                                branches.add("block 0")
-    assert branches == {"empty", "at lo", "next run", "block 0"}
+                    idx = storage.load_bytes(storage.save_rindex(idx))[1]
+                rlx = idx.rlx
+                for codes in _reached_codes(rlx):
+                    (lo, hi), _ = checked_toehold(idx, codes)
+                    for c in [0, rlx.sigma, *range(1, rlx.sigma)]:
+                        got = idx._backward_search(codes + (c,), True)
+                        want = checked_toehold(idx, codes + (c,), branches)
+                        assert (None if got is None else ((got[0], got[1]), got[2])) == want
+                        if want is not None and codes and lo < rlx.starts[1]:
+                            branches["block 0"] += 1
+    assert all(branches[b] for b in ("empty", "at lo", "next run", "block 0"))
 
 
 def _trie_of_alphabet(rng, sigma):
@@ -255,7 +243,8 @@ def _trie_of_alphabet(rng, sigma):
 ])
 def test_masks_at_every_width(sigma, typecode):
     # the narrowest array whose items hold sigma bits, a list of ints past
-    # 64; both forms answer alike, built and loaded
+    # 64; both forms answer alike, built and loaded, in the checked queries
+    # and in the fused toehold search
     rng = random.Random(sigma)
     t = _trie_of_alphabet(rng, sigma)
     order = colex_sort(t)
@@ -265,7 +254,9 @@ def test_masks_at_every_width(sigma, typecode):
     assert storage.save_rindex(loaded) == blob
     outs = _naive_out_sets(t, order)
     built = idx.rlx
-    for rlx in (built, loaded.rlx):
+    byte = t.alphabet.byte_of_code
+    for index in (idx, loaded):
+        rlx = index.rlx
         if typecode is None:
             assert type(rlx.mask) is list
         else:
@@ -283,9 +274,10 @@ def test_masks_at_every_width(sigma, typecode):
                 else:
                     with pytest.raises(DomainError):
                         cr(rlx, i, c)
-        for r in _reached_ranges(rlx, 40):
-            for c in [None, 0, sigma, *labels]:
-                assert toehold_step(rlx, r, c) == _composed_step(rlx, r, c), (r, c)
+        pats = present_patterns(t, rng, 40, max_len=8)
+        pats += [bytes([byte[c], byte[d]]) for c, d in zip(labels, labels[1:])]
+        for pat in pats:
+            assert index.toehold_search(pat) == checked_toehold(index, index.alphabet.encode(pat))
 
 
 def test_sprime_interleaving_invariant():

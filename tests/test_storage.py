@@ -2,6 +2,7 @@ import copy
 import gc
 import importlib.util
 import random
+import re
 import struct
 import sys
 import tracemalloc
@@ -20,8 +21,9 @@ from rlxt.rindex import ColorMarks, build_index, type2_nodes
 from rlxt.rlxbwt import OutSets
 from rlxt.trie import build_from_strings, colex_sort, oracle_locate
 
-from conftest import (EX26_COLEX_TO_PRE, make_dictionary, make_random_trie, present_patterns,
-                      sampled_with_flipped_bit, saved_example, with_flipped_bit)
+from conftest import (EX26_COLEX_TO_PRE, LAYOUT_DAMAGE, make_dictionary, make_random_trie,
+                      path_trie, present_patterns, sampled_with_flipped_bit, saved_example,
+                      with_flipped_bit)
 
 
 def test_rindex_round_trip_bit_exact(ex26):
@@ -64,7 +66,7 @@ def test_bad_magic_and_version():
         storage.load_bytes(b"XXXXX" + blob[5:])
     with pytest.raises(IndexFileError):
         storage.load_bytes(blob[:5] + bytes([99]) + blob[6:])
-    for old in (1, 2, 3, 4, 5, 6, 7):
+    for old in (1, 2, 3, 4, 5, 6, 7, 8):
         with pytest.raises(IndexFileError, match=f"unsupported version {old}"):
             storage.load_bytes(blob[:5] + bytes([old]) + blob[6:])
 
@@ -175,7 +177,7 @@ def test_run_head_outside_trie(at, node):
 def test_run_heads_past_their_count(ex26):
     engine, sections = storage._unpack(storage.save_rindex(build_index(ex26)))
     sections["runheads"] += b"\x01"
-    with pytest.raises(IndexFileError, match="more than 8 run heads"):
+    with pytest.raises(IndexFileError, match="more than 7 block heads"):
         storage.load_bytes(storage._pack(engine, sections))
 
 
@@ -300,10 +302,10 @@ def test_sample_node_outside_trie(ex26, table, at):
 
 
 # EX26's samples section without its four column width bytes, all 1: the
-# values of the ten colored nodes 1 3 7 8 10 14 15 17 21 26, the count of
-# type-2 nodes that are not colored (u32), their gaps (4 16) and values,
-# then the co-lex-last node
-EX26_SAMPLES = (bytes([2, 4, 13, 26, 22, 6, 21, 20, 10, 18]) + struct.pack("<I", 2)
+# values of the three blue-only nodes 1 8 10 (the red nodes' are block
+# heads), the count of type-2 nodes that are not colored (u32), their gaps
+# (4 16) and values, then the co-lex-last node
+EX26_SAMPLES = (bytes([2, 26, 22]) + struct.pack("<I", 2)
                 + bytes([4, 12, 11, 19, EX26_COLEX_TO_PRE[-1]]))
 
 
@@ -311,16 +313,16 @@ def _samples_section(body):
     """The samples section of ``body``, laid out as EX26_SAMPLES: a width
     byte of 1 opens each of its four columns; bytes past the last column's
     one value follow it."""
-    return (b"\1" + body[:10] + body[10:14] + b"\1" + body[14:16] + b"\1" + body[16:18]
-            + b"\1" + body[18:])
+    return (b"\1" + body[:3] + body[3:7] + b"\1" + body[7:9] + b"\1" + body[9:11]
+            + b"\1" + body[11:])
 
 
 @pytest.mark.parametrize("at, value, match", [
-    (15, 0, "type-2 sample nodes are not strictly increasing"),  # keys 4 4
-    (14, 3, "a type-2 sample node is colored"),  # keys 3 15
-    (18, 1, "co-lex-last node 1 carries a phi sample"),  # colored
-    (18, 4, "co-lex-last node 4 carries a phi sample"),  # type 2
-    (19, 0, "samples section does not end at the co-lex-last node"),
+    (8, 0, "type-2 sample nodes are not strictly increasing"),  # keys 4 4
+    (7, 3, "a type-2 sample node is colored"),  # keys 3 15
+    (11, 1, "co-lex-last node 1 carries a phi sample"),  # colored
+    (11, 4, "co-lex-last node 4 carries a phi sample"),  # type 2
+    (12, 0, "samples section does not end at the co-lex-last node"),
 ])
 def test_samples_section_is_inconsistent(ex26, at, value, match):
     engine, sections = storage._unpack(storage.save_rindex(build_index(ex26)))
@@ -374,6 +376,15 @@ def test_meta_is_saved_json(meta):
     sections["meta"] = meta
     with pytest.raises(IndexFileError):
         storage.load_bytes(storage._pack(engine, sections))
+
+
+@pytest.mark.parametrize("shape", sorted(LAYOUT_DAMAGE))
+def test_file_is_laid_out_as_saved(shape):
+    # each would load (bar the missing section, a KeyError) and re-save to
+    # other bytes, or not at all
+    damage, message = LAYOUT_DAMAGE[shape]
+    with pytest.raises(IndexFileError, match=f"^{re.escape(message)}$"):
+        storage.load_bytes(damage(saved_example("rindex")))
 
 
 def test_load_reads_the_payloads_in_place(ex26):
@@ -579,7 +590,7 @@ def test_byte_wide_tables_read_at_int64(ex26, n):
         codes = {t.typecode for t in _reachable(index) if isinstance(t, array)}
         assert (codes == {"B"}) if n < 256 else ("H" in codes)
         rlx = index.rlx
-        wide = _at_int64(rlx, ("starts", "adds", "base", "c_array", "head_pre"))
+        wide = _at_int64(rlx, ("starts", "adds", "base", "c_array", "block_head"))
         assert rlx.block_lengths().tolist() == wide.block_lengths().tolist()
         assert [list(d) for d in rlx.dels] == [list(d) for d in wide.dels]
         assert [d.tolist() for d in rlx.deltas()] == [d.tolist() for d in wide.deltas()]
@@ -625,7 +636,7 @@ def test_ids_of_2_16_and_up_take_four_bytes():
     # every other table is at the narrowest width of its own values; the
     # per-label tables share the width of all labels' values
     rlx = idx.rlx
-    per_label = {name: getattr(rlx, name) for name in ("adds", "base", "head_pre")}
+    per_label = {name: getattr(rlx, name) for name in ("adds", "base")}
     shared = {id(t) for tables in per_label.values() for t in tables} | {id(rlx.mask)}
     tables = [t for t in _reachable(idx) if isinstance(t, array) and id(t) not in shared]
     assert all(t.itemsize == int_array(t).itemsize for t in tables)
@@ -755,8 +766,8 @@ def test_large_column_count_allocates_nothing(ex26, width, match):
     # for it may size a table from it
     engine, sections = storage._unpack(storage.save_rindex(build_index(ex26)))
     samples = sections["samples"]
-    assert samples[11:15] == struct.pack("<I", 2)
-    sections["samples"] = samples[:11] + struct.pack("<I", 2**30) + bytes([width]) + samples[16:]
+    assert samples[4:8] == struct.pack("<I", 2)
+    sections["samples"] = samples[:4] + struct.pack("<I", 2**30) + bytes([width]) + samples[9:]
     tracemalloc.start()
     try:
         with pytest.raises(IndexFileError, match=match):
@@ -808,14 +819,24 @@ def _trie_side_tables(trie, order):
 
 
 def test_loaded_sprime_tables_equal_built(ex26):
+    # random tries with label pools of 2 to 100 (past 64 the masks are a
+    # list of ints), the one-node trie, a star, a comb and a path. The file
+    # stores each block head once, and a red node's sample not at all: each
+    # block head is its first node, and every sample is the co-lex successor
     rng = random.Random(37)
     tries = [ex26] + [make_random_trie(rng, 300, sigma) for sigma in (5, 27) for _ in range(6)]
+    tries += [make_random_trie(rng, 300, sigma) for sigma in (2, 3, 100)]
+    tries += [build_from_strings([]), build_from_strings([bytes([b]) for b in range(33, 233)]),
+              build_from_strings([b"x" * i + b"a" for i in range(41)] + [b"x" * 40]),
+              path_trie(b"acgt" * 50)]
+    assert max(t.alphabet.sigma for t in tries) > 64
     for t in tries:
         order = colex_sort(t)
+        c2p, p2c = order.colex_to_pre, order.pre_to_colex
         idx = build_index(t, order)
         blob = storage.save_rindex(idx)
         _, idx2, _, _ = storage.load_bytes(blob)
-        for name in ("starts", "adds", "dels", "base", "c_array", "head_pre"):
+        for name in ("starts", "adds", "dels", "base", "c_array", "block_head"):
             assert getattr(idx2.spi, name) == getattr(idx.spi, name), name
         assert idx.spi is idx.rlx and idx2.spi is idx2.rlx
         assert idx2.rlx.triples == idx.rlx.triples == _naive_triples(t, order)
@@ -824,6 +845,9 @@ def test_loaded_sprime_tables_equal_built(ex26):
             assert [list(b) for b in index.spi.base] == base
             assert list(index.rlx.c_array) == c_array
             assert index.rlx.run_heads == run_heads
+            assert list(index.rlx.block_head) == c2p[index.rlx.starts].tolist()
+            colored = np.asarray(index.colors.colored.positions, dtype=np.int64)
+            assert list(index.samples.values) == c2p[p2c[colored] + 1].tolist()
         assert storage.save_rindex(idx2) == blob
 
 

@@ -3,7 +3,9 @@
 The example indexes are the ones the tests save (``saved_example`` in
 ``tests/conftest.py``): the run-length index of [abc, abd, bcd, xyz] and its
 sampled index at t = 2. Each flipped payload is repacked under a valid
-CRC-32, so the decoders, not the checksum, must catch it. A file that loads
+CRC-32, so the decoders, not the checksum, must catch it. The ``header``
+row flips every bit of the 12-byte header and the section table in the
+saved file as it is, with no repacking. A file that loads
 answers ``count`` and ``locate`` for the empty pattern, every substring of
 the four lines and some absent patterns. Per section, one line counts the
 flips that are
@@ -104,6 +106,13 @@ def main(argv=None):
         _, index, _, _ = storage.load_bytes(blob)
         want = answers(index, pats)
         kind, sections = storage._unpack(blob)
+        counts = dict.fromkeys(OUTCOMES, 0)
+        header = storage.header_bytes(len(sections))
+        for bit in range(8 * header):
+            flipped = bytearray(blob)
+            flipped[bit // 8] ^= 1 << bit % 8
+            counts[outcome(bytes(flipped), want, pats, storage, IndexFileError)] += 1
+        print(engine, "header", 8 * header, *counts.values(), flush=True)
         for tag, payload in sections.items():
             counts = dict.fromkeys(OUTCOMES, 0)
             for bit in range(8 * len(payload)):
