@@ -159,10 +159,9 @@ def cmd_verify(args):
     trie = _read_trie(args.input, args.format)
     order = colex_sort(trie)
     idx = build_index(trie, order)
-    if args.corrupt_phi_sample and len(idx.samples.values):
-        # test hook: another node id no larger than the table already holds
-        v = idx.samples.values[0]
-        idx.samples.values[0] = v - 1 if v > 1 else 2
+    if args.corrupt_phi_sample and len(idx.samples.anchor):
+        table, i = idx.samples.slot(0)  # test hook: the first colored node's sample
+        table[i] = table[i] - 1 if table[i] > 1 else 2
     sl, _ = SampledLocate.build(trie, order, max(1, int(math.isqrt(trie.n))))
     rng = random.Random(trie.n * 7919 + 13)
     checks = []

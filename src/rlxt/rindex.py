@@ -12,14 +12,15 @@ tracks the pre-order id of the range's first node) + occ-1 applications of
 ``phi``. Count is the backward search alone. Both run one loop over the S'
 tables, with no function call per step: one search over the block starts
 per step once the range lies in one block, two at worst, and none from
-the whole range. The isomorphic-child jump at a red node compares the
-out-set masks of the two blocks it separates; it stores only which block
-each red node ends; through it, a red node's sample is the next block's
-head, the table the toehold reads its run heads from.
+the whole range. The samples and the isomorphic-child jump share one
+anchor per colored node: a red node's is the block after the one it ends,
+whose head is its sample and whose mask the jump compares with its own
+block's; a blue-only node's points past the blocks, to its stored sample.
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right
 
 import numpy as np
@@ -41,10 +42,8 @@ class ColorMarks:
     groups the nodes by incoming label, so fewer than sigma nodes are blue:
     ``blue`` holds them, and ``blue_only`` the few of them that are not red.
 
-    So u is red iff it is colored and not blue-only, and its rank among the
-    red nodes in pre-order (from 0) is its rank among the colored ones less
-    the blue-only nodes before it. ``red`` rebuilds the red set from the two
-    tables for saving and inspection; no query reads it."""
+    So u is red iff it is colored and not blue-only. ``red`` rebuilds the red
+    set from the two tables for saving and inspection; no query reads it."""
 
     __slots__ = ("colored", "blue", "blue_only")
 
@@ -68,22 +67,8 @@ class ColorMarks:
     def num_red(self):
         return self.colored.num_ones - len(self.blue_only)
 
-    def red_rank(self, u):
-        """u's rank among the red nodes in pre-order (from 0), or None if u
-        is not red."""
-        keys, blue_only = self.colored.positions, self.blue_only
-        k = bisect_left(keys, u)
-        if k == len(keys) or keys[k] != u:
-            return None
-        b = bisect_left(blue_only, u)
-        return None if b < len(blue_only) and blue_only[b] == u else k - b
-
     def is_red(self, u):
-        return self.red_rank(u) is not None
-
-    def blue_only_ranks(self):
-        """The blue-only nodes' ranks among the colored ones (from 0)."""
-        return np.searchsorted(self.colored.positions, self.blue_only)
+        return self.colored.contains(u) and u not in self.blue_only  # < sigma blue-only
 
     def is_blue(self, u):
         return self.blue.contains(u)
@@ -95,9 +80,9 @@ class ColorMarks:
 class PhiSamples:
     """Sampled values of the co-lex successor function.
 
-    Type 1 lives on the colored nodes: ``values[k]`` belongs to the k-th of
-    ``colored.positions``, the set :class:`ColorMarks` holds, not a copy
-    (see :func:`colored_values`).
+    Type 1 lives on the colored nodes, keyed by the set :class:`ColorMarks`
+    holds: the k-th one's is ``block_head[a]`` for ``a = anchor[k]`` below
+    r', else ``blue_values[a - r']`` (see :func:`anchor_table`).
     Type 2 lives on the child reached by a label that breaks its run. The
     climb asks for a type-2 sample only at a node that is not colored (the
     child below the lowest covering ancestor, whose subtree holds no mark),
@@ -106,13 +91,20 @@ class PhiSamples:
     value. Every table is an :func:`~rlxt.bits.int_array`.
     """
 
-    __slots__ = ("colored", "values", "type2_keys", "type2_values")
+    __slots__ = ("colored", "anchor", "block_head", "blue_values", "type2_keys", "type2_values")
 
-    def __init__(self, colored, values, type2_keys, type2_values):
+    def __init__(self, colored, anchor, block_head, blue_values, type2_keys, type2_values):
         self.colored = colored
-        self.values = int_array(values)
+        self.anchor = anchor
+        self.block_head = block_head
+        self.blue_values = int_array(blue_values)
         self.type2_keys = int_array(type2_keys)
         self.type2_values = int_array(type2_values)
+
+    def slot(self, k):
+        """(table, index) of the k-th colored node's sample."""
+        a, heads = self.anchor[k], self.block_head
+        return (heads, a) if a < len(heads) else (self.blue_values, a - len(heads))
 
     def type2_value(self, u):
         """The type-2 sample of u, a node that is not colored, or None."""
@@ -121,26 +113,28 @@ class PhiSamples:
         return self.type2_values[k] if k < len(keys) and keys[k] == u else None
 
     def arrows(self):
-        out = dict(zip(self.colored.positions, self.values))
+        out = {u: table[i] for u, (table, i)
+               in zip(self.colored.positions, map(self.slot, range(len(self.anchor))))}
         out.update(zip(self.type2_keys, self.type2_values))
         return out
 
 
-def colored_values(colors, blocks, block_head, blue_only_values):
-    """The type-1 samples, one per colored node in pre-order, at the
-    narrowest width of their values. The red node ending block q is
-    followed in co-lex order by block q + 1's first node, so the j-th red
-    node's sample is ``block_head[blocks[j] + 1]``, with ``blocks`` the
-    :class:`IscTables` column. The blue-only nodes' samples are given, in
-    pre-order: they are the only ones an index file stores."""
-    heads = np.asarray(block_head)[1:]
-    top = max(int(heads.max(initial=0)), int(blue_only_values.max(initial=0)))
-    values = np.empty(colors.colored.num_ones, typecode(top.bit_length()))
-    red = np.ones(len(values), dtype=bool)
-    red[colors.blue_only_ranks()] = False
-    values[red] = heads[np.asarray(blocks)]
-    values[~red] = blue_only_values
-    return values
+def anchor_table(colors, blocks):
+    """``anchor``, one entry per colored node in pre-order, filled in place
+    at the narrowest width of its values, from ``blocks[j]``, the block the
+    j-th red node in pre-order ends. The red node ending block q is followed
+    in co-lex order by block q + 1's head, so its entry is q + 1; the b-th
+    blue-only node's is r' + b. So a node is red iff its entry is below r'."""
+    r = len(blocks) + 1  # one red node per block boundary
+    blue = np.searchsorted(colors.colored.positions, colors.blue_only)  # their colored ranks
+    anchor = array(typecode((r + len(blue) - 1).bit_length()), [0]) * colors.colored.num_ones
+    view = np.frombuffer(anchor, dtype=anchor.typecode)
+    red = np.ones(len(view), dtype=bool)
+    red[blue] = False
+    view[red] = blocks
+    view[blue] = np.arange(r - 1, r - 1 + len(blue))  # r' + b, less the 1 added to all
+    view += 1
+    return anchor
 
 
 class IscTables:
@@ -149,32 +143,29 @@ class IscTables:
     A red node ends a block q of the run-length XBWT, and its co-lex
     successor begins block q + 1, so the two out-sets the jump compares are
     ``mask[q]`` and ``mask[q + 1]``: the masks of the
-    :class:`~rlxt.rlxbwt.RlXbwt`, held here itself, not a copy. The only
-    table of its own is ``blocks``: ``blocks[j]`` is the block that the
-    j-th red node in pre-order ends. There is one red node per block
-    boundary, so the blocks are a permutation of 0..|red| - 1. A red node's
-    j is its red rank in ``colors``, the :class:`ColorMarks` itself: the
-    tables hold no red set of their own.
+    :class:`~rlxt.rlxbwt.RlXbwt`, held here itself, not a copy. The block a
+    red node ends is its ``anchor`` less one (:func:`anchor_table`), keyed
+    by the colored set of ``colors``: the tables hold no table of their own.
     """
 
-    __slots__ = ("colors", "mask", "blocks")
+    __slots__ = ("colors", "mask", "anchor")
 
-    def __init__(self, colors, mask, blocks):
+    def __init__(self, colors, mask, anchor):
         self.colors = colors
         self.mask = mask
-        self.blocks = int_array(blocks)
+        self.anchor = anchor
 
     def isc(self, u, k):
         """Child rank, under u's co-lex successor, of the label of u's k-th
         child: the labels below it in the successor's mask, plus one."""
-        j = self.colors.red_rank(u)
-        if j is None:
+        colored = self.colors.colored
+        q = self.anchor[colored.rank1(u) - 1] - 1 if colored.contains(u) else len(self.mask)
+        if q >= len(self.mask) - 1:  # not colored, or blue-only
             raise DomainError(f"node {u} is not a run-break node")
-        return self.isc_at(j, k)
+        return self.isc_at(q, k)
 
-    def isc_at(self, j, k):
-        """``isc`` at the j-th red node in pre-order (j from 0)."""
-        q = self.blocks[j]
+    def isc_at(self, q, k):
+        """``isc`` at the red node that ends block q."""
         m, succ = self.mask[q], self.mask[q + 1]
         if not 1 <= k <= m.bit_count():
             raise IndexError(f"child rank {k} out of range for the red node of block {q}")
@@ -370,9 +361,11 @@ class RIndex:
         counters = self.case_counters
         k = bisect_left(keys, u)
         s = keys[k] if k < len(keys) else n + 1
+        samples, heads = self.samples, self.samples.block_head
         if s == u:
             counters["1"] += 1
-            return self.samples.values[k]
+            h = samples.anchor[k]
+            return heads[h] if h < len(heads) else samples.blue_values[h - len(heads)]
         if s < u + size[u]:
             succ = self._from_mark(u, k)
             counters["1"] += 1
@@ -393,19 +386,15 @@ class RIndex:
                 lo, a = mid, b
             else:
                 hi, k_node = mid - 1, b
-        # a is red iff it is colored and not blue-only; its red rank is its
-        # colored rank less the blue-only nodes before it
+        # a is red iff it is colored with an anchor below r': a block head
         ka = bisect_left(keys, a, 0, k)  # the first mark in a's subtree
-        red = keys[ka] == a
-        if red:
-            blue_only = self.colors.blue_only
-            b = bisect_left(blue_only, a)
-            red = b == len(blue_only) or blue_only[b] != a
-        t2 = self.samples.type2_keys
+        h = samples.anchor[ka] if keys[ka] == a else len(heads)
+        red = h < len(heads)
+        t2 = samples.type2_keys
         i = bisect_left(t2, k_node) if red else len(t2)
         if i < len(t2) and t2[i] == k_node:
             counters["2.2.1"] += 1
-            u_k1 = self.samples.type2_values[i]
+            u_k1 = samples.type2_values[i]
             if not 1 <= u_k1 <= n:
                 raise IndexError(f"type-2 sample {u_k1} out of range 1..{n}")
         else:
@@ -415,8 +404,8 @@ class RIndex:
                 rank += 1
             if red:
                 counters["2.2.2"] += 1
-                rank = self.isc_tables.isc_at(ka - b, rank)
-                base = self.samples.values[ka]
+                rank = self.isc_tables.isc_at(h - 1, rank)  # a ends block h - 1
+                base = heads[h]
             else:
                 counters["2.1"] += 1
                 base = self._from_mark(a, ka)
@@ -441,7 +430,9 @@ class RIndex:
         first in x's subtree. That node's sample is lifted back up to x's
         depth; if it is x itself, the sample is the answer."""
         samples = self.samples
-        j, v = samples.colored.positions[k], samples.values[k]
+        h, heads = samples.anchor[k], samples.block_head
+        v = heads[h] if h < len(heads) else samples.blue_values[h - len(heads)]
+        j = samples.colored.positions[k]
         if j == x:
             return v
         n = self.n
@@ -486,12 +477,13 @@ def build_index(trie, colex=None):
     colors = ColorMarks(n, red_ids, blue_ids)
 
     # red_ids runs in co-lex order, where the q-th red node ends block q
-    isc_tables = IscTables(colors, rlx.mask, np.argsort(red_ids))
+    anchor = anchor_table(colors, np.argsort(red_ids))
+    isc_tables = IscTables(colors, rlx.mask, anchor)
 
     # type 1 on the colored nodes; of type 2, the nodes that are not colored
     blue_only = np.asarray(colors.blue_only, dtype=np.int64)
-    values = colored_values(colors, isc_tables.blocks, rlx.block_head, c2p[p2c[blue_only] + 1])
     type2 = np.setdiff1d(type2_nodes(out, colex), colors.colored.positions)
-    phi_samples = PhiSamples(colors.colored, values, type2, c2p[p2c[type2] + 1])
+    phi_samples = PhiSamples(colors.colored, anchor, rlx.block_head, c2p[p2c[blue_only] + 1],
+                             type2, c2p[p2c[type2] + 1])
 
     return RIndex(n, trie.alphabet, int(c2p[n]), topo, rlx, colors, phi_samples, isc_tables)

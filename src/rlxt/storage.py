@@ -10,13 +10,14 @@ Files round-trip bit-exactly. Each fact of the transform is stored once:
 loading derives the S' node counts, the C array and the out-set masks from
 the blocks, the isomorphic-child jump stores only the block each red node
 ends, a red node's phi sample is the ``runheads`` id of the block after
-it, and the trie is not rebuilt. Payloads are read in place, as slices of the
-file. Every section is laid out in columns. An integer column is a byte w,
-the fewest whole bytes that hold its largest value (0 only for an empty
-column), then each value as w little-endian bytes, read as one
-``np.frombuffer`` view with no Python call per value; a sorted table is
-stored as the column of its gaps. Each decoder ends exactly at its payload's end and takes only the
-minimal w, so every file that loads re-saves to the same bytes.
+it, which the loaded ``anchor`` table points at, and the trie is not
+rebuilt. Payloads are read in place, as slices of the file. Every section
+is laid out in columns. An integer column is a byte w, the fewest whole
+bytes that hold its largest value (0 only for an empty column), then each
+value as w little-endian bytes, read as one ``np.frombuffer`` view with no
+Python call per value; a sorted table is stored as the column of its gaps.
+Each decoder ends exactly at its payload's end and takes only the minimal
+w, so every file that loads re-saves to the same bytes.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 from .baseline import SampledLocate, XbwtNav
 from .bits import SparseBitVec, int_array
 from .errors import FormatError, IndexFileError
-from .rindex import ColorMarks, IscTables, PhiSamples, RIndex, colored_values
+from .rindex import ColorMarks, IscTables, PhiSamples, RIndex, anchor_table
 from .rlxbwt import RlXbwt, out_masks, reconstruct_trie  # bench/spans.py patches it here
 from .topology import BpsTopology
 from .trie import Alphabet, _depths
@@ -159,6 +160,10 @@ def _dec_rlx(rlxbwt, sprime, runheads, sigma, n):
         raise IndexFileError(f"runheads holds more than {rp - 1} block heads")
     if len(heads) and (heads.min() < 1 or heads.max() > n):
         raise IndexFileError(f"run head node outside 1..{n}")
+    seen = np.zeros(n + 1, dtype=bool)
+    seen[heads] = True
+    if seen[1] or np.count_nonzero(seen) != rp - 1:
+        raise IndexFileError("two blocks share a run head (the root heads block 0)")
     rlx.block_head = int_array(np.insert(heads, 0, 1))  # block 0's head is the root
     return rlx
 
@@ -168,17 +173,18 @@ def _enc_colors(colors):
                     for ids in (colors.red, colors.blue))
 
 
-def _enc_samples(samples, colors, last):
+def _enc_samples(samples, last):
     # of the colored nodes' values only the blue-only ones', keyed by the colors
     # section; the co-lex-last node, where phi has no value, is a one-value column
-    return (_column(np.asarray(samples.values)[colors.blue_only_ranks()])
+    return (_column(samples.blue_values)
             + struct.pack("<I", len(samples.type2_keys)) + _gap_column(samples.type2_keys)
             + _column(samples.type2_values) + _column([last]))
 
 
 def _enc_isc(isc):
-    # the block each red node ends needs no count: the colors section gives |red|
-    return _column(isc.blocks)
+    # the block each red node ends, its anchor less one; |red| is in colors
+    anchor = np.asarray(isc.anchor)
+    return _column(anchor[anchor < len(isc.mask)] - 1)
 
 
 def _enc_runheads(rlx):
@@ -192,7 +198,7 @@ def machinery_sections(index):
         "rlxbwt": _enc_rlxbwt(index.rlx),
         "sprime": _enc_sprime(index.rlx),
         "colors": _enc_colors(index.colors),
-        "samples": _enc_samples(index.samples, index.colors, index.last),
+        "samples": _enc_samples(index.samples, index.last),
         "isc": _enc_isc(index.isc_tables),
         "runheads": _enc_runheads(index.rlx),
     }
@@ -304,8 +310,8 @@ def _check_nodes(nodes, n):
 
 def _dec_samples(data, rlx, isc, n):
     """The phi samples, keyed by the colored set of the colors section, and
-    the co-lex-last node. The red nodes' values are read off the block heads
-    of ``rlx`` through the ``isc`` blocks, the blue-only ones' off the file."""
+    the co-lex-last node. The red nodes' values are block heads of ``rlx``,
+    through the ``isc`` anchors; the blue-only ones' are read off the file."""
     colors = isc.colors
     colored = colors.colored
     blue_values, off = _r_column(data, 0, len(colors.blue_only), "phi samples")
@@ -320,8 +326,7 @@ def _dec_samples(data, rlx, isc, n):
         raise IndexFileError("a type-2 sample node is colored")
     type2_values, off = _r_column(data, off, cnt, "type-2 sample values")
     _check_nodes(type2_values, n)
-    values = colored_values(colors, isc.blocks, rlx.block_head, blue_values)
-    samples = PhiSamples(colored, values, keys, type2_values)
+    samples = PhiSamples(colored, isc.anchor, rlx.block_head, blue_values, keys, type2_values)
     (last,), off = _r_column(data, off, 1, "co-lex-last node")
     if off != len(data):
         raise IndexFileError("samples section does not end at the co-lex-last node")
@@ -333,8 +338,8 @@ def _dec_samples(data, rlx, isc, n):
 
 
 def _dec_isc(data, colors, rlx):
-    """The isc tables over the red nodes of ``colors`` and the block masks
-    of ``rlx``, both shared: the block each red node ends. Each of the
+    """The isc tables over ``colors`` and the block masks of ``rlx``, both
+    shared, with the anchors from the block each red node ends. Each of the
     r' - 1 block boundaries has one red node, so the blocks must be a
     permutation of 0..|red| - 1."""
     cnt = colors.num_red
@@ -343,9 +348,12 @@ def _dec_isc(data, colors, rlx):
     blocks, off = _r_column(data, 0, cnt, "isc blocks")
     if off != len(data):
         raise IndexFileError("isc section does not end with its blocks")
-    if cnt and (blocks.max() >= cnt or np.bincount(blocks, minlength=cnt).min() == 0):
+    seen = np.zeros(cnt, dtype=bool)
+    if cnt and blocks.max() < cnt:
+        seen[blocks] = True
+    if not seen.all():
         raise IndexFileError(f"isc blocks are not a permutation of 0..{cnt - 1}")
-    return IscTables(colors, rlx.mask, blocks)
+    return IscTables(colors, rlx.mask, anchor_table(colors, blocks))
 
 
 def load_rindex(sections):

@@ -5,7 +5,7 @@ import pytest
 
 from rlxt import storage
 from rlxt.cli import main
-from rlxt.errors import DomainError, NoSuccessorError
+from rlxt.errors import DomainError, IndexFileError, NoSuccessorError
 from rlxt.rindex import RIndex, build_index
 from rlxt.trie import build_from_strings
 
@@ -209,8 +209,9 @@ def test_sample_outside_trie_is_index_error(tmp_path, capsys):
     # of node 4, the one colored node that is not red, whose sample is not a
     # block head and so is stored
     idx = build_index(build_from_strings([b"abc", b"abd", b"bcd", b"xyz"]))
-    assert list(idx.colors.blue_only_ranks()) == [3]
-    idx.samples.values[3] = idx.n + 1
+    assert list(idx.colors.blue_only) == [4] and idx.colors.colored.rank1(4) == 4
+    assert idx.samples.slot(3) == (idx.samples.blue_values, 0)
+    idx.samples.blue_values[0] = idx.n + 1
     path = tmp_path / "bad-sample.rlxt"
     storage.save(idx, path)
     assert main(["locate", str(path), ""]) == 3
@@ -244,6 +245,26 @@ def test_damaged_isc_section_is_index_error(damage, tmp_path, capsys):
     path.write_bytes(storage._pack(engine, sections))
     assert main(["locate", str(path), "a"]) == 3
     assert _one_line_index_error(capsys).startswith("index error: isc ")
+
+
+@pytest.mark.parametrize("heads", [
+    [1, 6, 3, 7, 4, 9, 10, 11],  # block 1 headed by the root, block 0's head
+    [2, 6, 3, 7, 4, 9, 10, 2],  # blocks 1 and 8 headed by one node
+], ids=["root", "repeated"])
+def test_run_heads_shared_by_two_blocks_is_index_error(heads, tmp_path, capsys):
+    # a head is the pre-order id of its block's first node, so the r' heads
+    # are distinct, and only block 0's is the root; each file here keeps its
+    # heads within 1..n and would mislead the toehold and the red samples
+    engine, sections = storage._unpack(saved_example("rindex"))
+    assert sections["runheads"] == storage._column([2, 6, 3, 7, 4, 9, 10, 11])
+    sections["runheads"] = storage._column(heads)
+    blob = storage._pack(engine, sections)
+    with pytest.raises(IndexFileError, match="two blocks share a run head"):
+        storage.load_bytes(blob)
+    path = tmp_path / "bad-runheads.rlxt"
+    path.write_bytes(blob)
+    assert main(["locate", str(path), "a"]) == 3
+    assert _one_line_index_error(capsys).startswith("index error: two blocks share a run head")
 
 
 @pytest.mark.parametrize("damage, match", [

@@ -50,7 +50,7 @@ def test_phi_samples_ex26(ex26, ex26_colex, idx26):
 def test_single_node_index():
     idx = build_index(build_from_strings([]))
     assert idx.colors.red.num_ones == 0 and idx.colors.blue.num_ones == 0
-    assert len(idx.samples.values) == 0 and len(idx.samples.type2_keys) == 0
+    assert len(idx.samples.anchor) == 0 and len(idx.samples.type2_keys) == 0
     assert idx.locate(b"") == [1]
     assert idx.count(b"a") == 0
 
@@ -456,7 +456,8 @@ def _checked_phi(idx, u):
         keys = colors.colored.positions
         k = bisect_left(keys, x)
         if k < len(keys) and keys[k] == x:
-            return samples.values[k]
+            table, i = samples.slot(k)
+            return table[i]
         raise DomainError(f"node {x} is not colored")
 
     def case1(x):
@@ -599,7 +600,9 @@ def _outcome(climb, u):
 def test_damaged_samples_are_still_caught(ex26):
     # each sample and type-2 value in turn overwritten with 1, n and a
     # neighbouring id: where the checked climb raises, the fused one raises
-    # DomainError or IndexError; where it answers, the fused one agrees
+    # DomainError or IndexError; where it answers, the fused one agrees. The
+    # red nodes' samples are the heads of blocks 1.., the blue-only ones'
+    # their own table
     rng = random.Random(49)
     big = make_random_trie(rng, 400, 4)
     while big.n < 350:
@@ -608,8 +611,10 @@ def test_damaged_samples_are_still_caught(ex26):
     for t in (ex26, big):
         idx = build_index(t)
         n = idx.n
-        for table in (idx.samples.values, idx.samples.type2_values):
-            for k in range(len(table)):
+        tables = ((idx.rlx.block_head, 1), (idx.samples.blue_values, 0),
+                  (idx.samples.type2_values, 0))
+        for table, first in tables:
+            for k in range(first, len(table)):
                 kept = table[k]
                 for bad in {1, n, kept - 1 if kept > 1 else kept + 1}:
                     table[k] = bad

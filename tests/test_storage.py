@@ -260,7 +260,7 @@ def test_isc_section_layout():
             t = make_random_trie(rng, 160, sigma)
             order = colex_sort(t)
             idx = build_index(t, order)
-            blocks = list(idx.isc_tables.blocks)
+            blocks = [a - 1 for a in idx.isc_tables.anchor if a < idx.rlx.r_prime]
             red = list(idx.colors.red.positions)
             assert sorted(blocks) == list(range(idx.rlx.r_prime - 1)) and len(red) == len(blocks)
             assert [idx.rlx.starts[q + 1] - 1 for q in blocks] == list(order.pre_to_colex[red])
@@ -276,14 +276,17 @@ def test_isc_shares_the_red_set():
     idx = build_index(build_from_strings([b"abc", b"abd", b"bcd", b"xyz"]))
     _, loaded, _, _ = storage.load_bytes(storage.save_rindex(idx))
     for index in (idx, loaded):
-        # the isc tables hold no red set of their own: a red node's rank is
-        # read off the colored set of the color marks they share
+        # the isc tables hold no red set of their own: a red node's block is
+        # read off the colored set of the color marks they share, through the
+        # anchors they share with the samples
         isc = index.isc_tables
         assert isc.colors is index.colors and isc.mask is index.rlx.mask
+        assert isc.anchor is index.samples.anchor
         shared = {id(index.colors), id(index.rlx.mask)}
-        assert [s for s in type(isc).__slots__ if id(getattr(isc, s)) not in shared] == ["blocks"]
-        red = list(index.colors.red.positions)
-        assert [index.colors.red_rank(u) for u in red] == list(range(len(red)))
+        assert [s for s in type(isc).__slots__ if id(getattr(isc, s)) not in shared] == ["anchor"]
+        red, colored = list(index.colors.red.positions), index.colors.colored
+        anchors = [isc.anchor[colored.rank1(u) - 1] for u in red]
+        assert sorted(anchors) == list(range(1, len(red) + 1))
 
 
 def test_samples_share_the_colored_set(ex26):
@@ -293,7 +296,8 @@ def test_samples_share_the_colored_set(ex26):
         assert index.samples.colored is index.colors.colored
 
 
-@pytest.mark.parametrize("table, at", [("type2_keys", -1), ("values", 0), ("type2_values", 0)])
+@pytest.mark.parametrize("table, at", [("type2_keys", -1), ("blue_values", 0),
+                                       ("type2_values", 0)])
 def test_sample_node_outside_trie(ex26, table, at):
     idx = build_index(ex26)
     getattr(idx.samples, table)[at] = idx.n + 1
@@ -570,6 +574,24 @@ def _trie_of_size(n, nwords, alpha, seed):
     return trie
 
 
+def _assert_samples_through_anchor(index, c2p, p2c):
+    """Every colored node u's sample, read through its anchor a, is u's
+    co-lex successor; a < r' iff u is red, and then a is the block after
+    the one u ends, whose head is the sample."""
+    samples, rlx = index.samples, index.rlx
+    r = rlx.r_prime
+    assert samples.block_head is rlx.block_head
+    colored = list(index.colors.colored.positions)
+    red = set(index.colors.red.positions)
+    assert len(samples.anchor) == len(colored)
+    for u, a in zip(colored, samples.anchor):
+        sample = rlx.block_head[a] if a < r else samples.blue_values[a - r]
+        assert sample == c2p[p2c[u] + 1], u
+        assert (a < r) == (u in red), u
+        if a < r:
+            assert rlx.starts[a] - 1 == p2c[u], u
+
+
 @pytest.mark.parametrize("n", [26, 255, 256])
 def test_byte_wide_tables_read_at_int64(ex26, n):
     # below 256 nodes every table is one unsigned byte wide, where numpy
@@ -596,7 +618,7 @@ def test_byte_wide_tables_read_at_int64(ex26, n):
         assert [d.tolist() for d in rlx.deltas()] == [d.tolist() for d in wide.deltas()]
         assert list(rlx.colex_parents()) == list(wide.colex_parents()) == parents
         colored = list(index.colors.colored.positions)
-        assert list(index.samples.values) == [c2p[p2c[u] + 1] for u in colored]
+        _assert_samples_through_anchor(index, c2p, p2c)
         type2 = sorted(set(type2_nodes(out, order).tolist()) - set(colored))
         assert list(index.samples.type2_keys) == type2
         assert list(index.samples.type2_values) == [c2p[p2c[u] + 1] for u in type2]
@@ -846,8 +868,7 @@ def test_loaded_sprime_tables_equal_built(ex26):
             assert list(index.rlx.c_array) == c_array
             assert index.rlx.run_heads == run_heads
             assert list(index.rlx.block_head) == c2p[index.rlx.starts].tolist()
-            colored = np.asarray(index.colors.colored.positions, dtype=np.int64)
-            assert list(index.samples.values) == c2p[p2c[colored] + 1].tolist()
+            _assert_samples_through_anchor(index, c2p.tolist(), p2c.tolist())
         assert storage.save_rindex(idx2) == blob
 
 
