@@ -67,15 +67,6 @@ class ColorMarks:
     def num_red(self):
         return self.colored.num_ones - len(self.blue_only)
 
-    def is_red(self, u):
-        return self.colored.contains(u) and u not in self.blue_only  # < sigma blue-only
-
-    def is_blue(self, u):
-        return self.blue.contains(u)
-
-    def is_colored(self, u):
-        return self.colored.contains(u)
-
 
 class PhiSamples:
     """Sampled values of the co-lex successor function.
@@ -155,17 +146,10 @@ class IscTables:
         self.mask = mask
         self.anchor = anchor
 
-    def isc(self, u, k):
-        """Child rank, under u's co-lex successor, of the label of u's k-th
-        child: the labels below it in the successor's mask, plus one."""
-        colored = self.colors.colored
-        q = self.anchor[colored.rank1(u) - 1] - 1 if colored.contains(u) else len(self.mask)
-        if q >= len(self.mask) - 1:  # not colored, or blue-only
-            raise DomainError(f"node {u} is not a run-break node")
-        return self.isc_at(q, k)
-
     def isc_at(self, q, k):
-        """``isc`` at the red node that ends block q."""
+        """Child rank, under the co-lex successor of the red node that ends
+        block q, of the label of that node's k-th child: the labels below it
+        in the successor's mask, plus one."""
         m, succ = self.mask[q], self.mask[q + 1]
         if not 1 <= k <= m.bit_count():
             raise IndexError(f"child rank {k} out of range for the red node of block {q}")
@@ -446,9 +430,6 @@ class RIndex:
         nodes, start = topo.level_nodes, topo.level_start
         return nodes[bisect_right(nodes, v, start[t], start[t + 1]) - 1]
 
-    def isc(self, u, k):
-        return self.isc_tables.isc(u, k)
-
 
 def type2_nodes(out, colex):
     """The type-2 sample nodes: each child along a label that leaves
@@ -480,9 +461,13 @@ def build_index(trie, colex=None):
     anchor = anchor_table(colors, np.argsort(red_ids))
     isc_tables = IscTables(colors, rlx.mask, anchor)
 
-    # type 1 on the colored nodes; of type 2, the nodes that are not colored
+    # type 1 on the colored nodes; of type 2, the nodes that are not colored,
+    # each once: a child is in one out-set
     blue_only = np.asarray(colors.blue_only, dtype=np.int64)
-    type2 = np.setdiff1d(type2_nodes(out, colex), colors.colored.positions)
+    type2 = type2_nodes(out, colex)
+    uncolored = np.ones(n + 1, dtype=bool)
+    uncolored[np.asarray(colors.colored.positions)] = False
+    type2 = np.sort(type2[uncolored[type2]])
     phi_samples = PhiSamples(colors.colored, anchor, rlx.block_head, c2p[p2c[blue_only] + 1],
                              type2, c2p[p2c[type2] + 1])
 

@@ -250,22 +250,35 @@ def _subtree_sizes(parent, depth):
 def _last_one_level_up(depth):
     """For every node u >= 2, the last node before u at depth ``depth[u] - 1``
     (0 if there is none): u's parent when the depths are a pre-order's.
-    Sorts the (depth, id) keys once and searches each node's target."""
+
+    Ids ascend, so a stable argsort of the depths at their narrowest
+    unsigned width (a radix sort up to 16 bits) sorts the (depth, id) keys.
+    Each target (depth[u] - 1, u), which no node has, is a key less the
+    same constant, so the targets lie in the keys' order too: one sorted
+    ``searchsorted`` finds, for all of them, the key just below, and the
+    answers are scattered back through the order."""
     n = len(depth) - 1
-    key = depth[1:] * (n + 1) + np.arange(1, n + 1)
-    keys = np.sort(key)
-    target = key[1:] - (n + 1)  # (depth[u] - 1, u): no node has this key
-    found = keys[np.searchsorted(keys, target) - 1]  # the root's key precedes it
+    order = np.argsort(depth[1:].astype(np.min_scalar_type(int(depth.max()))), kind="stable")
+    level = depth[1:][order]
+    key = level * (n + 1) + order  # (depth, id - 1), ascending
+    below = np.searchsorted(key, key - (n + 1)) - 1  # the root's key precedes every target
     out = np.zeros(n + 1, dtype=np.int64)
-    out[2:] = np.where(found // (n + 1) == depth[2:] - 1, found % (n + 1), 0)
+    out[order + 1] = np.where(level[below] == level - 1, order[below] + 1, 0)
     return out
 
 
-def _lcp(a, b):
-    """Length of the longest common prefix of two byte strings."""
-    m = min(len(a), len(b))
-    x = int.from_bytes(a[:m], "big") ^ int.from_bytes(b[:m], "big")
-    return m - (x.bit_length() + 7) // 8
+def _pair_lcps(data, lens):
+    """LCP of every two neighbouring lines laid end to end in ``data`` with
+    lengths ``lens``: each pair is gathered over its shorter length and
+    compared, and a sorted ``searchsorted`` of the pairs' offsets among the
+    mismatches finds each pair's first one."""
+    m = np.minimum(lens[:-1], lens[1:])
+    at = concat_ranges(np.cumsum(lens[:-1]) - lens[:-1], m)  # line i's first m[i] bytes
+    head = data[at]
+    at += np.repeat(lens[:-1], m)  # the same bytes of line i + 1
+    mismatch = np.append(np.flatnonzero(head != data[at]), len(at))
+    offset = np.cumsum(m) - m
+    return np.minimum(mismatch[np.searchsorted(mismatch, offset)] - offset, m)
 
 
 def build_from_strings(lines):
@@ -278,19 +291,21 @@ def build_from_strings(lines):
     children in label order. Over the distinct lines sorted, line i adds its
     prefixes longer than its longest common prefix with line i-1, in order
     of length; so depths, labels and parents follow from the sorted lines'
-    lengths and LCPs with array operations.
+    lengths and LCPs with array operations, and no Python loop runs over
+    the lines: the LCPs come from one comparison of the lines laid end to
+    end (:func:`_pair_lcps`), the parents from :func:`_last_one_level_up`.
     """
     lines = sorted(set(map(bytes, lines)))
     joined = b"".join(lines)
     if 0 in joined:
         raise FormatError("input contains NUL byte")
     data = np.frombuffer(joined, dtype=np.uint8)
-    alphabet = Alphabet(np.unique(data).tolist())
+    alphabet = Alphabet(np.flatnonzero(np.bincount(data, minlength=256)).tolist())
     code = np.zeros(256, dtype=np.int64)
     code[alphabet.byte_of_code[1:]] = np.arange(1, alphabet.sigma)
-    lens = np.array([len(line) for line in lines], dtype=np.int64)
+    lens = np.fromiter(map(len, lines), dtype=np.int64, count=len(lines))
     lcps = np.zeros(len(lines), dtype=np.int64)
-    lcps[1:] = [_lcp(a, b) for a, b in zip(lines, lines[1:])]
+    lcps[1:] = _pair_lcps(data, lens)
     new = lens - lcps  # line i adds the prefixes of lengths lcp+1 .. len
     depth = np.zeros(int(new.sum()) + 2, dtype=np.int64)
     depth[2:] = concat_ranges(lcps + 1, new)

@@ -6,6 +6,7 @@ import pytest
 
 from rlxt import storage
 from rlxt.baseline import build_sampled
+from rlxt.errors import DomainError
 from rlxt.rindex import build_index
 from rlxt.rlxbwt import backward_extend, cr, run_head_preorder, xbwt_successor
 from rlxt.trie import LabeledTrie, build_from_strings, colex_sort
@@ -135,6 +136,31 @@ def checked_toehold(idx, codes, branches=None):
         rng, head, k = step
         node = idx.topo.cbr(node if head is None else head, k)
     return rng, node
+
+
+def is_colored(colors, u):
+    """Whether node u is red or blue, for :class:`~rlxt.rindex.ColorMarks`."""
+    return colors.colored.contains(u)
+
+
+def is_blue(colors, u):
+    return colors.blue.contains(u)
+
+
+def is_red(colors, u):
+    return colors.colored.contains(u) and u not in colors.blue_only  # < sigma blue-only
+
+
+def isc(idx, u, k):
+    """The isomorphic-child jump at red node u: the child rank, under u's
+    co-lex successor, of the label of u's k-th child. The reference for the
+    climb's ``IscTables.isc_at``, found from u through its anchor."""
+    tables = idx.isc_tables
+    colored = tables.colors.colored
+    q = tables.anchor[colored.rank1(u) - 1] - 1 if colored.contains(u) else len(tables.mask)
+    if q >= len(tables.mask) - 1:  # not colored, or blue-only
+        raise DomainError(f"node {u} is not a run-break node")
+    return tables.isc_at(q, k)
 
 
 def sampled_with_flipped_bit(bit, section="xbwtflat"):

@@ -16,8 +16,13 @@ from conftest import (
     EX26_COLEX_TO_PRE,
     EX26_RED,
     checked_toehold,
+    is_blue,
+    is_colored,
+    is_red,
+    isc,
     make_dictionary,
     make_random_trie,
+    path_trie,
     present_patterns,
     random_patterns,
     trie_alpha_bytes,
@@ -45,6 +50,31 @@ def test_phi_samples_ex26(ex26, ex26_colex, idx26):
     assert set(idx26.samples.colored.positions) == EX26_RED | EX26_BLUE
     assert set(type2_nodes(OutSets(ex26, ex26_colex), ex26_colex)) == {4, 7, 8, 15, 16, 17}
     assert list(idx26.samples.type2_keys) == [4, 16]
+
+
+def test_type2_keys_are_the_uncolored_type2_nodes(ex26):
+    # the set difference of the type-2 nodes and the colored ids, as numpy
+    # computes it, on random tries with sigma 2 to 100, the one-node trie, a
+    # star and a path, built and loaded: sorted, distinct and uncolored
+    rng = random.Random(48)
+    tries = [ex26] + [make_random_trie(rng, 300, sigma)
+                      for sigma in (2, 3, 5, 27, 64, 65, 100) for _ in range(3)]
+    tries += [build_from_strings([]), build_from_strings([bytes([b]) for b in range(33, 233)]),
+              path_trie(b"acgt" * 50)]
+    kept = 0
+    for t in tries:
+        order = colex_sort(t)
+        built = build_index(t, order)
+        want = np.setdiff1d(type2_nodes(OutSets(t, order), order),
+                            built.colors.colored.positions).tolist()
+        kept += len(want)
+        _, loaded, _, _ = storage.load_bytes(storage.save_rindex(built))
+        for idx in (built, loaded):
+            keys = list(idx.samples.type2_keys)
+            assert keys == want
+            assert all(a < b for a, b in zip(keys, keys[1:]))
+            assert set(keys).isdisjoint(idx.colors.colored.positions)
+    assert kept
 
 
 def test_single_node_index():
@@ -86,11 +116,11 @@ def test_phi_full_permutation_ex26(idx26, ex26_colex):
 
 
 def test_isc_examples(idx26):
-    assert idx26.isc(3, 2) == 1
+    assert isc(idx26, 3, 2) == 1
     with pytest.raises(DomainError):
-        idx26.isc(3, 1)
+        isc(idx26, 3, 1)
     with pytest.raises(DomainError):
-        idx26.isc(4, 1)  # not a run-break node
+        isc(idx26, 4, 1)  # not a run-break node
 
 
 def test_isc_on_corrected_shared_label_trie():
@@ -102,8 +132,8 @@ def test_isc_on_corrected_shared_label_trie():
     u, v = 3, 7  # "ae" and "be"
     assert int(order.pre_to_colex[v]) == int(order.pre_to_colex[u]) + 1
     idx = build_index(t)
-    assert idx.colors.is_red(u)
-    assert idx.isc(u, 2) == 1
+    assert is_red(idx.colors, u)
+    assert isc(idx, u, 2) == 1
 
 
 def test_locate_examples(idx26):
@@ -281,9 +311,9 @@ def test_locate_makes_no_searchsorted_call(ex26, monkeypatch):
 def test_out_of_range_nodes(idx26):
     # array('q') wraps a negative index, so node 0 must not read entry -1
     n = idx26.n
-    assert not idx26.colors.is_colored(0)
-    assert not idx26.colors.is_colored(n + 1)
-    assert [u for u in range(1, n + 1) if idx26.colors.is_colored(u)] == sorted(
+    assert not is_colored(idx26.colors, 0)
+    assert not is_colored(idx26.colors, n + 1)
+    assert [u for u in range(1, n + 1) if is_colored(idx26.colors, u)] == sorted(
         EX26_RED | EX26_BLUE)
     for u in (0, n + 1, -1):
         with pytest.raises(IndexError):
@@ -341,7 +371,7 @@ def test_successor_isomorphic_iff_no_red_descendant():
         size = t.subtree_sizes()
         for i in range(1, t.n):
             u, v = int(order.colex_to_pre[i]), int(order.colex_to_pre[i + 1])
-            has_red = any(idx.colors.is_red(w) for w in range(u, u + int(size[u])))
+            has_red = any(is_red(idx.colors, w) for w in range(u, u + int(size[u])))
             assert (sig[u] == sig[v]) == (not has_red)
 
 
@@ -358,9 +388,9 @@ def test_adjacent_paths_shift():
                 kids = t.children(chain[-1])
                 chain.append(int(rng.choice(list(kids))))
             # blue allowed only on the first node, red only on the last
-            if any(idx.colors.is_blue(w) for w in chain[1:]):
+            if any(is_blue(idx.colors, w) for w in chain[1:]):
                 continue
-            if any(idx.colors.is_red(w) for w in chain[:-1]):
+            if any(is_red(idx.colors, w) for w in chain[:-1]):
                 continue
             if all(int(order.pre_to_colex[w]) == t.n for w in chain):
                 continue
@@ -434,16 +464,16 @@ def test_isc_matches_naive_on_random_tries():
         for idx in (built, loaded):
             for i in range(1, t.n):
                 u = int(order.colex_to_pre[i])
-                if not idx.colors.is_red(u):
+                if not is_red(idx.colors, u):
                     continue
                 cur = [int(c) for c in t.out_labels(u)]
                 nxt = [int(c) for c in t.out_labels(int(order.colex_to_pre[i + 1]))]
                 for k, c in enumerate(cur, 1):
                     if c in nxt:
-                        assert idx.isc(u, k) == nxt.index(c) + 1
+                        assert isc(idx, u, k) == nxt.index(c) + 1
                     else:
                         with pytest.raises(DomainError):
-                            idx.isc(u, k)
+                            isc(idx, u, k)
 
 
 def _checked_phi(idx, u):
@@ -461,7 +491,7 @@ def _checked_phi(idx, u):
         raise DomainError(f"node {x} is not colored")
 
     def case1(x):
-        if colors.is_colored(x):
+        if is_colored(colors, x):
             return value(x)
         j = topo.next_marked_in_subtree(colors.colored, x)
         if j is None:
@@ -475,10 +505,10 @@ def _checked_phi(idx, u):
         return succ, "1"
     a = topo.lowest_covering_ancestor(colors.colored, u)
     k_node = topo.laq(u, topo.depth(u) - topo.depth(a) - 1)
-    if colors.is_red(a):
+    if is_red(colors, a):
         case, u_k1 = "2.2.1", samples.type2_value(k_node)
         if u_k1 is None:
-            case, u_k1 = "2.2.2", topo.cbr(value(a), idx.isc(a, topo.sr(k_node)))
+            case, u_k1 = "2.2.2", topo.cbr(value(a), isc(idx, a, topo.sr(k_node)))
     else:
         case, u_k1 = "2.1", topo.cbr(case1(a), topo.sr(k_node))
     return (u_k1 if k_node == u else topo.isd(k_node, u, u_k1)), case

@@ -11,6 +11,8 @@ from rlxt.trie import (
     Alphabet,
     LabeledTrie,
     _depths,
+    _last_one_level_up,
+    _pair_lcps,
     _subtree_sizes,
     build_from_edges,
     build_from_strings,
@@ -244,6 +246,11 @@ LINES = st.lists(
 )
 
 
+# two 70,000-byte lines over ab sharing a 40,000-byte prefix: depths past
+# 2**16, where the parent search sorts them at 32 bits
+DEEP_PAIR = [b"ab" * 20_000 + b"a" + b"b" * 29_999, b"ab" * 20_000 + b"b" + b"a" * 29_999]
+
+
 @settings(max_examples=300, deadline=None)
 @given(LINES)
 @example([])
@@ -251,6 +258,8 @@ LINES = st.lists(
 @example([b"", b"", b"a"])
 @example([b"abc", b"ab", b"abc", b"a", b"abd"])
 @example([bytes(range(1, 256)), bytes(range(255, 0, -1))])
+@example([b"ab" * 150])  # depths past 255: sorted at 16 bits
+@example(DEEP_PAIR)
 def test_array_built_trie_matches_dict_trie(lines):
     t = build_from_strings(lines)
     parent, label, depth, child_start, child_ids = dict_trie_arrays(lines)
@@ -260,6 +269,59 @@ def test_array_built_trie_matches_dict_trie(lines):
     assert t.child_start.tolist() == child_start
     assert t.child_ids.tolist() == child_ids
     assert bytes(t.alphabet.byte_of_code[1:].tolist()) == bytes(sorted(set(b"".join(lines))))
+
+
+def _loop_lcps(lines):
+    """LCP of every two neighbouring lines, one byte at a time."""
+    out = []
+    for a, b in zip(lines, lines[1:]):
+        k = 0
+        while k < min(len(a), len(b)) and a[k] == b[k]:
+            k += 1
+        out.append(k)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.binary(max_size=12),
+                          st.lists(st.sampled_from(b"ab\xff"), max_size=12).map(bytes)),
+                max_size=24))
+@example([])
+@example([b""])
+@example([b"abc"])
+@example([b"", b"", b"a", b""])
+@example([b"ab", b"abc", b"abc", b"ab"])  # each line a prefix of the next, and back
+@example([b"\xff\xff", b"\xff\xff\xff", b"\xff\xfe", b"\xff"])
+def test_pair_lcps_match_the_byte_loop(lines):
+    for order in (lines, sorted(set(lines))):
+        lens = np.fromiter(map(len, order), dtype=np.int64, count=len(order))
+        data = np.frombuffer(b"".join(order), dtype=np.uint8)
+        assert _pair_lcps(data, lens).tolist() == _loop_lcps(order)
+
+
+def _loop_last_one_level_up(depth):
+    """The last node before each node one level up, one node at a time."""
+    last, out = {}, [0] * len(depth)
+    for u in range(1, len(depth)):
+        out[u] = last.get(depth[u] - 1, 0)
+        last[depth[u]] = u
+    return out
+
+
+@pytest.mark.parametrize("deepest", [255, 256, 257, 65_537])
+def test_last_one_level_up_matches_the_loop_at_every_width(deepest):
+    # a node whose level above has no node before it, a path down to depth
+    # ``deepest``, a second branch off its middle back down, and random
+    # depths: the depths sort at 8, 16, 16 and 32 bits
+    rng = random.Random(deepest)
+    depth = [0, 0, 2] + list(range(1, deepest + 1)) + list(range(deepest // 2, deepest + 1))
+    depth = np.array(depth + [rng.randint(1, deepest) for _ in range(300)], dtype=np.int64)
+    assert np.min_scalar_type(int(depth.max())).itemsize == (
+        1 if deepest < 256 else 2 if deepest < 65_536 else 4)
+    assert _last_one_level_up(depth).tolist() == _loop_last_one_level_up(depth.tolist())
+    path = path_trie(b"ab" * (deepest // 2) + b"a" * (deepest % 2))
+    assert int(path.depth.max()) == deepest
+    assert path.parent.tolist() == [0, 0] + list(range(1, deepest + 1))
 
 
 def _all_recursive_parent_arrays(max_n):

@@ -1,9 +1,12 @@
 """SHA-1 of the saved index bytes for every benchmark corpus, in one checkout.
 
 For each workload of ``bench/workloads.py`` and seeds 1..10, for the
-26-node running example of the tests and for a trie over 200 byte values
+26-node running example of the tests, for a trie over 200 byte values
 (sigma > 64, where the in-memory block masks are Python ints rather than
-an ``array``), prints one line
+an ``array``), and for two lines over ``ab`` of 300 bytes sharing 200 and
+two of 70,000 sharing 40,000 (depths past 2**8 and past 2**16, so the trie
+build sorts them at 16 and at 32 bits, where every workload's fit 8),
+prints one line
 
     <corpus> <sha1 of save_rindex(build_index(parse_strings_file(corpus)))> <sections>
 
@@ -49,6 +52,14 @@ def digests(blob, storage):
                        for tag, payload in sections.items()])
 
 
+def deep_pair(rng, length, shared):
+    """Two random lines of ``length`` bytes over ``ab`` whose longest
+    common prefix is exactly ``shared`` bytes."""
+    prefix = bytes(rng.choice(b"ab") for _ in range(shared))
+    return [prefix + first + bytes(rng.choice(b"ab") for _ in range(length - shared - 1))
+            for first in (b"a", b"b")]
+
+
 def digest(data, rindex, storage, trie):
     blob = storage.save_rindex(rindex.build_index(trie.parse_strings_file(data)))
     return digests(blob, storage)
@@ -80,6 +91,9 @@ def main(argv=None):
     wide = [bytes([b]) for b in alpha] + repetitive_lines(
         rng, make_dictionary(rng, 300, alpha, 1, 8), alpha, 4)
     print("wide200", digest(corpus(wide), rindex, storage, trie), flush=True)
+    for label, length, shared in (("deep300", 300, 200), ("deep70k", 70_000, 40_000)):
+        lines = deep_pair(random.Random(1), length, shared)
+        print(label, digest(corpus(lines), rindex, storage, trie), flush=True)
     for name in workloads.WORKLOADS:
         for seed in SEEDS:
             lines, _patterns, _oracle = workloads.generate(name, seed)
