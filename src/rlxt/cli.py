@@ -231,9 +231,15 @@ def cmd_verify(args):
     return 0
 
 
+def _ascii_int(text):
+    """``text`` as an int if it is one or more ASCII digits, else 0: ``int``
+    alone also reads a sign, spaces, ``_`` and other scripts' digits."""
+    return int(text) if text.isascii() and text.isdigit() else 0
+
+
 def _cover_parameters(text):
     """The cover parameters of ``rlxt bench --t``: positive integers, comma-separated."""
-    values = [int(x) if x.isdecimal() else 0 for x in text.split(",")]
+    values = [_ascii_int(x) for x in text.split(",")]
     if min(values) < 1:
         raise FormatError(f"--t takes positive integers separated by commas, not {text!r}")
     return values
@@ -245,6 +251,9 @@ def cmd_bench(args):
         if engine not in ENGINES:
             raise FormatError(f"unknown engine {engine!r}; engines are {', '.join(ENGINES)}")
     t_values = _cover_parameters(args.t)
+    reps = _ascii_int(args.repeat)
+    if reps < 1:
+        raise FormatError(f"--repeat takes a positive integer, not {args.repeat!r}")
     trie = _read_trie(args.input, args.format)
     order = colex_sort(trie)
     pats = _patterns_from_args(args)
@@ -264,7 +273,6 @@ def cmd_bench(args):
                 obj, _ = SampledLocate.build(trie, order, min(t_par, trie.n))
                 blob = storage.save_sampled(obj)
             build_s = time.perf_counter() - t0
-            reps = max(1, args.repeat)
             t0 = time.perf_counter()
             for _ in range(reps):
                 for p in pats:
@@ -322,7 +330,7 @@ def make_parser():
     p.add_argument("--format", choices=["strings", "edges"], default="strings")
     p.add_argument("--engines", default="rindex,sampled")
     p.add_argument("--t", default="1,16")
-    p.add_argument("--repeat", type=int, default=3)
+    p.add_argument("--repeat", default="3")
     p.add_argument("patterns", nargs="*")
     p.add_argument("--pattern-file")
     p.add_argument("--hex", action="store_true")

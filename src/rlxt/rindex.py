@@ -8,14 +8,16 @@ bisect in the colored ids settles case 1 or gives the marks on either side
 of u's subtree, one binary search over depth gives the covering ancestor
 and its child towards u, and sibling steps read subtree sizes. It checks
 only what the file gives. Locate = toehold (backward search that also
-tracks the pre-order id of the range's first node) + occ-1 applications of
-``phi``. Count is the backward search alone. Both run one loop over the S'
-tables, with no function call per step: one search over the block starts
-per step once the range lies in one block, two at worst, and none from
-the whole range. The samples and the isomorphic-child jump share one
-anchor per colored node: a red node's is the block after the one it ends,
-whose head is its sample and whose mask the jump compares with its own
-block's; a blue-only node's points past the blocks, to its stored sample.
+tracks the pre-order id of the range's first node), then, at each later
+position of the range, the block head where a block starts and ``phi`` of
+the node before it elsewhere. Count is the backward search alone. Both run
+one loop over the S' tables, with no function call per step: one search
+over the block starts per step once the range lies in one block, two at
+worst, and none from the whole range. The samples and the
+isomorphic-child jump share one anchor per colored node: a red node's is
+the block after the one it ends, whose head is its sample and whose mask
+the jump compares with its own block's; a blue-only node's points past the
+blocks, to its stored sample.
 """
 
 from __future__ import annotations
@@ -313,13 +315,42 @@ class RIndex:
         return lo, hi, node
 
     def locate(self, pattern):
+        """Pre-order ids of the nodes reached by ``pattern``, in co-lex order.
+
+        The toehold gives the range lo..hi and the first node. Every later
+        position that starts a block is read off ``block_head``, with no
+        climb; each other one is ``phi`` of the node before it. One search
+        over the block starts puts the cursor on the first block after lo.
+
+        A head read puts the walk back in step with the co-lex positions, so
+        a damaged sample that put the climb out of step would go unseen.
+        Where a climbed node comes before block q, it must be the red node
+        that ends block q - 1, whose anchor is q: one bisect in the colored
+        ids checks it, and a ``DomainError`` says it is not.
+        """
         got = self.toehold_search(pattern)
         if got is None:
             return []
         (lo, hi), node = got
         out = [node]
-        for _ in range(hi - lo):
-            node = self.phi(node)
+        phi, starts, heads = self.phi, self.rlx.starts, self.rlx.block_head
+        keys, anchor = self.colors.colored.positions, self.samples.anchor
+        q, r = bisect_right(starts, lo), len(starts)
+        at = starts[q] if q < r else 0  # the next block start; no position is 0
+        climbed = False
+        for j in range(lo + 1, hi + 1):
+            if j == at:
+                if climbed:  # the node before must end block q - 1
+                    k = bisect_left(keys, node)
+                    if k == len(keys) or keys[k] != node or anchor[k] != q:
+                        raise DomainError(f"node {node} does not end the block before block {q}")
+                    climbed = False
+                node = heads[q]
+                q += 1
+                at = starts[q] if q < r else 0
+            else:
+                node = phi(node)
+                climbed = True
             out.append(node)
         return out
 

@@ -342,19 +342,26 @@ def parse_strings_file(data: bytes):
     return build_from_strings(lines)
 
 
+def _edge_field(text):
+    """One Format B field as an int: one or more ASCII digits, nothing else
+    (``int`` alone would also take a sign, spaces, ``_`` and non-ASCII digits)."""
+    if not text.isdigit():  # bytes.isdigit is true for b"0".."9" only
+        raise FormatError(f"malformed edge file: field {text!r} is not ASCII digits")
+    return int(text)
+
+
 def parse_edges_file(data: bytes):
     """Format B: first line n, then n-1 lines ``parent<TAB>label_byte_decimal``."""
     rows = [ln for ln in data.split(b"\n") if ln]
     if not rows:
         raise FormatError("empty edge file")
-    try:
-        n = int(rows[0])
-        edges = []
-        for ln in rows[1:]:
-            p, b = ln.split(b"\t")  # int() reads ASCII digits off bytes
-            edges.append((int(p), int(b)))
-    except (ValueError, IndexError) as exc:
-        raise FormatError(f"malformed edge file: {exc}") from None
+    n = _edge_field(rows[0])
+    edges = []
+    for ln in rows[1:]:
+        fields = ln.split(b"\t")
+        if len(fields) != 2:
+            raise FormatError(f"malformed edge file: line {ln!r} is not two tab-separated fields")
+        edges.append((_edge_field(fields[0]), _edge_field(fields[1])))
     return build_from_edges(n, edges)
 
 

@@ -92,6 +92,11 @@ def test_bad_hex_line_in_pattern_file_is_input_error(ex26_index, tmp_path, capsy
     ["bench", "--t", "x"],
     ["bench", "--t", "-3"],
     ["bench", "--engines", "foo"],
+    ["bench", "--repeat", "0"],
+    ["bench", "--repeat", "-1"],
+    ["bench", "--repeat", "\u0663"],  # an Arabic-Indic digit, which int() reads as 3
+    ["bench", "--t", "\u0661"],
+    ["bench", "--t", "1,\u0664"],
 ])
 def test_bad_cover_parameter_or_engine_is_input_error(ex26_file, tmp_path, monkeypatch, capsys,
                                                       argv):
@@ -137,6 +142,26 @@ def test_build_edges_format(ex26, tmp_path, capsys):
 @pytest.mark.parametrize("cmd", [["build", "-o", "unused.idx"], ["verify"], ["bench"]],
                          ids=["build", "verify", "bench"])
 def test_non_ascii_edge_file_is_input_error(tmp_path, monkeypatch, capsys, cmd, data):
+    monkeypatch.chdir(tmp_path)
+    src = tmp_path / "bad.edges"
+    src.write_bytes(data)
+    capsys.readouterr()
+    assert main([cmd[0], str(src), "--format", "edges", *cmd[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+    assert captured.err.startswith("input error: ")
+    assert not (tmp_path / "unused.idx").exists()
+
+
+@pytest.mark.parametrize("data", [b"2\n1\t9_7\n", b"2\n 1\t97\n", b"2\n1 \t97\n",
+                                  b"+2\n1\t97\n", b"2\n1\t97\r\n"],
+                         ids=["underscore", "leading-space", "trailing-space", "plus-sign",
+                              "trailing-cr"])
+@pytest.mark.parametrize("cmd", [["build", "-o", "unused.idx"], ["verify"], ["bench"]],
+                         ids=["build", "verify", "bench"])
+def test_edge_field_not_ascii_digits_is_input_error(tmp_path, monkeypatch, capsys, cmd, data):
+    # int() alone would read each of these fields as a number
     monkeypatch.chdir(tmp_path)
     src = tmp_path / "bad.edges"
     src.write_bytes(data)

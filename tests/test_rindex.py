@@ -1,5 +1,5 @@
 import random
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import Counter
 
 import numpy as np
@@ -283,6 +283,87 @@ def test_locate_matches_oracle_random_corpus():
             want = oracle_locate(t, pat, order)
             assert idx.locate(pat) == want
             assert idx.count(pat) == len(want)
+
+
+def _phi_folded(idx, toehold):
+    """``locate`` as it was defined before it read block heads: the
+    toehold's first node, then ``phi`` folded over the rest of its range."""
+    (lo, hi), node = toehold
+    out = [node]
+    for _ in range(hi - lo):
+        out.append(idx.phi(out[-1]))
+    return out
+
+
+def test_locate_reads_block_heads_and_climbs_between_them():
+    # locate is the toehold's first node, then phi folded hi - lo times, on
+    # random tries with label pools of 2, 5, 27 and 100, a comb (spine x^200
+    # with a leaf a under every spine node), a star of degree 200 and a path;
+    # each index is saved and loaded. A position that starts a block is read
+    # off its head, so one locate makes hi - lo phi calls less one per block
+    # start in (lo, hi]
+    rng = random.Random(52)
+    tries = [make_random_trie(rng, 250, sigma) for sigma in (2, 5, 27, 100)]
+    tries.append(build_from_strings([b"x" * i + b"a" for i in range(201)] + [b"x" * 200]))
+    tries.append(build_from_strings([bytes([b]) for b in range(33, 233)]))
+    tries.append(build_from_strings([bytes(rng.choice(b"acgt") for _ in range(300))]))
+    heads_read = ends_last = starts_on_head = 0
+    for t in tries:
+        _, idx, _, _ = storage.load_bytes(storage.save_rindex(build_index(t)))
+        starts = idx.rlx.starts
+        for pat in _pattern_suite(t, rng) + [b""]:
+            got = idx.toehold_search(pat)
+            if got is None:
+                assert idx.locate(pat) == []
+                continue
+            (lo, hi), _ = got
+            want = _phi_folded(idx, got)
+            heads = bisect_right(starts, hi) - bisect_right(starts, lo)
+            before = sum(idx.case_counters.values())
+            assert idx.locate(pat) == want, pat
+            assert sum(idx.case_counters.values()) - before == hi - lo - heads, pat
+            heads_read += heads
+            ends_last += hi == idx.n
+            starts_on_head += lo > 1 and lo in starts
+    assert heads_read and ends_last and starts_on_head
+
+
+def test_locate_catches_a_climb_out_of_step_at_the_next_block(ex26):
+    # each blue-only sample and type-2 value in turn overwritten with 0, 1, n
+    # and a neighbouring id. A climbed node before a block start must end the
+    # block before it, so where phi folded over the range answers wrongly,
+    # locate raises instead of reading the heads back in step; where both
+    # answer, they agree
+    rng = random.Random(53)
+    caught = 0
+    for t in (ex26, make_random_trie(rng, 300, 3), make_random_trie(rng, 300, 6)):
+        idx = build_index(t)
+        n = idx.n
+        pats = present_patterns(t, rng, 25) + [b""]
+        right = [idx.locate(p) for p in pats]
+
+        def folded(pat):
+            return _phi_folded(idx, idx.toehold_search(pat))
+
+        def outcome(query, pat):  # any other exception fails the test
+            try:
+                return query(pat)
+            except (DomainError, IndexError, NoSuccessorError) as e:
+                return type(e)
+
+        for table in (idx.samples.blue_values, idx.samples.type2_values):
+            for k in range(len(table)):
+                kept = table[k]
+                for bad in {0, 1, n, kept - 1 if kept > 1 else kept + 1} - {kept}:
+                    table[k] = bad
+                    for pat, want in zip(pats, right):
+                        old, got = outcome(folded, pat), outcome(idx.locate, pat)
+                        if isinstance(got, list):
+                            assert not isinstance(old, list) or got == old, (k, bad, pat)
+                        else:
+                            caught += isinstance(old, list) and old != want
+                table[k] = kept
+    assert caught
 
 
 def test_locate_makes_no_searchsorted_call(ex26, monkeypatch):
