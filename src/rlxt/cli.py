@@ -52,21 +52,22 @@ def _patterns_from_args(args):
     if getattr(args, "pattern_file", None):
         with open(args.pattern_file, "rb") as fh:
             for line in fh.read().split(b"\n"):
-                if line or args.keep_empty:
+                if line:
                     pats.append(_from_hex(line) if args.hex else line)
     return pats
 
 
 def cmd_build(args):
-    if args.t < 0:
-        raise FormatError(f"cover parameter --t must be positive, not {args.t}")
+    t_par = _ascii_int(args.t)
+    if t_par < 0:
+        raise FormatError(f"cover parameter --t takes ASCII digits, not {args.t!r}")
     trie = _read_trie(args.input, args.format)
     t0 = time.perf_counter()
     if args.engine == "rindex":
         obj = build_index(trie)
     else:
         order = colex_sort(trie)
-        t_par = args.t or max(1, int(math.isqrt(trie.n)))
+        t_par = t_par or max(1, int(math.isqrt(trie.n)))
         obj, _ = SampledLocate.build(trie, order, min(t_par, trie.n))
     build_s = time.perf_counter() - t0
     meta = {"engine": args.engine, "build_seconds": round(build_s, 6), "n": trie.n}
@@ -232,9 +233,9 @@ def cmd_verify(args):
 
 
 def _ascii_int(text):
-    """``text`` as an int if it is one or more ASCII digits, else 0: ``int``
+    """``text`` as an int if it is one or more ASCII digits, else -1: ``int``
     alone also reads a sign, spaces, ``_`` and other scripts' digits."""
-    return int(text) if text.isascii() and text.isdigit() else 0
+    return int(text) if text.isascii() and text.isdigit() else -1
 
 
 def _cover_parameters(text):
@@ -300,7 +301,7 @@ def make_parser():
     p.add_argument("--format", choices=["strings", "edges"], default="strings")
     p.add_argument("--output", "-o", required=True)
     p.add_argument("--engine", choices=ENGINES, default="rindex")
-    p.add_argument("--t", type=int, default=0, help="cover parameter (sampled engine)")
+    p.add_argument("--t", default="0", help="cover parameter (sampled engine; 0: sqrt n)")
     p.set_defaults(fn=cmd_build)
 
     for name, fn in (("locate", cmd_locate), ("count", cmd_count)):
@@ -309,7 +310,6 @@ def make_parser():
         p.add_argument("patterns", nargs="*")
         p.add_argument("--pattern-file")
         p.add_argument("--hex", action="store_true", help="patterns are hex-encoded bytes")
-        p.add_argument("--keep-empty", action="store_true", help=argparse.SUPPRESS)
         if name == "locate":
             p.add_argument("--count-only", action="store_true")
         p.set_defaults(fn=fn)
@@ -334,7 +334,6 @@ def make_parser():
     p.add_argument("patterns", nargs="*")
     p.add_argument("--pattern-file")
     p.add_argument("--hex", action="store_true")
-    p.add_argument("--keep-empty", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(fn=cmd_bench)
     return ap
 

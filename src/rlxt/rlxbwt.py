@@ -410,7 +410,8 @@ def reconstruct_trie(parents, c_array, alphabet):
     """The trie and its co-lex order from each of positions 2..n's parent
     co-lex position and the C array. Top-down, one level per pass, a node's
     pre-order id is its parent's + 1 + its earlier (smaller-labeled) siblings'
-    subtree sizes. Positions sorted by (label, parent) are the co-lex order."""
+    subtree sizes, and the depths laid out by those ids are the trie.
+    Positions sorted by (label, parent) are the co-lex order."""
     n = len(parents) + 1
     par = np.concatenate(([0, 0], parents))
     if n > 1 and (par[2:].min() < 1 or par[2:].max() > n):
@@ -425,7 +426,7 @@ def reconstruct_trie(parents, c_array, alphabet):
     pre[kids] = 1 + before - before[first]
     for level in _levels(depth)[1:]:
         pre[level] += pre[par[level]]
-    parent, label = np.zeros((2, n + 1), dtype=np.int64)
-    parent[pre] = pre[par]
+    pre_depth, label = np.zeros((2, n + 1), dtype=np.int64)
+    pre_depth[pre] = depth
     label[pre[1:]] = np.repeat(np.arange(len(c_array) - 1), np.diff(c_array))
-    return LabeledTrie(parent, label, alphabet), ColexOrder(pre)
+    return LabeledTrie(pre_depth, label, alphabet), ColexOrder(pre)

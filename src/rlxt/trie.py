@@ -1,9 +1,9 @@
 """In-memory trie model, construction, co-lexicographic sorting, and oracles.
 
-Nodes are identified by their pre-order number 1..n (node 1 is the root).
-Edge labels are dense integer codes: code 0 is the reserved root sentinel
-(never labels an edge), codes 1..sigma-1 map to the distinct input bytes in
-increasing byte order. The mapping is kept in :class:`Alphabet`.
+Nodes are identified by their pre-order number 1..n (node 1 is the root);
+a trie's shape is its depth sequence in that order. Edge labels are dense
+codes: 0 is the reserved root sentinel (never labels an edge), 1..sigma-1
+the distinct input bytes in increasing byte order (:class:`Alphabet`).
 
 The brute-force helpers here (``oracle_locate``, reversed-path sorting) are
 the ground truth everything else is tested against.
@@ -65,12 +65,14 @@ class Alphabet:
 
 
 class LabeledTrie:
-    """Edge-labeled trie in pre-order form.
+    """Edge-labeled trie in pre-order form, given by its depth sequence:
+    ``depth[1] == 0`` and ``1 <= depth[u] <= depth[u-1] + 1`` holds for the
+    pre-order trees and for no other sequence, and u's parent is the last
+    node before it one level up (:meth:`from_parents` takes parents instead).
 
-    Arrays are 1-based (index 0 unused). ``parent[1] == 0`` and
-    ``label[1] == SENTINEL``. Children of each node are stored contiguously
-    in ``child_ids`` sorted by label, which by the pre-order invariant is
-    also ascending id order.
+    Arrays are 1-based (index 0 unused). ``label[1] == SENTINEL``. Children
+    of each node are stored contiguously in ``child_ids`` sorted by label,
+    which by the pre-order invariant is also ascending id order.
     """
 
     __slots__ = (
@@ -78,19 +80,23 @@ class LabeledTrie:
         "depth", "_iso_sig", "_path_bytes",
     )
 
-    def __init__(self, parent, label, alphabet):
-        try:
-            self.parent = np.asarray(parent, dtype=np.int64)
-        except OverflowError:  # an id past n fails the range check as -1 does
-            self.parent = np.array([p if 0 <= p < len(parent) else -1 for p in parent], np.int64)
+    def __init__(self, depth, label, alphabet):
+        self.depth = d = np.asarray(depth, dtype=np.int64)
         self.label = np.asarray(label, dtype=np.int64)
-        self.n = n = len(self.parent) - 1
+        self.n = n = len(d) - 1
         self.alphabet = alphabet
         if n < 1:
             raise FormatError("trie must contain at least the root")
         if self.label[1] != SENTINEL:
             raise FormatError("root must carry the sentinel label")
-        self.depth = self._check_preorder(parent)
+        ok = np.append(d[1] == 0, (d[2:] >= 1) & (d[2:] <= d[1:-1] + 1))
+        if not ok.all():
+            u = int(np.argmin(ok)) + 1
+            raise PreorderError(f"node {u}: depth {int(d[u])} is out of pre-order")
+        sentinel = np.flatnonzero(self.label[2:] == SENTINEL)
+        if len(sentinel):
+            raise FormatError(f"node {int(sentinel[0]) + 2}: sentinel label on an edge")
+        self.parent = _last_one_level_up(d)
         kids = self.parent[2:]
         self.child_ids = np.argsort(kids, kind="stable") + 2
         self.child_start = np.zeros(n + 2, dtype=np.int64)
@@ -99,10 +105,11 @@ class LabeledTrie:
         self._iso_sig = None
         self._path_bytes = None
 
-    def _check_preorder(self, given):
-        """Depth of every node, once the arrays are known to be a pre-order
+    @classmethod
+    def from_parents(cls, parent, label, alphabet):
+        """The trie of a parent array, once it is known to be a pre-order
         trie; otherwise the error for the smallest offending node, naming
-        its parent as ``given``.
+        its parent as given.
 
         Node u >= 2 is in pre-order iff (a) ``1 <= parent[u] < u``,
         (b) ``depth[u] <= depth[u-1] + 1`` and (c) ``parent[u]`` is the last
@@ -110,25 +117,32 @@ class LabeledTrie:
         parent lies on the root-to-(u-1) path. Depths are computed over the
         nodes before the first (a) failure, whose parents all point back.
         """
-        n, parent = self.n, self.parent
-        bad = np.flatnonzero((parent[2:] < 1) | (parent[2:] >= np.arange(2, n + 1)))
+        try:
+            ids = np.asarray(parent, dtype=np.int64)
+        except OverflowError:  # an id past n fails the range check as -1 does
+            ids = np.array([p if 0 <= p < len(parent) else -1 for p in parent], np.int64)
+        label = np.asarray(label, dtype=np.int64)
+        n = len(ids) - 1
+        if n < 1 or label[1] != SENTINEL:
+            return cls(ids, label, alphabet)  # which raises the root's error
+        bad = np.flatnonzero((ids[2:] < 1) | (ids[2:] >= np.arange(2, n + 1)))
         m = int(bad[0]) + 1 if len(bad) else n  # nodes 1..m have parents before them
         first = m + 1  # smallest node failing (a), (b) or (c); n + 1 if none
-        depth = _depths(parent[: m + 1])
+        depth = _depths(ids[: m + 1])
         bad = np.flatnonzero((depth[2:] > depth[1:-1] + 1)
-                             | (_last_one_level_up(depth)[2:] != parent[2 : m + 1]))
+                             | (_last_one_level_up(depth)[2:] != ids[2 : m + 1]))
         if len(bad):
             first = int(bad[0]) + 2
-        sentinel = np.flatnonzero(self.label[2:] == SENTINEL)
+        sentinel = np.flatnonzero(label[2:] == SENTINEL)
         if len(sentinel) and int(sentinel[0]) + 2 < first:
             raise FormatError(f"node {int(sentinel[0]) + 2}: sentinel label on an edge")
         if first <= m:
-            raise PreorderError(f"node {first}: parent {int(parent[first])} "
+            raise PreorderError(f"node {first}: parent {int(ids[first])} "
                                 "not on the current DFS path")
         if first <= n:
-            raise PreorderError(f"node {first} has parent {int(given[first])} "
+            raise PreorderError(f"node {first} has parent {int(parent[first])} "
                                 f"outside 1..{first - 1}")
-        return depth
+        return cls(depth, label, alphabet)
 
     def _check_child_labels(self):
         """Siblings carry distinct labels in ascending order; otherwise the
@@ -290,10 +304,10 @@ def build_from_strings(lines):
     Nodes are the distinct prefixes in byte order, which is pre-order with
     children in label order. Over the distinct lines sorted, line i adds its
     prefixes longer than its longest common prefix with line i-1, in order
-    of length; so depths, labels and parents follow from the sorted lines'
+    of length; so the depths and labels follow from the sorted lines'
     lengths and LCPs with array operations, and no Python loop runs over
     the lines: the LCPs come from one comparison of the lines laid end to
-    end (:func:`_pair_lcps`), the parents from :func:`_last_one_level_up`.
+    end (:func:`_pair_lcps`), and the depths are the trie as they stand.
     """
     lines = sorted(set(map(bytes, lines)))
     joined = b"".join(lines)
@@ -311,7 +325,7 @@ def build_from_strings(lines):
     depth[2:] = concat_ranges(lcps + 1, new)
     label = np.zeros_like(depth)
     label[2:] = code[data[concat_ranges(np.cumsum(lens) - lens + lcps, new)]]
-    return LabeledTrie(_last_one_level_up(depth), label, alphabet)
+    return LabeledTrie(depth, label, alphabet)
 
 
 def build_from_edges(n, edges):
@@ -324,14 +338,10 @@ def build_from_edges(n, edges):
         raise FormatError("node count must be >= 1")
     if len(edges) != n - 1:
         raise FormatError(f"expected {n - 1} edges for {n} nodes, got {len(edges)}")
-    raw_labels = [b for _, b in edges]
-    alphabet = Alphabet(raw_labels)
-    parent = [0, 0]
-    label = [0, SENTINEL]
-    for p, b in edges:
-        parent.append(int(p))
-        label.append(alphabet.code_of_byte[int(b)])
-    return LabeledTrie(parent, label, alphabet)
+    alphabet = Alphabet(b for _, b in edges)
+    parent = [0, 0] + [int(p) for p, _ in edges]
+    label = [0, SENTINEL] + [alphabet.code_of_byte[int(b)] for _, b in edges]
+    return LabeledTrie.from_parents(parent, label, alphabet)
 
 
 def parse_strings_file(data: bytes):

@@ -209,7 +209,7 @@ def make_random_trie(rng: random.Random, max_n: int, sigma: int) -> LabeledTrie:
     used = [b for b in label[2:]]
     alphabet = Alphabet(used if used else [])
     dense = [0, 0] + [alphabet.code_of_byte[b] for b in label[2:]]
-    return LabeledTrie(parent, dense, alphabet)
+    return LabeledTrie.from_parents(parent, dense, alphabet)
 
 
 def path_trie(data: bytes) -> LabeledTrie:

@@ -46,7 +46,7 @@ def _with_unused_label(t, m):
     m labels no edge and its slice of the parent table is empty."""
     label = t.label + (t.label >= m)
     label[1] = 0
-    return LabeledTrie(t.parent, label, Alphabet(range(1, t.alphabet.sigma + 1)))
+    return LabeledTrie.from_parents(t.parent, label, Alphabet(range(1, t.alphabet.sigma + 1)))
 
 
 def _check_nav(nav, t, order, rng):

@@ -60,10 +60,11 @@ def test_non_utf8_argument_is_matched_as_bytes(tmp_path, capsys):
 
 def test_pattern_file(ex26_index, tmp_path, capsys):
     pf = tmp_path / "pats.txt"
-    pf.write_bytes(b"ac\nb\nca\n")
+    pf.write_bytes(b"ac\n\nb\nca\n")  # the blank line is skipped
     capsys.readouterr()
     assert main(["locate", str(ex26_index), "--pattern-file", str(pf)]) == 0
     lines = capsys.readouterr().out.strip().split("\n")
+    assert len(lines) == 3
     assert lines[0] == "3 18 7 13"
     assert lines[1].startswith("9 ")
     assert lines[2].startswith("2 ")
@@ -97,6 +98,8 @@ def test_bad_hex_line_in_pattern_file_is_input_error(ex26_index, tmp_path, capsy
     ["bench", "--repeat", "\u0663"],  # an Arabic-Indic digit, which int() reads as 3
     ["bench", "--t", "\u0661"],
     ["bench", "--t", "1,\u0664"],
+    ["build", "--engine", "sampled", "--t", "x", "-o", "unused.idx"],
+    ["build", "--engine", "sampled", "--t", "\u0663", "-o", "unused.idx"],
 ])
 def test_bad_cover_parameter_or_engine_is_input_error(ex26_file, tmp_path, monkeypatch, capsys,
                                                       argv):

@@ -317,7 +317,7 @@ def _caterpillar(m, spine_first):
     parent[leaf] = spine
     label[spine[1:]] = 1 if spine_first else 2
     label[leaf] = 2 if spine_first else 1
-    t = LabeledTrie(parent, label, Alphabet(b"ab"))
+    t = LabeledTrie.from_parents(parent, label, Alphabet(b"ab"))
     where = {}
     for kk in range(m):
         where[int(spine[kk])] = (kk, False)

@@ -231,7 +231,7 @@ def loop_preorder_error(parent, label):
 def _vector_error(parent, label):
     alphabet = Alphabet([b for b in set(label[2:]) if 0 < b < 256])
     try:
-        LabeledTrie(parent, label, alphabet)
+        LabeledTrie.from_parents(parent, label, alphabet)
     except (PreorderError, FormatError, DeterminismError) as exc:
         return type(exc), str(exc)
     return None
@@ -351,6 +351,60 @@ def test_preorder_check_agrees_with_the_stack_loop_random():
         label = [0, 0] + [rng.randint(0, 3) if rng.random() < 0.05 else rng.randint(1, 3)
                           for _ in range(2, n + 1)]
         assert _vector_error(parent, label) == loop_preorder_error(parent, label), (parent, label)
+
+
+def _loop_depth_error(depth):
+    """The first node of a depth sequence that no pre-order tree has there,
+    one node at a time: the root at depth 0, every later node one to its
+    predecessor's depth + 1. None if there is none."""
+    for u in range(1, len(depth)):
+        top = 0 if u == 1 else depth[u - 1] + 1
+        if not min(top, 1) <= depth[u] <= top:
+            return u
+    return None
+
+
+def test_depth_sequences_are_exactly_the_preorder_trees():
+    # every sequence over 0..n-1 for n <= 6, and for n = 7 every one whose
+    # root is at depth 0 (a root elsewhere fails at node 1 whatever follows)
+    accepted = 0
+    for n in range(1, 8):
+        label = [0, 0] + list(range(1, n))
+        alphabet = Alphabet(range(1, n))
+        for depth in itertools.product(range(n), repeat=n):
+            if n == 7 and depth[0]:
+                continue
+            depth = [0, *depth]
+            bad = _loop_depth_error(depth)
+            if bad is not None:
+                with pytest.raises(PreorderError, match=f"^node {bad}: depth "):
+                    LabeledTrie(depth, label, alphabet)
+                continue
+            accepted += 1
+            t = LabeledTrie(depth, label, alphabet)
+            assert t.depth.tolist() == depth
+            assert t.parent.tolist() == _loop_last_one_level_up(depth)
+            again = LabeledTrie.from_parents(t.parent, t.label, t.alphabet)
+            for name in ("parent", "label", "depth", "child_start", "child_ids"):
+                assert getattr(again, name).tolist() == getattr(t, name).tolist(), (depth, name)
+    assert accepted == 1 + 1 + 2 + 5 + 14 + 42 + 132  # Catalan numbers: the ordered trees
+
+
+def test_the_string_path_derives_the_parents_once(monkeypatch):
+    import rlxt.trie
+
+    calls = {"_last_one_level_up": 0, "_depths": 0}
+    for name in calls:
+        real = getattr(rlxt.trie, name)
+
+        def counted(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(rlxt.trie, name, counted)
+    t = parse_strings_file(b"\n".join(ex26_lines()) + b"\n")
+    assert t.n == 26
+    assert calls == {"_last_one_level_up": 1, "_depths": 0}
 
 
 def test_colex_sort_by_doubling_matches_naive():

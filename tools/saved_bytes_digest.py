@@ -10,7 +10,9 @@ prints one line
 
     <corpus> <sha1 of save_rindex(build_index(parse_strings_file(corpus)))> <sections>
 
-then one line per sampled-engine file, ``save_sampled(build_sampled(...))``:
+and one for the running example read as Format B, the edge lines of its
+strings-built trie through ``parse_edges_file`` (``ex26-edges``, which
+hashes equal to ``ex26``), then one line per sampled-engine file, ``save_sampled(build_sampled(...))``:
 the running example at t = 2 and 4, and seed 1 of each workload at the
 default t and at t = 1 (every node a cover root),
 
@@ -60,8 +62,8 @@ def deep_pair(rng, length, shared):
             for first in (b"a", b"b")]
 
 
-def digest(data, rindex, storage, trie):
-    blob = storage.save_rindex(rindex.build_index(trie.parse_strings_file(data)))
+def digest(data, rindex, storage, trie, parse="parse_strings_file"):
+    blob = storage.save_rindex(rindex.build_index(getattr(trie, parse)(data)))
     return digests(blob, storage)
 
 
@@ -86,6 +88,8 @@ def main(argv=None):
         return b"".join(line + b"\n" for line in lines)
 
     print("ex26", digest(corpus(ex26_lines()), rindex, storage, trie), flush=True)
+    edges = trie.parse_strings_file(corpus(ex26_lines())).to_edge_lines().encode()
+    print("ex26-edges", digest(edges, rindex, storage, trie, "parse_edges_file"), flush=True)
     rng = random.Random(1)
     alpha = bytes(range(33, 233))
     wide = [bytes([b]) for b in alpha] + repetitive_lines(
