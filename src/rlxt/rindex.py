@@ -10,10 +10,12 @@ and its child towards u, and sibling steps read subtree sizes. It checks
 only what the file gives. Locate = toehold (backward search that also
 tracks the pre-order id of the range's first node), then, at each later
 position of the range, the block head where a block starts and ``phi`` of
-the node before it elsewhere. Count is the backward search alone. Both run
-one loop over the S' tables, with no function call per step: one search
-over the block starts per step once the range lies in one block, two at
-worst, and none from the whole range. The samples and the
+the node before it elsewhere. Count is the backward search alone, over
+each label's run starts: one search per step, two at most, and none over
+the block starts. The toehold runs its own loop, which also reads the
+block starts, masks and heads: one block search plus one run search per
+step, four searches at most. Neither makes a function call per step, nor
+any search from the whole range. The samples and the
 isomorphic-child jump share one anchor per colored node: a red node's is
 the block after the one it ends, whose head is its sample and whose mask
 the jump compares with its own block's; a blue-only node's points past the
@@ -212,37 +214,94 @@ class RIndex:
 
         Returns ((lo, hi), first_preorder) or None when no node matches.
         The empty pattern matches every node, with the root first. One
-        :meth:`_backward_search` that also takes each step's child.
+        :meth:`_backward_search`.
         """
         codes = self.alphabet.encode(pattern)
         if codes is None:
             return None
-        got = self._backward_search(codes, True)
+        got = self._backward_search(codes)
         return None if got is None else ((got[0], got[1]), got[2])
 
     def count(self, pattern):
-        """Number of nodes reached by ``pattern``: one
-        :meth:`_backward_search` over the range alone, which reads no run
-        head and takes no child step."""
+        """Number of nodes reached by ``pattern``: the backward search over
+        the range alone, with no call but ``bisect_right``. It reads c's run
+        starts, c's node counts before each run and the C array, and no
+        block start, mask or head.
+
+        The first step, from the whole range, is c's C-array span. After it,
+        one search over c's run starts finds the run k that starts at or
+        before lo. If lo lies within run k's length, the rank of c through
+        lo follows; otherwise lo's successor heads run k + 1, if that run
+        starts by hi. If hi lies within the run that holds lo or its
+        successor, it needs no search of its own; otherwise a second search,
+        from that run on, finds the last run that starts at or before hi,
+        whose rank through hi stops at its length. The checks are
+        ``backward_extend``'s: the range and the label at each step.
+        """
         codes = self.alphabet.encode(pattern)
         if codes is None:
             return 0
-        got = self._backward_search(codes, False)
-        return 0 if got is None else max(got[1] - got[0] + 1, 0)
+        rlx = self.rlx
+        n, sigma = rlx.n, rlx.sigma
+        all_starts, all_base, c_array = rlx.run_start, rlx.base, rlx.c_array
+        search = bisect_right
+        lo, hi = 1, n
+        for c in codes:
+            if not 1 <= lo <= hi <= n:
+                if lo > hi:  # backward_extend's empty range
+                    return 0
+                raise IndexError(f"range {(lo, hi)} invalid for n={n}")
+            if not 1 <= c < sigma:
+                return 0
+            run_start, base = all_starts[c], all_base[c]
+            cc = c_array[c]
+            if lo == 1 and hi == n:  # the whole range: all of c's nodes
+                if not run_start:
+                    return 0
+                lo, hi = cc + 1, c_array[c + 1]
+                continue
+            runs = len(run_start)
+            k = search(run_start, lo) - 1
+            if k >= 0:
+                run, below = run_start[k], base[k]
+                # c's nodes through run k
+                end = base[k + 1] if k + 1 < runs else c_array[c + 1] - cc
+            if k >= 0 and lo - run < end - below:  # lo in run k
+                lo2 = below + lo - run + 1
+            else:  # lo's successor heads c's next run, if it starts by hi
+                k += 1
+                if k == runs:
+                    return 0
+                run, below = run_start[k], base[k]
+                if run > hi:
+                    return 0
+                end = base[k + 1] if k + 1 < runs else c_array[c + 1] - cc
+                lo2 = below + 1
+            if hi - run < end - below:  # hi in run k
+                hi2 = below + hi - run + 1
+            else:  # the run at or before hi, k or later, and its rank through hi
+                k = search(run_start, hi, k) - 1
+                end = base[k + 1] if k + 1 < runs else c_array[c + 1] - cc
+                hi2 = min(base[k] + hi - run_start[k] + 1, end)
+            lo, hi = cc + lo2, cc + hi2
+        return max(hi - lo + 1, 0)
 
-    def _backward_search(self, codes, toehold):
+    def _backward_search(self, codes):
         """(lo, hi, first) for the label codes, or None if they match no node.
 
         The checked ``rlxbwt`` steps and ``topo.cbr`` fused into one loop
-        over the S' tables, with no call but ``bisect_right``; ``first``,
-        the pre-order id of the range's first node, is 1 unless ``toehold``.
-        The first step, from the whole range, is c's C-array span and c's
-        first run, with no search. After it, one search over the block
-        starts finds lo's block q and one over c's entries the run k that
-        holds lo, or else c's next run and its block. If hi lies in that
-        block, run k holds it too and it needs no search of its own;
-        otherwise a second search over the block starts finds it. The
-        toehold's child is block q's head, or the previous first node,
+        over the S' tables, with no call but ``bisect_right``; ``first`` is
+        the pre-order id of the range's first node. The first step, from
+        the whole range, is c's C-array span and the block where c's first
+        run starts, with no search. After it, one search over the block
+        starts finds lo's block q, whose mask says whether c is present at
+        lo, and one over c's run starts the run k that holds lo, or else
+        c's next run; a bounded search from q then finds that run's block.
+        If hi lies in that block, run k holds it too and it needs no search
+        of its own; otherwise one more search over c's run starts finds the
+        run at or before hi, whose rank through hi stops at its length. So a
+        step makes one block search and one run search, and at most two of
+        each. The child is block q's head, or the previous first node,
         stepped down by c's child rank: a popcount of the block's mask, then
         a walk over sibling subtree sizes. The checks are the composed
         path's: the range and the label at each step, and the node id and
@@ -250,68 +309,61 @@ class RIndex:
         """
         rlx = self.rlx
         n, sigma = rlx.n, rlx.sigma
-        starts, all_adds, all_base = rlx.starts, rlx.adds, rlx.base
+        starts, all_starts, all_base = rlx.starts, rlx.run_start, rlx.base
         c_array, mask, block_head = rlx.c_array, rlx.mask, rlx.block_head
+        first_block = rlx.first_block
         size = self.topo.subtree_size
         search = bisect_right
         r = len(starts)
         lo, hi, node = 1, n, 1
         for c in codes:
             if not 1 <= lo <= hi <= n:
-                if lo > hi and not toehold:  # backward_extend's empty range
-                    return None
                 raise IndexError(f"range {(lo, hi)} invalid for n={n}")
             if not 1 <= c < sigma:
                 return None
-            adds, base = all_adds[c], all_base[c]
+            run_start, base = all_starts[c], all_base[c]
             if lo == 1 and hi == n:  # the whole range: all of c's nodes
-                if not adds:
+                if not run_start:
                     return None
-                q = adds[0]  # 0 iff the root has a c-child, else c's first run's block
+                q = first_block[c]  # 0 iff the root has a c-child
                 lo2, hi2 = 1, c_array[c + 1] - c_array[c]
-                u = block_head[q] if toehold else node  # block_head[0] is the root
+                u = block_head[q]  # block_head[0] is the root
             else:
                 q = search(starts, lo) - 1
                 if mask[q] >> c & 1:  # c present at lo
-                    k = search(adds, q) - 1
-                    run = starts[adds[k]]
+                    k = search(run_start, lo) - 1
+                    run = run_start[k]
                     lo2 = base[k] + lo - run + 1
                     u = node
                 else:  # lo2 heads c's next run, if it starts within the range
-                    k = search(adds, q)
-                    if k == len(adds):
+                    k = search(run_start, lo)
+                    if k == len(run_start):
                         return None
-                    q = adds[k]
-                    run = starts[q]
+                    run = run_start[k]
                     if run > hi:
                         return None
                     lo2 = base[k] + 1
-                    if toehold:
-                        u = block_head[q]
+                    q = search(starts, run, q) - 1  # the block that run k starts
+                    u = block_head[q]
                 if q + 1 == r or hi < starts[q + 1]:  # hi in block q: run k holds it
                     hi2 = base[k] + hi - run + 1
-                else:  # rank of c through hi; its run, at or after k, starts at or before hi
-                    qh = search(starts, hi) - 1
-                    kh = search(adds, qh, k) - 1
-                    if mask[qh] >> c & 1:
-                        hi2 = base[kh] + hi - starts[adds[kh]] + 1
-                    elif kh + 1 < len(base):  # c's run kh ended before hi's block
-                        hi2 = base[kh + 1]
-                    else:
-                        hi2 = c_array[c + 1] - c_array[c]
+                else:  # the run at or before hi, k or later, and its rank through hi
+                    k = search(run_start, hi, k) - 1
+                    end = base[k + 1] if k + 1 < len(base) else c_array[c + 1] - c_array[c]
+                    hi2 = min(base[k] + hi - run_start[k] + 1, end)
             cc = c_array[c]
             lo, hi = cc + lo2, cc + hi2
-            if toehold:  # node = cbr(u, child rank of c at block q)
-                if not 1 <= u <= n:
-                    raise IndexError(f"node {u} out of range 1..{n}")
-                v, end = u + 1, u + size[u]
-                for _ in range((mask[q] & ((1 << c) - 1)).bit_count()):
-                    if v >= end:
-                        break
-                    v += size[v]
+            # node = cbr(u, child rank of c at block q)
+            if not 1 <= u <= n:
+                raise IndexError(f"node {u} out of range 1..{n}")
+            v, end = u + 1, u + size[u]
+            for _ in range((mask[q] & ((1 << c) - 1)).bit_count()):
                 if v >= end:
-                    raise IndexError(f"node {u} has fewer children than the toehold asks for")
-                node = v
+                    break
+                v += size[v]
+            if v >= end:
+                raise IndexError(f"node {u} has fewer children than the toehold asks for")
+            node = v
         return lo, hi, node
 
     def locate(self, pattern):

@@ -5,10 +5,10 @@ rank and backward range extension).
 The XBWT is the sequence of outgoing-label sets in co-lex node order. Blocks
 are maximal runs of equal sets, each encoded as (ADD, DEL, length) against
 its predecessor. S' flattens the deltas as c+/c- symbols with '/' block
-separators. Queries read S' regrouped by label: per label, the blocks where
-it enters the out-set and the count of its nodes before each entry, plus
-the block starts; every lookup is a binary search over O(r) words. Each
-block's out-set is also kept as a sigma-bit mask, so "is c present at
+separators. Queries read S' regrouped by label: per label, the co-lex
+positions where its runs start and the count of its nodes before each run,
+plus the block starts; every lookup is a binary search over O(r) words.
+Each block's out-set is also kept as a sigma-bit mask, so "is c present at
 block q" is one bit test and the child rank of c is one popcount of the
 bits below c. The blocks are kept only in those tables: the exits, the node
 counts, the C array and the triples are derived from them. One object,
@@ -17,12 +17,16 @@ pre-order id of its first node, and every query takes it as its one
 transform argument.
 
 The queries here check every argument. ``RIndex.count`` and
-``RIndex.toehold_search`` call none of them: they fuse ``backward_extend``,
-``xbwt_successor``, ``run_head_preorder`` and ``cr`` into one loop over the
-tables (``RIndex._backward_search``), which takes the first step from the C
-array and skips the search for hi when hi lies in the block already found
-for lo. The queries stay as the checked reference the tests compare that
-loop with, and because the traced benchmark (``bench/spans.py``) patches
+``RIndex.toehold_search`` call none of them: each runs its own loop over
+the tables, which takes the first step from the C array. ``count`` fuses
+``backward_extend`` alone: one search over c's run starts per step, two
+at most, and none over the block starts. The toehold
+(``RIndex._backward_search``) also fuses ``xbwt_successor``,
+``run_head_preorder`` and ``cr``: one block search and one run search per
+step, a second block search where lo's block lacks c, and a second run
+search where hi lies past the block of the run found for lo; four at
+most. The queries stay as the checked reference the tests compare those
+loops with, and because the traced benchmark (``bench/spans.py``) patches
 them by name.
 """
 
@@ -79,27 +83,34 @@ class RlXbwt:
     successor and child rank, plus the block heads' pre-order ids.
 
     Blocks are numbered from 0 and ``starts[q]`` is the co-lex position where
-    block q begins. For each label c, ``adds[c]`` lists the blocks where c
-    enters the out-set (the c+ symbols of S'). ``mask[q]`` is block q's
-    out-set: bit c is set iff c is present there (see :func:`out_masks`).
+    block q begins. For each label c, ``run_start[c]`` lists the co-lex
+    positions where c's runs begin: the starts of the blocks where c enters
+    the out-set (the c+ symbols of S'). ``mask[q]`` is block q's out-set:
+    bit c is set iff c is present there (see :func:`out_masks`).
 
-    The rest follows from the blocks. c's k-th run spans the positions from
-    its entry's block start through its last c-node, and each of them has
-    one c-child: ``base[c][k]``, the number of c-nodes before block
-    ``adds[c][k]``, sums c's earlier runs, and ``c_array`` sums every
-    label's runs. So run k ends where ``base[c][k + 1]`` (or c's total)
-    runs out, and c leaves the out-set (the c- symbols, ``dels``) at the
-    block starting there. ``dels``, ``triples``, ``r_prime`` and
-    ``colex_parents`` are views derived from the tables.
+    The rest follows from the runs. c's k-th run spans the positions from
+    ``run_start[c][k]`` through its last c-node, and each of them has one
+    c-child: ``base[c][k]``, the number of c-nodes before the run, sums c's
+    earlier runs, and ``c_array`` sums every label's runs. So run k holds
+    ``base[c][k + 1] - base[c][k]`` positions (c's total less ``base[c][k]``
+    for the last), and c leaves the out-set (the c- symbols, ``dels``) at
+    the block starting one past it. Rank of c through i is then one search
+    in ``run_start[c]`` and one comparison with that run's length.
+    ``dels``, ``triples``, ``r_prime`` and ``colex_parents`` are views
+    derived from the tables.
 
     ``block_head[q]`` is the pre-order id of block q's first node, one
     :func:`~rlxt.bits.int_array` of r' ids; ``block_head[0]`` is the root,
-    1. The c-run heads are the heads of the blocks in ``adds[c]``: run k's
-    is ``block_head[adds[c][k]]``. The heads and the masks are attached once
-    the tables are built, so the temporaries of the three never coexist.
+    1. The c-run heads are the heads of the blocks that start at
+    ``run_start[c]``; ``first_block[c]`` is the block where c's first run
+    starts (0 for a label with no run), so the toehold's first step, from
+    the whole range, makes no search. The heads and the masks are attached
+    once the tables are built, so the temporaries of the three never
+    coexist.
     """
 
-    __slots__ = ("n", "sigma", "starts", "adds", "base", "c_array", "mask", "block_head")
+    __slots__ = ("n", "sigma", "starts", "run_start", "first_block", "base", "c_array", "mask",
+                 "block_head")
 
     def __init__(self, sigma, n_add, add_labels, n_del, del_labels, lengths):
         """Per block q: ``n_add[q]`` entering and ``n_del[q]`` leaving labels
@@ -127,9 +138,16 @@ class RlXbwt:
             c = int(bad[0])
             raise ValueError(f"label {c} enters the out-set {n_entries[c]} times, "
                              f"leaves {n_exits[c]}")
-        # each run ends where its exit's block starts; a label still present
-        # in the last block gets an exit past it
+        # each run starts at its entry's block start and ends where its
+        # exit's block starts; a label still present in the last block gets
+        # an exit past it
+        first = np.cumsum(n_entries) - n_entries  # each label's first run
+        has = n_entries > 0
+        first_block = np.zeros(sigma, entries.dtype)
+        first_block[has] = entries[first[has]]
+        self.first_block = int_array(first_block)
         heads = starts[entries]
+        del entries, first_block
         stops = np.insert(starts[exits], np.cumsum(n_exits)[n_entries > n_exits], n + 1)
         del exits, starts
         # entries and exits alternate in distinct blocks iff, label after
@@ -137,12 +155,13 @@ class RlXbwt:
         # each run is nonempty and starts after the label's previous one stops
         runs = stops - heads
         gaps = heads[1:] - stops[:-1]
-        del heads, stops
-        first = np.cumsum(n_entries) - n_entries
-        gaps[first[(first > 0) & (n_entries > 0)] - 1] = 1  # another label's run before
+        del stops
+        gaps[first[(first > 0) & has] - 1] = 1  # another label's run before
         if (runs <= 0).any() or (gaps <= 0).any():
             raise ValueError("a label's entries and exits do not alternate")
         del gaps
+        self.run_start = per_label(heads, n_entries)
+        del heads
         before = np.zeros(len(runs) + 1, dtype=np.min_scalar_type(int(runs.sum(dtype=np.int64))))
         np.cumsum(runs, out=before[1:])
         del runs
@@ -151,7 +170,6 @@ class RlXbwt:
         self.c_array = int_array(np.concatenate(
             ([0], before[first + n_entries].astype(np.int64) + 1)))
         del before
-        self.adds = per_label(entries, n_entries)
         self.mask = self.block_head = None
 
     @property
@@ -171,14 +189,19 @@ class RlXbwt:
     @property
     def run_heads(self):
         """``{c: [(colex, preorder), ...]}`` for labels 1..sigma-1: the
-        start and the head of each block in ``adds[c]``."""
-        starts, heads = self.starts, self.block_head
-        return {c: [(starts[q], heads[q]) for q in self.adds[c]] for c in range(1, self.sigma)}
+        start and the head of each of c's runs, the head of its block."""
+        heads = self.block_head
+        return {c: [(i, heads[self.block_of(i)]) for i in self.run_start[c]]
+                for c in range(1, self.sigma)}
 
     def run_stats(self):
         """(r, per-label run counts, r')."""
-        r_c = {c: len(adds) for c, adds in enumerate(self.adds) if len(adds)}
+        r_c = {c: len(rs) for c, rs in enumerate(self.run_start) if len(rs)}
         return sum(r_c.values()), r_c, self.r_prime
+
+    def _run_starts(self):
+        """Every run's start, label after label, as int64."""
+        return np.concatenate(self.run_start).astype(np.int64)
 
     def colex_parents(self):
         """The parent co-lex position of each of positions 2..n: the k-th
@@ -186,12 +209,19 @@ class RlXbwt:
         ``base`` and the C array give each run's offset among the children."""
         offsets = np.concatenate(self.base).astype(np.int64) + np.repeat(
             np.asarray(self.c_array, dtype=np.int64)[:-1] - 1, [len(b) for b in self.base])
-        heads = np.asarray(self.starts, dtype=np.int64)[np.concatenate(self.adds)]
-        return concat_ranges(heads, np.diff(offsets, append=self.n - 1))
+        return concat_ranges(self._run_starts(), np.diff(offsets, append=self.n - 1))
 
     def _run_labels(self):
         """The label of every run, label after label."""
-        return np.repeat(np.arange(self.sigma), [len(a) for a in self.adds])
+        return np.repeat(np.arange(self.sigma), [len(rs) for rs in self.run_start])
+
+    def _blocks_at(self, positions):
+        """The block starting at each of ``positions``, all block starts:
+        one lookup in a map from each block's start to its number."""
+        r = len(self.starts)
+        block_at = np.zeros(self.n + 1, np.min_scalar_type(r))
+        block_at[self.starts] = np.arange(r)
+        return block_at[positions]
 
     def _exits(self, labels):
         """Every run's exit as (blocks, labels) in S' order, by block and
@@ -203,12 +233,9 @@ class RlXbwt:
         through[:-1] = before[1:]
         last = np.flatnonzero(np.diff(labels, append=self.sigma))  # each label's last run
         through[last] = np.diff(np.asarray(self.c_array, dtype=np.int64))[labels[last]]
-        ends = np.asarray(self.starts, dtype=np.int64)[np.concatenate(self.adds)] + through - before
-        r = len(self.starts)
-        block_at = np.zeros(self.n + 2, np.min_scalar_type(r))  # the block starting at each position
-        block_at[self.starts] = np.arange(r)
+        ends = self._run_starts() + through - before
         exits = ends <= self.n
-        return _in_block_order(block_at[ends[exits]], labels[exits], r)
+        return _in_block_order(self._blocks_at(ends[exits]), labels[exits], len(self.starts))
 
     @property
     def dels(self):
@@ -222,23 +249,23 @@ class RlXbwt:
         """S' block by block: the ADD count per block, the ADD labels in S'
         order, then the same for DEL."""
         r, labels = len(self.starts), self._run_labels()
-        add_blocks, add_labels = _in_block_order(np.concatenate(self.adds), labels, r)
+        add_blocks, add_labels = _in_block_order(self._blocks_at(self._run_starts()), labels, r)
         del_blocks, del_labels = self._exits(labels)
         return (np.bincount(add_blocks, minlength=r), add_labels,
                 np.bincount(del_blocks, minlength=r), del_labels)
 
     def block_deltas(self):
         """``[(add, dele)]`` per block, the label tuples ascending."""
-        n_add, adds, n_del, dels = self.deltas()
-        adds, dels = adds.tolist(), dels.tolist()
+        n_add, add_labels, n_del, del_labels = self.deltas()
+        add_labels, del_labels = add_labels.tolist(), del_labels.tolist()
         add_end, del_end = np.cumsum(n_add).tolist(), np.cumsum(n_del).tolist()
-        return [(tuple(adds[a0:a1]), tuple(dels[d0:d1])) for a0, a1, d0, d1
+        return [(tuple(add_labels[a0:a1]), tuple(del_labels[d0:d1])) for a0, a1, d0, d1
                 in zip([0] + add_end[:-1], add_end, [0] + del_end[:-1], del_end)]
 
     def delta_counts(self):
         """(sum|ADD|, sum|DEL|) over all blocks: every run exits but those
         present in the last block."""
-        runs = sum(map(len, self.adds))
+        runs = sum(map(len, self.run_start))
         return runs, runs - self.mask[-1].bit_count()
 
     def block_of(self, i):
@@ -342,14 +369,13 @@ def xbwt_rank(rlx, c, i):
         raise IndexError(f"colex position {i} out of range 1..{rlx.n}")
     if not 1 <= c < rlx.sigma:
         raise IndexError(f"label {c} out of alphabet")
-    adds = rlx.adds[c]
-    q = rlx.block_of(i)
-    k = bisect_right(adds, q) - 1
+    run_start = rlx.run_start[c]
+    k = bisect_right(run_start, i) - 1
     if k < 0:
         return 0
     base = rlx.base[c]
-    if rlx.mask[q] >> c & 1:
-        return base[k] + i - rlx.starts[adds[k]] + 1
+    if rlx.mask[rlx.block_of(i)] >> c & 1:  # run k holds i
+        return base[k] + i - run_start[k] + 1
     # c's runs 0..k have all ended: run k + 1's offset, or c's total
     return base[k + 1] if k + 1 < len(base) else rlx.c_array[c + 1] - rlx.c_array[c]
 
@@ -363,9 +389,9 @@ def xbwt_successor(rlx, c, i):
     q = rlx.block_of(i)
     if rlx.mask[q] >> c & 1:
         return i  # the block containing i already carries c
-    adds = rlx.adds[c]
-    k = bisect_right(adds, q)
-    return rlx.starts[adds[k]] if k < len(adds) else None
+    run_start = rlx.run_start[c]
+    k = bisect_right(run_start, i)  # c's next run: none starts at i
+    return run_start[k] if k < len(run_start) else None
 
 
 def cr(rlx, i, c):
@@ -396,14 +422,13 @@ def backward_extend(rlx, rng, c):
 
 
 def run_head_preorder(rlx, c, i):
-    """Pre-order id of the c-run head at colex position i: the run that
-    enters at the block starting at i."""
-    adds = rlx.adds[c] if 1 <= c < rlx.sigma else ()
-    q = rlx.block_of(i)
-    k = bisect_left(adds, q)
-    if k == len(adds) or adds[k] != q or rlx.starts[q] != i:
+    """Pre-order id of the c-run head at colex position i: the head of the
+    block where a run of c starts at i."""
+    run_start = rlx.run_start[c] if 1 <= c < rlx.sigma else ()
+    k = bisect_left(run_start, i)
+    if k == len(run_start) or run_start[k] != i:
         raise DomainError(f"colex position {i} is not a {c}-run head")
-    return rlx.block_head[q]
+    return rlx.block_head[rlx.block_of(i)]
 
 
 def reconstruct_trie(parents, c_array, alphabet):

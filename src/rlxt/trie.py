@@ -80,7 +80,9 @@ class LabeledTrie:
         "depth", "_iso_sig", "_path_bytes",
     )
 
-    def __init__(self, depth, label, alphabet):
+    def __init__(self, depth, label, alphabet, parent=None):
+        """``parent``, if given, is ``_last_one_level_up(depth)`` already
+        computed: :meth:`from_parents` has it from its own check."""
         self.depth = d = np.asarray(depth, dtype=np.int64)
         self.label = np.asarray(label, dtype=np.int64)
         self.n = n = len(d) - 1
@@ -96,7 +98,7 @@ class LabeledTrie:
         sentinel = np.flatnonzero(self.label[2:] == SENTINEL)
         if len(sentinel):
             raise FormatError(f"node {int(sentinel[0]) + 2}: sentinel label on an edge")
-        self.parent = _last_one_level_up(d)
+        self.parent = _last_one_level_up(d) if parent is None else parent
         kids = self.parent[2:]
         self.child_ids = np.argsort(kids, kind="stable") + 2
         self.child_start = np.zeros(n + 2, dtype=np.int64)
@@ -129,8 +131,8 @@ class LabeledTrie:
         m = int(bad[0]) + 1 if len(bad) else n  # nodes 1..m have parents before them
         first = m + 1  # smallest node failing (a), (b) or (c); n + 1 if none
         depth = _depths(ids[: m + 1])
-        bad = np.flatnonzero((depth[2:] > depth[1:-1] + 1)
-                             | (_last_one_level_up(depth)[2:] != ids[2 : m + 1]))
+        up = _last_one_level_up(depth)
+        bad = np.flatnonzero((depth[2:] > depth[1:-1] + 1) | (up[2:] != ids[2 : m + 1]))
         if len(bad):
             first = int(bad[0]) + 2
         sentinel = np.flatnonzero(label[2:] == SENTINEL)
@@ -142,7 +144,7 @@ class LabeledTrie:
         if first <= n:
             raise PreorderError(f"node {first} has parent {int(parent[first])} "
                                 f"outside 1..{first - 1}")
-        return cls(depth, label, alphabet)
+        return cls(depth, label, alphabet, up)
 
     def _check_child_labels(self):
         """Siblings carry distinct labels in ascending order; otherwise the

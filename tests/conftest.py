@@ -110,27 +110,33 @@ def composed_step(rlx, rng, c):
 def checked_toehold(idx, codes, branches=None):
     """``toehold_search`` as the fold of :func:`composed_step` and the
     checked ``topo.cbr``. Each step counts in ``branches``, if given: "at
-    lo", "next run" or "empty" by its outcome, and, when it starts short of
-    the whole range and the high end lies in the block of c's run that
-    holds lo or starts after it (a step the fused search takes with one
-    block search), under "last" if that block is the last, else "same"."""
+    lo", "next run" or "empty" by its outcome. A step that starts short of
+    the whole range and finds a run k of c, the one that holds lo or the
+    next, counts again by where the high end lies: under "last" if the
+    block where run k reaches lo's successor is the last, else under "same"
+    if hi lies in that block (the toehold's steps with no search for hi),
+    and under "hi past lo's run" if hi lies past run k's last position
+    (count's steps with a search for hi)."""
     rlx = idx.rlx
-    starts, mask = rlx.starts, rlx.mask
+    starts = rlx.starts
     rng, node = (1, idx.n), 1
     for c in codes:
         step = composed_step(rlx, rng, c)
         if branches is not None:
             branches["empty" if step is None else "at lo" if step[1] is None else "next run"] += 1
             lo, hi = rng
-            q = bisect_right(starts, lo) - 1
-            if step is not None and not mask[q] >> c & 1:
-                q = rlx.adds[c][bisect_right(rlx.adds[c], q)]
-            if step is None or rng == (1, idx.n):  # the whole range: no search at all
-                pass
-            elif q + 1 == len(starts):
-                branches["last"] += 1
-            elif hi < starts[q + 1]:
-                branches["same"] += 1
+            if step is not None and rng != (1, idx.n):  # the whole range: no search at all
+                i = xbwt_successor(rlx, c, lo)
+                q = bisect_right(starts, i) - 1
+                run_start, base = rlx.run_start[c], rlx.base[c]
+                k = bisect_right(run_start, i) - 1
+                end = base[k + 1] if k + 1 < len(base) else rlx.c_array[c + 1] - rlx.c_array[c]
+                if q + 1 == len(starts):
+                    branches["last"] += 1
+                elif hi < starts[q + 1]:
+                    branches["same"] += 1
+                if hi - run_start[k] >= end - base[k]:
+                    branches["hi past lo's run"] += 1
         if step is None:
             return None
         rng, head, k = step

@@ -209,23 +209,26 @@ def test_toehold_searches_blocks_at_most_twice_per_symbol(monkeypatch):
     # the path z y x^40: node z is co-lex-last, with out-set {y}. So y's
     # range is that one node, and each x-step after it extends a one-node
     # range: every range after the whole one sits in one block, and each
-    # step from it searches the block starts once
+    # step from it searches the block starts once. count searches x's run
+    # starts once per step instead, and the block starts never
     t = build_from_strings([b"zy" + b"x" * 40])
     _, idx, _, _ = storage.load_bytes(storage.save_rindex(build_index(t)))
     pat = b"y" + b"x" * 30
+    (x,) = idx.alphabet.encode(b"x")
     searched.clear()
     assert idx.toehold_search(pat) == ((12, 12), 33)
     assert sum(a is idx.rlx.starts for a in searched) == len(pat) - 1
     searched.clear()
     assert idx.count(pat) == 1
-    assert sum(a is idx.rlx.starts for a in searched) == len(pat) - 1
+    assert len(searched) == len(pat) - 1
+    assert all(a is idx.rlx.run_start[x] for a in searched)
 
 
 def test_toehold_step_searches_at_most_four_times(monkeypatch):
     # the child rank is a popcount, so a step's searches do not grow with
     # its label: on an alphabet of 130, with labels past 100, each step
     # after the first searches at most twice over the block starts and four
-    # times in all, only over the block starts and its label's entries. A
+    # times in all, only over the block starts and its label's run starts. A
     # step's searches are those of the pattern through it less those of the
     # pattern before it
     searched = _count_searches(monkeypatch)
@@ -248,9 +251,38 @@ def test_toehold_step_searches_at_most_four_times(monkeypatch):
             assert (j == 0) == (not step)
             assert 1 <= blocks <= 2 or j == 0
             assert len(step) <= 4
-            assert all(a is rlx.starts or a is rlx.adds[c] for a in step)
+            assert all(a is rlx.starts or a is rlx.run_start[c] for a in step)
             top = max(top, c)
     assert top >= 100
+
+
+def test_count_step_searches_at_most_twice_over_its_run_starts(monkeypatch):
+    # count reads no block start: on an alphabet of 130, with labels past
+    # 100, each step after the first searches c's run starts once, twice
+    # where hi lies past the run that lo's successor starts or lies in, and
+    # nothing else. The first step, from the whole range, searches nothing
+    searched = _count_searches(monkeypatch)
+    rng = random.Random(47)
+    alpha = bytes(range(33, 33 + 130))
+    t = build_from_strings([bytes([b]) for b in alpha] + make_dictionary(rng, 600, alpha, 1, 6))
+    assert t.alphabet.sigma > 64
+    _, idx, _, _ = storage.load_bytes(storage.save_rindex(build_index(t)))
+    rlx = idx.rlx
+    top = twice = 0
+    for pat in present_patterns(t, rng, 100) + random_patterns(rng, alpha, 100):
+        codes = idx.alphabet.encode(pat)
+        done = 0
+        for j, c in enumerate(codes):
+            searched.clear()
+            if idx.count(pat[: j + 1]) == 0:
+                break
+            step = searched[done:]
+            done = len(searched)
+            assert (j == 0) == (not step) and len(step) <= 2
+            assert all(a is rlx.run_start[c] for a in step)
+            twice += len(step) == 2
+            top = max(top, c)
+    assert top >= 100 and twice
 
 
 def _pattern_suite(trie, rng):
@@ -667,7 +699,20 @@ def test_fused_search_matches_checked_steps():
                     continue
                 assert idx.count(pat) == _checked_count(idx, codes), pat
                 assert idx.toehold_search(pat) == checked_toehold(idx, codes, branches), pat
-    assert all(branches[b] for b in ("at lo", "next run", "empty", "same", "last"))
+    assert all(branches[b] for b in
+               ("at lo", "next run", "empty", "same", "last", "hi past lo's run"))
+    # past 2**16 nodes the run starts are 4 bytes wide, the block numbers 2
+    t = build_from_strings(make_dictionary(rng, 17_000, b"abcdefgh"))
+    assert t.n >= 2**16
+    _, idx, _, _ = storage.load_bytes(storage.save_rindex(build_index(t)))
+    assert idx.rlx.run_start[1].itemsize == 4 and idx.rlx.r_prime < 2**16
+    wide = Counter()
+    for pat in present_patterns(t, rng, 30, max_len=8) + random_patterns(rng, b"abcdefghz", 10):
+        codes = idx.alphabet.encode(pat)
+        assert idx.count(pat) == (0 if codes is None else _checked_count(idx, codes)), pat
+        want = None if codes is None else checked_toehold(idx, codes, wide)
+        assert idx.toehold_search(pat) == want, pat
+    assert wide["hi past lo's run"] and wide["next run"]
 
 
 def test_fused_search_keeps_the_checks(ex26):

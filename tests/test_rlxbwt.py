@@ -218,7 +218,7 @@ def test_toehold_step_equals_the_composed_queries():
                 for codes in _reached_codes(rlx):
                     (lo, hi), _ = checked_toehold(idx, codes)
                     for c in [0, rlx.sigma, *range(1, rlx.sigma)]:
-                        got = idx._backward_search(codes + (c,), True)
+                        got = idx._backward_search(codes + (c,))
                         want = checked_toehold(idx, codes + (c,), branches)
                         assert (None if got is None else ((got[0], got[1]), got[2])) == want
                         if want is not None and codes and lo < rlx.starts[1]:

@@ -612,7 +612,7 @@ def test_byte_wide_tables_read_at_int64(ex26, n):
         codes = {t.typecode for t in _reachable(index) if isinstance(t, array)}
         assert (codes == {"B"}) if n < 256 else ("H" in codes)
         rlx = index.rlx
-        wide = _at_int64(rlx, ("starts", "adds", "base", "c_array", "block_head"))
+        wide = _at_int64(rlx, ("starts", "run_start", "base", "c_array", "block_head"))
         assert rlx.block_lengths().tolist() == wide.block_lengths().tolist()
         assert [list(d) for d in rlx.dels] == [list(d) for d in wide.dels]
         assert [d.tolist() for d in rlx.deltas()] == [d.tolist() for d in wide.deltas()]
@@ -658,7 +658,7 @@ def test_ids_of_2_16_and_up_take_four_bytes():
     # every other table is at the narrowest width of its own values; the
     # per-label tables share the width of all labels' values
     rlx = idx.rlx
-    per_label = {name: getattr(rlx, name) for name in ("adds", "base")}
+    per_label = {name: getattr(rlx, name) for name in ("run_start", "base")}
     shared = {id(t) for tables in per_label.values() for t in tables} | {id(rlx.mask)}
     tables = [t for t in _reachable(idx) if isinstance(t, array) and id(t) not in shared]
     assert all(t.itemsize == int_array(t).itemsize for t in tables)
@@ -858,7 +858,7 @@ def test_loaded_sprime_tables_equal_built(ex26):
         idx = build_index(t, order)
         blob = storage.save_rindex(idx)
         _, idx2, _, _ = storage.load_bytes(blob)
-        for name in ("starts", "adds", "dels", "base", "c_array", "block_head"):
+        for name in ("starts", "run_start", "first_block", "dels", "base", "c_array", "block_head"):
             assert getattr(idx2.spi, name) == getattr(idx.spi, name), name
         assert idx.spi is idx.rlx and idx2.spi is idx2.rlx
         assert idx2.rlx.triples == idx.rlx.triples == _naive_triples(t, order)

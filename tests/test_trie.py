@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rlxt import trie as trie_mod
 from rlxt.errors import DeterminismError, FormatError, PreorderError
 from rlxt.trie import (
     Alphabet,
@@ -163,6 +164,24 @@ def test_format_round_trip(ex26):
     t2 = parse_strings_file(raw)
     assert np.array_equal(t2.parent, ex26.parent)
     assert np.array_equal(t2.label, ex26.label)
+
+
+
+def test_format_b_finds_parents_once(ex26, monkeypatch):
+    # from_parents checks the given parents against the last node one level
+    # up and hands that array to the trie it builds, which does not find it
+    # again
+    calls = []
+    real = trie_mod._last_one_level_up
+
+    def counting(depth):
+        calls.append(len(depth))
+        return real(depth)
+
+    monkeypatch.setattr(trie_mod, "_last_one_level_up", counting)
+    t = parse_edges_file(ex26.to_edge_lines().encode())
+    assert calls == [ex26.n + 1]
+    assert np.array_equal(t.parent, ex26.parent)
 
 
 # -- the array-at-a-time builder against per-node references ----------------
