@@ -7,15 +7,17 @@ It is one function over the tables themselves, with no topology call: one
 bisect in the colored ids settles case 1 or gives the marks on either side
 of u's subtree, one binary search over depth gives the covering ancestor
 and its child towards u, and sibling steps read subtree sizes. It checks
-only what the file gives. Locate = toehold (backward search that also
-tracks the pre-order id of the range's first node), then, at each later
-position of the range, the block head where a block starts and ``phi`` of
-the node before it elsewhere. Count is the backward search alone, over
-each label's run starts: one search per step, two at most, and none over
-the block starts. The toehold runs its own loop, which also reads the
-block starts, masks and heads: one block search plus one run search per
-step, four searches at most. Neither makes a function call per step, nor
-any search from the whole range. The samples and the
+only what the file gives. Locate = toehold (backward search, then one
+descent to the pre-order id of the range's first node), then, at each
+later position of the range, the block head where a block starts and
+``phi`` of the node before it elsewhere. Count is the backward search
+alone, over each label's run starts: one search per step, two at most, and
+none over the block starts. The toehold runs the same range loop, then
+descends once from its last step that jumps to a run head, as the
+r-index's toehold keeps only the last such sample: one block search per
+step from that jump on (none at the first step), and none at all when the
+pattern is absent. Neither makes a function call per step, nor any search
+from the whole range. The samples and the
 isomorphic-child jump share one anchor per colored node: a red node's is
 the block after the one it ends, whose head is its sample and whose mask
 the jump compares with its own block's; a blue-only node's points past the
@@ -214,7 +216,9 @@ class RIndex:
 
         Returns ((lo, hi), first_preorder) or None when no node matches.
         The empty pattern matches every node, with the root first. One
-        :meth:`_backward_search`.
+        :meth:`_backward_search`: one or two searches over c's run starts
+        per step, then one over the block starts per step from the last
+        run-head jump on, and none of those where the pattern is absent.
         """
         codes = self.alphabet.encode(pattern)
         if codes is None:
@@ -289,70 +293,81 @@ class RIndex:
     def _backward_search(self, codes):
         """(lo, hi, first) for the label codes, or None if they match no node.
 
-        The checked ``rlxbwt`` steps and ``topo.cbr`` fused into one loop
+        The checked ``rlxbwt`` steps and ``topo.cbr`` fused into two loops
         over the S' tables, with no call but ``bisect_right``; ``first`` is
-        the pre-order id of the range's first node. The first step, from
-        the whole range, is c's C-array span and the block where c's first
-        run starts, with no search. After it, one search over the block
-        starts finds lo's block q, whose mask says whether c is present at
-        lo, and one over c's run starts the run k that holds lo, or else
-        c's next run; a bounded search from q then finds that run's block.
-        If hi lies in that block, run k holds it too and it needs no search
-        of its own; otherwise one more search over c's run starts finds the
-        run at or before hi, whose rank through hi stops at its length. So a
-        step makes one block search and one run search, and at most two of
-        each. The child is block q's head, or the previous first node,
-        stepped down by c's child rank: a popcount of the block's mask, then
-        a walk over sibling subtree sizes. The checks are the composed
-        path's: the range and the label at each step, and the node id and
-        its child count at each child step.
+        the pre-order id of the range's first node. The first loop is
+        :meth:`count`'s over the range: one or two searches over c's run
+        starts per step, none in the first step and none over the block
+        starts. It keeps lo before each step, and the last step j where lo's
+        successor heads c's next run, or the first step, whose range is the
+        whole trie: as in the r-index's toehold, the first nodes of the
+        steps before j are never needed. If the range empties, nothing is
+        read below it. The second loop descends once, from step j: its node is
+        the head of the block where that run starts (one search over the
+        block starts; ``first_block[c]`` at the first step), and each later
+        step's is the previous first node. Each is stepped down by c's child
+        rank at the block that holds lo, found by one search over the block
+        starts: a popcount of the block's mask, then a walk over sibling
+        subtree sizes. The checks are the composed path's: the range and the
+        label at each step, and the node id and its child count at each
+        child step the descent takes.
         """
         rlx = self.rlx
         n, sigma = rlx.n, rlx.sigma
-        starts, all_starts, all_base = rlx.starts, rlx.run_start, rlx.base
-        c_array, mask, block_head = rlx.c_array, rlx.mask, rlx.block_head
-        first_block = rlx.first_block
-        size = self.topo.subtree_size
+        all_starts, all_base, c_array = rlx.run_start, rlx.base, rlx.c_array
         search = bisect_right
-        r = len(starts)
-        lo, hi, node = 1, n, 1
+        lo, hi = 1, n
+        los = []  # lo before each step
+        j = jump = 0  # the last jump's step and its run's start; 0: the first step
         for c in codes:
             if not 1 <= lo <= hi <= n:
                 raise IndexError(f"range {(lo, hi)} invalid for n={n}")
             if not 1 <= c < sigma:
                 return None
             run_start, base = all_starts[c], all_base[c]
+            cc = c_array[c]
+            los.append(lo)
             if lo == 1 and hi == n:  # the whole range: all of c's nodes
                 if not run_start:
                     return None
-                q = first_block[c]  # 0 iff the root has a c-child
-                lo2, hi2 = 1, c_array[c + 1] - c_array[c]
-                u = block_head[q]  # block_head[0] is the root
-            else:
-                q = search(starts, lo) - 1
-                if mask[q] >> c & 1:  # c present at lo
-                    k = search(run_start, lo) - 1
-                    run = run_start[k]
-                    lo2 = base[k] + lo - run + 1
-                    u = node
-                else:  # lo2 heads c's next run, if it starts within the range
-                    k = search(run_start, lo)
-                    if k == len(run_start):
-                        return None
-                    run = run_start[k]
-                    if run > hi:
-                        return None
-                    lo2 = base[k] + 1
-                    q = search(starts, run, q) - 1  # the block that run k starts
-                    u = block_head[q]
-                if q + 1 == r or hi < starts[q + 1]:  # hi in block q: run k holds it
-                    hi2 = base[k] + hi - run + 1
-                else:  # the run at or before hi, k or later, and its rank through hi
-                    k = search(run_start, hi, k) - 1
-                    end = base[k + 1] if k + 1 < len(base) else c_array[c + 1] - c_array[c]
-                    hi2 = min(base[k] + hi - run_start[k] + 1, end)
-            cc = c_array[c]
+                j, jump = len(los) - 1, 0
+                lo, hi = cc + 1, c_array[c + 1]
+                continue
+            runs = len(run_start)
+            k = search(run_start, lo) - 1
+            if k >= 0:
+                run, below = run_start[k], base[k]
+                # c's nodes through run k
+                end = base[k + 1] if k + 1 < runs else c_array[c + 1] - cc
+            if k >= 0 and lo - run < end - below:  # lo in run k
+                lo2 = below + lo - run + 1
+            else:  # lo's successor heads c's next run, if it starts by hi
+                k += 1
+                if k == runs:
+                    return None
+                run, below = run_start[k], base[k]
+                if run > hi:
+                    return None
+                end = base[k + 1] if k + 1 < runs else c_array[c + 1] - cc
+                lo2 = below + 1
+                j, jump = len(los) - 1, run
+            if hi - run < end - below:  # hi in run k
+                hi2 = below + hi - run + 1
+            else:  # the run at or before hi, k or later, and its rank through hi
+                k = search(run_start, hi, k) - 1
+                end = base[k + 1] if k + 1 < runs else c_array[c + 1] - cc
+                hi2 = min(base[k] + hi - run_start[k] + 1, end)
             lo, hi = cc + lo2, cc + hi2
+        if not los:  # the empty pattern: every node, the root first
+            return lo, hi, 1
+        starts, mask, block_head = rlx.starts, rlx.mask, rlx.block_head
+        size = self.topo.subtree_size
+        q = search(starts, jump) - 1 if jump else rlx.first_block[codes[j]]
+        u = block_head[q]  # block_head[0] is the root
+        for i in range(j, len(los)):
+            if i > j:
+                q, u = search(starts, los[i]) - 1, node
+            c = codes[i]
             # node = cbr(u, child rank of c at block q)
             if not 1 <= u <= n:
                 raise IndexError(f"node {u} out of range 1..{n}")

@@ -21,11 +21,10 @@ The queries here check every argument. ``RIndex.count`` and
 the tables, which takes the first step from the C array. ``count`` fuses
 ``backward_extend`` alone: one search over c's run starts per step, two
 at most, and none over the block starts. The toehold
-(``RIndex._backward_search``) also fuses ``xbwt_successor``,
-``run_head_preorder`` and ``cr``: one block search and one run search per
-step, a second block search where lo's block lacks c, and a second run
-search where hi lies past the block of the run found for lo; four at
-most. The queries stay as the checked reference the tests compare those
+(``RIndex._backward_search``) runs the same range loop, then fuses
+``xbwt_successor``, ``run_head_preorder`` and ``cr`` in one descent from
+its last run-head jump: one block search per step from that jump on. The
+queries stay as the checked reference the tests compare those
 loops with, and because the traced benchmark (``bench/spans.py``) patches
 them by name.
 """

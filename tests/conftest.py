@@ -112,36 +112,53 @@ def checked_toehold(idx, codes, branches=None):
     checked ``topo.cbr``. Each step counts in ``branches``, if given: "at
     lo", "next run" or "empty" by its outcome. A step that starts short of
     the whole range and finds a run k of c, the one that holds lo or the
-    next, counts again by where the high end lies: under "last" if the
-    block where run k reaches lo's successor is the last, else under "same"
-    if hi lies in that block (the toehold's steps with no search for hi),
-    and under "hi past lo's run" if hi lies past run k's last position
-    (count's steps with a search for hi)."""
+    next, counts again under "hi past lo's run" if hi lies past run k's
+    last position (count's steps with a second search). A pattern that
+    matches counts once more by the step j where the toehold's one descent
+    starts, the last that reads a run head, or the first: under "from the
+    first step" where j is 0, else "from a jump"; and its j earlier steps,
+    whose first nodes the toehold never finds, under "skipped"."""
     rlx = idx.rlx
-    starts = rlx.starts
-    rng, node = (1, idx.n), 1
-    for c in codes:
+    rng, node, j = (1, idx.n), 1, 0
+    for i, c in enumerate(codes):
         step = composed_step(rlx, rng, c)
         if branches is not None:
             branches["empty" if step is None else "at lo" if step[1] is None else "next run"] += 1
             lo, hi = rng
             if step is not None and rng != (1, idx.n):  # the whole range: no search at all
-                i = xbwt_successor(rlx, c, lo)
-                q = bisect_right(starts, i) - 1
+                i_lo = xbwt_successor(rlx, c, lo)
                 run_start, base = rlx.run_start[c], rlx.base[c]
-                k = bisect_right(run_start, i) - 1
+                k = bisect_right(run_start, i_lo) - 1
                 end = base[k + 1] if k + 1 < len(base) else rlx.c_array[c + 1] - rlx.c_array[c]
-                if q + 1 == len(starts):
-                    branches["last"] += 1
-                elif hi < starts[q + 1]:
-                    branches["same"] += 1
                 if hi - run_start[k] >= end - base[k]:
                     branches["hi past lo's run"] += 1
         if step is None:
             return None
         rng, head, k = step
+        if head is not None:
+            j = i
         node = idx.topo.cbr(node if head is None else head, k)
+    if branches is not None and codes:
+        branches["from a jump" if j else "from the first step"] += 1
+        branches["skipped"] += j
     return rng, node
+
+
+def descent_block(idx, codes):
+    """The block whose head ``toehold_search`` reads: the one where the
+    run starts that the last jump of the checked steps heads (lo's
+    successor heading c's next run), or the first step's; None for a
+    pattern that matches nothing or is empty, where it reads none."""
+    rlx = idx.rlx
+    rng, block = (1, idx.n), None
+    for i, c in enumerate(codes):
+        step = composed_step(rlx, rng, c)
+        if step is None:
+            return None
+        if i == 0 or step[1] is not None:
+            block = bisect_right(rlx.starts, xbwt_successor(rlx, c, rng[0])) - 1
+        rng = step[0]
+    return block
 
 
 def is_colored(colors, u):

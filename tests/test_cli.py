@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -40,6 +43,19 @@ def test_build_and_locate(ex26_index, capsys):
     assert capsys.readouterr().out.split() == ["3", "9"]
     assert main(["locate", str(ex26_index), "ca", "--count-only"]) == 0
     assert capsys.readouterr().out.strip() == "2"
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    # an uninstalled checkout runs as python -m rlxt with src on the path
+    src = tmp_path / "four.txt"
+    src.write_bytes(b"abc\nabd\nbcd\nxyz\n")
+    out = tmp_path / "four.rlxt"
+    assert main(["build", str(src), "-o", str(out)]) == 0
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-m", "rlxt", "count", str(out), "b", "bc", "q"],
+                          capture_output=True, text=True, env=env, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["2", "2", "0"]  # ab and b; abc and bc
 
 
 def test_hex_patterns(ex26_index, capsys):

@@ -4,6 +4,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rlxt import rindex, rlxbwt, storage
 from rlxt.errors import DomainError, NoSuccessorError
@@ -16,6 +18,7 @@ from conftest import (
     EX26_COLEX_TO_PRE,
     EX26_RED,
     checked_toehold,
+    descent_block,
     is_blue,
     is_colored,
     is_red,
@@ -193,9 +196,11 @@ def _count_searches(monkeypatch):
 
 
 def test_toehold_searches_blocks_at_most_twice_per_symbol(monkeypatch):
-    # one block search per range end at most: the toehold's constant over
-    # the r' block starts, counted on a loaded index. The first step, from
-    # the whole range, reads the C array and searches nothing
+    # the toehold's constant over the r' block starts, counted on a loaded
+    # index: one block search per step after the first at most, besides
+    # one or two searches over the step's run starts, and no other table.
+    # The first step, from the whole range, reads the C array and searches
+    # nothing
     searched = _count_searches(monkeypatch)
     rng = random.Random(45)
     t = make_random_trie(rng, 200, 5)
@@ -203,9 +208,13 @@ def test_toehold_searches_blocks_at_most_twice_per_symbol(monkeypatch):
     for pat in present_patterns(t, rng, 60):
         searched.clear()
         assert idx.toehold_search(pat) is not None
+        m = len(pat)
+        tables = {id(idx.rlx.run_start[c]) for c in idx.alphabet.encode(pat)}
+        runs = sum(id(a) in tables for a in searched)
         blocks = sum(a is idx.rlx.starts for a in searched)
-        assert len(pat) == 1 or 0 < blocks
-        assert blocks <= 2 * (len(pat) - 1)
+        assert m == 1 or 0 < blocks
+        assert blocks <= m - 1 and runs <= 2 * (m - 1)
+        assert blocks + runs == len(searched)
     # the path z y x^40: node z is co-lex-last, with out-set {y}. So y's
     # range is that one node, and each x-step after it extends a one-node
     # range: every range after the whole one sits in one block, and each
@@ -227,10 +236,11 @@ def test_toehold_searches_blocks_at_most_twice_per_symbol(monkeypatch):
 def test_toehold_step_searches_at_most_four_times(monkeypatch):
     # the child rank is a popcount, so a step's searches do not grow with
     # its label: on an alphabet of 130, with labels past 100, each step
-    # after the first searches at most twice over the block starts and four
-    # times in all, only over the block starts and its label's run starts. A
-    # step's searches are those of the pattern through it less those of the
-    # pattern before it
+    # after the first searches its label's run starts once or twice in the
+    # range loop, and the one descent searches the block starts at most
+    # once per step after the first: four searches per step at most, over
+    # no other table. A step's run searches are those of the pattern
+    # through it less those of the pattern before it
     searched = _count_searches(monkeypatch)
     rng = random.Random(46)
     alpha = bytes(range(33, 33 + 130))
@@ -245,15 +255,58 @@ def test_toehold_step_searches_at_most_four_times(monkeypatch):
         for j, c in enumerate(codes):
             searched.clear()
             assert idx.toehold_search(pat[: j + 1]) is not None
-            step = searched[done:]
-            done = len(searched)
-            blocks = sum(a is rlx.starts for a in step)
-            assert (j == 0) == (not step)
-            assert 1 <= blocks <= 2 or j == 0
-            assert len(step) <= 4
-            assert all(a is rlx.starts or a is rlx.run_start[c] for a in step)
+            runs = [a for a in searched if a is not rlx.starts]
+            step = runs[done:]
+            done = len(runs)
+            blocks = len(searched) - len(runs)
+            assert (j == 0) == (not step) == (not blocks)
+            assert len(step) <= 2 and blocks <= j
+            assert len(searched) <= 4 * j
+            assert all(a is rlx.run_start[c] for a in step)
+            assert all(any(a is rlx.run_start[b] for b in codes[: j + 1]) for a in runs)
             top = max(top, c)
     assert top >= 100
+
+
+def test_toehold_searches_blocks_only_from_its_last_jump(monkeypatch):
+    # the toehold descends once, from the last step whose lo has a
+    # successor heading c's next run, or from the first step: one block
+    # search for that step (none for the first step, which reads
+    # first_block) and one for each later step. The checked fold's branch
+    # counts give that step as the number of steps it skips
+    searched = _count_searches(monkeypatch)
+    rng = random.Random(52)
+    t = make_random_trie(rng, 300, 6)
+    while t.alphabet.sigma < 5:
+        t = make_random_trie(rng, 300, 6)
+    _, idx, _, _ = storage.load_bytes(storage.save_rindex(build_index(t)))
+    branches = Counter()
+    for pat in present_patterns(t, rng, 80, max_len=12):
+        before = branches.copy()
+        want = checked_toehold(idx, idx.alphabet.encode(pat), branches)
+        assert want is not None
+        j = branches["skipped"] - before["skipped"]
+        assert branches["from the first step"] - before["from the first step"] == (j == 0)
+        searched.clear()
+        assert idx.toehold_search(pat) == want
+        assert sum(a is idx.rlx.starts for a in searched) == len(pat) - j - (j == 0), pat
+    assert branches["from the first step"] and branches["from a jump"] and branches["skipped"]
+
+
+def test_toehold_reads_nothing_below_the_range_for_an_absent_pattern(monkeypatch):
+    # a pattern that matches nothing empties the range before any descent:
+    # the toehold reads no block start, mask, head or subtree size
+    rng = random.Random(53)
+    t = make_random_trie(rng, 200, 4)
+    idx = build_index(t)
+    absent = [pat for pat in _pattern_suite(t, rng)
+              if idx.alphabet.encode(pat) and not idx.count(pat)]
+    assert len(absent) >= 20
+    for obj, name in ((idx.rlx, "starts"), (idx.rlx, "mask"), (idx.rlx, "block_head"),
+                      (idx.topo, "subtree_size")):
+        monkeypatch.setattr(obj, name, _Untouchable(name))
+    for pat in absent:
+        assert idx.toehold_search(pat) is None
 
 
 def test_count_step_searches_at_most_twice_over_its_run_starts(monkeypatch):
@@ -699,8 +752,8 @@ def test_fused_search_matches_checked_steps():
                     continue
                 assert idx.count(pat) == _checked_count(idx, codes), pat
                 assert idx.toehold_search(pat) == checked_toehold(idx, codes, branches), pat
-    assert all(branches[b] for b in
-               ("at lo", "next run", "empty", "same", "last", "hi past lo's run"))
+    assert all(branches[b] for b in ("at lo", "next run", "empty", "hi past lo's run",
+                                     "from the first step", "from a jump", "skipped"))
     # past 2**16 nodes the run starts are 4 bytes wide, the block numbers 2
     t = build_from_strings(make_dictionary(rng, 17_000, b"abcdefgh"))
     assert t.n >= 2**16
@@ -715,18 +768,43 @@ def test_fused_search_matches_checked_steps():
     assert wide["hi past lo's run"] and wide["next run"]
 
 
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 2**32), st.integers(2, 100))
+def test_toehold_equals_the_checked_steps_on_random_tries(seed, sigma):
+    # built and loaded: present patterns, each with its last byte changed
+    # (mostly absent) and with a byte outside the alphabet
+    rng = random.Random(seed)
+    t = make_random_trie(rng, 250, sigma)
+    pats = present_patterns(t, rng, 12, max_len=10)
+    alpha = trie_alpha_bytes(t)
+    if alpha:
+        pats += [p[:-1] + bytes([rng.choice(alpha)]) for p in pats]
+    pats += [p[:-1] + b"\xff" for p in pats[:4]] + [b"", b"\x00"]
+    built = build_index(t)
+    _, loaded, _, _ = storage.load_bytes(storage.save_rindex(built))
+    for idx in (built, loaded):
+        for pat in pats:
+            codes = idx.alphabet.encode(pat)
+            want = None if codes is None else checked_toehold(idx, codes)
+            assert idx.toehold_search(pat) == want, pat
+
+
 def test_fused_search_keeps_the_checks(ex26):
     # each block head but the root, the one table from the file the toehold
     # reads as a node id, overwritten with 0, n, a leaf and a neighbouring
-    # id: where the checked steps raise, the fused search raises the same
-    # class; where they answer, it agrees
+    # id. The toehold reads one head, the last jump's. Where the checked
+    # steps raise and that head is the damaged one, the fused search raises
+    # the same class; where they raise only at an earlier head, it gives the
+    # undamaged index's answer; where they answer, it agrees
     rng = random.Random(51)
-    raised = 0
+    raised = skipped = 0
     for t in (ex26, make_random_trie(rng, 200, 4)):
         idx = build_index(t)
         n = idx.n
         pats = [p for p in _pattern_suite(t, rng) if idx.alphabet.encode(p)]
         leaf = next(u for u in range(n, 0, -1) if idx.topo.subtree_size[u] == 1)
+        undamaged = {pat: idx.toehold_search(pat) for pat in pats}
+        read = {pat: descent_block(idx, idx.alphabet.encode(pat)) for pat in pats}
 
         def checked(pat):
             return checked_toehold(idx, idx.alphabet.encode(pat))
@@ -738,10 +816,15 @@ def test_fused_search_keeps_the_checks(ex26):
                 heads[q] = bad
                 for pat in pats:
                     want = _outcome(checked, pat)
-                    assert _outcome(idx.toehold_search, pat) == want, (q, bad, pat)
-                    raised += isinstance(want, type)
+                    got = _outcome(idx.toehold_search, pat)
+                    if isinstance(want, type) and read[pat] != q:
+                        assert got == undamaged[pat], (q, bad, pat)
+                        skipped += 1
+                    else:
+                        assert got == want, (q, bad, pat)
+                        raised += isinstance(want, type)
             heads[q] = kept
-    assert raised
+    assert raised and skipped
 
 
 def _outcome(climb, u):
