@@ -57,12 +57,14 @@ def int_array(values):
 
 
 def sorted_set(values):
-    """``values`` as a strictly increasing int64 array, as ``np.unique``
-    gives it. Input that already is one, as every table read from an index
-    file is, costs one vector comparison; otherwise a stable sort merges
-    presorted runs (such as two sorted tables laid end to end) in linear
-    time, and repeats are dropped."""
-    v = np.asarray(values, dtype=np.int64).ravel()
+    """``values`` as a strictly increasing array, as ``np.unique`` gives
+    it, of their integer dtype (int64 for any other). Input that already is
+    one, as every table read from an index file is, costs one vector
+    comparison; otherwise a stable sort merges presorted runs (such as two
+    sorted tables laid end to end) in linear time, and repeats are dropped."""
+    v = np.asarray(values).ravel()
+    if v.dtype.kind not in "iu":
+        v = v.astype(np.int64)
     if len(v) < 2 or (v[1:] > v[:-1]).all():
         return v
     v = np.sort(v, kind="stable")

@@ -90,9 +90,8 @@ def _answers(query, patterns):
 
 def cmd_locate(args):
     _, obj, _, _ = storage.load(args.index)
-    query = obj.count if args.count_only else obj.locate
-    for got in _answers(query, _patterns_from_args(args)):
-        print(got if args.count_only else " ".join([str(len(got))] + [str(u) for u in got]))
+    for got in _answers(obj.locate, _patterns_from_args(args)):
+        print(" ".join([str(len(got))] + [str(u) for u in got]))
     return 0
 
 
@@ -160,9 +159,6 @@ def cmd_verify(args):
     trie = _read_trie(args.input, args.format)
     order = colex_sort(trie)
     idx = build_index(trie, order)
-    if args.corrupt_phi_sample and len(idx.samples.anchor):
-        table, i = idx.samples.slot(0)  # test hook: the first colored node's sample
-        table[i] = table[i] - 1 if table[i] > 1 else 2
     sl, _ = SampledLocate.build(trie, order, max(1, int(math.isqrt(trie.n))))
     rng = random.Random(trie.n * 7919 + 13)
     checks = []
@@ -310,8 +306,6 @@ def make_parser():
         p.add_argument("patterns", nargs="*")
         p.add_argument("--pattern-file")
         p.add_argument("--hex", action="store_true", help="patterns are hex-encoded bytes")
-        if name == "locate":
-            p.add_argument("--count-only", action="store_true")
         p.set_defaults(fn=fn)
 
     p = sub.add_parser("stats", help="JSON statistics of an index file")
@@ -322,7 +316,6 @@ def make_parser():
     p.add_argument("input")
     p.add_argument("--format", choices=["strings", "edges"], default="strings")
     p.add_argument("--level", choices=["quick", "full"], default="quick")
-    p.add_argument("--corrupt-phi-sample", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("bench", help="benchmark engines on an input")

@@ -18,7 +18,8 @@ r-index's toehold keeps only the last such sample: one block search per
 step from that jump on (none at the first step), and none at all when the
 pattern is absent. Neither makes a function call per step, nor any search
 from the whole range. The samples and the
-isomorphic-child jump share one anchor per colored node: a red node's is
+isomorphic-child jump share the color marks' one anchor per colored node,
+derived by one constructor at build and at load: a red node's is
 the block after the one it ends, whose head is its sample and whose mask
 the jump compares with its own block's; a blue-only node's points past the
 blocks, to its stored sample.
@@ -26,12 +27,11 @@ blocks, to its stored sample.
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_left, bisect_right
 
 import numpy as np
 
-from .bits import SparseBitVec, int_array, sorted_set, typecode
+from .bits import SparseBitVec, int_array
 from .errors import DomainError, NoSuccessorError
 from .rlxbwt import OutSets, build_rl_xbwt
 # not called here: kept because the traced benchmark patches these names in this module
@@ -48,19 +48,36 @@ class ColorMarks:
     groups the nodes by incoming label, so fewer than sigma nodes are blue:
     ``blue`` holds them, and ``blue_only`` the few of them that are not red.
 
-    So u is red iff it is colored and not blue-only. ``red`` rebuilds the red
-    set from the two tables for saving and inspection; no query reads it."""
+    The red nodes come in block order: ``red_ids[q]`` ends block q of the
+    run-length XBWT, one per block boundary, so r' = len(red_ids) + 1.
+    ``anchor`` has one entry per colored node in pre-order: q + 1 for the
+    red node ending block q, whose co-lex successor heads block q + 1, and
+    r' + b for the b-th blue-only node. So u is red iff it is colored with
+    an anchor below r'. ``red`` rebuilds the red set for inspection; no
+    query reads it."""
 
-    __slots__ = ("colored", "blue", "blue_only")
+    __slots__ = ("colored", "blue", "blue_only", "anchor")
 
     def __init__(self, n, red_ids, blue_ids):
-        red = sorted_set(red_ids)
+        # at the narrowest dtype that holds n, which bounds the anchors too:
+        # the argsort is a radix sort below 2**16
+        narrow = np.min_scalar_type(n)
+        red_ids = np.asarray(red_ids).astype(narrow, copy=False)
+        order = np.argsort(red_ids, kind="stable")
+        red, block = red_ids[order], order.astype(narrow)  # an int64 index gathers fastest
+        del order
         self.blue = SparseBitVec(n, blue_ids)
-        blue = np.asarray(self.blue.positions, dtype=np.int64)
+        blue = np.asarray(self.blue.positions)
         blue_only = blue[np.searchsorted(red, blue) == np.searchsorted(red, blue, "right")]
-        # both sorted: the few blue-only ids go in at their places among the red
-        self.colored = SparseBitVec(n, np.insert(red, np.searchsorted(red, blue_only), blue_only))
+        # both sorted: the few blue-only ids go in at their places among the
+        # red ones, and their anchors at the same places among the blocks'
+        at = np.searchsorted(red, blue_only)
+        self.colored = SparseBitVec(n, np.insert(red, at, blue_only))
         self.blue_only = int_array(blue_only)
+        r = len(red) + 1  # one red node per block boundary
+        del red
+        block += 1
+        self.anchor = int_array(np.insert(block, at, np.arange(r, r + len(blue_only))))
 
     @property
     def red(self):
@@ -69,17 +86,13 @@ class ColorMarks:
         return SparseBitVec(self.colored.universe,
                             np.delete(colored, np.searchsorted(colored, self.blue_only)))
 
-    @property
-    def num_red(self):
-        return self.colored.num_ones - len(self.blue_only)
-
 
 class PhiSamples:
     """Sampled values of the co-lex successor function.
 
     Type 1 lives on the colored nodes, keyed by the set :class:`ColorMarks`
     holds: the k-th one's is ``block_head[a]`` for ``a = anchor[k]`` below
-    r', else ``blue_values[a - r']`` (see :func:`anchor_table`).
+    r', else ``blue_values[a - r']`` (the ``anchor`` of :class:`ColorMarks`).
     Type 2 lives on the child reached by a label that breaks its run. The
     climb asks for a type-2 sample only at a node that is not colored (the
     child below the lowest covering ancestor, whose subtree holds no mark),
@@ -116,24 +129,6 @@ class PhiSamples:
         return out
 
 
-def anchor_table(colors, blocks):
-    """``anchor``, one entry per colored node in pre-order, filled in place
-    at the narrowest width of its values, from ``blocks[j]``, the block the
-    j-th red node in pre-order ends. The red node ending block q is followed
-    in co-lex order by block q + 1's head, so its entry is q + 1; the b-th
-    blue-only node's is r' + b. So a node is red iff its entry is below r'."""
-    r = len(blocks) + 1  # one red node per block boundary
-    blue = np.searchsorted(colors.colored.positions, colors.blue_only)  # their colored ranks
-    anchor = array(typecode((r + len(blue) - 1).bit_length()), [0]) * colors.colored.num_ones
-    view = np.frombuffer(anchor, dtype=anchor.typecode)
-    red = np.ones(len(view), dtype=bool)
-    red[blue] = False
-    view[red] = blocks
-    view[blue] = np.arange(r - 1, r - 1 + len(blue))  # r' + b, less the 1 added to all
-    view += 1
-    return anchor
-
-
 class IscTables:
     """The isomorphic-child jump at red nodes, read off the block masks.
 
@@ -141,16 +136,20 @@ class IscTables:
     successor begins block q + 1, so the two out-sets the jump compares are
     ``mask[q]`` and ``mask[q + 1]``: the masks of the
     :class:`~rlxt.rlxbwt.RlXbwt`, held here itself, not a copy. The block a
-    red node ends is its ``anchor`` less one (:func:`anchor_table`), keyed
-    by the colored set of ``colors``: the tables hold no table of their own.
+    red node ends is its ``anchor`` less one, keyed by the colored set of
+    ``colors`` (:class:`ColorMarks`): the tables hold no table of their own.
     """
 
-    __slots__ = ("colors", "mask", "anchor")
+    __slots__ = ("colors", "mask")
 
-    def __init__(self, colors, mask, anchor):
+    def __init__(self, colors, mask):
         self.colors = colors
         self.mask = mask
-        self.anchor = anchor
+
+    @property
+    def anchor(self):
+        """The anchors of ``colors``, which the phi samples share."""
+        return self.colors.anchor
 
     def isc_at(self, q, k):
         """Child rank, under the co-lex successor of the red node that ends
@@ -550,14 +549,12 @@ def build_index(trie, colex=None):
     topo = BpsTopology.from_trie(trie)
 
     c2p, p2c = colex.colex_to_pre, colex.pre_to_colex
+    # in co-lex order, so in block order: the q-th red node ends block q
     red_ids = c2p[np.flatnonzero(out.change) + 1]
     lam = trie.label[c2p[1:]]
     blue_ids = c2p[np.flatnonzero(lam[:-1] != lam[1:]) + 1]
     colors = ColorMarks(n, red_ids, blue_ids)
-
-    # red_ids runs in co-lex order, where the q-th red node ends block q
-    anchor = anchor_table(colors, np.argsort(red_ids))
-    isc_tables = IscTables(colors, rlx.mask, anchor)
+    isc_tables = IscTables(colors, rlx.mask)
 
     # type 1 on the colored nodes; of type 2, the nodes that are not colored,
     # each once: a child is in one out-set
@@ -566,7 +563,7 @@ def build_index(trie, colex=None):
     uncolored = np.ones(n + 1, dtype=bool)
     uncolored[np.asarray(colors.colored.positions)] = False
     type2 = np.sort(type2[uncolored[type2]])
-    phi_samples = PhiSamples(colors.colored, anchor, rlx.block_head, c2p[p2c[blue_only] + 1],
-                             type2, c2p[p2c[type2] + 1])
+    phi_samples = PhiSamples(colors.colored, colors.anchor, rlx.block_head,
+                             c2p[p2c[blue_only] + 1], type2, c2p[p2c[type2] + 1])
 
     return RIndex(n, trie.alphabet, int(c2p[n]), topo, rlx, colors, phi_samples, isc_tables)

@@ -8,10 +8,12 @@ payloads follow it back to back to the end of the file; any other layout,
 and a payload that fails its CRC, is rejected before a decoder reads it.
 Files round-trip bit-exactly. Each fact of the transform is stored once:
 loading derives the S' node counts, the C array and the out-set masks from
-the blocks, the isomorphic-child jump stores only the block each red node
-ends, a red node's phi sample is the ``runheads`` id of the block after
-it, which the loaded ``anchor`` table points at, and the trie is not
-rebuilt. Payloads are read in place, as slices of the file. Every section
+the blocks; the red nodes are stored only as the node that ends each block
+(``isc``), and ``colors`` holds only the blue ones; one constructor,
+:class:`~rlxt.rindex.ColorMarks`, derives the ``anchor`` table from them at
+build and at load alike, through which a red node's phi sample is the
+``runheads`` id of the block after it; and the trie is not rebuilt.
+Payloads are read in place, as slices of the file. Every section
 is laid out in columns. An integer column is a byte w, the fewest whole
 bytes that hold its largest value (0 only for an empty column), then each
 value as w little-endian bytes, read as one ``np.frombuffer`` view with no
@@ -31,14 +33,14 @@ import numpy as np
 from .baseline import SampledLocate, XbwtNav
 from .bits import SparseBitVec, int_array
 from .errors import FormatError, IndexFileError
-from .rindex import ColorMarks, IscTables, PhiSamples, RIndex, anchor_table
+from .rindex import ColorMarks, IscTables, PhiSamples, RIndex
 from .rlxbwt import RlXbwt, out_masks, reconstruct_trie  # bench/spans.py patches it here
 from .topology import BpsTopology
 from .trie import Alphabet, _depths
 from .trie import colex_sort  # noqa: F401 (not called; bench/spans.py patches it here)
 
 MAGIC = b"RLXT1"
-VERSION = 9
+VERSION = 10
 ENGINE_RINDEX = 0
 ENGINE_SAMPLED = 1
 _ENTRY = struct.Struct("<8sQQI")  # tag, offset, length, CRC-32 of the payload
@@ -169,8 +171,8 @@ def _dec_rlx(rlxbwt, sprime, runheads, sigma, n):
 
 
 def _enc_colors(colors):
-    return b"".join(struct.pack("<I", ids.num_ones) + _gap_column(ids.positions)
-                    for ids in (colors.red, colors.blue))
+    # the blue nodes only: the red ones are the isc section
+    return struct.pack("<I", colors.blue.num_ones) + _gap_column(colors.blue.positions)
 
 
 def _enc_samples(samples, last):
@@ -181,10 +183,12 @@ def _enc_samples(samples, last):
             + _column(samples.type2_values) + _column([last]))
 
 
-def _enc_isc(isc):
-    # the block each red node ends, its anchor less one; |red| is in colors
-    anchor = np.asarray(isc.anchor)
-    return _column(anchor[anchor < len(isc.mask)] - 1)
+def _enc_isc(colors):
+    # the red node that ends block q, at index q: the colored node whose
+    # anchor is q + 1; the blue-only ones' anchors, from r' on, sort last
+    red = len(colors.anchor) - len(colors.blue_only)
+    by_anchor = np.argsort(colors.anchor, kind="stable")[:red]
+    return _column(np.asarray(colors.colored.positions)[by_anchor])
 
 
 def _enc_runheads(rlx):
@@ -199,7 +203,7 @@ def machinery_sections(index):
         "sprime": _enc_sprime(index.rlx),
         "colors": _enc_colors(index.colors),
         "samples": _enc_samples(index.samples, index.last),
-        "isc": _enc_isc(index.isc_tables),
+        "isc": _enc_isc(index.colors),
         "runheads": _enc_runheads(index.rlx),
     }
 
@@ -286,21 +290,35 @@ def _dec_meta(data):
 
 
 def _dec_colors(data, n):
-    """The red and then the blue node ids, each a count (u32) and a gap
-    column. Each set must be strictly increasing within 1..n: a repeat
-    would be dropped, and the file would re-save to other bytes."""
-    off, sets = 0, []
-    for color in ("red", "blue"):
-        (cnt,) = struct.unpack_from("<I", data, off)
-        gaps, off = _r_column(data, off + 4, cnt, f"{color} nodes")
-        ids = np.cumsum(gaps)
-        # a running sum that wrapped past 2**63 went below 1
-        if cnt and (gaps.min() < 1 or ids.min() < 1 or ids.max() > n):
-            raise IndexFileError(f"{color} nodes are not strictly increasing within 1..{n}")
-        sets.append(ids)
+    """The blue node ids: a count (u32) and a gap column, strictly
+    increasing within 1..n: a repeat would be dropped, and the file would
+    re-save to other bytes."""
+    (cnt,) = struct.unpack_from("<I", data, 0)
+    gaps, off = _r_column(data, 4, cnt, "blue nodes")
+    ids = np.cumsum(gaps)
+    # a running sum that wrapped past 2**63 went below 1
+    if cnt and (gaps.min() < 1 or ids.min() < 1 or ids.max() > n):
+        raise IndexFileError(f"blue nodes are not strictly increasing within 1..{n}")
     if off != len(data):
         raise IndexFileError("colors section does not end with its blue nodes")
-    return ColorMarks(n, *sets)
+    return ids
+
+
+def _dec_isc(data, topo, rlx, n):
+    """The red node that ends each block but the last, in block order. Each
+    is a node of the trie, and a leaf iff its block's out-set is empty.
+    That no two blocks end at one node is checked once the colored set is
+    built (:func:`load_rindex`)."""
+    cnt = rlx.r_prime - 1
+    ids, off = _r_column(data, 0, cnt, "isc red nodes")
+    if off != len(data):
+        raise IndexFileError("isc section does not end with its red nodes")
+    if cnt and (ids.min() < 1 or ids.max() > n):
+        raise IndexFileError(f"isc red node outside 1..{n}")
+    leaf = np.asarray(topo.subtree_size)[ids] == 1
+    if (leaf != (np.asarray(rlx.mask)[:cnt] == 0)).any():
+        raise IndexFileError("isc red node is a leaf where its block has children, or not one")
+    return ids.astype(np.min_scalar_type(n))  # ColorMarks' dtype; the int64 is freed here
 
 
 def _check_nodes(nodes, n):
@@ -308,11 +326,11 @@ def _check_nodes(nodes, n):
         raise IndexFileError(f"phi sample node outside 1..{n}")
 
 
-def _dec_samples(data, rlx, isc, n):
-    """The phi samples, keyed by the colored set of the colors section, and
-    the co-lex-last node. The red nodes' values are block heads of ``rlx``,
-    through the ``isc`` anchors; the blue-only ones' are read off the file."""
-    colors = isc.colors
+def _dec_samples(data, rlx, colors, n):
+    """The phi samples, keyed by the colored set of ``colors``, and the
+    co-lex-last node. The red nodes' values are block heads of ``rlx``,
+    through the anchors of ``colors``; the blue-only ones' are read off
+    the file."""
     colored = colors.colored
     blue_values, off = _r_column(data, 0, len(colors.blue_only), "phi samples")
     _check_nodes(blue_values, n)
@@ -326,7 +344,7 @@ def _dec_samples(data, rlx, isc, n):
         raise IndexFileError("a type-2 sample node is colored")
     type2_values, off = _r_column(data, off, cnt, "type-2 sample values")
     _check_nodes(type2_values, n)
-    samples = PhiSamples(colored, isc.anchor, rlx.block_head, blue_values, keys, type2_values)
+    samples = PhiSamples(colored, colors.anchor, rlx.block_head, blue_values, keys, type2_values)
     (last,), off = _r_column(data, off, 1, "co-lex-last node")
     if off != len(data):
         raise IndexFileError("samples section does not end at the co-lex-last node")
@@ -335,25 +353,6 @@ def _dec_samples(data, rlx, isc, n):
     if colored.contains(last) or samples.type2_value(last) is not None:
         raise IndexFileError(f"co-lex-last node {last} carries a phi sample")
     return samples, int(last)
-
-
-def _dec_isc(data, colors, rlx):
-    """The isc tables over ``colors`` and the block masks of ``rlx``, both
-    shared, with the anchors from the block each red node ends. Each of the
-    r' - 1 block boundaries has one red node, so the blocks must be a
-    permutation of 0..|red| - 1."""
-    cnt = colors.num_red
-    if cnt != rlx.r_prime - 1:
-        raise IndexFileError(f"isc: {cnt} red nodes for {rlx.r_prime} blocks")
-    blocks, off = _r_column(data, 0, cnt, "isc blocks")
-    if off != len(data):
-        raise IndexFileError("isc section does not end with its blocks")
-    seen = np.zeros(cnt, dtype=bool)
-    if cnt and blocks.max() < cnt:
-        seen[blocks] = True
-    if not seen.all():
-        raise IndexFileError(f"isc blocks are not a permutation of 0..{cnt - 1}")
-    return IscTables(colors, rlx.mask, anchor_table(colors, blocks))
 
 
 def load_rindex(sections):
@@ -368,9 +367,12 @@ def load_rindex(sections):
         raise IndexFileError(f"topology has {topo.n} nodes, labels {n}")
     rlx = _dec_rlx(sections["rlxbwt"], sections["sprime"], sections["runheads"],
                    alphabet.sigma, n)
-    colors = _dec_colors(sections["colors"], n)
-    isc = _dec_isc(sections["isc"], colors, rlx)
-    samples, last = _dec_samples(sections["samples"], rlx, isc, n)
+    colors = ColorMarks(n, _dec_isc(sections["isc"], topo, rlx, n),
+                        _dec_colors(sections["colors"], n))
+    if len(colors.anchor) != colors.colored.num_ones:  # the colored set drops a repeat
+        raise IndexFileError("isc red nodes end two blocks at one node")
+    isc = IscTables(colors, rlx.mask)
+    samples, last = _dec_samples(sections["samples"], rlx, colors, n)
     idx = RIndex(n, alphabet, last, topo, rlx, colors, samples, isc)
     return idx, meta
 

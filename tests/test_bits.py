@@ -5,7 +5,7 @@ from array import array
 import numpy as np
 import pytest
 
-from rlxt.bits import BitVec, SparseBitVec, WaveletSeq, int_array
+from rlxt.bits import BitVec, SparseBitVec, WaveletSeq, int_array, sorted_set
 
 # S' of the running example, encoded over the order a- < b- < c- < a+ < b+ < c+ < /
 # with a,b,c = label codes 1,2,3: minus(c) = c-1, plus(c) = 2+c, slash = 6.
@@ -99,6 +99,19 @@ def test_sparse_round_trip_and_ends():
             sv2.select1(len(positions) + 1)
         with pytest.raises(IndexError):
             sv2.select1(0)  # not a wrap to the last position
+
+
+def test_sorted_set_keeps_the_integer_dtype_it_is_given():
+    # a loaded id column read at its narrow width is not widened on the way
+    # into a SparseBitVec; anything that is not an integer array is int64
+    for dtype in (np.uint8, np.uint16, np.int32, np.uint64):
+        v = sorted_set(np.array([9, 3, 3, 7], dtype=dtype))
+        assert v.dtype == dtype and v.tolist() == [3, 7, 9]
+        done = sorted_set(np.array([1, 4], dtype=dtype))
+        assert done.dtype == dtype and done.tolist() == [1, 4]
+    for values in ([5, 2, 5], (2.0, 5.0), []):
+        assert sorted_set(values).dtype == np.int64
+    assert sorted_set([5, 2, 5]).tolist() == [2, 5]
 
 
 def test_int_array_width_and_exact_size():

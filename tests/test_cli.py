@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from rlxt import storage
+from rlxt import cli, storage
 from rlxt.cli import main
 from rlxt.errors import DomainError, IndexFileError, NoSuccessorError
 from rlxt.rindex import RIndex, build_index
@@ -39,10 +39,8 @@ def test_build_and_locate(ex26_index, capsys):
     assert out[0] == "26" and [int(x) for x in out[1:]] == EX26_COLEX_TO_PRE
     assert main(["locate", str(ex26_index), "zzz"]) == 0
     assert capsys.readouterr().out.strip() == "0"
-    assert main(["count", str(ex26_index), "ac", "b"]) == 0
-    assert capsys.readouterr().out.split() == ["3", "9"]
-    assert main(["locate", str(ex26_index), "ca", "--count-only"]) == 0
-    assert capsys.readouterr().out.strip() == "2"
+    assert main(["count", str(ex26_index), "ac", "b", "ca"]) == 0
+    assert capsys.readouterr().out.split() == ["3", "9", "2"]
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):
@@ -230,14 +228,16 @@ def test_truncated_index_file(tmp_path, capsys):
 
 
 def test_version_1_index_file(ex26_index, tmp_path, capsys):
+    # the first format, and the one before the current
     blob = ex26_index.read_bytes()
-    old = tmp_path / "v1.rlxt"
-    old.write_bytes(blob[:5] + bytes([1]) + blob[6:])
-    capsys.readouterr()
-    assert main(["locate", str(old), "a"]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.strip().splitlines() == ["index error: unsupported version 1"]
+    for version in (1, storage.VERSION - 1):
+        old = tmp_path / f"v{version}.rlxt"
+        old.write_bytes(blob[:5] + bytes([version]) + blob[6:])
+        capsys.readouterr()
+        assert main(["locate", str(old), "a"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip().splitlines() == [f"index error: unsupported version {version}"]
 
 
 def _one_line_index_error(capsys):
@@ -353,7 +353,7 @@ def test_stats_of_every_flipped_bit_is_right_or_index_error(tmp_path, capsys, en
 
 
 @pytest.mark.parametrize("error", [DomainError, NoSuccessorError, IndexError])
-@pytest.mark.parametrize("cmd", [["locate"], ["count"], ["locate", "--count-only"]])
+@pytest.mark.parametrize("cmd", [["locate"], ["count"]])
 def test_query_failure_on_loaded_index(ex26_index, capsys, monkeypatch, error, cmd):
     def fail(self, pattern):
         raise error("node 27 out of range")
@@ -402,10 +402,18 @@ def test_stats_sampled_engine(ex26_file, tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "3 18 7 13"
 
 
-def test_verify_quick_and_corrupted(ex26_file, capsys):
+def test_verify_quick_and_corrupted(ex26_file, capsys, monkeypatch):
     assert main(["verify", str(ex26_file)]) == 0
     capsys.readouterr()
-    assert main(["verify", str(ex26_file), "--corrupt-phi-sample"]) == 1
+
+    def build_corrupted(trie, colex=None):
+        idx = build_index(trie, colex)
+        table, i = idx.samples.slot(0)  # the first colored node's sample
+        table[i] = table[i] - 1 if table[i] > 1 else 2
+        return idx
+
+    monkeypatch.setattr(cli, "build_index", build_corrupted)
+    assert main(["verify", str(ex26_file)]) == 1
     out = capsys.readouterr().out
     assert "FAIL phi-oracle" in out
 

@@ -17,7 +17,7 @@ from rlxt import storage
 from rlxt.baseline import build_sampled
 from rlxt.bits import BitVec, WaveletSeq, int_array, pack_bits, unpack_bits
 from rlxt.errors import IndexFileError, NoSuccessorError
-from rlxt.rindex import ColorMarks, build_index, type2_nodes
+from rlxt.rindex import build_index, type2_nodes
 from rlxt.rlxbwt import OutSets
 from rlxt.trie import build_from_strings, colex_sort, oracle_locate
 
@@ -66,7 +66,7 @@ def test_bad_magic_and_version():
         storage.load_bytes(b"XXXXX" + blob[5:])
     with pytest.raises(IndexFileError):
         storage.load_bytes(blob[:5] + bytes([99]) + blob[6:])
-    for old in (1, 2, 3, 4, 5, 6, 7, 8):
+    for old in (1, 2, 3, 4, 5, 6, 7, 8, 9):
         with pytest.raises(IndexFileError, match=f"unsupported version {old}"):
             storage.load_bytes(blob[:5] + bytes([old]) + blob[6:])
 
@@ -195,11 +195,14 @@ def test_byte_map_not_strictly_increasing(byte_map):
 
 def _isc_of_example():
     """The sections of [abc, abd, bcd, xyz] and its isc section: one column,
-    its width 1 at byte 0, then the block that each of the 8 red nodes ends,
-    red node after red node in pre-order."""
+    its width 1 at byte 0, then the red node that ends each of blocks 0..7,
+    in block order. Block 8, the last, ends at the co-lex-last node, which
+    is not red. Nodes 4, 5, 8 and 11 are the leaves, and block 5 (co-lex
+    positions 6..8: nodes 4, 5 and 8) is the only one of 0..7 with no
+    children."""
     engine, sections = _sections_of([b"abc", b"abd", b"bcd", b"xyz"])
     isc = sections["isc"]
-    assert isc == bytes([1, 0, 1, 3, 2, 4, 5, 6, 7])
+    assert isc == bytes([1, 1, 2, 6, 3, 7, 8, 9, 10])
     return engine, sections, isc
 
 
@@ -209,11 +212,25 @@ def _load_with_isc(engine, sections, isc):
 
 
 @pytest.mark.parametrize("damage, match", [
-    (lambda isc: isc[:-1], "isc blocks column of 8 values cut short"),
-    (lambda isc: isc + b"\0", "isc section does not end with its blocks"),
-    (lambda isc: isc[:-1] + bytes([8]), "isc blocks are not a permutation of 0..7"),
-    (lambda isc: isc[:2] + bytes([0]) + isc[3:], "isc blocks are not a permutation of 0..7"),
-], ids=["value-missing", "trailing-byte", "value-past-red", "repeated-value"])
+    (lambda isc: isc[:-1], "isc red nodes column of 8 values cut short"),
+    (lambda isc: isc + b"\0", "isc section does not end with its red nodes"),
+    (lambda isc: isc[:-1] + bytes([12]), "isc red node outside 1..11"),
+    (lambda isc: isc[:3] + bytes([2]) + isc[4:], "isc red nodes end two blocks at one node"),
+    (lambda isc: isc[:1] + bytes([0]) + isc[2:], "isc red node outside 1..11"),
+    # block 4's inner node 7 and block 5's leaf 8 change places
+    (lambda isc: isc[:5] + isc[6:7] + isc[5:6] + isc[7:],
+     "isc red node is a leaf where its block has children, or not one"),
+    (lambda isc: bytes([2]) + b"".join(bytes([v, 0]) for v in isc[1:]),
+     "isc red nodes column is 2 bytes wide for values below 2[*][*]8"),
+    # block 7 ends at node 1 as block 0 does: the column is in block order,
+    # not sorted, so a repeat need not be next to its first
+    (lambda isc: isc[:-1] + bytes([1]), "isc red nodes end two blocks at one node"),
+    # a 2-byte column whose last value, 256, only that width holds
+    (lambda isc: bytes([2]) + b"".join(bytes([v, 0]) for v in isc[1:-1]) + bytes([0, 1]),
+     "isc red node outside 1..11"),
+], ids=["value-missing", "trailing-byte", "value-past-red", "repeated-value", "value-0",
+        "leaf-swapped-with-inner-node", "width-2", "repeated-value-apart",
+        "value-past-red-width-2"])
 def test_isc_blocks_are_checked(damage, match):
     engine, sections, isc = _isc_of_example()
     with pytest.raises(IndexFileError, match=match):
@@ -221,15 +238,11 @@ def test_isc_blocks_are_checked(damage, match):
 
 
 def test_isc_red_count_is_one_per_block_boundary():
-    # node 1 is red and blue: made blue only, it leaves the colored set, and
-    # so the samples, as they are; but 7 red nodes cannot end 8 of 9 blocks
+    # the count is not stored: 9 blocks have 8 boundaries, so a well-formed
+    # column of 7 ids, blocks 1..7's, is 8 values cut short
     engine, sections, isc = _isc_of_example()
-    _, idx, _, _ = storage.load_bytes(storage._pack(engine, sections))
-    red, blue = idx.colors.red.positions, idx.colors.blue.positions
-    assert red[0] == blue[0] == 1 and idx.rlx.r_prime == 9
-    sections["colors"] = storage._enc_colors(ColorMarks(idx.n, red[1:], blue))
-    with pytest.raises(IndexFileError, match="isc: 7 red nodes for 9 blocks"):
-        _load_with_isc(engine, sections, isc[:-1])
+    with pytest.raises(IndexFileError, match="isc red nodes column of 8 values cut short"):
+        _load_with_isc(engine, sections, storage._column(list(isc[2:])))
 
 
 def test_every_isc_bit_flip_is_rejected_or_answers_right():
@@ -250,23 +263,23 @@ def test_every_isc_bit_flip_is_rejected_or_answers_right():
 
 
 def test_isc_section_layout():
-    # only the column of the block each red node ends, in pre-order: no
-    # count, no other field. The red node is the block's last position, and
-    # there is one per block boundary, so the blocks are a permutation of
-    # 0..|red| - 1; one byte less or more is rejected
+    # only the column of the red node that ends each block but the last, in
+    # block order: no count, no other field. Block q's red node is the node
+    # at its last co-lex position, the one before block q + 1 starts; one
+    # byte less or more is rejected
     rng = random.Random(47)
     for sigma in (2, 5, 27):
         for _ in range(4):
             t = make_random_trie(rng, 160, sigma)
             order = colex_sort(t)
             idx = build_index(t, order)
-            blocks = [a - 1 for a in idx.isc_tables.anchor if a < idx.rlx.r_prime]
-            red = list(idx.colors.red.positions)
-            assert sorted(blocks) == list(range(idx.rlx.r_prime - 1)) and len(red) == len(blocks)
-            assert [idx.rlx.starts[q + 1] - 1 for q in blocks] == list(order.pre_to_colex[red])
+            rp, starts = idx.rlx.r_prime, idx.rlx.starts
+            red = [int(order.colex_to_pre[starts[q + 1] - 1]) for q in range(rp - 1)]
+            assert sorted(red) == list(idx.colors.red.positions)
             engine, sections = storage._unpack(storage.save_rindex(idx))
             isc = sections["isc"]
-            assert isc == storage._column(blocks)
+            assert storage._r_column(isc, 0, rp - 1, "isc")[0].tolist() == red
+            assert isc == storage._column(red)
             for damaged in (isc[:-1], isc + b"\0"):
                 with pytest.raises(IndexFileError, match="isc "):
                     _load_with_isc(engine, dict(sections), damaged)
@@ -276,17 +289,32 @@ def test_isc_shares_the_red_set():
     idx = build_index(build_from_strings([b"abc", b"abd", b"bcd", b"xyz"]))
     _, loaded, _, _ = storage.load_bytes(storage.save_rindex(idx))
     for index in (idx, loaded):
-        # the isc tables hold no red set of their own: a red node's block is
-        # read off the colored set of the color marks they share, through the
-        # anchors they share with the samples
+        # the isc tables hold no table of their own: a red node's block is
+        # read off the anchors of the color marks, which the samples share
         isc = index.isc_tables
         assert isc.colors is index.colors and isc.mask is index.rlx.mask
-        assert isc.anchor is index.samples.anchor
+        assert index.samples.anchor is isc.anchor is index.colors.anchor
         shared = {id(index.colors), id(index.rlx.mask)}
-        assert [s for s in type(isc).__slots__ if id(getattr(isc, s)) not in shared] == ["anchor"]
+        assert all(id(getattr(isc, s)) in shared for s in type(isc).__slots__)
         red, colored = list(index.colors.red.positions), index.colors.colored
         anchors = [isc.anchor[colored.rank1(u) - 1] for u in red]
         assert sorted(anchors) == list(range(1, len(red) + 1))
+
+
+def test_build_and_load_derive_the_same_color_marks():
+    # one constructor at build and at load, on the same red ids in block
+    # order: every table it derives is equal, at the same width
+    rng = random.Random(53)
+    for sigma in (2, 5, 27):
+        t = make_random_trie(rng, 160, sigma)
+        built = build_index(t)
+        _, loaded, _, _ = storage.load_bytes(storage.save_rindex(built))
+        for name in ("colored", "blue"):
+            a, b = getattr(built.colors, name).positions, getattr(loaded.colors, name).positions
+            assert a == b and a.typecode == b.typecode, name
+        for name in ("blue_only", "anchor"):
+            a, b = getattr(built.colors, name), getattr(loaded.colors, name)
+            assert a == b and a.typecode == b.typecode, name
 
 
 def test_samples_share_the_colored_set(ex26):
@@ -337,26 +365,22 @@ def test_samples_section_is_inconsistent(ex26, at, value, match):
         storage.load_bytes(storage._pack(engine, sections))
 
 
-# the example's colors section: 8 red nodes (u32) and their gap column,
-# then 7 blue ones; the gaps sit at bytes 5..12 and 18..24
-EXAMPLE_COLORS = (struct.pack("<I", 8) + bytes([1, 1, 1, 1, 3, 1, 1, 1, 1])
-                  + struct.pack("<I", 7) + bytes([1, 1, 1, 1, 1, 4, 1, 1]))
+# the example's colors section: 7 blue nodes (u32) and their gap column,
+# the gaps at bytes 5..11; the red nodes are the isc section
+EXAMPLE_COLORS = struct.pack("<I", 7) + bytes([1, 1, 1, 1, 1, 4, 1, 1])
 
 
-@pytest.mark.parametrize("at, gap, match", [
-    (5, 0, "red nodes are not strictly increasing within 1..11"),  # node 0
-    (7, 0, "red nodes are not strictly increasing within 1..11"),  # node 2 twice
-    (12, 3, "red nodes are not strictly increasing within 1..11"),  # node 12
-    (19, 0, "blue nodes are not strictly increasing within 1..11"),  # node 1 twice
-    (24, 3, "blue nodes are not strictly increasing within 1..11"),  # node 12
-])
-def test_colors_are_strictly_increasing_within_the_trie(at, gap, match):
+@pytest.mark.parametrize("at, gap", [(5, 0), (6, 0), (11, 3)],
+                         ids=["node-0", "node-1-twice", "node-12"])
+def test_colors_are_strictly_increasing_within_the_trie(at, gap):
     # SparseBitVec drops a repeated node, so a zero gap would load, answer
-    # right and re-save to other bytes
+    # right and re-save to other bytes; the red column's damages are
+    # test_isc_blocks_are_checked's
     engine, sections = storage._unpack(saved_example("rindex"))
     assert sections["colors"] == EXAMPLE_COLORS
     sections["colors"] = _replace(EXAMPLE_COLORS, at, gap)
-    with pytest.raises(IndexFileError, match=match):
+    with pytest.raises(IndexFileError,
+                       match="blue nodes are not strictly increasing within 1..11"):
         storage.load_bytes(storage._pack(engine, sections))
 
 
