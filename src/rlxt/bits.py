@@ -7,10 +7,10 @@ vector keeps an :func:`int_array` (2 bytes per value below 2**16, 4 below
 a time and a scalar numpy call costs several times more.
 
 Every resident id table of an index is an :func:`int_array`: an ``array``
-at the narrowest width that holds its values, unsigned when none is
-negative. Its items read as plain ints at any width. numpy arithmetic on a
-view of an unsigned table wraps, so such a view is widened to int64 first
-wherever a result may fall below 0 or above the table's largest value.
+at the narrowest unsigned width that holds its values. Its items read as
+plain ints at any width. numpy arithmetic on a view of such a table wraps,
+so the view is widened to int64 first wherever a result may fall below 0
+or above the table's largest value.
 
 :class:`BitVec` and :class:`WaveletSeq` have no caller in the library. They
 stay, with their tests, only because the traced benchmark (``bench/spans.py``)
@@ -25,33 +25,30 @@ from bisect import bisect_left, bisect_right
 import numpy as np
 
 
-def typecode(nbits, signed=False):
-    """The narrowest ``array`` typecode whose items hold ``nbits``-bit
-    values, two's complement when ``signed``: ``B``/``H``/``I``/``Q``, or
-    ``b``/``h``/``i``/``q``, the 8-byte code past 64 bits. It goes by
-    ``itemsize``, not by letter, because ``array('L')`` is 8 bytes on some
-    platforms and 4 on others."""
-    codes = "bhiq" if signed else "BHIQ"
-    return next((t for t in codes if array(t).itemsize * 8 >= nbits), codes[-1])
+def typecode(nbits):
+    """The narrowest unsigned ``array`` typecode whose items hold
+    ``nbits``-bit values: ``B``/``H``/``I``/``Q``, ``Q`` past 64 bits. It
+    goes by ``itemsize``, not by letter, because ``array('L')`` is 8 bytes
+    on some platforms and 4 on others."""
+    return next((t for t in "BHIQ" if array(t).itemsize * 8 >= nbits), "Q")
 
 
 def int_array(values):
-    """``values`` (a sequence or an integer numpy array) as an ``array`` of
-    exactly that length, at the narrowest width that holds them all
-    (:func:`typecode`): unsigned when none is negative, so ids below 2**8
-    take one byte, below 2**16 two and below 2**32 four. Item reads and
-    ``bisect`` work alike at every width. Building one from bytes or by
-    appending over-allocates, and one built from a list of Python ints first
-    holds the list: 36 B per entry beside the array's 1 to 8."""
+    """``values`` (a sequence or an integer numpy array, none negative) as
+    an ``array`` of exactly that length, at the narrowest unsigned width
+    that holds them all (:func:`typecode`): ids below 2**8 take one byte,
+    below 2**16 two and below 2**32 four. Item reads and ``bisect`` work
+    alike at every width. Building one from bytes or by appending
+    over-allocates, and one built from a list of Python ints first holds
+    the list: 36 B per entry beside the array's 1 to 8. A negative value
+    raises ValueError."""
     values = np.asarray(values)
     if values.dtype.kind not in "iu":
         values = values.astype(np.int64)
     lo, hi = (int(values.min()), int(values.max())) if len(values) else (0, 0)
-    if lo < 0:  # k bits hold -2**(k-1) .. 2**(k-1) - 1
-        code = typecode(max(hi, ~lo).bit_length() + 1, signed=True)
-    else:
-        code = typecode(hi.bit_length())
-    out = array(code, [0]) * len(values)
+    if lo < 0:
+        raise ValueError(f"int_array holds no negative value, not {lo}")
+    out = array(typecode(hi.bit_length()), [0]) * len(values)
     np.frombuffer(out, dtype=out.typecode)[:] = values
     return out
 

@@ -228,8 +228,9 @@ class RIndex:
     def count(self, pattern):
         """Number of nodes reached by ``pattern``: the backward search over
         the range alone, with no call but ``bisect_right``. It reads c's run
-        starts, c's node counts before each run and the C array, and no
-        block start, mask or head.
+        starts, ``base[c]`` (c's node count before each run, then c's total)
+        and the C array, and no block start, mask or head. Run k's length is
+        ``base[c][k + 1] - base[c][k]``, the last run's too.
 
         The first step, from the whole range, is c's C-array span. After it,
         one search over c's run starts finds the run k that starts at or
@@ -263,29 +264,24 @@ class RIndex:
                     return 0
                 lo, hi = cc + 1, c_array[c + 1]
                 continue
-            runs = len(run_start)
             k = search(run_start, lo) - 1
-            if k >= 0:
-                run, below = run_start[k], base[k]
-                # c's nodes through run k
-                end = base[k + 1] if k + 1 < runs else c_array[c + 1] - cc
+            if k >= 0:  # c's nodes before and through run k
+                run, below, end = run_start[k], base[k], base[k + 1]
             if k >= 0 and lo - run < end - below:  # lo in run k
                 lo2 = below + lo - run + 1
             else:  # lo's successor heads c's next run, if it starts by hi
                 k += 1
-                if k == runs:
+                if k == len(run_start):
                     return 0
-                run, below = run_start[k], base[k]
+                run, below, end = run_start[k], base[k], base[k + 1]
                 if run > hi:
                     return 0
-                end = base[k + 1] if k + 1 < runs else c_array[c + 1] - cc
                 lo2 = below + 1
             if hi - run < end - below:  # hi in run k
                 hi2 = below + hi - run + 1
             else:  # the run at or before hi, k or later, and its rank through hi
                 k = search(run_start, hi, k) - 1
-                end = base[k + 1] if k + 1 < runs else c_array[c + 1] - cc
-                hi2 = min(base[k] + hi - run_start[k] + 1, end)
+                hi2 = min(base[k] + hi - run_start[k] + 1, base[k + 1])
             lo, hi = cc + lo2, cc + hi2
         return max(hi - lo + 1, 0)
 
@@ -332,30 +328,25 @@ class RIndex:
                 j, jump = len(los) - 1, 0
                 lo, hi = cc + 1, c_array[c + 1]
                 continue
-            runs = len(run_start)
             k = search(run_start, lo) - 1
-            if k >= 0:
-                run, below = run_start[k], base[k]
-                # c's nodes through run k
-                end = base[k + 1] if k + 1 < runs else c_array[c + 1] - cc
+            if k >= 0:  # c's nodes before and through run k
+                run, below, end = run_start[k], base[k], base[k + 1]
             if k >= 0 and lo - run < end - below:  # lo in run k
                 lo2 = below + lo - run + 1
             else:  # lo's successor heads c's next run, if it starts by hi
                 k += 1
-                if k == runs:
+                if k == len(run_start):
                     return None
-                run, below = run_start[k], base[k]
+                run, below, end = run_start[k], base[k], base[k + 1]
                 if run > hi:
                     return None
-                end = base[k + 1] if k + 1 < runs else c_array[c + 1] - cc
                 lo2 = below + 1
                 j, jump = len(los) - 1, run
             if hi - run < end - below:  # hi in run k
                 hi2 = below + hi - run + 1
             else:  # the run at or before hi, k or later, and its rank through hi
                 k = search(run_start, hi, k) - 1
-                end = base[k + 1] if k + 1 < runs else c_array[c + 1] - cc
-                hi2 = min(base[k] + hi - run_start[k] + 1, end)
+                hi2 = min(base[k] + hi - run_start[k] + 1, base[k + 1])
             lo, hi = cc + lo2, cc + hi2
         if not los:  # the empty pattern: every node, the root first
             return lo, hi, 1

@@ -7,8 +7,9 @@ are maximal runs of equal sets, each encoded as (ADD, DEL, length) against
 its predecessor. S' flattens the deltas as c+/c- symbols with '/' block
 separators. Queries read S' regrouped by label: per label, the co-lex
 positions where its runs start and the count of its nodes before each run,
-plus the block starts; every lookup is a binary search over O(r) words.
-Each block's out-set is also kept as a sigma-bit mask, so "is c present at
+then its total, so a run's length is the difference of two counts; plus
+the block starts. Every lookup is a binary search over O(r) words. Each
+block's out-set is also kept as a sigma-bit mask, so "is c present at
 block q" is one bit test and the child rank of c is one popcount of the
 bits below c. The blocks are kept only in those tables: the exits, the node
 counts, the C array and the triples are derived from them. One object,
@@ -89,14 +90,14 @@ class RlXbwt:
 
     The rest follows from the runs. c's k-th run spans the positions from
     ``run_start[c][k]`` through its last c-node, and each of them has one
-    c-child: ``base[c][k]``, the number of c-nodes before the run, sums c's
-    earlier runs, and ``c_array`` sums every label's runs. So run k holds
-    ``base[c][k + 1] - base[c][k]`` positions (c's total less ``base[c][k]``
-    for the last), and c leaves the out-set (the c- symbols, ``dels``) at
-    the block starting one past it. Rank of c through i is then one search
-    in ``run_start[c]`` and one comparison with that run's length.
-    ``dels``, ``triples``, ``r_prime`` and ``colex_parents`` are views
-    derived from the tables.
+    c-child. ``base[c]`` holds c's node count before each of its runs, then
+    c's total, one entry more than ``run_start[c]``, and ``c_array`` sums
+    every label's totals. So run k always holds ``base[c][k + 1] -
+    base[c][k]`` positions, and c leaves the out-set (the c- symbols of S')
+    at the block starting one past it. Rank of c through i is then one
+    search in ``run_start[c]`` and one comparison with that run's length.
+    ``triples``, ``r_prime`` and ``colex_parents`` are views derived from
+    the tables.
 
     ``block_head[q]`` is the pre-order id of block q's first node, one
     :func:`~rlxt.bits.int_array` of r' ids; ``block_head[0]`` is the root,
@@ -164,10 +165,15 @@ class RlXbwt:
         before = np.zeros(len(runs) + 1, dtype=np.min_scalar_type(int(runs.sum(dtype=np.int64))))
         np.cumsum(runs, out=before[1:])
         del runs
-        # before never falls, so a label's counts less its first cannot wrap
-        self.base = per_label(before[:-1] - np.repeat(before[first], n_entries), n_entries)
-        self.c_array = int_array(np.concatenate(
-            ([0], before[first + n_entries].astype(np.int64) + 1)))
+        # c's counts are before[first[c]] through before[last[c]], which
+        # closes c's runs with its total, less the first; before never
+        # falls, so they cannot wrap
+        last = first + n_entries
+        counts = np.insert(before[:-1], last, before[last])
+        counts -= np.repeat(before[first], n_entries + 1)
+        self.base = per_label(counts, n_entries + 1)
+        del counts
+        self.c_array = int_array(np.concatenate(([0], before[last].astype(np.int64) + 1)))
         del before
         self.mask = self.block_head = None
 
@@ -198,21 +204,21 @@ class RlXbwt:
         r_c = {c: len(rs) for c, rs in enumerate(self.run_start) if len(rs)}
         return sum(r_c.values()), r_c, self.r_prime
 
-    def _run_starts(self):
-        """Every run's start, label after label, as int64."""
-        return np.concatenate(self.run_start).astype(np.int64)
+    def _runs(self):
+        """Every run's label, start and length, label after label, as int64:
+        run k of c holds ``base[c][k + 1] - base[c][k]`` positions."""
+        per = [len(rs) for rs in self.run_start]
+        counts = np.concatenate(self.base).astype(np.int64)
+        totals = np.cumsum(np.add(per, 1)) - 1  # where each label's total sits
+        lengths = np.delete(np.diff(counts), totals[:-1])
+        labels = np.repeat(np.arange(self.sigma, dtype=np.int64), per)
+        return labels, np.concatenate(self.run_start).astype(np.int64), lengths
 
     def colex_parents(self):
         """The parent co-lex position of each of positions 2..n: the k-th
-        c-child hangs off the k-th position of c's runs, label after label;
-        ``base`` and the C array give each run's offset among the children."""
-        offsets = np.concatenate(self.base).astype(np.int64) + np.repeat(
-            np.asarray(self.c_array, dtype=np.int64)[:-1] - 1, [len(b) for b in self.base])
-        return concat_ranges(self._run_starts(), np.diff(offsets, append=self.n - 1))
-
-    def _run_labels(self):
-        """The label of every run, label after label."""
-        return np.repeat(np.arange(self.sigma), [len(rs) for rs in self.run_start])
+        c-child hangs off the k-th position of c's runs, label after label."""
+        _, starts, lengths = self._runs()
+        return concat_ranges(starts, lengths)
 
     def _blocks_at(self, positions):
         """The block starting at each of ``positions``, all block starts:
@@ -222,34 +228,21 @@ class RlXbwt:
         block_at[self.starts] = np.arange(r)
         return block_at[positions]
 
-    def _exits(self, labels):
+    def _exits(self, labels, starts, lengths):
         """Every run's exit as (blocks, labels) in S' order, by block and
-        then by label, given the runs' ``labels``. Run k of c ends where its
-        count runs out, at ``base[c][k + 1]`` or c's total, and c leaves at
-        the block starting one past it; a run through n has no exit."""
-        before = np.concatenate(self.base).astype(np.int64)
-        through = np.empty_like(before)  # c's nodes through each run
-        through[:-1] = before[1:]
-        last = np.flatnonzero(np.diff(labels, append=self.sigma))  # each label's last run
-        through[last] = np.diff(np.asarray(self.c_array, dtype=np.int64))[labels[last]]
-        ends = self._run_starts() + through - before
+        then by label: c leaves at the block starting one past its run; a
+        run through n has no exit."""
+        ends = starts + lengths
         exits = ends <= self.n
         return _in_block_order(self._blocks_at(ends[exits]), labels[exits], len(self.starts))
-
-    @property
-    def dels(self):
-        """``dels[c]``: the blocks where c leaves the out-set, ascending."""
-        blocks, labels = self._exits(self._run_labels())
-        labels = labels.astype(np.uint8)  # codes below sigma <= 256: a radix sort
-        order = np.argsort(labels, kind="stable")
-        return per_label(blocks[order], np.bincount(labels, minlength=self.sigma))
 
     def deltas(self):
         """S' block by block: the ADD count per block, the ADD labels in S'
         order, then the same for DEL."""
-        r, labels = len(self.starts), self._run_labels()
-        add_blocks, add_labels = _in_block_order(self._blocks_at(self._run_starts()), labels, r)
-        del_blocks, del_labels = self._exits(labels)
+        r = len(self.starts)
+        labels, starts, lengths = self._runs()
+        add_blocks, add_labels = _in_block_order(self._blocks_at(starts), labels, r)
+        del_blocks, del_labels = self._exits(labels, starts, lengths)
         return (np.bincount(add_blocks, minlength=r), add_labels,
                 np.bincount(del_blocks, minlength=r), del_labels)
 
@@ -375,8 +368,7 @@ def xbwt_rank(rlx, c, i):
     base = rlx.base[c]
     if rlx.mask[rlx.block_of(i)] >> c & 1:  # run k holds i
         return base[k] + i - run_start[k] + 1
-    # c's runs 0..k have all ended: run k + 1's offset, or c's total
-    return base[k + 1] if k + 1 < len(base) else rlx.c_array[c + 1] - rlx.c_array[c]
+    return base[k + 1]  # c's runs 0..k have all ended
 
 
 def xbwt_successor(rlx, c, i):

@@ -433,6 +433,21 @@ def test_bench_produces_csv(ex26_file, capsys):
     assert lines[1].startswith("rindex,")
 
 
+@pytest.mark.parametrize("lines, n", [([], 1), (ex26_lines(), 26)], ids=["one-node", "ex26"])
+def test_bench_rows_report_the_t_used_and_a_nonnegative_time_per_occurrence(
+        tmp_path, capsys, lines, n):
+    # the per-occurrence time is the locate time over the occurrences, with
+    # nothing subtracted, and a t past n prints as the n the build used
+    src = tmp_path / "in.txt"
+    src.write_bytes(b"".join(line + b"\n" for line in lines))
+    capsys.readouterr()
+    assert main(["bench", str(src), "--t", "1,16,64", "--repeat", "2"]) == 0
+    rows = [row.split(",") for row in capsys.readouterr().out.strip().split("\n")[1:]]
+    assert [row[0] for row in rows] == ["rindex", "sampled", "sampled", "sampled"]
+    assert [int(row[1]) for row in rows] == [0, 1, min(16, n), n]
+    assert all(float(row[5]) >= 0 for row in rows)
+
+
 def test_bench_repetitive_corpus_size_direction(tmp_path, capsys):
     # near-duplicate dictionaries under distinct version prefixes: the
     # run-length engine's file should be well below the t=1 baseline's

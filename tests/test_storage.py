@@ -638,7 +638,6 @@ def test_byte_wide_tables_read_at_int64(ex26, n):
         rlx = index.rlx
         wide = _at_int64(rlx, ("starts", "run_start", "base", "c_array", "block_head"))
         assert rlx.block_lengths().tolist() == wide.block_lengths().tolist()
-        assert [list(d) for d in rlx.dels] == [list(d) for d in wide.dels]
         assert [d.tolist() for d in rlx.deltas()] == [d.tolist() for d in wide.deltas()]
         assert list(rlx.colex_parents()) == list(wide.colex_parents()) == parents
         colored = list(index.colors.colored.positions)
@@ -842,7 +841,8 @@ def _naive_triples(trie, order):
 def _trie_side_tables(trie, order):
     """The S' node counts, the C array and the run heads computed from the
     trie and its co-lex order rather than derived from the blocks:
-    (base per label, C array, {label: [(colex, preorder), ...]})."""
+    (base per label, each ending with the label's total, C array,
+    {label: [(colex, preorder), ...]})."""
     out = OutSets(trie, order)
     sigma = trie.alphabet.sigma
     starts = np.flatnonzero(np.concatenate(([True], out.change)))
@@ -861,6 +861,8 @@ def _trie_side_tables(trie, order):
     for c, b, i in zip(out.labels[add].tolist(), before[add].tolist(), heads.tolist()):
         base[c].append(b)
         run_heads[c].append((i, int(order.colex_to_pre[i])))
+    for c, total in enumerate(per_label.tolist()):
+        base[c].append(total)
     return base, c_array.tolist(), run_heads
 
 
@@ -882,12 +884,19 @@ def test_loaded_sprime_tables_equal_built(ex26):
         idx = build_index(t, order)
         blob = storage.save_rindex(idx)
         _, idx2, _, _ = storage.load_bytes(blob)
-        for name in ("starts", "run_start", "first_block", "dels", "base", "c_array", "block_head"):
+        for name in ("starts", "run_start", "first_block", "base", "c_array", "block_head"):
             assert getattr(idx2.spi, name) == getattr(idx.spi, name), name
         assert idx.spi is idx.rlx and idx2.spi is idx2.rlx
         assert idx2.rlx.triples == idx.rlx.triples == _naive_triples(t, order)
         base, c_array, run_heads = _trie_side_tables(t, order)
         for index in (idx, idx2):
+            rlx = index.rlx
+            # each label's counts close with its total: one more than its
+            # runs, the last its C-array span (label 0, the root's, has none)
+            assert list(rlx.base[0]) == [0] and not rlx.run_start[0]
+            for c in range(1, rlx.sigma):
+                assert len(rlx.base[c]) == len(rlx.run_start[c]) + 1
+                assert rlx.base[c][-1] == rlx.c_array[c + 1] - rlx.c_array[c]
             assert [list(b) for b in index.spi.base] == base
             assert list(index.rlx.c_array) == c_array
             assert index.rlx.run_heads == run_heads
