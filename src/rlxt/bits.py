@@ -185,19 +185,9 @@ class SparseBitVec:
             raise ValueError("positions out of universe range")
         self.positions = int_array(pos)
 
-    def __len__(self):
-        return self.universe
-
     @property
     def num_ones(self):
         return len(self.positions)
-
-    def get(self, i):
-        if not 1 <= i <= self.universe:
-            raise IndexError(f"bit position {i} out of range 1..{self.universe}")
-        pos = self.positions
-        k = bisect_left(pos, i)
-        return int(k < len(pos) and pos[k] == i)
 
     def contains(self, i):
         pos = self.positions
@@ -208,9 +198,6 @@ class SparseBitVec:
         if not 0 <= i <= self.universe:
             raise IndexError(f"rank prefix {i} out of range 0..{self.universe}")
         return bisect_right(self.positions, i)
-
-    def rank0(self, i):
-        return i - self.rank1(i)
 
     def select1(self, j):
         if not 1 <= j <= len(self.positions):

@@ -213,7 +213,7 @@ def cmd_verify(args):
     check("entropy-bounds", entropy)
     check("r-le-omega", omega_bound)
     check("attractor", attractor)
-    if args.level == "full" and trie.n <= 12:
+    if trie.n <= 12:  # every connected subtree, which only a tiny trie can afford
         def exhaustive():
             g = gamma_r(trie, order, idx.rlx)
             return verify_attractor(trie, g, "all-connected", order), "all connected subtrees"
@@ -315,7 +315,6 @@ def make_parser():
     p = sub.add_parser("verify", help="run the invariant suite on an input")
     p.add_argument("input")
     p.add_argument("--format", choices=["strings", "edges"], default="strings")
-    p.add_argument("--level", choices=["quick", "full"], default="quick")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("bench", help="benchmark engines on an input")

@@ -1,5 +1,5 @@
-"""Locate machinery: colored nodes, successor-function samples, the
-isomorphic-child jump, toehold search, and the four-case climb.
+"""Locate machinery: colored nodes, successor-function samples, toehold
+search, and the four-case climb.
 
 ``phi`` maps a node to its co-lex successor using only the sampled anchors
 and topology jumps; the co-lex-to-pre-order permutation is never consulted.
@@ -17,12 +17,13 @@ descends once from its last step that jumps to a run head, as the
 r-index's toehold keeps only the last such sample: one block search per
 step from that jump on (none at the first step), and none at all when the
 pattern is absent. Neither makes a function call per step, nor any search
-from the whole range. The samples and the
-isomorphic-child jump share the color marks' one anchor per colored node,
-derived by one constructor at build and at load: a red node's is
-the block after the one it ends, whose head is its sample and whose mask
-the jump compares with its own block's; a blue-only node's points past the
-blocks, to its stored sample.
+from the whole range. The samples are keyed by the color marks' one
+anchor per colored node, derived by one constructor at build and at load:
+a red node's is the block after the one it ends, whose head is its sample;
+a blue-only node's points past the blocks, to its stored sample. At a red
+node the climb's isomorphic-child jump is a query of the run-length XBWT,
+``RlXbwt.isc_at`` at the block the node ends, which compares that block's
+mask with the next one's.
 """
 
 from __future__ import annotations
@@ -53,8 +54,9 @@ class ColorMarks:
     ``anchor`` has one entry per colored node in pre-order: q + 1 for the
     red node ending block q, whose co-lex successor heads block q + 1, and
     r' + b for the b-th blue-only node. So u is red iff it is colored with
-    an anchor below r'. ``red`` rebuilds the red set for inspection; no
-    query reads it."""
+    an anchor below r', and then the climb's isomorphic-child jump at u is
+    ``RlXbwt.isc_at`` at block anchor - 1. ``red`` rebuilds the red set for
+    inspection; no query reads it."""
 
     __slots__ = ("colored", "blue", "blue_only", "anchor")
 
@@ -129,43 +131,6 @@ class PhiSamples:
         return out
 
 
-class IscTables:
-    """The isomorphic-child jump at red nodes, read off the block masks.
-
-    A red node ends a block q of the run-length XBWT, and its co-lex
-    successor begins block q + 1, so the two out-sets the jump compares are
-    ``mask[q]`` and ``mask[q + 1]``: the masks of the
-    :class:`~rlxt.rlxbwt.RlXbwt`, held here itself, not a copy. The block a
-    red node ends is its ``anchor`` less one, keyed by the colored set of
-    ``colors`` (:class:`ColorMarks`): the tables hold no table of their own.
-    """
-
-    __slots__ = ("colors", "mask")
-
-    def __init__(self, colors, mask):
-        self.colors = colors
-        self.mask = mask
-
-    @property
-    def anchor(self):
-        """The anchors of ``colors``, which the phi samples share."""
-        return self.colors.anchor
-
-    def isc_at(self, q, k):
-        """Child rank, under the co-lex successor of the red node that ends
-        block q, of the label of that node's k-th child: the labels below it
-        in the successor's mask, plus one."""
-        m, succ = self.mask[q], self.mask[q + 1]
-        if not 1 <= k <= m.bit_count():
-            raise IndexError(f"child rank {k} out of range for the red node of block {q}")
-        for _ in range(k - 1):  # k <= sigma: clear the k - 1 lowest labels
-            m &= m - 1
-        below = (m & -m) - 1  # the labels below the k-th one
-        if not succ & (below + 1):
-            raise DomainError(f"label of child {k} missing from the successor's out-set")
-        return (succ & below).bit_count() + 1
-
-
 class RIndex:
     """Assembled locate structure.
 
@@ -178,10 +143,10 @@ class RIndex:
 
     __slots__ = (
         "n", "alphabet", "last", "topo", "rlx", "colors",
-        "samples", "isc_tables", "case_counters",
+        "samples", "case_counters",
     )
 
-    def __init__(self, n, alphabet, last, topo, rlx, colors, samples, isc_tables):
+    def __init__(self, n, alphabet, last, topo, rlx, colors, samples):
         self.n = n
         self.alphabet = alphabet
         self.last = last
@@ -189,7 +154,6 @@ class RIndex:
         self.rlx = rlx
         self.colors = colors
         self.samples = samples
-        self.isc_tables = isc_tables
         self.case_counters = {"1": 0, "2.1": 0, "2.2.1": 0, "2.2.2": 0}
 
     @property
@@ -203,6 +167,12 @@ class RIndex:
         """The S' tables under their former name, which measuring tools
         read: they are ``rlx`` itself."""
         return self.rlx
+
+    @property
+    def isc_tables(self):
+        """The block masks the isomorphic-child jump reads, under the name
+        measuring tools read: they are ``rlx.mask`` itself."""
+        return self.rlx.mask
 
     def reset_counters(self):
         for k in self.case_counters:
@@ -415,13 +385,14 @@ class RIndex:
         """Pre-order id of u's co-lex successor (climb, Cases 1..2.2.2).
 
         One pass over the topology and sample tables, with no topology call.
-        One bisect in the colored ids says whether u is colored, finds the
-        first mark in u's subtree, or else the marks p and s on either side of
-        it. One binary search over depth finds the lowest ancestor a covering
-        p or s and its child ``k_node`` towards u. Sibling ranks, the k-th
-        child and ``isd`` step by subtree sizes. Only what the file gives is
-        range-checked: u, each sample or type-2 value used as a node, the child
-        rank against the subtree end and ``isd``'s offset.
+        One bisect in the colored ids finds the first mark in u's subtree, u
+        itself if it is colored (case 1 either way), or else the marks p and
+        s on either side of it. One binary search over depth finds the lowest
+        ancestor a covering p or s and its child ``k_node`` towards u.
+        Sibling ranks, the k-th child and ``isd`` step by subtree sizes. Only
+        what the file gives is range-checked: u, each sample or type-2 value
+        used as a node, the child rank against the subtree end and ``isd``'s
+        offset.
         """
         if u == self.last:
             raise NoSuccessorError(f"node {u} is last in co-lex order")
@@ -434,11 +405,7 @@ class RIndex:
         k = bisect_left(keys, u)
         s = keys[k] if k < len(keys) else n + 1
         samples, heads = self.samples, self.samples.block_head
-        if s == u:
-            counters["1"] += 1
-            h = samples.anchor[k]
-            return heads[h] if h < len(heads) else samples.blue_values[h - len(heads)]
-        if s < u + size[u]:
+        if s < u + size[u]:  # s is u itself or the first mark in u's subtree
             succ = self._from_mark(u, k)
             counters["1"] += 1
             return succ
@@ -476,7 +443,7 @@ class RIndex:
                 rank += 1
             if red:
                 counters["2.2.2"] += 1
-                rank = self.isc_tables.isc_at(h - 1, rank)  # a ends block h - 1
+                rank = self.rlx.isc_at(h - 1, rank)  # a ends block h - 1
                 base = heads[h]
             else:
                 counters["2.1"] += 1
@@ -545,7 +512,6 @@ def build_index(trie, colex=None):
     lam = trie.label[c2p[1:]]
     blue_ids = c2p[np.flatnonzero(lam[:-1] != lam[1:]) + 1]
     colors = ColorMarks(n, red_ids, blue_ids)
-    isc_tables = IscTables(colors, rlx.mask)
 
     # type 1 on the colored nodes; of type 2, the nodes that are not colored,
     # each once: a child is in one out-set
@@ -557,4 +523,4 @@ def build_index(trie, colex=None):
     phi_samples = PhiSamples(colors.colored, colors.anchor, rlx.block_head,
                              c2p[p2c[blue_only] + 1], type2, c2p[p2c[type2] + 1])
 
-    return RIndex(n, trie.alphabet, int(c2p[n]), topo, rlx, colors, phi_samples, isc_tables)
+    return RIndex(n, trie.alphabet, int(c2p[n]), topo, rlx, colors, phi_samples)

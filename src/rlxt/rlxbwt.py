@@ -1,6 +1,7 @@
-"""Run-length encoded XBWT: block triples, the S' delta sequence, and the
+"""Run-length encoded XBWT: block triples, the S' delta sequence, the
 counting-side queries (rank over the out-label sets, run successor, child
-rank and backward range extension).
+rank and backward range extension), and the climb's isomorphic-child jump
+across a block boundary.
 
 The XBWT is the sequence of outgoing-label sets in co-lex node order. Blocks
 are maximal runs of equal sets, each encoded as (ADD, DEL, length) against
@@ -11,8 +12,10 @@ then its total, so a run's length is the difference of two counts; plus
 the block starts. Every lookup is a binary search over O(r) words. Each
 block's out-set is also kept as a sigma-bit mask, so "is c present at
 block q" is one bit test and the child rank of c is one popcount of the
-bits below c. The blocks are kept only in those tables: the exits, the node
-counts, the C array and the triples are derived from them. One object,
+bits below c; the isomorphic-child jump at the red node that ends block q
+compares ``mask[q]`` with ``mask[q + 1]`` (:meth:`RlXbwt.isc_at`). The
+blocks are kept only in those tables: the exits, the node counts, the C
+array and the triples are derived from them. One object,
 :class:`RlXbwt`, holds the tables, the masks and each block's head, the
 pre-order id of its first node, and every query takes it as its one
 transform argument.
@@ -80,7 +83,8 @@ def _in_block_order(blocks, labels, r):
 
 class RlXbwt:
     """The run-length XBWT: S' regrouped by label, answering rank,
-    successor and child rank, plus the block heads' pre-order ids.
+    successor and child rank, plus the block heads' pre-order ids and the
+    isomorphic-child jump between neighbouring blocks' masks.
 
     Blocks are numbered from 0 and ``starts[q]`` is the co-lex position where
     block q begins. For each label c, ``run_start[c]`` lists the co-lex
@@ -263,6 +267,22 @@ class RlXbwt:
     def block_of(self, i):
         """0-based block containing co-lex position i."""
         return bisect_right(self.starts, i) - 1
+
+    def isc_at(self, q, k):
+        """The isomorphic-child jump at the red node that ends block q: the
+        child rank, under that node's co-lex successor, of the label of its
+        k-th child. The successor begins block q + 1, so the two out-sets
+        are ``mask[q]`` and ``mask[q + 1]``, and the rank is the labels
+        below that label in the successor's mask, plus one."""
+        m, succ = self.mask[q], self.mask[q + 1]
+        if not 1 <= k <= m.bit_count():
+            raise IndexError(f"child rank {k} out of range for the red node of block {q}")
+        for _ in range(k - 1):  # k <= sigma: clear the k - 1 lowest labels
+            m &= m - 1
+        below = (m & -m) - 1  # the labels below the k-th one
+        if not succ & (below + 1):
+            raise DomainError(f"label of child {k} missing from the successor's out-set")
+        return (succ & below).bit_count() + 1
 
     def symbols(self):
         """Decode S' back to (kind, label) pairs; kind in {'+','-','/'}."""

@@ -33,7 +33,7 @@ import numpy as np
 from .baseline import SampledLocate, XbwtNav
 from .bits import SparseBitVec, int_array
 from .errors import FormatError, IndexFileError
-from .rindex import ColorMarks, IscTables, PhiSamples, RIndex
+from .rindex import ColorMarks, PhiSamples, RIndex
 from .rlxbwt import RlXbwt, out_masks, reconstruct_trie  # bench/spans.py patches it here
 from .topology import BpsTopology
 from .trie import Alphabet, _depths
@@ -371,9 +371,8 @@ def load_rindex(sections):
                         _dec_colors(sections["colors"], n))
     if len(colors.anchor) != colors.colored.num_ones:  # the colored set drops a repeat
         raise IndexFileError("isc red nodes end two blocks at one node")
-    isc = IscTables(colors, rlx.mask)
     samples, last = _dec_samples(sections["samples"], rlx, colors, n)
-    idx = RIndex(n, alphabet, last, topo, rlx, colors, samples, isc)
+    idx = RIndex(n, alphabet, last, topo, rlx, colors, samples)
     return idx, meta
 
 

@@ -176,14 +176,15 @@ def is_red(colors, u):
 
 def isc(idx, u, k):
     """The isomorphic-child jump at red node u: the child rank, under u's
-    co-lex successor, of the label of u's k-th child. The reference for the
-    climb's ``IscTables.isc_at``, found from u through its anchor."""
-    tables = idx.isc_tables
-    colored = tables.colors.colored
-    q = tables.anchor[colored.rank1(u) - 1] - 1 if colored.contains(u) else len(tables.mask)
-    if q >= len(tables.mask) - 1:  # not colored, or blue-only
+    co-lex successor, of the label of u's k-th child. The climb's
+    ``RlXbwt.isc_at`` at the block u ends, found from u through its anchor
+    in ``idx.colors``."""
+    colors, r = idx.colors, idx.rlx.r_prime
+    colored = colors.colored
+    q = colors.anchor[colored.rank1(u) - 1] - 1 if colored.contains(u) else r
+    if q >= r - 1:  # not colored, or blue-only
         raise DomainError(f"node {u} is not a run-break node")
-    return tables.isc_at(q, k)
+    return idx.rlx.isc_at(q, k)
 
 
 def sampled_with_flipped_bit(bit, section="xbwtflat"):

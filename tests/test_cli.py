@@ -418,10 +418,12 @@ def test_verify_quick_and_corrupted(ex26_file, capsys, monkeypatch):
     assert "FAIL phi-oracle" in out
 
 
-def test_verify_full_small(tmp_path):
+def test_verify_full_small(tmp_path, capsys):
+    # at most 12 nodes, every connected subtree is checked
     p = tmp_path / "small.txt"
     p.write_bytes(b"ab\nac\nba\n")
-    assert main(["verify", str(p), "--level", "full"]) == 0
+    assert main(["verify", str(p)]) == 0
+    assert "PASS attractor-exhaustive" in capsys.readouterr().out
 
 
 def test_bench_produces_csv(ex26_file, capsys):

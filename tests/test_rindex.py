@@ -640,6 +640,9 @@ def test_isc_matches_naive_on_random_tries():
                     else:
                         with pytest.raises(DomainError):
                             isc(idx, u, k)
+                for k in (0, len(cur) + 1):  # the child ranks u has not
+                    with pytest.raises(IndexError, match="out of range for the red node"):
+                        isc(idx, u, k)
 
 
 def _checked_phi(idx, u):

@@ -289,16 +289,15 @@ def test_isc_shares_the_red_set():
     idx = build_index(build_from_strings([b"abc", b"abd", b"bcd", b"xyz"]))
     _, loaded, _, _ = storage.load_bytes(storage.save_rindex(idx))
     for index in (idx, loaded):
-        # the isc tables hold no table of their own: a red node's block is
-        # read off the anchors of the color marks, which the samples share
-        isc = index.isc_tables
-        assert isc.colors is index.colors and isc.mask is index.rlx.mask
-        assert index.samples.anchor is isc.anchor is index.colors.anchor
-        shared = {id(index.colors), id(index.rlx.mask)}
-        assert all(id(getattr(isc, s)) in shared for s in type(isc).__slots__)
+        # the jump holds no table of its own: it is a query of the transform
+        # over its masks, and a red node's block is read off the anchors of
+        # the color marks, which the samples share
+        assert "isc_tables" not in type(index).__slots__
+        assert index.isc_tables is index.rlx.mask
+        assert index.samples.anchor is index.colors.anchor
         red, colored = list(index.colors.red.positions), index.colors.colored
-        anchors = [isc.anchor[colored.rank1(u) - 1] for u in red]
-        assert sorted(anchors) == list(range(1, len(red) + 1))
+        anchors = [index.colors.anchor[colored.rank1(u) - 1] for u in red]
+        assert sorted(anchors) == list(range(1, index.rlx.r_prime))
 
 
 def test_build_and_load_derive_the_same_color_marks():
