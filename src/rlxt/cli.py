@@ -15,8 +15,6 @@ import random
 import sys
 import time
 
-import numpy as np
-
 from . import storage
 from .baseline import SampledLocate
 from .errors import DomainError, FormatError, IndexFileError, NoSuccessorError

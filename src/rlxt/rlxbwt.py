@@ -6,19 +6,23 @@ across a block boundary.
 The XBWT is the sequence of outgoing-label sets in co-lex node order. Blocks
 are maximal runs of equal sets, each encoded as (ADD, DEL, length) against
 its predecessor. S' flattens the deltas as c+/c- symbols with '/' block
-separators. Queries read S' regrouped by label: per label, the co-lex
-positions where its runs start and the count of its nodes before each run,
-then its total, so a run's length is the difference of two counts; plus
-the block starts. Every lookup is a binary search over O(r) words. Each
-block's out-set is also kept as a sigma-bit mask, so "is c present at
-block q" is one bit test and the child rank of c is one popcount of the
-bits below c; the isomorphic-child jump at the red node that ends block q
-compares ``mask[q]`` with ``mask[q + 1]`` (:meth:`RlXbwt.isc_at`). The
-blocks are kept only in those tables: the exits, the node counts, the C
-array and the triples are derived from them. One object,
-:class:`RlXbwt`, holds the tables, the masks and each block's head, the
-pre-order id of its first node, and every query takes it as its one
-transform argument.
+separators. The transform is built, and loaded, from S' as its toggles:
+each label that enters or leaves the out-set at a block, block after
+block. A label's toggles alternate, entering first, so whether a toggle is
+c+ or c- is its parity within its label and need not be given. Queries
+read S' regrouped by label: per label, the co-lex positions where its runs
+start and the count of its nodes before each run, then its total, so a
+run's length is the difference of two counts; plus the block starts.
+Every lookup is a binary search over O(r) words. Each block's out-set is
+also kept as a sigma-bit mask, one running XOR of the toggles
+(:func:`out_masks`), so "is c present at block q" is one bit test and the
+child rank of c is one popcount of the bits below c; the isomorphic-child
+jump at the red node that ends block q compares ``mask[q]`` with
+``mask[q + 1]`` (:meth:`RlXbwt.isc_at`). The blocks are kept only in
+those tables: the toggles, the exits, the node counts, the C array and
+the triples are derived from them. One object, :class:`RlXbwt`, holds the
+tables, the masks and each block's head, the pre-order id of its first
+node, and every query takes it as its one transform argument.
 
 The queries here check every argument. ``RIndex.count`` and
 ``RIndex.toehold_search`` call none of them: each runs its own loop over
@@ -55,32 +59,6 @@ def per_label(values, counts):
     return [table[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
-def _blocks_by_label(sigma, counts, labels, r):
-    """Each block number q < r, ``counts[q]`` times over, paired with
-    ``labels`` in S' order, then sorted by label and by block, at the width
-    of the block numbers; and the number per label 0..sigma-1. A stable
-    argsort by label would hold two 8-byte temporaries per run where a load
-    can peak: one in-place sort of the keys ``label << b | q``, with b bits
-    for q, needs neither."""
-    shift = (r - 1).bit_length()
-    labels = np.asarray(labels, dtype=np.uint8)
-    keys = np.repeat(np.arange(r, dtype=np.min_scalar_type((sigma - 1) << shift | (r - 1))),
-                     counts)
-    keys |= np.left_shift(labels, shift, dtype=keys.dtype)
-    keys.sort()
-    keys &= (1 << shift) - 1
-    return keys.astype(np.min_scalar_type(r)), np.bincount(labels, minlength=sigma)
-
-
-def _in_block_order(blocks, labels, r):
-    """Label-sorted (blocks, labels) pairs in S' order, by block and then
-    by label. The block numbers, below ``r``, are sorted stably at the
-    narrowest width that holds them, by radix below 2**16."""
-    blocks = blocks.astype(np.min_scalar_type(r))
-    order = np.argsort(blocks, kind="stable")
-    return blocks[order], labels[order]
-
-
 class RlXbwt:
     """The run-length XBWT: S' regrouped by label, answering rank,
     successor and child rank, plus the block heads' pre-order ids and the
@@ -89,19 +67,21 @@ class RlXbwt:
     Blocks are numbered from 0 and ``starts[q]`` is the co-lex position where
     block q begins. For each label c, ``run_start[c]`` lists the co-lex
     positions where c's runs begin: the starts of the blocks where c enters
-    the out-set (the c+ symbols of S'). ``mask[q]`` is block q's out-set:
-    bit c is set iff c is present there (see :func:`out_masks`).
+    the out-set (c's first, third, ... toggles: the c+ symbols of S').
+    ``mask[q]`` is block q's out-set: bit c is set iff c is present there
+    (see :func:`out_masks`).
 
     The rest follows from the runs. c's k-th run spans the positions from
     ``run_start[c][k]`` through its last c-node, and each of them has one
     c-child. ``base[c]`` holds c's node count before each of its runs, then
     c's total, one entry more than ``run_start[c]``, and ``c_array`` sums
     every label's totals. So run k always holds ``base[c][k + 1] -
-    base[c][k]`` positions, and c leaves the out-set (the c- symbols of S')
-    at the block starting one past it. Rank of c through i is then one
-    search in ``run_start[c]`` and one comparison with that run's length.
-    ``triples``, ``r_prime`` and ``colex_parents`` are views derived from
-    the tables.
+    base[c][k]`` positions, and c leaves the out-set (c's second, fourth,
+    ... toggles: the c- symbols of S') at the block starting one past it.
+    Rank of c through i is then one search in ``run_start[c]`` and one
+    comparison with that run's length.
+    ``toggles``, ``triples``, ``r_prime`` and ``colex_parents`` are views
+    derived from the tables.
 
     ``block_head[q]`` is the pre-order id of block q's first node, one
     :func:`~rlxt.bits.int_array` of r' ids; ``block_head[0]`` is the root,
@@ -116,54 +96,54 @@ class RlXbwt:
     __slots__ = ("n", "sigma", "starts", "run_start", "first_block", "base", "c_array", "mask",
                  "block_head")
 
-    def __init__(self, sigma, n_add, add_labels, n_del, del_labels, lengths):
-        """Per block q: ``n_add[q]`` entering and ``n_del[q]`` leaving labels
-        and ``lengths[q]`` positions. ``add_labels``/``del_labels`` hold the
-        labels, each below sigma, block after block, ascending within a block
-        (S' order). A
-        ValueError says that some label's entries and exits do not alternate."""
+    def __init__(self, sigma, blocks, labels, lengths):
+        """Block q holds ``lengths[q]`` positions. The toggles of S' are
+        ``labels``, each in 1..sigma-1, with the block of each in
+        ``blocks``: block after block, ascending in label within
+        a block (S' order), so no label toggles twice in one block. A
+        label's toggles alternate: it enters the out-set at its first,
+        leaves at its second, enters at its third, and so on, so every
+        stream of toggles is one of runs."""
         # the per-block and per-run temporaries are held at the narrowest
         # width of their values, not at int64, since a load can peak here:
-        # block numbers below r', positions and their differences within
-        # +-(n + 1) at a signed width, and the runs' running count at the
-        # width of its total. Each goes once used.
+        # positions below n + 2, keys of a label and a block, and the runs'
+        # running count at the width of its total. Each goes once used.
         lengths = np.asarray(lengths)
         self.n = n = int(lengths.sum(dtype=np.int64))
         self.sigma = sigma
-        pos = np.min_scalar_type(-(n + 2))
-        starts = np.cumsum(lengths, dtype=pos)
-        starts -= lengths
-        starts += 1  # each block's first position
-        self.starts = int_array(starts)
-        entries, n_entries = _blocks_by_label(sigma, n_add, add_labels, len(lengths))
-        exits, n_exits = _blocks_by_label(sigma, n_del, del_labels, len(lengths))
-        bad = np.flatnonzero((n_exits > n_entries) | (n_exits < n_entries - 1))
-        if len(bad):
-            c = int(bad[0])
-            raise ValueError(f"label {c} enters the out-set {n_entries[c]} times, "
-                             f"leaves {n_exits[c]}")
-        # each run starts at its entry's block start and ends where its
-        # exit's block starts; a label still present in the last block gets
-        # an exit past it
+        r = len(lengths)
+        # each block's first position, then n + 1: the start of a virtual
+        # block r, where a label still present in the last block leaves
+        starts = np.empty(r + 1, np.min_scalar_type(n + 1))
+        starts[0] = 1
+        np.cumsum(lengths, dtype=starts.dtype, out=starts[1:])
+        starts[1:] += 1
+        self.starts = int_array(starts[:r])
+        # one in-place sort of the keys label << b | block, with b bits for
+        # blocks 0..r, orders each label's toggles by block, a label with an
+        # odd count closed by a virtual exit at block r; then its runs start
+        # at its even-numbered keys and stop at the odd-numbered ones
+        b = r.bit_length()
+        labels = np.asarray(labels)
+        per = np.bincount(labels, minlength=sigma)
+        odd = np.flatnonzero(per & 1)
+        m = len(labels)
+        keys = np.empty(m + len(odd), np.min_scalar_type((sigma - 1) << b | r))
+        np.left_shift(labels, b, out=keys[:m], dtype=keys.dtype, casting="unsafe")
+        np.bitwise_or(keys[:m], blocks, out=keys[:m], casting="unsafe")
+        keys[m:] = odd << b | r
+        keys.sort()
+        keys &= (1 << b) - 1  # the blocks alone
+        n_entries = (per + 1) >> 1
         first = np.cumsum(n_entries) - n_entries  # each label's first run
         has = n_entries > 0
-        first_block = np.zeros(sigma, entries.dtype)
-        first_block[has] = entries[first[has]]
+        first_block = np.zeros(sigma, keys.dtype)
+        first_block[has] = keys[::2][first[has]]
         self.first_block = int_array(first_block)
-        heads = starts[entries]
-        del entries, first_block
-        stops = np.insert(starts[exits], np.cumsum(n_exits)[n_entries > n_exits], n + 1)
-        del exits, starts
-        # entries and exits alternate in distinct blocks iff, label after
-        # label, every run's head and stop come in strictly increasing order:
-        # each run is nonempty and starts after the label's previous one stops
-        runs = stops - heads
-        gaps = heads[1:] - stops[:-1]
-        del stops
-        gaps[first[(first > 0) & has] - 1] = 1  # another label's run before
-        if (runs <= 0).any() or (gaps <= 0).any():
-            raise ValueError("a label's entries and exits do not alternate")
-        del gaps
+        heads = starts[keys[::2]]
+        runs = starts[keys[1::2]]
+        del keys, starts, first_block
+        runs -= heads  # each run's stop is past its head
         self.run_start = per_label(heads, n_entries)
         del heads
         before = np.zeros(len(runs) + 1, dtype=np.min_scalar_type(int(runs.sum(dtype=np.int64))))
@@ -232,23 +212,32 @@ class RlXbwt:
         block_at[self.starts] = np.arange(r)
         return block_at[positions]
 
-    def _exits(self, labels, starts, lengths):
-        """Every run's exit as (blocks, labels) in S' order, by block and
-        then by label: c leaves at the block starting one past its run; a
-        run through n has no exit."""
+    def toggles(self):
+        """S' as its toggles, (blocks, labels) as int64, by block and then
+        by label: c enters at the block starting at each of its runs and
+        leaves at the block starting one past it; a run through n never
+        leaves."""
+        labels, starts, lengths = self._runs()
         ends = starts + lengths
         exits = ends <= self.n
-        return _in_block_order(self._blocks_at(ends[exits]), labels[exits], len(self.starts))
+        keys = self._blocks_at(np.concatenate((starts, ends[exits]))).astype(np.int64) << 8
+        keys |= np.concatenate((labels, labels[exits]))
+        keys.sort()
+        return keys >> 8, keys & 255
 
     def deltas(self):
         """S' block by block: the ADD count per block, the ADD labels in S'
-        order, then the same for DEL."""
+        order, then the same for DEL. A toggle is an ADD iff it is the
+        first, third, ... of its label's."""
+        blocks, labels = self.toggles()
+        per = np.bincount(labels, minlength=self.sigma)
+        nth = np.empty(len(labels), np.int64)  # each toggle's number within its label
+        nth[np.argsort(labels, kind="stable")] = (np.arange(len(labels))
+                                                   - np.repeat(np.cumsum(per) - per, per))
+        add = nth % 2 == 0
         r = len(self.starts)
-        labels, starts, lengths = self._runs()
-        add_blocks, add_labels = _in_block_order(self._blocks_at(starts), labels, r)
-        del_blocks, del_labels = self._exits(labels, starts, lengths)
-        return (np.bincount(add_blocks, minlength=r), add_labels,
-                np.bincount(del_blocks, minlength=r), del_labels)
+        return (np.bincount(blocks[add], minlength=r), labels[add],
+                np.bincount(blocks[~add], minlength=r), labels[~add])
 
     def block_deltas(self):
         """``[(add, dele)]`` per block, the label tuples ascending."""
@@ -293,27 +282,31 @@ class RlXbwt:
         return out
 
 
-def out_masks(sigma, n_add, add_labels, n_del, del_labels):
+def out_masks(sigma, labels, first):
     """Each block's out-set as a mask, bit c set iff label c is present,
-    from the S' columns :class:`RlXbwt` takes. A label is present at block
-    q iff it entered there or before more often than it left, so the mask
-    is the running sum of the entering labels' bits less that of the
-    leaving ones', exact modulo the word width. The masks are an ``array``
-    of the narrowest unsigned typecode whose items hold sigma bits, or a
-    list of ints when sigma > 64; either way ``mask[q]`` is an int."""
+    from S' as its toggles: ``labels`` in S' order, and ``first``, true at
+    the first toggle of each block after block 0. A label is present at
+    block q iff it toggled an odd number of times in blocks 0..q, so the
+    mask is one running XOR of the toggled labels' bits, read at each
+    block's last toggle: just before each first one, and at the end. The
+    masks are an ``array`` of the narrowest unsigned typecode whose items
+    hold sigma bits, or a list of ints when sigma > 64; either way
+    ``mask[q]`` is an int."""
     code = typecode(sigma)
     dtype = np.dtype(code)
     nwords = -(-sigma // 64)
+    labels = np.asarray(labels, dtype=np.uint8)  # codes below sigma <= 256
+    ends = np.ones(len(labels) + 1, bool)  # the XOR through toggle j - 1 ends a block
+    ends[:-1] = first
 
-    def running(counts, labels, w):  # bits 64w.. of the labels, summed through each block
-        labels = np.asarray(labels, dtype=np.uint8)  # codes below sigma <= 256
+    def running(w):  # bits 64w.. of the labels, XORed through each block
         bits = np.zeros(len(labels) + 1, dtype)
         np.left_shift(1, labels & 63, out=bits[1:], dtype=dtype,
                       where=True if nwords == 1 else labels >> 6 == w)
-        np.cumsum(bits, out=bits)
-        return bits.take(np.cumsum(counts, dtype=np.intp))
+        np.bitwise_xor.accumulate(bits, out=bits)
+        return bits[ends]
 
-    words = [running(n_add, add_labels, w) - running(n_del, del_labels, w) for w in range(nwords)]
+    words = [running(w) for w in range(nwords)]
     if nwords == 1:
         masks = array(code, [0]) * len(words[0])
         np.frombuffer(masks, dtype)[:] = words[0]
@@ -363,12 +356,20 @@ def build_rl_xbwt(trie, colex, out=None):
     starts = np.flatnonzero(np.concatenate(([True], out.change)))  # first row of each block
     is_start = np.zeros(n + 1, dtype=bool)
     is_start[starts] = True
-    add = ~out.in_prev & is_start[out.row]  # labels a block gains
-    dele = ~out.in_next & is_start[out.row + 1]  # labels the row before a block loses
-    n_add, add_labels = np.bincount(out.row[add], minlength=n)[starts], out.labels[add]
-    n_del, del_labels = np.bincount(out.row[dele] + 1, minlength=n + 1)[starts], out.labels[dele]
-    rlx = RlXbwt(sigma, n_add, add_labels, n_del, del_labels, np.diff(starts, append=n))
-    rlx.mask = out_masks(sigma, n_add, add_labels, n_del, del_labels)
+    # a block's toggles: the labels its first row gains and those the row
+    # before it loses. Each list is in (row, label) order, so one stable
+    # sort of the keys row << 8 | label, row the block's first, merges them
+    add = ~out.in_prev & is_start[out.row]
+    dele = ~out.in_next & is_start[out.row + 1]
+    keys = np.concatenate((out.row[add], out.row[dele] + 1)).astype(np.min_scalar_type(n << 8))
+    keys <<= 8
+    keys |= np.concatenate((out.labels[add], out.labels[dele])).astype(keys.dtype)
+    keys.sort(kind="stable")
+    blocks = np.cumsum(is_start, dtype=np.min_scalar_type(len(starts)))[keys >> 8]
+    blocks -= 1  # the block whose first row each key holds
+    labels = (keys & 255).astype(np.uint8)
+    rlx = RlXbwt(sigma, blocks, labels, np.diff(starts, append=n))
+    rlx.mask = out_masks(sigma, labels, np.diff(blocks, prepend=0) > 0)
     rlx.block_head = int_array(colex.colex_to_pre[starts + 1])
     return rlx
 

@@ -7,9 +7,12 @@ payloads. The table lists exactly the engine's sections, in order, and the
 payloads follow it back to back to the end of the file; any other layout,
 and a payload that fails its CRC, is rejected before a decoder reads it.
 Files round-trip bit-exactly. Each fact of the transform is stored once:
-loading derives the S' node counts, the C array and the out-set masks from
-the blocks; the red nodes are stored only as the node that ends each block
-(``isc``), and ``colors`` holds only the blue ones; one constructor,
+``sprime`` holds S' as its toggles, one symbol ``label << 1 | f`` each,
+f marking a block's first, since whether a toggle enters or leaves is its
+parity within its label; loading derives the S' node counts, the C array
+and the out-set masks from the toggles and the block lengths; the red
+nodes are stored only as the node that ends each block (``isc``), and
+``colors`` holds only the blue ones; one constructor,
 :class:`~rlxt.rindex.ColorMarks`, derives the ``anchor`` table from them at
 build and at load alike, through which a red node's phi sample is the
 ``runheads`` id of the block after it; and the trie is not rebuilt.
@@ -17,7 +20,8 @@ Payloads are read in place, as slices of the file. Every section
 is laid out in columns. An integer column is a byte w, the fewest whole
 bytes that hold its largest value (0 only for an empty column), then each
 value as w little-endian bytes, read as one ``np.frombuffer`` view with no
-Python call per value; a sorted table is stored as the column of its gaps.
+Python call per value, at its stored width where the decoder needs no
+int64; a sorted table is stored as the column of its gaps.
 Each decoder ends exactly at its payload's end and takes only the minimal
 w, so every file that loads re-saves to the same bytes.
 """
@@ -40,7 +44,7 @@ from .trie import Alphabet, _depths
 from .trie import colex_sort  # noqa: F401 (not called; bench/spans.py patches it here)
 
 MAGIC = b"RLXT1"
-VERSION = 10
+VERSION = 11
 ENGINE_RINDEX = 0
 ENGINE_SAMPLED = 1
 _ENTRY = struct.Struct("<8sQQI")  # tag, offset, length, CRC-32 of the payload
@@ -71,9 +75,10 @@ def _gap_column(values):
     return _column(np.diff(np.asarray(values, dtype=np.int64), prepend=0))
 
 
-def _r_column(data, off, count, what):
-    """The ``count`` values of the column at ``data[off]``, as int64, and
-    the offset after it. The payload is checked to hold them before
+def _r_view(data, off, count, what):
+    """The ``count`` values of the column at ``data[off]`` and the offset
+    after it: a read-only view at the stored width where numpy has one (1,
+    2 or 4 bytes), else int64. The payload is checked to hold them before
     anything is sized from ``count``, and w to be the one ``_column``
     writes, so that a file that loads re-saves to the same bytes."""
     if off >= len(data):
@@ -85,7 +90,7 @@ def _r_column(data, off, count, what):
     if end > len(data):
         raise IndexFileError(f"{what} column of {count} values cut short")
     if w in (1, 2, 4):
-        vals = np.frombuffer(data, dtype=f"<u{w}", count=count, offset=off + 1).astype(np.int64)
+        vals = np.frombuffer(data, dtype=f"<u{w}", count=count, offset=off + 1)
     else:  # each row zero-padded to 8 bytes
         rows = np.zeros((count, 8), dtype=np.uint8)
         rows[:, :w] = np.frombuffer(data, dtype=np.uint8, count=w * count,
@@ -94,6 +99,12 @@ def _r_column(data, off, count, what):
     if w > 1 and not vals.max() >> 8 * (w - 1):
         raise IndexFileError(f"{what} column is {w} bytes wide for values below 2**{8 * (w - 1)}")
     return vals, end
+
+
+def _r_column(data, off, count, what):
+    """:func:`_r_view`'s values as a writable int64 array."""
+    vals, end = _r_view(data, off, count, what)
+    return vals.astype(np.int64, copy=False), end
 
 
 # -- per-section encoders ----------------------------------------------------
@@ -119,44 +130,50 @@ def _enc_rlxbwt(rlx):
 
 
 def _enc_sprime(rlx):
-    # a block's labels are distinct codes below sigma <= 256, so each count fits a byte
-    n_add, add_labels, n_del, del_labels = rlx.deltas()
-    return np.concatenate((n_add, n_del, add_labels, del_labels)).astype(np.uint8).tobytes()
+    # the toggles in S' order, each as label << 1 | f, f = 1 at the first
+    # toggle of every block but block 0: one byte each while sigma <= 128
+    blocks, labels = rlx.toggles()
+    first = np.diff(blocks, prepend=0) > 0
+    return struct.pack("<I", len(labels)) + _column(labels << 1 | first)
 
 
 def _dec_rlx(rlxbwt, sprime, runheads, sigma, n):
-    """The run-length XBWT from the block lengths (``rlxbwt``), the S'
-    columns (``sprime``: all ADD counts, all DEL counts, all ADD labels, all
-    DEL labels) and the pre-order ids of the heads of blocks 1..r' - 1
-    (``runheads``), once the invariants its derivation relies on hold. The
-    block masks and then the block heads are built only after the S'
-    tables, so the temporaries of the three never coexist."""
+    """The run-length XBWT from the block lengths (``rlxbwt``), the toggles
+    of S' (``sprime``: a count and one column) and the pre-order ids of the
+    heads of blocks 1..r' - 1 (``runheads``), once the invariants its
+    derivation relies on hold. The toggle stream is checked canonical:
+    labels in 1..sigma - 1, one block-start flag per block after the
+    first, and labels strictly ascending within a block. The block masks
+    and then the block heads are built only after the S' tables, and the
+    per-toggle arrays go before the heads are read, so the temporaries of
+    the three never coexist."""
     (rp,) = struct.unpack_from("<I", rlxbwt, 0)
-    lengths, end = _r_column(rlxbwt, 4, rp, "rlxbwt block lengths")
+    lengths, end = _r_view(rlxbwt, 4, rp, "rlxbwt block lengths")
     if end != len(rlxbwt):
         raise IndexFileError("rlxbwt section does not end with its block lengths")
     if (lengths < 1).any() or lengths.max(initial=0) > n or lengths.sum() != n:
         raise IndexFileError(f"rlxbwt block lengths are not positive summing to {n}")
-    raw = np.frombuffer(sprime, dtype=np.uint8)
-    n_add, n_del = raw[:rp], raw[rp : 2 * rp]
-    del_at = 2 * rp + int(n_add.sum())
-    end = del_at + int(n_del.sum())
-    if end > len(raw):
-        raise IndexFileError("rlxbwt labels run past the end of the sprime section")
-    if end < len(raw):
-        raise IndexFileError("sprime section does not end with its DEL labels")
-    if end > 2 * rp and (raw[2 * rp : end].min() < 1 or raw[2 * rp : end].max() >= sigma):
-        raise IndexFileError(f"triple label outside 1..{sigma - 1}")
-    add_labels, del_labels = raw[2 * rp : del_at], raw[del_at:end]
-    try:
-        rlx = RlXbwt(sigma, n_add, add_labels, n_del, del_labels, lengths)
-    except ValueError as exc:
-        raise IndexFileError(f"sprime: {exc}") from None
-    del lengths
+    (m,) = struct.unpack_from("<I", sprime, 0)
+    toggles, end = _r_view(sprime, 4, m, "sprime toggles")
+    if end != len(sprime):
+        raise IndexFileError("sprime section does not end with its toggles")
+    labels = toggles >> 1
+    if m and (labels.min() < 1 or labels.max() >= sigma):
+        raise IndexFileError(f"sprime toggle label outside 1..{sigma - 1}")
+    flags = toggles & 1
+    marked = np.count_nonzero(flags)
+    if marked != rp - 1:
+        raise IndexFileError(f"sprime marks {marked} block starts, not {rp - 1}")
+    if ((labels[1:] <= labels[:-1]) & (flags[1:] == 0)).any():
+        raise IndexFileError("sprime labels do not strictly ascend within a block")
+    blocks = np.cumsum(flags, dtype=np.min_scalar_type(rp))
+    rlx = RlXbwt(sigma, blocks, labels, lengths)
+    del blocks, lengths
     if rlx.c_array[-1] != n:
         raise IndexFileError(f"the out-sets hold {rlx.c_array[-1] - 1} children, "
                              f"not one per non-root node ({n - 1})")
-    rlx.mask = out_masks(sigma, n_add, add_labels, n_del, del_labels)
+    rlx.mask = out_masks(sigma, labels, flags)
+    del labels, flags
     heads, end = _r_column(runheads, 0, rp - 1, "runheads")
     if end != len(runheads):
         raise IndexFileError(f"runheads holds more than {rp - 1} block heads")

@@ -311,7 +311,8 @@ def build_from_strings(lines):
     the lines: the LCPs come from one comparison of the lines laid end to
     end (:func:`_pair_lcps`), and the depths are the trie as they stand.
     """
-    lines = sorted(set(map(bytes, lines)))
+    # sorted before the repeats go, so that a nearly sorted input keeps its runs
+    lines = list(dict.fromkeys(sorted(map(bytes, lines))))
     joined = b"".join(lines)
     if 0 in joined:
         raise FormatError("input contains NUL byte")

@@ -66,7 +66,7 @@ def test_bad_magic_and_version():
         storage.load_bytes(b"XXXXX" + blob[5:])
     with pytest.raises(IndexFileError):
         storage.load_bytes(blob[:5] + bytes([99]) + blob[6:])
-    for old in (1, 2, 3, 4, 5, 6, 7, 8, 9):
+    for old in range(1, storage.VERSION):
         with pytest.raises(IndexFileError, match=f"unsupported version {old}"):
             storage.load_bytes(blob[:5] + bytes([old]) + blob[6:])
 
@@ -95,55 +95,72 @@ def test_last_node_out_of_range(ex26, stored):
         storage.load_bytes(storage._pack(engine, sections))
 
 
-@pytest.mark.parametrize("label", [0, 4])
-def test_triple_label_outside_alphabet(ex26, label):
+# EX26's sprime section: the toggle count, 15, then one column of width 1
+# holding each toggle as label << 1 | f in S' order, f = 1 at the first
+# toggle of blocks 1..7: +A +B +C / -A -C / -B / +A +C / -A -C / +B +C /
+# -B -C / +A, with A, B, C = 1, 2, 3
+EX26_SPRIME = struct.pack("<I", 15) + bytes([1, 2, 4, 6, 3, 6, 5, 3, 6, 3, 6, 5, 6, 5, 6, 3])
+
+
+def _load_with_sprime(ex26, sprime):
     engine, sections = storage._unpack(storage.save_rindex(build_index(ex26)))
-    sprime = sections["sprime"]
-    (rp,) = struct.unpack_from("<I", sections["rlxbwt"], 0)
-    at = 2 * rp  # past the ADD and DEL count columns
-    assert sprime[at : at + 3] == bytes([1, 2, 3])  # the first block's ADD labels
-    sections["sprime"] = sprime[:at] + bytes([label]) + sprime[at + 1 :]
-    with pytest.raises(IndexFileError, match="triple label"):
-        storage.load_bytes(storage._pack(engine, sections))
-
-
-def test_add_count_runs_past_rlxbwt(ex26):
-    engine, sections = storage._unpack(storage.save_rindex(build_index(ex26)))
-    sprime = sections["sprime"]
-    assert sprime[0] == 3 and len(sprime) < 255  # the first block's ADD count
-    sections["sprime"] = bytes([255]) + sprime[1:]
-    with pytest.raises(IndexFileError, match="rlxbwt labels run past the end"):
-        storage.load_bytes(storage._pack(engine, sections))
-
-
-def _sections_of(strings):
-    return storage._unpack(storage.save_rindex(build_index(build_from_strings(strings))))
-
-
-# EX26's sprime section: eight ADD counts, eight DEL counts, then the ADD
-# labels (A B C, A C, B C, A) and the DEL labels (A C, B, A C, B C)
-EX26_SPRIME = bytes([3, 0, 0, 2, 0, 2, 0, 1, 0, 2, 1, 0, 2, 0, 2, 0,
-                     1, 2, 3, 1, 3, 2, 3, 1, 1, 3, 2, 1, 3, 2, 3])
+    assert sections["sprime"] == EX26_SPRIME
+    sections["sprime"] = sprime
+    return storage.load_bytes(storage._pack(engine, sections))
 
 
 def _replace(data, at, value):
     return data[:at] + bytes([value]) + data[at + 1 :]
 
 
+@pytest.mark.parametrize("label", [0, 4])
+def test_triple_label_outside_alphabet(ex26, label):
+    # the first block's first ADD label, A at byte 5, becomes 0 or sigma
+    with pytest.raises(IndexFileError, match="sprime toggle label outside 1..3"):
+        _load_with_sprime(ex26, _replace(EX26_SPRIME, 5, label << 1))
+
+
+def test_toggle_count_runs_past_sprime(ex26):
+    # a count past the stored toggles is rejected before anything is sized from it
+    with pytest.raises(IndexFileError, match="sprime toggles column of 255 values cut short"):
+        _load_with_sprime(ex26, struct.pack("<I", 255) + EX26_SPRIME[4:])
+
+
+def _sections_of(strings):
+    return storage._unpack(storage.save_rindex(build_index(build_from_strings(strings))))
+
+
 @pytest.mark.parametrize("sprime, match", [
-    # block 3 adds B, not C
-    (_replace(EX26_SPRIME, 20, 2), "label 3 enters the out-set 2 times, leaves 3"),
-    # block 2 drops A, not B
-    (_replace(EX26_SPRIME, 26, 1), "entries and exits do not alternate"),
-    # block 7 drops A as well as adding it
-    (_replace(EX26_SPRIME, 15, 1) + bytes([1]), "entries and exits do not alternate"),
-])
+    # block 2's -B loses its flag: blocks 1 and 2 run together
+    (_replace(EX26_SPRIME, 10, 4), "sprime marks 6 block starts, not 7"),
+    # block 0's +B gains one: an eighth block starts there
+    (_replace(EX26_SPRIME, 6, 5), "sprime marks 8 block starts, not 7"),
+    # block 1 drops A twice, not A and C
+    (_replace(EX26_SPRIME, 9, 2), "sprime labels do not strictly ascend within a block"),
+    # block 1 drops C, then A
+    (EX26_SPRIME[:8] + bytes([7, 2]) + EX26_SPRIME[10:],
+     "sprime labels do not strictly ascend within a block"),
+    # the same symbols, each 2 bytes wide
+    (struct.pack("<I", 15) + bytes([2]) + bytes(b for v in EX26_SPRIME[5:] for b in (v, 0)),
+     r"sprime toggles column is 2 bytes wide for values below 2\*\*8"),
+], ids=["flag-missing", "flag-extra", "label-repeated", "labels-descending", "width-2"])
 def test_sprime_label_events_are_inconsistent(ex26, sprime, match):
-    engine, sections = storage._unpack(storage.save_rindex(build_index(ex26)))
-    assert sections["sprime"] == EX26_SPRIME
-    sections["sprime"] = sprime
     with pytest.raises(IndexFileError, match=match):
-        storage.load_bytes(storage._pack(engine, sections))
+        _load_with_sprime(ex26, sprime)
+
+
+def test_every_sprime_bit_flip_is_rejected():
+    # each single-bit flip of the example's toggle stream, under a valid
+    # checksum, breaks its count, its width, a label's range or order, or
+    # its block starts, or leaves runs that the block lengths, the C array
+    # or the isc section reject
+    blob = saved_example("rindex")
+    sprime = storage._unpack(blob)[1]["sprime"]
+    symbols = [2, 4, 10, 3, 10, 5, 6, 9, 7, 9, 13, 13, 14, 15]
+    assert sprime == struct.pack("<I", 14) + bytes([1, *symbols])
+    for bit in range(8 * len(sprime)):
+        with pytest.raises(IndexFileError):
+            storage.load_bytes(with_flipped_bit(blob, "sprime", bit))
 
 
 @pytest.mark.parametrize("lengths, match", [
@@ -716,6 +733,29 @@ def test_round_trip_max_alphabet(tmp_path):
     assert storage.save_rindex(idx2) == blob
     assert idx2.locate(bytes([255])) == [256]
     assert idx2.count(b"") == 256
+
+
+@pytest.mark.parametrize("sigma, width", [(1, 0), (2, 1), (128, 1), (129, 2), (256, 2)])
+def test_sprime_column_width_follows_the_alphabet(sigma, width):
+    # each toggle is label << 1 | f: one byte while sigma <= 128, two past
+    # it, through the one column rule. The one-node trie has no toggle: an
+    # empty column of width 0
+    rng = random.Random(sigma)
+    alpha = bytes(range(1, sigma))
+    lines = [bytes([b]) for b in alpha]
+    lines += [bytes(rng.choice(alpha) for _ in range(4)) for _ in range(3 * len(alpha))]
+    t = build_from_strings(lines)
+    assert t.alphabet.sigma == sigma
+    idx = build_index(t)
+    blob = storage.save_rindex(idx)
+    sprime = storage._unpack(blob)[1]["sprime"]
+    (m,) = struct.unpack_from("<I", sprime, 0)
+    assert m == sum(idx.rlx.delta_counts())
+    assert sprime[4] == width and len(sprime) == 5 + width * m
+    _, loaded, _, _ = storage.load_bytes(blob)
+    assert loaded.rlx.mask == idx.rlx.mask
+    assert storage.save_rindex(loaded) == blob
+    assert loaded.count(b"") == t.n and loaded.locate(b"")[0] == 1
 
 
 def test_reconstruct_trie_from_loaded_index(ex26):

@@ -49,6 +49,10 @@ def test_build_from_strings_degenerate():
     t = build_from_strings([b"ab", b"ab"])
     assert t.n == 3
     assert t.path_byte_strings()[3] == b"ab"
+    # unsorted, with repeats: the same trie as its distinct lines sorted
+    t = build_from_strings([b"b", b"ab", b"b", b"a", b"ab"])
+    assert t.n == 4
+    assert t.path_byte_strings()[1:] == [b"", b"a", b"ab", b"b"]
 
 
 def test_nul_byte_rejected():
